@@ -161,6 +161,8 @@ def _dispatch(args) -> int:
         res = stable_systole(K, args.q, search_radius=args.radius)
         if res.is_trivial:
             print(f"stsys_{args.q} = trivial")
+        elif res.value is None:
+            print(f"stsys_{args.q}: search did not run (radius {args.radius})")
         else:
             print(f"stsys_{args.q} = {fmt(res.value)}  [{res.search_status}; "
                   f"witness class {list(res.witness_class)}]")

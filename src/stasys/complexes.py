@@ -169,10 +169,14 @@ class WeightedCellComplex:
                 raise ComplexInvariantError(f"non-positive weight in degree {q}")
         for q in range(1, self.top_dim + 1):
             nfaces = self.n_cells(q - 1)
-            for col in self.boundary_cols[q]:
+            for j, col in enumerate(self.boundary_cols[q]):
                 for face, _ in col:
                     if not 0 <= face < nfaces:
                         raise ComplexInvariantError(f"face index out of range in degree {q}")
+                # augmentation: the boundary of a 1-cell has total incidence 0
+                if q == 1 and sum(inc for _, inc in col) != 0:
+                    raise ComplexInvariantError(
+                        f"boundary of {self.cell_ids[1][j]} does not sum to zero")
         for q in range(2, self.top_dim + 1):
             from .linalg import mat_mul  # local import avoids cycle at module load
             lower = [[Fraction(x) for x in row] for row in self.boundary_matrix(q - 1)]

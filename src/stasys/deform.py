@@ -16,7 +16,7 @@ from fractions import Fraction
 from .category import Partition
 from .complexes import DeformationFamily, WeightedCellComplex
 from .homology import homology
-from .norms import stable_systole
+from .norms import stable_systole, systole_value
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,10 @@ def deformation_sweep(
     for t in ts:
         kt = family.at(t)
         per_degree = {
-            p: stable_systole(kt, p, search_radius=search_radius) for p in set(partition.parts)
+            p: systole_value(stable_systole(kt, p, search_radius=search_radius), p)
+            for p in set(partition.parts)
         }
-        for p, res in per_degree.items():
-            if res.is_trivial:
-                raise ValueError(f"trivial systole in degree {p} at t = {t}")
-        part_vals = tuple(per_degree[p].value for p in partition.parts)
+        part_vals = tuple(per_degree[p] for p in partition.parts)
         product = Fraction(1)
         for v in part_vals:
             product *= v

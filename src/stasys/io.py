@@ -16,6 +16,11 @@ from .complexes import WeightedCellComplex, build_complex
 from .deform import DeformationReport, SweepSample
 
 
+def _require_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, not {type(data).__name__}")
+
+
 def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -50,6 +55,7 @@ def complex_to_dict(K: WeightedCellComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> WeightedCellComplex:
+    _require_object(data, "complex")
     kind = data["kind"]
     top = int(data["top_dim"])
     cells = []
@@ -105,6 +111,7 @@ def profile_to_dict(p: DimensionProfile) -> dict:
 
 
 def profile_from_dict(data: dict) -> DimensionProfile:
+    _require_object(data, "profile")
     factors = tuple(profile_from_dict(f) for f in data.get("factors", []))
     if "betti" not in data and factors:
         return product_profile(list(factors))

@@ -27,7 +27,10 @@ def solve_lp(
     b: list[Fraction],
     c: list[Fraction],
 ) -> tuple[Fraction, list[Fraction]]:
-    """Minimize c.x over {A x = b, x >= 0}; returns (value, x)."""
+    """Minimize c.x over {A x = b, x >= 0}; returns (value, x).
+
+    Entries may be ints or Fractions; all arithmetic is in Fractions.
+    """
     m = len(a)
     n = len(c)
     if any(len(row) != n for row in a):
@@ -76,16 +79,14 @@ def _optimize(tab, basis, cost, allowed: int) -> Fraction:
     m = len(tab)
     # all rows may have been dropped as redundant; the loop below then
     # either certifies optimality at 0 or detects unboundedness
-    width = len(tab[0]) if tab else len(cost) + 1
     zrow = list(cost) + [Fraction(0)]
-    obj = Fraction(0)
     for i, bj in enumerate(basis):
         cb = cost[bj]
         if cb:
             row = tab[i]
-            for j in range(width):
-                if row[j]:
-                    zrow[j] -= cb * row[j]
+            for j, x in enumerate(row):
+                if x:
+                    zrow[j] -= cb * x
     while True:
         entering = next((j for j in range(allowed) if zrow[j] < 0), None)
         if entering is None:
@@ -101,24 +102,32 @@ def _optimize(tab, basis, cost, allowed: int) -> Fraction:
                     leaving = i
         if leaving is None:
             raise Unbounded(f"column {entering} is unbounded")
-        _pivot(tab, basis, leaving, entering)
         f = zrow[entering]
-        if f:
-            prow = tab[leaving]
-            for j in range(width):
-                if prow[j]:
-                    zrow[j] -= f * prow[j]
+        nz = _pivot(tab, basis, leaving, entering)
+        prow = tab[leaving]
+        for j in nz:
+            zrow[j] -= f * prow[j]
 
 
-def _pivot(tab, basis, row: int, col: int) -> None:
-    p = tab[row][col]
-    tab[row] = [x / p for x in tab[row]]
+def _pivot(tab, basis, row: int, col: int) -> list[int]:
+    """Pivot on tab[row][col] in place; returns the pivot row's nonzero columns.
+
+    Only those columns change in the other rows, so the update skips the
+    zeros that make up most of a boundary-matrix tableau.
+    """
     prow = tab[row]
-    for i in range(len(tab)):
-        if i != row and tab[i][col]:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+    nz = [j for j, x in enumerate(prow) if x]
+    p = prow[col]
+    if p != 1:
+        for j in nz:
+            prow[j] /= p
+    for i, other in enumerate(tab):
+        f = other[col]
+        if f and i != row:
+            for j in nz:
+                other[j] -= f * prow[j]
     basis[row] = col
+    return nz
 
 
 def _drive_out_artificials(tab, basis, n: int) -> None:

@@ -1,8 +1,13 @@
 """Stable norms and stable systoles by exact rational linear programming.
 
 The stable norm of a rational homology class is the minimum mass over the
-cellular cycles representing it; the L1 objective is linearized by the
-usual sign split.  Stable systoles minimize the stable norm over nonzero
+cellular cycles representing it.  Every such question is one LP over the
+q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
+row per rational coordinate of the class, with the L1 mass linearized by
+the usual sign split ``x = x+ - x-``.  The slab constants of the systole
+certificate are the same LP with a single coordinate row.  In a degree
+with no (q+1)-cells a class holds exactly one cycle, whose mass is its
+norm without an LP.  Stable systoles minimize the stable norm over nonzero
 integral classes: exactly for one-dimensional homology, and by a certified
 lattice box search otherwise.
 """
@@ -25,7 +30,7 @@ Rational = Fraction | int
 class StableNormResult:
     value: Fraction
     optimal_cycle: Chain
-    certificate: str  # "optimal-LP" | "trivial-zero-class"
+    certificate: str  # "optimal-LP" | "unique-cycle" | "trivial-zero-class"
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,16 @@ class SystoleResult:
 
     @property
     def is_trivial(self) -> bool:
-        return self.value is None
+        return self.search_status == "trivial"
+
+
+def systole_value(res: SystoleResult, q: int) -> Fraction:
+    """The systole's value; ValueError when homology is trivial or no class was searched."""
+    if res.is_trivial:
+        raise ValueError(f"stable systole is trivial in degree {q}")
+    if res.value is None:
+        raise ValueError(f"systole search in degree {q} did not run ({res.search_status})")
+    return res.value
 
 
 @dataclass(frozen=True)
@@ -63,68 +77,34 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         raise ValueError("coordinate vector has wrong length")
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
-    z = summary.representative(cls)
-    cycle = minimum_mass_cycle(K, q, z.coeffs)
+    if K.n_cells(q + 1) == 0:
+        # no boundaries in degree q: the class holds exactly one cycle
+        z = summary.representative(cls)
+        return StableNormResult(K.mass(z), z, "unique-cycle")
+    cmap = summary.coordinate_maps[q]
+    cycle = minimum_mass_cycle(K, q, list(zip(cmap, cls.coords)))
     return StableNormResult(K.mass(cycle), cycle, "optimal-LP")
 
 
 def minimum_mass_cycle(
     K: WeightedCellComplex,
     q: int,
-    z: tuple[Fraction, ...],
-    extra_rows: list[tuple[list[Fraction], Fraction]] | None = None,
-    homologous: bool = True,
+    rows: list[tuple[tuple[Fraction, ...], Fraction]],
 ) -> Chain:
-    """Mass-minimal chain x with x = z + (boundary) plus optional linear rows.
+    """Mass-minimal q-cycle x subject to ``coeffs . x = target`` for each row.
 
-    With ``homologous=False`` the boundary variables are dropped and x
-    ranges over solutions of the extra rows with ``∂x = 0`` instead; ``z``
-    is then ignored except for its length.
+    One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
+    w.(x+ + x-), constrained by the nonzero rows of ``∂_q x = 0`` and by
+    the given rows.  With the rows of the rational coordinate map and a
+    class's coordinates, the feasible set is exactly the cycles in that
+    class, because a cycle with zero coordinates bounds rationally.
     """
     nq = K.n_cells(q)
-    ny = K.n_cells(q + 1) if (homologous and q < K.top_dim) else 0
-    nvars = 2 * nq + 2 * ny
-    bmat = K.boundary_matrix(q + 1) if ny else None
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    if homologous:
-        for i in range(nq):
-            row = [Fraction(0)] * nvars
-            row[i] = Fraction(1)
-            row[nq + i] = Fraction(-1)
-            if ny:
-                for j in range(ny):
-                    v = bmat[i][j]
-                    if v:
-                        row[2 * nq + j] = Fraction(-v)
-                        row[2 * nq + ny + j] = Fraction(v)
-            rows.append(row)
-            rhs.append(Fraction(z[i]))
-    else:
-        if 1 <= q <= K.top_dim:
-            for brow in K.boundary_matrix(q):
-                row = [Fraction(0)] * nvars
-                nonzero = False
-                for i, v in enumerate(brow):
-                    if v:
-                        row[i] = Fraction(v)
-                        row[nq + i] = Fraction(-v)
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-    for coeffs, target in extra_rows or []:
-        row = [Fraction(0)] * nvars
-        for i, v in enumerate(coeffs):
-            row[i] = Fraction(v)
-            row[nq + i] = Fraction(-v)
-        rows.append(row)
-        rhs.append(Fraction(target))
-    weights = K.weights[q]
-    cost = [Fraction(w) for w in weights] * 2 + [Fraction(0)] * (2 * ny)
-    _value, x = solve_lp(rows, rhs, cost)
-    coeffs = tuple(x[i] - x[nq + i] for i in range(nq))
-    return Chain(q, coeffs)
+    cycle_rows = [row for row in K.boundary_matrix(q) if any(row)] if q else []
+    a = [list(r) + [-v for v in r] for r in cycle_rows + [c for c, _ in rows]]
+    b = [0] * len(cycle_rows) + [target for _, target in rows]
+    _value, x = solve_lp(a, b, list(K.weights[q]) * 2)
+    return Chain(q, tuple(x[i] - x[nq + i] for i in range(nq)))
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
@@ -157,12 +137,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
 def _slab_constant(K, summary: HomologySummary, q: int, i: int) -> Fraction:
     """Least mass of a cycle whose i-th rational coordinate is exactly 1."""
     cmap = summary.coordinate_maps[q]
-    cycle = minimum_mass_cycle(
-        K, q, (Fraction(0),) * K.n_cells(q),
-        extra_rows=[(list(cmap[i]), Fraction(1))],
-        homologous=False,
-    )
-    return K.mass(cycle)
+    return K.mass(minimum_mass_cycle(K, q, [(cmap[i], Fraction(1))]))
 
 
 def _primitive_vectors(dim: int, radius: int, skip_radius: int):
@@ -189,19 +164,17 @@ def verify_rescaling(K: WeightedCellComplex, q: int, t: Rational) -> Verificatio
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    base = stable_systole(K, q)
-    if base.is_trivial:
-        raise ValueError(f"stable systole is trivial in degree {q}")
-    scaled = stable_systole(K.rescale(t), q)
-    expected = t ** q * base.value
-    status = "pass" if scaled.value == expected else "fail"
+    base = systole_value(stable_systole(K, q), q)
+    scaled = systole_value(stable_systole(K.rescale(t), q), q)
+    expected = t ** q * base
+    status = "pass" if scaled == expected else "fail"
     return VerificationReport(
         name="rescaling-law",
-        lhs=scaled.value,
+        lhs=scaled,
         rhs=expected,
         relation="==",
         status=status,
-        details={"t": t, "q": q, "base": base.value},
+        details={"t": t, "q": q, "base": base},
     )
 
 
@@ -209,19 +182,14 @@ def verify_product_inequality(
     K: WeightedCellComplex, L: WeightedCellComplex, p: int, q: int
 ) -> VerificationReport:
     """Systole of a product is at most the product of factor systoles."""
-    sk = stable_systole(K, p)
-    sl = stable_systole(L, q)
-    if sk.is_trivial or sl.is_trivial:
-        raise ValueError("both factor systoles must be non-trivial")
-    prod = product_complex(K, L)
-    sp = stable_systole(prod, p + q)
-    if sp.is_trivial:
-        raise ValueError(f"product systole is trivial in degree {p + q}")
-    status = "pass" if sp.value <= sk.value * sl.value else "fail"
+    sk = systole_value(stable_systole(K, p), p)
+    sl = systole_value(stable_systole(L, q), q)
+    sp = systole_value(stable_systole(product_complex(K, L), p + q), p + q)
+    status = "pass" if sp <= sk * sl else "fail"
     return VerificationReport(
         name="product-inequality",
-        lhs=sp.value,
-        rhs=sk.value * sl.value,
+        lhs=sp,
+        rhs=sk * sl,
         relation="<=",
         status=status,
         details={"p": p, "q": q},
@@ -251,14 +219,13 @@ def verify_projection_equality(
             status="inapplicable",
             details={"reason": "Kunneth hypothesis violated in degree %d" % q},
         )
-    prod = product_complex(K, L)
-    sp = stable_systole(prod, q)
-    sk = stable_systole(K, q)
-    status = "pass" if sp.value == sk.value else "fail"
+    sp = systole_value(stable_systole(product_complex(K, L), q), q)
+    sk = systole_value(stable_systole(K, q), q)
+    status = "pass" if sp == sk else "fail"
     return VerificationReport(
         name="projection-equality",
-        lhs=sp.value,
-        rhs=sk.value,
+        lhs=sp,
+        rhs=sk,
         relation="==",
         status=status,
         details={"q": q},
@@ -407,17 +374,15 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
             status="inapplicable",
             details={"reason": "map is not injective on degree-%d rational homology" % q},
         )
-    sl = stable_systole(L, q)
-    sk = stable_systole(K, q)
-    if sl.is_trivial or sk.is_trivial:
-        raise ValueError(f"trivial systole in degree {q}")
+    sl = systole_value(stable_systole(L, q), q)
+    sk = systole_value(stable_systole(K, q), q)
     d = info.degree_bound
-    ok = sl.value <= sk.value <= d * sl.value
+    ok = sl <= sk <= d * sl
     return VerificationReport(
         name="degree-sandwich",
-        lhs=sk.value,
-        rhs=d * sl.value,
+        lhs=sk,
+        rhs=d * sl,
         relation="sandwich",
         status="pass" if ok else "fail",
-        details={"lower": sl.value, "pulled-back": sk.value, "degree-bound": d},
+        details={"lower": sl, "pulled-back": sk, "degree-bound": d},
     )

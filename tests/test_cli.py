@@ -53,6 +53,27 @@ def test_systole_trivial(files, capsys):
     assert "trivial" in out
 
 
+def test_systole_search_that_did_not_run_is_not_trivial(files, capsys):
+    # betti_1 = 2, so an empty search must not read as trivial homology
+    code, out, _ = run(capsys, "systole", files["torus9"], "-q", "1", "-R", "0")
+    assert code == 0
+    assert "did not run" in out
+    assert "trivial" not in out
+    code, out, err = run(capsys, "deform", files["circle3"], files["circle3"],
+                         "--partition", "1,1", "--t", "1,2", "-R", "0")
+    assert code == 2
+    assert "did not run" in err and "trivial" not in err
+
+
+def test_top_level_json_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    for argv in (("homology", str(path)), ("catstsys", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+
+
 def test_stable_norm_command(files, capsys):
     code, out, _ = run(capsys, "stable-norm", files["flat_torus3"],
                        "-q", "1", "--class", "2,-1")

@@ -66,6 +66,15 @@ def test_build_complex_rejects_bad_boundary():
         ])
 
 
+def test_validate_rejects_edge_with_unbalanced_boundary():
+    # a 1-cell whose boundary is one vertex at +1 would make betti_0 = 0
+    with pytest.raises(ComplexInvariantError):
+        build_complex("general", [
+            [("v", 1, [])],
+            [("e", 1, [("v", 1)], None)],
+        ])
+
+
 def test_build_complex_rejects_duplicate_ids():
     with pytest.raises(ComplexInvariantError):
         build_complex("general", [[("v", 1, []), ("v", 1, [])]])

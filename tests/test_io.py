@@ -91,6 +91,12 @@ def test_profile_from_factors_only():
     assert p.n == 3 and p.betti == (1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("reader", [complex_from_dict, profile_from_dict])
+def test_top_level_must_be_an_object(reader):
+    with pytest.raises(ValueError):
+        reader([complex_to_dict(circle(3))])
+
+
 def test_csv_round_trip():
     fam = DeformationFamily(flat_torus(3))
     rep = deformation_sweep(fam, Partition((1, 1)), t_samples=(F(1), F(2), F(4)))

@@ -58,6 +58,19 @@ def test_redundant_rows_are_tolerated():
     assert value == 4
 
 
+def test_cycle_space_program_with_redundant_zero_rows():
+    # the triangle's cycle LP: x = x+ - x- on edges e0, e1, e2 with weights
+    # 1, 2, 3; the three vertex rows of the boundary have zero right-hand
+    # side and rank 2, so one artificial stays basic at zero and its row is
+    # dropped; the coordinate row 2 x0 = 2 pins the cycle to (1, 1, 1)
+    boundary = [[-1, 0, 1], [1, -1, 0], [0, 1, -1]]
+    rows = [row + [-v for v in row] for row in boundary]
+    rows.append([2, 0, 0, -2, 0, 0])
+    value, x = solve_lp(frac(rows), [F(0), F(0), F(0), F(2)], [F(c) for c in (1, 2, 3) * 2])
+    assert value == 6
+    assert x == [F(1), F(1), F(1), F(0), F(0), F(0)]
+
+
 def test_degenerate_program_terminates():
     # many tie-broken pivots; Bland's rule must not cycle
     rows = frac([

@@ -11,6 +11,7 @@ from stasys import (
     circle,
     cubical_sphere,
     flat_torus,
+    fundamental_class_mass,
     homology,
     point,
     product_complex,
@@ -67,6 +68,26 @@ def test_optimal_cycle_is_in_the_right_class():
     res = stable_norm(K, HomologyClass(1, (F(2), F(-1))))
     assert tuple(summary.class_coordinates(K, res.optimal_cycle)) == (F(2), F(-1))
     assert K.mass(res.optimal_cycle) == res.value
+
+
+def test_top_degree_norm_is_the_unique_cycle():
+    # no cells above the top degree: each class holds exactly one cycle
+    for K in (sphere(2), flat_torus(3)):
+        res = stable_norm(K, HomologyClass(K.top_dim, (F(-2),)))
+        assert res.certificate == "unique-cycle"
+        assert res.value == 2 * fundamental_class_mass(K)
+        assert K.mass(res.optimal_cycle) == res.value
+        assert homology(K).class_coordinates(K, res.optimal_cycle) == (F(-2),)
+
+
+def test_s1_x_s2_degree_two_norm():
+    # the least sphere slice of S1 x S2 has the area of the cubical S2
+    K = product_complex(circle(3, kind="cubical"), cubical_sphere(2))
+    res = stable_norm(K, HomologyClass(2, (F(3, 2),)))
+    assert res.certificate == "optimal-LP"
+    assert res.value == F(3, 2) * 6
+    assert K.mass(res.optimal_cycle) == res.value
+    assert homology(K).class_coordinates(K, res.optimal_cycle) == (F(3, 2),)
 
 
 def test_norm_can_beat_the_given_representative():
