@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import io as sio
@@ -33,16 +32,6 @@ from .norms import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: list[str] = field(default_factory=list)
-    t_samples: list[Fraction] = field(default_factory=lambda: [Fraction(x) for x in (1, 2, 4, 8)])
-    search_radius: int = 5
-    output_format: str = "text"
-    verbose: bool = False
 
 
 def fmt(x: Fraction) -> str:

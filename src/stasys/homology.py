@@ -1,9 +1,15 @@
 """Integral and rational homology of a weighted cell complex.
 
-Smith normal form over arbitrary-precision integers gives Betti numbers,
-torsion coefficients and explicit integral generator chains per degree,
-plus a rational coordinate map that evaluates the homology class of any
-cycle in the generator basis.
+Everything comes from integer Smith normal forms that carry their own
+inverses (``M = U D V`` with ``U_inv`` and ``V_inv`` alongside).  In degree
+q the SNF of the boundary map d_q gives the cycle lattice: its basis is the
+columns rk.. of ``V_inv`` and the rows rk.. of ``V`` read a cycle's
+coordinates in that basis, so d_{q+1} in kernel coordinates is an exact
+integer product.  A second SNF of that matrix gives Betti numbers, torsion
+coefficients and integral generator chains (columns of its ``U``).  The
+rational coordinate map that evaluates the homology class of any cycle in
+the generator basis is the set of harmonic rows, all found by one exact
+integer Gram solve per degree.
 """
 
 from __future__ import annotations
@@ -68,9 +74,6 @@ class HomologySummary:
                 coeffs[i] += c * gi
         return Chain(cls.degree, tuple(coeffs))
 
-    def lattice_basis(self, q: int) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(row) for row in linalg.identity(self.betti[q]))
-
 
 _cache: dict[tuple, HomologySummary] = {}
 
@@ -89,16 +92,15 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
     coordinate_maps = []
     for q in range(K.top_dim + 1):
         nq = K.n_cells(q)
-        kernel = _kernel_lattice_basis(K, q, nq)
-        z = len(kernel)  # kernel is a list of columns
-        nxt = K.boundary_matrix(q + 1) if q < K.top_dim else [[] for _ in range(nq)]
-        a = _coords_in_kernel(kernel, nxt, nq)
-        u, d, _v = smith_normal_form(a) if (z and a and a[0]) else (
-            [[int(i == j) for j in range(z)] for i in range(z)],
-            [[0] * (len(a[0]) if a else 0) for _ in range(z)],
-            [],
-        )
-        diag = [d[i][i] for i in range(min(z, len(d[0]) if d else 0))]
+        kernel, to_kernel = _cycle_lattice(K, q, nq)
+        z = len(kernel)
+        ncols = K.n_cells(q + 1)
+        if z and ncols:
+            u, d, _v, u_inv, _v_inv = smith_normal_form(_boundaries_in_kernel(K, q, to_kernel))
+        else:
+            u = u_inv = _identity(z)
+            d = [[0] * ncols for _ in range(z)]
+        diag = [d[i][i] for i in range(min(z, ncols))]
         nonzero = [abs(x) for x in diag if x != 0]
         r = len(nonzero)
         betti.append(z - r)
@@ -107,7 +109,7 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         tors_cols = [_column(u, i) for i, x in enumerate(diag) if x not in (0, 1, -1)]
         generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in free_cols))
         torsion_generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in tors_cols))
-        coordinate_maps.append(_coordinate_map(kernel, u, r, z, nq))
+        coordinate_maps.append(_coordinate_map(kernel, u_inv[r:], nq))
 
     summary = HomologySummary(
         betti=tuple(betti),
@@ -124,41 +126,30 @@ def class_coordinates(K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
     return homology(K).class_coordinates(K, z)
 
 
-def _kernel_lattice_basis(K: WeightedCellComplex, q: int, nq: int) -> list[list[int]]:
-    """Columns generating the integral cycle lattice in degree q."""
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _cycle_lattice(K: WeightedCellComplex, q: int, nq: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integral basis of the degree-q cycle lattice, and rows reading a cycle in it.
+
+    Row i of the second list dotted with basis vector k_j is delta_ij.
+    """
     if q == 0 or K.n_cells(q - 1) == 0:
-        return [[int(i == j) for i in range(nq)] for j in range(nq)]
+        basis = _identity(nq)
+        return basis, basis
     if nq == 0:
-        return []
-    m = K.boundary_matrix(q)
-    _u, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    # M = U D V, so ker M is spanned by the V^{-1} images of the zero columns
-    v_inv = linalg.inverse([[Fraction(x) for x in row] for row in v])
-    cols = []
-    for j in range(rank, nq):
-        col = [v_inv[i][j] for i in range(nq)]
-        assert all(x.denominator == 1 for x in col)
-        cols.append([int(x) for x in col])
-    return cols
+        return [], []
+    _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_matrix(q))
+    rank = sum(1 for i in range(min(len(d), nq)) if d[i][i] != 0)
+    # M V_inv = U D vanishes on the zero columns of D, and V V_inv = I
+    return [_column(v_inv, j) for j in range(rank, nq)], v[rank:]
 
 
-def _coords_in_kernel(kernel: list[list[int]], bmat: list[list[int]], nq: int) -> list[list[int]]:
-    """Express boundary columns in the kernel basis (always integral)."""
-    z = len(kernel)
-    ncols = len(bmat[0]) if bmat and bmat[0] is not None else 0
-    if z == 0 or ncols == 0:
-        return [[0] * ncols for _ in range(z)]
-    kmat = [[Fraction(kernel[j][i]) for j in range(z)] for i in range(nq)]
-    out = [[0] * ncols for _ in range(z)]
-    for c in range(ncols):
-        b = [Fraction(bmat[i][c]) for i in range(nq)]
-        sol = linalg.solve(kmat, b)
-        assert sol is not None, "boundary is not a cycle"
-        for j in range(z):
-            assert sol[j].denominator == 1
-            out[j][c] = int(sol[j])
-    return out
+def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[list[int]]) -> list[list[int]]:
+    """Kernel coordinates of each (q+1)-cell's boundary: exact integers."""
+    cols = K.boundary_cols[q + 1]
+    return [[sum(row[face] * inc for face, inc in col) for col in cols] for row in to_kernel]
 
 
 def _column(mat: list[list[int]], j: int) -> list[int]:
@@ -174,19 +165,26 @@ def _lattice_chain(kernel: list[list[int]], col: list[int], q: int, nq: int) -> 
     return Chain(q, tuple(Fraction(c) for c in coeffs))
 
 
-def _coordinate_map(kernel, u, r, z, nq):
-    """Rows of the linear map sending a cycle to its free-part coordinates."""
-    b = z - r
-    if b == 0 or nq == 0:
-        return tuple(tuple() for _ in range(b)) if b else tuple()
-    kmat = [[Fraction(kernel[j][i]) for j in range(z)] for i in range(nq)]
-    kleft = linalg.left_inverse(kmat)  # z x nq, valid on the cycle space
-    u_inv = linalg.inverse([[Fraction(x) for x in row] for row in u])
+def _coordinate_map(kernel, free_rows, nq):
+    """Rows of the linear map sending a cycle to its free-part coordinates.
+
+    Row i is the harmonic cochain h_i: it lies in the span of the kernel
+    basis and h_i . k_j = free_rows[i][j].  Writing h_i = K y_i, every y_i
+    solves the same Gram system (K^T K) y_i = free_rows[i], so one exact
+    solve per degree gives them all.
+    """
+    if not free_rows:
+        return tuple()
+    gram = [[sum(a * b for a, b in zip(ki, kj) if a) for kj in kernel] for ki in kernel]
+    numer, det = linalg.solve_integer(gram, linalg.transpose(free_rows))
     rows = []
-    for i in range(r, z):
-        row = [
-            sum((u_inv[i][j] * kleft[j][c] for j in range(z)), Fraction(0))
-            for c in range(nq)
-        ]
-        rows.append(tuple(row))
+    for i in range(len(free_rows)):
+        h = [0] * nq
+        for kj, nrow in zip(kernel, numer):
+            y = nrow[i]
+            if y:
+                for c, x in enumerate(kj):
+                    if x:
+                        h[c] += y * x
+        rows.append(tuple(Fraction(x, det) for x in h))
     return tuple(rows)

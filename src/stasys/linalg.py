@@ -118,54 +118,85 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in r]
 
 
-def left_inverse(a: Matrix) -> Matrix:
-    """L with L A = I for a matrix of full column rank."""
-    at = transpose(a)
-    gram = mat_mul(at, a)
-    return mat_mul(inverse(gram), at)
+def solve_integer(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Solve A X = B for a nonsingular square integer A; returns (N, det) with X = N / det.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss) of [A | B]: every
+    intermediate entry is an integer minor of the input, so each division
+    is exact and no Fraction is formed.  At the end every diagonal entry is
+    det, which is det A up to sign.
+    """
+    n = len(a)
+    m = [list(arow) + list(brow) for arow, brow in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        pk = m[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
+        prev = p
+    return [row[n:] for row in m], prev
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Decompose an integer matrix as M = U D V.
+def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """Decompose an integer matrix as M = U D V; returns (U, D, V, U_inv, V_inv).
 
     U and V are unimodular, D is diagonal with each diagonal entry dividing
     the next.  Pivoting picks the smallest nonzero entry to limit growth.
-    All three factors are returned even for empty shapes.
+    Every elementary operation is applied to D and mirrored on the four
+    transforms, so all five are int matrices with no inversion at the end:
+    a row operation on D is the same row operation on U_inv and the inverse
+    column operation on U, and a column operation on D is the same column
+    operation on V_inv and the inverse row operation on V.  Then
+    U_inv M V_inv = D, U U_inv = I and V V_inv = I.  All five factors are
+    returned even for empty shapes.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     d = [list(map(int, row)) for row in m]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    u_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    u_t = [[int(i == j) for j in range(nrows)] for i in range(nrows)]  # columns of U
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    v_inv_t = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # columns of V_inv
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+        u_t[i], u_t[j] = u_t[j], u_t[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v_inv_t[i], v_inv_t[j] = v_inv_t[j], v_inv_t[i]
+        v[i], v[j] = v[j], v[i]
 
     def add_row(dst, src, k):
-        # row_dst += k * row_src; compensate in U by column op on the right
+        # row_dst += k * row_src; in U, column src -= k * column dst
         d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        u_inv[dst] = [x + k * y for x, y in zip(u_inv[dst], u_inv[src])]
+        u_t[src] = [x - k * y for x, y in zip(u_t[src], u_t[dst])]
 
     def add_col(dst, src, k):
+        # col_dst += k * col_src; in V, row src -= k * row dst
         for row in d:
             row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
+        v_inv_t[dst] = [x + k * y for x, y in zip(v_inv_t[dst], v_inv_t[src])]
+        v[src] = [x - k * y for x, y in zip(v[src], v[dst])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        u_inv[i] = [-x for x in u_inv[i]]
+        u_t[i] = [-x for x in u_t[i]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -216,24 +247,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[in
             continue
         t += 1
 
-    # d = u_acc * m * v_acc, so M = U D V with U, V the unimodular inverses
-    u_inv = _unimodular_inverse(u)
-    v_inv = _unimodular_inverse(v)
-    return u_inv, d, v_inv
-
-
-def _unimodular_inverse(m: list[list[int]]) -> list[list[int]]:
-    frac = [[Fraction(x) for x in row] for row in m]
-    inv = inverse(frac)
-    out = []
-    for row in inv:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(int(x))
-        out.append(int_row)
-    return out
+    return transpose(u_t), d, v, u_inv, transpose(v_inv_t)
 
 
 def det_sign(m: list[list[int]]) -> int:

@@ -109,6 +109,8 @@ def minimum_mass_cycle(
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
     """Least stable norm among integral classes with nonzero rational image."""
+    if search_radius < 0:
+        raise ValueError(f"search radius must be at least 0, not {search_radius}")
     summary = homology(K)
     if q < 0 or q > K.top_dim or summary.betti[q] == 0:
         return SystoleResult(None, None, "trivial")
@@ -276,8 +278,11 @@ def simplicial_map(
 
 def push_chain(info: SimplicialMapInfo, chain: Chain) -> Chain:
     """Chain-level pushforward; degenerate cells (none here) would map to 0."""
-    K, L = info.source, info.target
-    vm = info.mapping
+    return Chain(chain.degree, tuple(_pushed_coeffs(info.source, info.target, info.mapping, chain)))
+
+
+def _pushed_coeffs(K, L, vm: dict[int, int], chain: Chain) -> list[Fraction]:
+    """Coefficients on L's cells of the image of a chain of K under vertex map vm."""
     out = [Fraction(0)] * L.n_cells(chain.degree)
     for j, c in enumerate(chain.coeffs):
         if not c:
@@ -286,7 +291,7 @@ def push_chain(info: SimplicialMapInfo, chain: Chain) -> Chain:
         images = [vm[v] for v in vs]
         target = L.cell_by_vertices(tuple(sorted(images)))
         out[target] += c * _permutation_sign(images)
-    return Chain(chain.degree, tuple(out))
+    return out
 
 
 def degree_bound(info: SimplicialMapInfo) -> int:
@@ -301,15 +306,7 @@ def _degree_bound(K, L, vertex_map) -> int:
         raise ValueError("degree needs one-dimensional top homology on both sides")
     zk = hk.generators[n][0]
     zl = hl.generators[n][0]
-    pushed = [Fraction(0)] * L.n_cells(n)
-    vm = dict(vertex_map)
-    for j, c in enumerate(zk.coeffs):
-        if not c:
-            continue
-        vs = K.vertex_lists[n][j]
-        images = [vm[v] for v in vs]
-        target = L.cell_by_vertices(tuple(sorted(images)))
-        pushed[target] += c * _permutation_sign(images)
+    pushed = _pushed_coeffs(K, L, vertex_map, zk)
     degrees = set()
     for pe, ze in zip(pushed, zl.coeffs):
         if ze == 0:

@@ -65,6 +65,17 @@ def test_systole_search_that_did_not_run_is_not_trivial(files, capsys):
     assert "did not run" in err and "trivial" not in err
 
 
+def test_negative_search_radius_exits_two(files, capsys):
+    code, out, err = run(capsys, "systole", files["torus9"], "-q", "1", "-R", "-3")
+    assert code == 2
+    assert "error:" in err and "radius" in err
+    assert "did not run" not in out
+    code, _, err = run(capsys, "deform", files["circle3"], files["circle3"],
+                       "--partition", "1,1", "--t", "1,2", "-R", "-1")
+    assert code == 2
+    assert "radius" in err
+
+
 def test_top_level_json_list_exits_two(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")

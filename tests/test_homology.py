@@ -1,5 +1,7 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from stasys import (
     Chain,
     HomologyClass,
+    WeightedCellComplex,
     circle,
     class_coordinates,
     cubical_sphere,
@@ -82,6 +85,66 @@ def test_coordinate_map_kills_boundaries():
         b = K.boundary_of(K.unit_chain(2, j))
         coords = summary.class_coordinates(K, b)
         assert all(c == 0 for c in coords)
+
+
+def _permuted(K: WeightedCellComplex, seed: int) -> WeightedCellComplex:
+    """K with the cells of every degree in a seeded order."""
+    rng = random.Random(seed)
+    order = []
+    for q in range(K.top_dim + 1):
+        perm = list(range(K.n_cells(q)))
+        rng.shuffle(perm)
+        order.append(perm)
+    new_pos = [{old: new for new, old in enumerate(perm)} for perm in order]
+
+    def moved(per_degree):
+        if per_degree is None:
+            return None
+        return tuple(tuple(per_degree[q][old] for old in order[q]) for q in range(K.top_dim + 1))
+
+    boundary_cols = tuple(
+        tuple(tuple((new_pos[q - 1][f], inc) for f, inc in K.boundary_cols[q][old]) for old in order[q])
+        for q in range(K.top_dim + 1)
+    )
+    out = replace(K, cell_ids=moved(K.cell_ids), weights=moved(K.weights),
+                  boundary_cols=boundary_cols, vertex_lists=moved(K.vertex_lists),
+                  factor_degrees=moved(K.factor_degrees))
+    out.validate()
+    return out
+
+
+def _dot(row, chain):
+    return sum((a * b for a, b in zip(row, chain.coeffs) if a and b), F(0))
+
+
+COORDINATE_MAP_CASES = {
+    "flat_torus3": lambda: flat_torus(3),
+    "cubical_s1xs2": lambda: product_complex(circle(3, kind="cubical"), cubical_sphere(2)),
+    "t2_9": torus_triangulated,
+    "rp2": rp2,
+}
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", list(COORDINATE_MAP_CASES))
+def test_coordinate_rows_are_the_harmonic_cochains(name, seed):
+    # Each row h_i is a cycle, vanishes on boundaries and reads generator j
+    # as delta_ij; these three properties fix h_i uniquely.
+    K = COORDINATE_MAP_CASES[name]()
+    if seed is not None:
+        K = _permuted(K, seed)
+    summary = homology(K)
+    for q in range(K.top_dim + 1):
+        rows = summary.coordinate_maps[q]
+        assert len(rows) == summary.betti[q]
+        for i, row in enumerate(rows):
+            h = Chain(q, row)
+            assert K.is_cycle(h), (name, q, i)
+            if q < K.top_dim:
+                for j in range(K.n_cells(q + 1)):
+                    assert _dot(row, K.boundary_of(K.unit_chain(q + 1, j))) == 0, (name, q, i, j)
+            for j, g in enumerate(summary.generators[q]):
+                assert _dot(row, g) == int(i == j), (name, q, i, j)
 
 
 def test_class_coordinates_rejects_non_cycles():

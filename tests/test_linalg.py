@@ -10,7 +10,6 @@ from stasys.linalg import (
     det_sign,
     identity,
     inverse,
-    left_inverse,
     mat_mul,
     mat_vec,
     nullspace,
@@ -18,6 +17,7 @@ from stasys.linalg import (
     rref,
     smith_normal_form,
     solve,
+    solve_integer,
     transpose,
 )
 
@@ -56,17 +56,25 @@ def test_inverse_round_trip():
     assert mat_mul(a, inverse(a)) == identity(2)
 
 
-def test_left_inverse_of_tall_matrix():
-    a = frac_matrix([[1, 0], [0, 1], [1, 1]])
-    li = left_inverse(a)
-    assert mat_mul(li, a) == identity(2)
+def test_solve_integer_matches_fraction_solve():
+    # the first pivot is zero, so the elimination must swap rows
+    a = [[0, 2, 1], [3, 1, 0], [1, 1, 4]]
+    b = [[1, 0], [0, 5], [-2, 7]]
+    numer, det = solve_integer(a, b)
+    for j in range(2):
+        col = [F(row[j], det) for row in numer]
+        assert col == solve(frac_matrix(a), [F(row[j]) for row in b])
+    with pytest.raises(ValueError):
+        solve_integer([[1, 2], [2, 4]], [[1], [1]])
 
 
 def _assert_snf(m):
-    u, d, v = smith_normal_form(m)
+    u, d, v, u_inv, v_inv = smith_normal_form(m)
     nr, nc = len(m), len(m[0]) if m else 0
     # convention: M = U * D * V with U, V unimodular
     assert mat_mul(mat_mul(frac_matrix(u), frac_matrix(d)), frac_matrix(v)) == frac_matrix(m)
+    assert mat_mul(frac_matrix(u), frac_matrix(u_inv)) == identity(nr)
+    assert mat_mul(frac_matrix(v), frac_matrix(v_inv)) == identity(nc)
     assert abs(det_sign(u)) == 1 and abs(det_sign(v)) == 1
     diag = [d[i][i] for i in range(min(nr, nc))]
     for i in range(nr):
@@ -108,7 +116,7 @@ def test_snf_random_matrices(nr, nc, data):
 
 def test_snf_preserves_rank():
     m = [[1, 2], [2, 4], [3, 6]]
-    _, d, _ = smith_normal_form(m)
+    _, d, _, _, _ = smith_normal_form(m)
     assert sum(1 for i in range(2) if d[i][i]) == rank(frac_matrix(m))
 
 
