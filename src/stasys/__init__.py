@@ -82,7 +82,6 @@ from .norms import (
     StableNormResult,
     SystoleResult,
     VerificationReport,
-    degree_bound,
     minimum_mass_cycle,
     pullback_weights,
     push_chain,

@@ -1,6 +1,7 @@
 """Rational cohomology ring of a simplicial complex.
 
 Cochains are evaluated on the stored (globally sorted) vertex orders, the
+dual basis is the homology summary's coordinate map (no second solve), the
 cup product is the front-face/back-face formula, and ring invariants are
 computed by an exact degree-wise span filtration: cup-length, the least
 positive dimension with nonzero reduced cohomology, and whether the ring
@@ -34,9 +35,6 @@ class CohomologyBasis:
     """Dual basis cocycles per degree, paired against homology generators."""
 
     basis: tuple[tuple[Cochain, ...], ...]
-
-    def dimension(self, q: int) -> int:
-        return len(self.basis[q]) if 0 <= q < len(self.basis) else 0
 
 
 @dataclass(frozen=True)
@@ -103,42 +101,16 @@ def cohomology_coordinates(K: WeightedCellComplex, alpha: Cochain) -> tuple[Frac
 
 
 def cohomology_basis(K: WeightedCellComplex) -> CohomologyBasis:
-    """Per degree, cocycles alpha_i with <alpha_i, gen_j> = delta_ij."""
+    """Per degree, cocycles alpha_i with <alpha_i, gen_j> = delta_ij.
+
+    These are the rows of the homology coordinate map: each row vanishes on
+    every boundary, so it is a cocycle, and it reads generator j as delta_ij.
+    """
     _require_simplicial(K)
-    summary = homology(K)
-    per_degree = []
-    for q in range(K.top_dim + 1):
-        b = summary.betti[q]
-        nq = K.n_cells(q)
-        if b == 0 or nq == 0:
-            per_degree.append(tuple())
-            continue
-        if q < K.top_dim:
-            delta = linalg.transpose(
-                [[Fraction(x) for x in row] for row in K.boundary_matrix(q + 1)]
-            )
-            cocycles = linalg.nullspace(delta, ncols=nq)
-        else:
-            cocycles = [[Fraction(int(i == j)) for i in range(nq)] for j in range(nq)]
-        gens = summary.generators[q]
-        pair = [
-            [sum((zv * gc for zv, gc in zip(z, g.coeffs)), Fraction(0)) for g in gens]
-            for z in cocycles
-        ]  # rows: cocycles, cols: generators
-        pair_t = linalg.transpose(pair)
-        duals = []
-        for i in range(b):
-            e = [Fraction(int(k == i)) for k in range(b)]
-            w = linalg.solve(pair_t, e)
-            if w is None:
-                raise RuntimeError("pairing with homology generators is degenerate")
-            vals = [
-                sum((w[j] * cocycles[j][cidx] for j in range(len(cocycles))), Fraction(0))
-                for cidx in range(nq)
-            ]
-            duals.append(Cochain(q, tuple(vals)))
-        per_degree.append(tuple(duals))
-    return CohomologyBasis(basis=tuple(per_degree))
+    return CohomologyBasis(basis=tuple(
+        tuple(Cochain(q, row) for row in rows)
+        for q, rows in enumerate(homology(K).coordinate_maps)
+    ))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ size of its coefficient vector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -135,14 +135,7 @@ class WeightedCellComplex:
             new_weights = tuple(
                 tuple(w * t ** q for w in ws) for q, ws in enumerate(self.weights)
             )
-        return WeightedCellComplex(
-            kind=self.kind,
-            cell_ids=self.cell_ids,
-            weights=new_weights,
-            boundary_cols=self.boundary_cols,
-            vertex_lists=self.vertex_lists,
-            factor_degrees=self.factor_degrees,
-        )
+        return replace(self, weights=new_weights)
 
     @cached_property
     def _vertex_index(self) -> tuple[dict[tuple[int, ...], int], ...] | None:
@@ -399,12 +392,7 @@ def circle(k: int, edge_weight: Rational = 1, kind: str = "simplicial") -> Weigh
     weights = {e: Fraction(edge_weight) for e in edges}
     out = simplicial_from_top(edges, weights=weights)
     if kind == "cubical":
-        out = WeightedCellComplex(
-            kind="cubical",
-            cell_ids=out.cell_ids,
-            weights=out.weights,
-            boundary_cols=out.boundary_cols,
-        )
+        out = replace(out, kind="cubical", vertex_lists=None)
     return out
 
 

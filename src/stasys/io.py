@@ -16,9 +16,25 @@ from .complexes import WeightedCellComplex, build_complex
 from .deform import DeformationReport, SweepSample
 
 
-def _require_object(data, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"a {what} must be a JSON object, not {type(data).__name__}")
+def _require(value, kind: type, what: str):
+    """Return value if it is a ``kind`` (dict or list), else raise ValueError."""
+    if not isinstance(value, kind):
+        json_name = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {json_name}, not {type(value).__name__}")
+    return value
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, OverflowError):  # a list, an object, null or an infinity
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
+def _cell_id(value, what: str):
+    if not isinstance(value, (str, int)):
+        raise ValueError(f"{what} must be a string or an integer, not {type(value).__name__}")
+    return value
 
 
 def frac_str(x: Fraction) -> str:
@@ -55,28 +71,38 @@ def complex_to_dict(K: WeightedCellComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> WeightedCellComplex:
-    _require_object(data, "complex")
+    _require(data, dict, "a complex")
     kind = data["kind"]
-    top = int(data["top_dim"])
+    top = _as_int(data["top_dim"], "top_dim")
+    if top < 0:
+        raise ValueError(f"top_dim must be at least 0, not {top}")
+    cells_by_degree = _require(data["cells"], dict, "cells")
     cells = []
     tags = []
     has_tags = True
     for q in range(top + 1):
         specs = []
         qtags = []
-        for entry in data["cells"][str(q)]:
+        for entry in _require(cells_by_degree[str(q)], list, f'cells["{q}"]'):
+            _require(entry, dict, f"a cell of degree {q}")
+            cid = _cell_id(entry["id"], "a cell id")
+            boundary = []
+            for pair in _require(entry.get("boundary", []), list, f"boundary of {cid}"):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"boundary of {cid} must list [face id, incidence] pairs")
+                boundary.append((_cell_id(pair[0], "a face id"), _as_int(pair[1], "an incidence")))
             vertices = entry.get("vertices")
-            specs.append((
-                entry["id"],
-                parse_frac(entry["weight"]),
-                [(fid, int(inc)) for fid, inc in entry.get("boundary", [])],
-                tuple(vertices) if vertices is not None else None,
-            ))
+            if vertices is not None:
+                vertices = tuple(_as_int(v, "a vertex")
+                                 for v in _require(vertices, list, f"vertices of {cid}"))
+            specs.append((cid, parse_frac(entry["weight"]), boundary, vertices))
             tag = entry.get("factor_degrees")
             if tag is None:
                 has_tags = False
             else:
-                qtags.append((int(tag[0]), int(tag[1])))
+                if not isinstance(tag, list) or len(tag) != 2:
+                    raise ValueError(f"factor_degrees of {cid} must be a pair of degrees")
+                qtags.append((_as_int(tag[0], "a factor degree"), _as_int(tag[1], "a factor degree")))
         cells.append(specs)
         tags.append(qtags)
     return build_complex(kind, cells, factor_degrees=tags if has_tags else None)
@@ -111,13 +137,16 @@ def profile_to_dict(p: DimensionProfile) -> dict:
 
 
 def profile_from_dict(data: dict) -> DimensionProfile:
-    _require_object(data, "profile")
-    factors = tuple(profile_from_dict(f) for f in data.get("factors", []))
+    _require(data, dict, "a profile")
+    factors = tuple(profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors"))
     if "betti" not in data and factors:
         return product_profile(list(factors))
+    n = _as_int(data["dimension"], "dimension")
+    if n < 0:
+        raise ValueError(f"dimension must be at least 0, not {n}")
     return DimensionProfile(
-        n=int(data["dimension"]),
-        betti=tuple(int(b) for b in data["betti"]),
+        n=n,
+        betti=tuple(_as_int(b, "a Betti number") for b in _require(data["betti"], list, "betti")),
         orientable=bool(data.get("orientable", True)),
         max_cup_flag=data.get("max_cup_length"),
         homology_sphere=bool(data.get("homology_sphere", False)),

@@ -2,7 +2,11 @@
 
 Everything here works on plain lists of lists holding ``fractions.Fraction``
 (or ``int`` for the integer routines).  Matrices are desk-scale, so dense
-Gaussian elimination is plenty.
+Gaussian elimination is plenty.  Homology needs only the integer routines:
+the Smith normal form with its inverses and the fraction-free solve.  The
+rational routines serve rank tests (cup-product spans, degree-sandwich
+injectivity) and the boundary-of-boundary check in ``validate``; ``solve``
+and ``inverse`` remain as exact references for the tests.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ def mat_mul(a, b) -> Matrix:
     return out
 
 
-def mat_vec(a, v) -> list[Fraction]:
-    return [sum((aij * vj for aij, vj in zip(row, v) if aij and vj), Fraction(0)) for row in a]
-
-
 def transpose(a) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
@@ -74,24 +74,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1]) if a else 0
-
-
-def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, as a list of column vectors."""
-    if not a:
-        n = ncols or 0
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    n = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][fc]
-        basis.append(v)
-    return basis
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
@@ -249,22 +231,3 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
 
     return transpose(u_t), d, v, u_inv, transpose(v_inv_t)
 
-
-def det_sign(m: list[list[int]]) -> int:
-    """Sign of the determinant of an integer matrix (0 if singular)."""
-    frac = [[Fraction(x) for x in row] for row in m]
-    n = len(frac)
-    sign = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if frac[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            frac[c], frac[pivot] = frac[pivot], frac[c]
-            sign = -sign
-        if frac[c][c] < 0:
-            sign = -sign
-        for i in range(c + 1, n):
-            f = frac[i][c] / frac[c][c]
-            frac[i] = [x - f * y for x, y in zip(frac[i], frac[c])]
-    return sign

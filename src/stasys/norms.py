@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
@@ -243,7 +243,6 @@ class SimplicialMapInfo:
     source: WeightedCellComplex
     target: WeightedCellComplex
     vertex_map: tuple[tuple[int, int], ...]
-    non_degenerate: bool
     degree_bound: int
 
     @property
@@ -271,7 +270,6 @@ def simplicial_map(
         source=K,
         target=L,
         vertex_map=tuple(sorted(vertex_map.items())),
-        non_degenerate=True,
         degree_bound=d,
     )
 
@@ -294,12 +292,8 @@ def _pushed_coeffs(K, L, vm: dict[int, int], chain: Chain) -> list[Fraction]:
     return out
 
 
-def degree_bound(info: SimplicialMapInfo) -> int:
-    """Largest absolute local degree over the target's top cells."""
-    return info.degree_bound
-
-
 def _degree_bound(K, L, vertex_map) -> int:
+    """Largest absolute local degree over the target's top cells."""
     n = L.top_dim
     hk, hl = homology(K), homology(L)
     if hk.betti[n] != 1 or hl.betti[n] != 1:
@@ -341,14 +335,7 @@ def pullback_weights(info: SimplicialMapInfo) -> WeightedCellComplex:
             images = tuple(sorted(vm[v] for v in vs))
             ws.append(L.weights[q][L.cell_by_vertices(images)])
         new_weights.append(tuple(ws))
-    return WeightedCellComplex(
-        kind=K.kind,
-        cell_ids=K.cell_ids,
-        weights=tuple(new_weights),
-        boundary_cols=K.boundary_cols,
-        vertex_lists=K.vertex_lists,
-        factor_degrees=K.factor_degrees,
-    )
+    return replace(K, weights=tuple(new_weights))
 
 
 def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationReport:

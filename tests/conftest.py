@@ -9,6 +9,8 @@ boxes.  Tests compare the fast implementations against these.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,39 @@ def two_spheres_wedge() -> WeightedCellComplex:
     return simplicial_from_top(tops)
 
 
+def circle_wedge_sphere() -> WeightedCellComplex:
+    """A triangle and a tetrahedron boundary glued at vertex 0: S1 v S2."""
+    return simplicial_from_top(
+        [(0, 5), (5, 6), (0, 6), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    )
+
+
+def permuted(K: WeightedCellComplex, seed: int) -> WeightedCellComplex:
+    """K with the cells of every degree in a seeded order."""
+    rng = random.Random(seed)
+    order = []
+    for q in range(K.top_dim + 1):
+        perm = list(range(K.n_cells(q)))
+        rng.shuffle(perm)
+        order.append(perm)
+    new_pos = [{old: new for new, old in enumerate(perm)} for perm in order]
+
+    def moved(per_degree):
+        if per_degree is None:
+            return None
+        return tuple(tuple(per_degree[q][old] for old in order[q]) for q in range(K.top_dim + 1))
+
+    boundary_cols = tuple(
+        tuple(tuple((new_pos[q - 1][f], inc) for f, inc in K.boundary_cols[q][old]) for old in order[q])
+        for q in range(K.top_dim + 1)
+    )
+    out = replace(K, cell_ids=moved(K.cell_ids), weights=moved(K.weights),
+                  boundary_cols=boundary_cols, vertex_lists=moved(K.vertex_lists),
+                  factor_degrees=moved(K.factor_degrees))
+    out.validate()
+    return out
+
+
 @pytest.fixture(scope="session")
 def standard_connected():
     """Named connected complexes used across tests."""
@@ -124,14 +159,38 @@ def betti_oracle(K: WeightedCellComplex, q: int) -> int:
 
 
 def enumerate_integral_cycles(K: WeightedCellComplex, q: int, box: int = 3):
-    """Yield every nonzero integral q-cycle with coefficients in [-box, box]."""
+    """Yield every nonzero integral q-cycle with coefficients in [-box, box].
+
+    Depth-first over the q-cells in order, each coefficient from -box to box
+    (so cycles come out in lexicographic order).  Once the last cell touching
+    a face is fixed, the chain's boundary on that face is final; a partial
+    chain with a nonzero final boundary coefficient is dropped together with
+    all of its completions.
+    """
     n = K.n_cells(q)
-    for coeffs in itertools.product(range(-box, box + 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        ch = Chain(q, tuple(Fraction(c) for c in coeffs))
-        if K.is_cycle(ch):
-            yield ch
+    cols = K.boundary_cols[q] if q else ((),) * n
+    last_touch = {face: j for j, col in enumerate(cols) for face, _ in col}
+    settled = [[] for _ in range(n)]  # settled[j]: faces whose last cell is j
+    for face, j in last_touch.items():
+        settled[j].append(face)
+    boundary = dict.fromkeys(last_touch, 0)
+    coeffs = [0] * n
+
+    def walk(j):
+        if j == n:
+            if any(coeffs):
+                yield Chain(q, tuple(Fraction(c) for c in coeffs))
+            return
+        for c in range(-box, box + 1):
+            coeffs[j] = c
+            for face, inc in cols[j]:
+                boundary[face] += c * inc
+            if all(boundary[face] == 0 for face in settled[j]):
+                yield from walk(j + 1)
+            for face, inc in cols[j]:
+                boundary[face] -= c * inc
+
+    yield from walk(0)
 
 
 def brute_force_systole(K: WeightedCellComplex, q: int, box: int = 3) -> Fraction | None:

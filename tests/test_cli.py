@@ -1,8 +1,18 @@
 """End-to-end checks of the command-line interface."""
 
+import json
+
 import pytest
 
-from stasys import circle, flat_torus, rp2, save_complex, sphere, torus_triangulated
+from stasys import (
+    circle,
+    complex_to_dict,
+    flat_torus,
+    rp2,
+    save_complex,
+    sphere,
+    torus_triangulated,
+)
 from stasys.cli import main
 
 
@@ -76,9 +86,30 @@ def test_negative_search_radius_exits_two(files, capsys):
     assert "radius" in err
 
 
-def test_top_level_json_list_exits_two(tmp_path, capsys):
-    path = tmp_path / "list.json"
-    path.write_text("[]")
+def _circle_with(**fields):
+    """circle(3) as JSON with the given fields of its first edge replaced."""
+    data = complex_to_dict(circle(3))
+    data["cells"]["1"][0].update(fields)
+    return json.dumps(data)
+
+
+MALFORMED_JSON = {
+    "top-level-list": "[]",
+    "cells-list": json.dumps({"kind": "simplicial", "top_dim": 0, "cells": []}),
+    "cells-number": json.dumps({"kind": "simplicial", "top_dim": 0, "cells": {"0": 5}}),
+    "cell-string": json.dumps({"kind": "simplicial", "top_dim": 0, "cells": {"0": ["v0"]}}),
+    "boundary-number": _circle_with(boundary=5),
+    "vertices-number": _circle_with(vertices=7),
+    "factor-degrees-short": _circle_with(factor_degrees=[0]),
+    "negative-top-dim": json.dumps({"kind": "simplicial", "top_dim": -1, "cells": {}}),
+    "profile-betti-number": json.dumps({"name": "X", "dimension": 2, "betti": 5}),
+}
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED_JSON))
+def test_top_level_json_list_exits_two(payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_JSON[payload])
     for argv in (("homology", str(path)), ("catstsys", str(path))):
         code, _, err = run(capsys, *argv)
         assert code == 2

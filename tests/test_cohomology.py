@@ -24,7 +24,7 @@ from stasys import (
     torus_triangulated,
 )
 
-from conftest import two_spheres_wedge, wedge_two_circles
+from conftest import circle_wedge_sphere, permuted, two_spheres_wedge, wedge_two_circles
 
 F = Fraction
 
@@ -48,7 +48,8 @@ def test_coboundary_squared_zero():
 
 
 def test_cohomology_basis_is_dual_to_generators():
-    for K in (circle(4), torus_triangulated(), two_spheres_wedge()):
+    for K in (circle(4), torus_triangulated(), two_spheres_wedge(), rp2(),
+              circle_wedge_sphere(), permuted(torus_triangulated(), 7)):
         summary = homology(K)
         basis = cohomology_basis(K)
         for q in range(K.top_dim + 1):
@@ -82,11 +83,7 @@ def test_max_cup_length_flags():
     # wedge of circles: dimension 1, cap floor(1/1) = 1, attained
     assert has_maximal_real_cup_length(wedge_two_circles())[0]
     # circle wedge sphere: cap floor(2/1) = 2 but no nonzero square
-    from stasys import simplicial_from_top
-    s1_wedge_s2 = simplicial_from_top(
-        [(0, 5), (5, 6), (0, 6), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    )
-    assert not has_maximal_real_cup_length(s1_wedge_s2)[0]
+    assert not has_maximal_real_cup_length(circle_wedge_sphere())[0]
     assert not has_maximal_real_cup_length(rp2())[0]
 
 

@@ -1,7 +1,5 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
-import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +7,6 @@ import pytest
 from stasys import (
     Chain,
     HomologyClass,
-    WeightedCellComplex,
     circle,
     class_coordinates,
     cubical_sphere,
@@ -25,6 +22,7 @@ from stasys import (
 from conftest import (
     betti_oracle,
     disjoint_two_circles,
+    permuted,
     theta_graph,
     two_spheres_wedge,
     wedge_two_circles,
@@ -87,32 +85,6 @@ def test_coordinate_map_kills_boundaries():
         assert all(c == 0 for c in coords)
 
 
-def _permuted(K: WeightedCellComplex, seed: int) -> WeightedCellComplex:
-    """K with the cells of every degree in a seeded order."""
-    rng = random.Random(seed)
-    order = []
-    for q in range(K.top_dim + 1):
-        perm = list(range(K.n_cells(q)))
-        rng.shuffle(perm)
-        order.append(perm)
-    new_pos = [{old: new for new, old in enumerate(perm)} for perm in order]
-
-    def moved(per_degree):
-        if per_degree is None:
-            return None
-        return tuple(tuple(per_degree[q][old] for old in order[q]) for q in range(K.top_dim + 1))
-
-    boundary_cols = tuple(
-        tuple(tuple((new_pos[q - 1][f], inc) for f, inc in K.boundary_cols[q][old]) for old in order[q])
-        for q in range(K.top_dim + 1)
-    )
-    out = replace(K, cell_ids=moved(K.cell_ids), weights=moved(K.weights),
-                  boundary_cols=boundary_cols, vertex_lists=moved(K.vertex_lists),
-                  factor_degrees=moved(K.factor_degrees))
-    out.validate()
-    return out
-
-
 def _dot(row, chain):
     return sum((a * b for a, b in zip(row, chain.coeffs) if a and b), F(0))
 
@@ -132,7 +104,7 @@ def test_coordinate_rows_are_the_harmonic_cochains(name, seed):
     # as delta_ij; these three properties fix h_i uniquely.
     K = COORDINATE_MAP_CASES[name]()
     if seed is not None:
-        K = _permuted(K, seed)
+        K = permuted(K, seed)
     summary = homology(K)
     for q in range(K.top_dim + 1):
         rows = summary.coordinate_maps[q]

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stasys.linalg import (
-    det_sign,
     identity,
     inverse,
     mat_mul,
-    mat_vec,
-    nullspace,
     rank,
     rref,
     smith_normal_form,
@@ -34,13 +31,9 @@ def test_rref_identity():
     assert pivots == [0, 1]
 
 
-def test_rank_and_nullspace():
+def test_rank():
     a = frac_matrix([[1, 2, 3], [2, 4, 6]])
     assert rank(a) == 1
-    null = nullspace(a, ncols=3)
-    assert len(null) == 2
-    for v in null:
-        assert all(x == 0 for x in mat_vec(a, v))
 
 
 def test_solve_consistent_and_inconsistent():
@@ -69,13 +62,15 @@ def test_solve_integer_matches_fraction_solve():
 
 
 def _assert_snf(m):
-    u, d, v, u_inv, v_inv = smith_normal_form(m)
+    factors = smith_normal_form(m)
+    u, d, v, u_inv, v_inv = factors
     nr, nc = len(m), len(m[0]) if m else 0
-    # convention: M = U * D * V with U, V unimodular
+    # convention: M = U * D * V with U, V unimodular; integer matrices whose
+    # product with an integer inverse is I have determinant +-1
+    assert all(type(x) is int for f in factors for row in f for x in row)
     assert mat_mul(mat_mul(frac_matrix(u), frac_matrix(d)), frac_matrix(v)) == frac_matrix(m)
     assert mat_mul(frac_matrix(u), frac_matrix(u_inv)) == identity(nr)
     assert mat_mul(frac_matrix(v), frac_matrix(v_inv)) == identity(nc)
-    assert abs(det_sign(u)) == 1 and abs(det_sign(v)) == 1
     diag = [d[i][i] for i in range(min(nr, nc))]
     for i in range(nr):
         for j in range(nc):
@@ -119,8 +114,3 @@ def test_snf_preserves_rank():
     _, d, _, _, _ = smith_normal_form(m)
     assert sum(1 for i in range(2) if d[i][i]) == rank(frac_matrix(m))
 
-
-def test_det_sign_values():
-    assert det_sign([[1, 0], [0, 1]]) == 1
-    assert det_sign([[0, 1], [1, 0]]) == -1
-    assert det_sign([[1, 1], [1, 1]]) == 0
