@@ -156,7 +156,10 @@ def _product_filtration(K: WeightedCellComplex) -> list[list[_RingElement]]:
 
 def cup_length(K: WeightedCellComplex) -> int:
     """Longest nonzero cup product of positive-degree rational classes."""
-    levels = _product_filtration(K)
+    return _cup_length(_product_filtration(K))
+
+
+def _cup_length(levels: list[list[_RingElement]]) -> int:
     return max(k for k, lvl in enumerate(levels) if lvl or k == 0)
 
 
@@ -174,12 +177,17 @@ def has_maximal_real_cup_length(K: WeightedCellComplex) -> tuple[bool, tuple[int
     l = lpd(K)
     if l is None:
         return False, None
-    n = K.top_dim
-    r = n // l
-    levels = _product_filtration(K)
-    if r >= len(levels):
+    return _maximal_product(K.top_dim, l, _product_filtration(K))
+
+
+def _maximal_product(
+    n: int, l: int | None, levels: list[list[_RingElement]]
+) -> tuple[bool, tuple[int, ...] | None]:
+    """A floor(n/l)-fold product of degree n among the filtration's levels."""
+    if l is None:
         return False, None
-    if r == 0:
+    r = n // l
+    if r == 0 or r >= len(levels):
         return False, None
     for el in levels[r]:
         if el.cochain.degree == n:
@@ -188,11 +196,13 @@ def has_maximal_real_cup_length(K: WeightedCellComplex) -> tuple[bool, tuple[int
 
 
 def ring_profile(K: WeightedCellComplex) -> RingProfile:
-    flag, witness = has_maximal_real_cup_length(K)
+    l = lpd(K)
+    levels = _product_filtration(K)
+    flag, witness = _maximal_product(K.top_dim, l, levels)
     return RingProfile(
         dimension=K.top_dim,
-        lpd=lpd(K),
-        cup_length=cup_length(K),
+        lpd=l,
+        cup_length=_cup_length(levels),
         max_cup_length_flag=flag,
         witness_degrees=witness,
     )

@@ -24,6 +24,14 @@ def _require(value, kind: type, what: str):
     return value
 
 
+def _field(data: dict, key: str, where: str):
+    """data[key]; a missing key is a ValueError naming the field and ``where``."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing field {key!r}") from None
+
+
 def _as_int(value, what: str) -> int:
     try:
         return int(value)
@@ -72,20 +80,21 @@ def complex_to_dict(K: WeightedCellComplex) -> dict:
 
 def complex_from_dict(data: dict) -> WeightedCellComplex:
     _require(data, dict, "a complex")
-    kind = data["kind"]
-    top = _as_int(data["top_dim"], "top_dim")
+    kind = _field(data, "kind", "complex JSON")
+    top = _as_int(_field(data, "top_dim", "complex JSON"), "top_dim")
     if top < 0:
         raise ValueError(f"top_dim must be at least 0, not {top}")
-    cells_by_degree = _require(data["cells"], dict, "cells")
+    cells_by_degree = _require(_field(data, "cells", "complex JSON"), dict, "cells")
     cells = []
     tags = []
     has_tags = True
     for q in range(top + 1):
         specs = []
         qtags = []
-        for entry in _require(cells_by_degree[str(q)], list, f'cells["{q}"]'):
+        degree_cells = _field(cells_by_degree, str(q), 'complex JSON "cells"')
+        for entry in _require(degree_cells, list, f'cells["{q}"]'):
             _require(entry, dict, f"a cell of degree {q}")
-            cid = _cell_id(entry["id"], "a cell id")
+            cid = _cell_id(_field(entry, "id", f"a degree-{q} cell in complex JSON"), "a cell id")
             boundary = []
             for pair in _require(entry.get("boundary", []), list, f"boundary of {cid}"):
                 if not isinstance(pair, list) or len(pair) != 2:
@@ -95,7 +104,8 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
             if vertices is not None:
                 vertices = tuple(_as_int(v, "a vertex")
                                  for v in _require(vertices, list, f"vertices of {cid}"))
-            specs.append((cid, parse_frac(entry["weight"]), boundary, vertices))
+            weight = parse_frac(_field(entry, "weight", f"complex JSON cell {cid!r}"))
+            specs.append((cid, weight, boundary, vertices))
             tag = entry.get("factor_degrees")
             if tag is None:
                 has_tags = False
@@ -141,12 +151,13 @@ def profile_from_dict(data: dict) -> DimensionProfile:
     factors = tuple(profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors"))
     if "betti" not in data and factors:
         return product_profile(list(factors))
-    n = _as_int(data["dimension"], "dimension")
+    n = _as_int(_field(data, "dimension", "profile JSON"), "dimension")
     if n < 0:
         raise ValueError(f"dimension must be at least 0, not {n}")
     return DimensionProfile(
         n=n,
-        betti=tuple(_as_int(b, "a Betti number") for b in _require(data["betti"], list, "betti")),
+        betti=tuple(_as_int(b, "a Betti number")
+                    for b in _require(_field(data, "betti", "profile JSON"), list, "betti")),
         orientable=bool(data.get("orientable", True)),
         max_cup_flag=data.get("max_cup_length"),
         homology_sphere=bool(data.get("homology_sphere", False)),

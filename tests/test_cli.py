@@ -116,6 +116,18 @@ def test_top_level_json_list_exits_two(payload, tmp_path, capsys):
         assert "error:" in err
 
 
+def test_missing_field_is_named(files, tmp_path, capsys):
+    # a complex where a profile is expected, and a profile where a complex is
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"name": "X", "dimension": 2, "betti": [1, 0, 1]}))
+    code, _, err = run(capsys, "catstsys", files["torus9"])
+    assert code == 2
+    assert "profile JSON is missing field 'dimension'" in err
+    code, _, err = run(capsys, "homology", str(profile))
+    assert code == 2
+    assert "complex JSON is missing field 'kind'" in err
+
+
 def test_stable_norm_command(files, capsys):
     code, out, _ = run(capsys, "stable-norm", files["flat_torus3"],
                        "-q", "1", "--class", "2,-1")

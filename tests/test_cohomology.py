@@ -93,6 +93,22 @@ def test_ring_profile_torus():
     assert p.max_cup_length_flag
 
 
+def test_ring_profile_builds_the_filtration_once(monkeypatch):
+    import stasys.cohomology as cohomology
+
+    builds = []
+    build = cohomology._product_filtration
+    monkeypatch.setattr(cohomology, "_product_filtration", lambda K: builds.append(K) or build(K))
+    K = torus_triangulated()
+    p = ring_profile(K)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    for L in (K, sphere(2), rp2(), wedge_two_circles(), circle_wedge_sphere()):
+        p = ring_profile(L)
+        assert p.cup_length == cup_length(L)
+        assert (p.max_cup_length_flag, p.witness_degrees) == has_maximal_real_cup_length(L)
+
+
 def test_torus_degree_one_product_is_nondegenerate():
     K = torus_triangulated()
     basis = cohomology_basis(K).basis[1]

@@ -97,6 +97,33 @@ def test_top_level_must_be_an_object(reader):
         reader([complex_to_dict(circle(3))])
 
 
+def _without(path, field):
+    """circle(3) as a dict with `field` deleted from the object at `path`."""
+    data = complex_to_dict(circle(3))
+    obj = data
+    for key in path:
+        obj = obj[key]
+    del obj[field]
+    return data
+
+
+@pytest.mark.parametrize("path, field, message", [
+    ((), "top_dim", "complex JSON is missing field 'top_dim'"),
+    ((), "cells", "complex JSON is missing field 'cells'"),
+    (("cells",), "1", """complex JSON "cells" is missing field '1'"""),
+    (("cells", "1", 0), "id", "a degree-1 cell in complex JSON is missing field 'id'"),
+    (("cells", "0", 2), "weight", "is missing field 'weight'"),
+])
+def test_missing_complex_field_is_named(path, field, message):
+    with pytest.raises(ValueError, match=message):
+        complex_from_dict(_without(path, field))
+
+
+def test_missing_profile_field_is_named():
+    with pytest.raises(ValueError, match="profile JSON is missing field 'betti'"):
+        profile_from_dict({"name": "X", "dimension": 2})
+
+
 def test_csv_round_trip():
     fam = DeformationFamily(flat_torus(3))
     rep = deformation_sweep(fam, Partition((1, 1)), t_samples=(F(1), F(2), F(4)))

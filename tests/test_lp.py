@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stasys.linalg import rank, solve
 from stasys.lp import Infeasible, Unbounded, solve_lp
 
 F = Fraction
@@ -83,19 +86,121 @@ def test_degenerate_program_terminates():
     assert all(v >= 0 for v in x)
 
 
+def bfs_optimum(a, b, c):
+    """Least cost and the optimal vertices of {A x = b, x >= 0}, c >= 0.
+
+    An independent oracle: every vertex is the unique solution on some
+    rank(A) linearly independent columns, so enumerating those column sets
+    with `linalg.solve` and keeping the nonnegative solutions finds them all.
+    """
+    n = len(c)
+    best, vertices = None, set()
+    for cols in itertools.combinations(range(n), rank(a)):
+        sub = solve([[row[j] for j in cols] for row in a], b)
+        if sub is None or any(v < 0 for v in sub):
+            continue
+        x = [F(0)] * n
+        for j, v in zip(cols, sub):
+            x[j] = v
+        cost = sum(cj * xj for cj, xj in zip(c, x))
+        if best is None or cost < best:
+            best, vertices = cost, set()
+        if cost == best:
+            vertices.add(tuple(x))
+    return best, vertices
+
+
+def rationals(lo, hi, max_denominator):
+    """Integers and fractions with mixed small denominators in [lo, hi]."""
+    return st.one_of(
+        st.integers(lo, hi).map(F),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=max_denominator),
+    )
+
+
+def feasible_program(data):
+    """A program built around a known feasible point x0; c >= 0, so bounded."""
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 5))
+    a = [[data.draw(rationals(-3, 3, 4)) for _ in range(n)] for _ in range(m)]
+    x0 = [data.draw(rationals(0, 4, 5)) for _ in range(n)]
+    b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
+    c = [data.draw(rationals(0, 5, 6)) for _ in range(n)]
+    return a, b, c, x0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_random_feasible_programs(data):
-    """Build a program around a known feasible point; optimum <= its cost."""
-    m = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(2, 5))
-    a = [[F(data.draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(m)]
-    x0 = [F(data.draw(st.integers(0, 4))) for _ in range(n)]
-    b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
-    c = [F(data.draw(st.integers(0, 5))) for _ in range(n)]
+    """The optimum is exact: it equals the least cost over all vertices."""
+    a, b, c, x0 = feasible_program(data)
     value, x = solve_lp(a, b, c)
     feasible_cost = sum(ci * xi for ci, xi in zip(c, x0))
     assert value <= feasible_cost
     assert all(xi >= 0 for xi in x)
     for row, bi in zip(a, b):
         assert sum(rj * xj for rj, xj in zip(row, x)) == bi
+    best, vertices = bfs_optimum(a, b, c)
+    assert value == best
+    assert sum(ci * xi for ci, xi in zip(c, x)) == value
+    assert tuple(x) in vertices
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_row_scaling_leaves_the_answer_unchanged(data):
+    """Each row and its right-hand side times its own positive rational.
+
+    The scaled rows carry other denominators, so the integer tableau stores
+    them over other row denominators; the program, its optimum and its
+    optimal vertices are the same.  Where the optimal vertex is unique the
+    returned x must be that vertex for both forms.
+    """
+    a, b, c, _ = feasible_program(data)
+    scales = [data.draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+              for _ in a]
+    value, x = solve_lp(a, b, c)
+    scaled_value, scaled_x = solve_lp(
+        [[s * v for v in row] for s, row in zip(scales, a)],
+        [s * bi for s, bi in zip(scales, b)],
+        c,
+    )
+    best, vertices = bfs_optimum(a, b, c)
+    assert value == scaled_value == best
+    assert tuple(x) in vertices and tuple(scaled_x) in vertices
+    if len(vertices) == 1:
+        assert scaled_x == x
+
+
+def test_row_scaling_keeps_the_cycle_program_answer():
+    # the triangle's cycle LP with each row given over its own denominator:
+    # the same optimum and the same optimal cycle as the unscaled rows
+    boundary = [[-1, 0, 1], [1, -1, 0], [0, 1, -1]]
+    rows = [row + [-v for v in row] for row in boundary]
+    rows.append([2, 0, 0, -2, 0, 0])
+    scales = [F(3, 2), F(5), F(2, 7), F(4, 3)]
+    scaled = [[s * v for v in row] for s, row in zip(scales, rows)]
+    b = [F(0), F(0), F(0), F(2) * scales[3]]
+    value, x = solve_lp(scaled, b, [F(c, 3) for c in (1, 2, 3) * 2])
+    assert value == 2
+    assert x == [F(1), F(1), F(1), F(0), F(0), F(0)]
+
+
+def test_phase_one_pivots_on_the_rows_as_given():
+    # with zero cost x is the vertex where phase 1 stops.  The rows as given
+    # are x0/3 + x1 = 1/3 (negated) and -x0/2 - 2x1/3 + 2x2 = 3/2; their
+    # phase-1 reduced costs are (1/6, -1/3, -2), so Bland's rule enters x1
+    # first, then x2.  A row stored over denominator 3 or 6 must keep unit
+    # artificials: artificials of 1/3 and 1/6 would act as rows scaled by 3
+    # and 6, enter x2 first and stop at (1, 0, 1)
+    a = [[F(-1, 3), F(-1), F(0)], [F(-1, 2), F(-2, 3), F(2)]]
+    value, x = solve_lp(a, [F(-1, 3), F(3, 2)], [F(0)] * 3)
+    assert value == 0
+    assert x == [F(0), F(1, 3), F(31, 36)]
+
+
+def test_negative_fractional_rhs_rows():
+    # -x0/2 - x1/3 = -1 and x0 - x1 = 1/2 with mixed denominators
+    value, x = solve_lp([[F(-1, 2), F(-1, 3)], [F(1), F(-1)]], [F(-1), F(1, 2)], [F(1), F(1)])
+    assert x == [F(7, 5), F(9, 10)]
+    assert value == F(23, 10)

@@ -90,6 +90,20 @@ def test_s1_x_s2_degree_two_norm():
     assert homology(K).class_coordinates(K, res.optimal_cycle) == (F(3, 2),)
 
 
+@pytest.mark.parametrize("coords", [(1, 0), (0, 1), (2, -1), (-1, 3)])
+def test_fraction_weights_scale_the_norm_and_keep_the_cycle(coords):
+    # weights 5/3 put the LP's cost row over a denominator: the norm scales
+    # by 5/3 and, with every reduced cost scaled alike, the same cycle wins
+    K = flat_torus(4)
+    cls = HomologyClass(1, tuple(F(x) for x in coords))
+    base = stable_norm(K, cls)
+    scaled = stable_norm(K.rescale(F(5, 3)), cls)
+    assert base.value == 4 * sum(abs(x) for x in coords)
+    assert scaled.value == F(5, 3) * base.value
+    assert scaled.optimal_cycle == base.optimal_cycle
+    assert homology(K).class_coordinates(K, scaled.optimal_cycle) == cls.coords
+
+
 def test_norm_can_beat_the_given_representative():
     # wedge of two circles: class (1, 1) costs the two loops, not more
     K = wedge_two_circles()
