@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 a verified property failed, 2 bad input.  All
-numeric output is printed as an exact fraction, with a decimal
-approximation in parentheses when it is not an integer.
+Exit codes: 0 success (an inapplicable or inconclusive law included), 1 a
+verified property failed, 2 bad input.  All numeric output is printed as an
+exact fraction, with a decimal approximation in parentheses when not an integer.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def _print_report(report: VerificationReport) -> int:
     if report.status == "inapplicable":
         print(f"INAPPLICABLE {report.name}: {report.details.get('reason', '')}")
         return EXIT_OK
-    label = "PASS" if report.passed else "FAIL"
-    print(f"{label} {report.name}: {fmt(report.lhs)} {report.relation} {fmt(report.rhs)}")
+    print(f"{report.status.upper()} {report.name}: "
+          f"{fmt(report.lhs)} {report.relation} {fmt(report.rhs)}")
     for k, v in report.details.items():
         print(f"  {k} = {fmt(v) if isinstance(v, (Fraction, int)) else v}")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return EXIT_FAIL if report.status == "fail" else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,6 +162,8 @@ def _dispatch(args) -> int:
         coords = tuple(Fraction(x) for x in args.coords.replace(",", " ").split())
         res = stable_norm(K, HomologyClass(args.q, coords))
         print(f"stable norm = {fmt(res.value)}  [{res.certificate}]")
+        if res.dual is not None:
+            print(f"dual: lambda = [{', '.join(map(str, res.dual))}]")
         return EXIT_OK
 
     if cmd == "cup-length":

@@ -29,7 +29,8 @@ class Chain:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -124,16 +125,18 @@ class WeightedCellComplex:
         t = Fraction(t)
         if t <= 0:
             raise ValueError("scale factor must be positive")
+        powers = [t ** q for q in range(self.top_dim + 1)]
         if by_factor_tags:
             if self.factor_degrees is None:
                 raise ValueError("complex has no factor tags")
             new_weights = tuple(
-                tuple(w * t ** a for w, (a, _) in zip(ws, tags))
+                tuple(w * powers[a] if a else w for w, (a, _) in zip(ws, tags))
                 for ws, tags in zip(self.weights, self.factor_degrees)
             )
         else:
             new_weights = tuple(
-                tuple(w * t ** q for w in ws) for q, ws in enumerate(self.weights)
+                tuple(w * powers[q] for w in ws) if q else ws
+                for q, ws in enumerate(self.weights)
             )
         return replace(self, weights=new_weights)
 

@@ -33,7 +33,7 @@ class DeformationReport:
     partition: Partition
     samples: tuple[SweepSample, ...]
     growth_exponent: int | None
-    verdict: str  # "bounded" | "diverges(w)"
+    verdict: str  # "bounded" | "diverges(w)" | "inconclusive"
 
     @property
     def diverges(self) -> bool:
@@ -65,20 +65,22 @@ def deformation_sweep(
         if p > base.top_dim or summary.betti[p] == 0:
             raise ValueError(f"partition part {p} has trivial homology on the product")
     samples = []
+    upper_bound_only = False
     for t in ts:
         kt = family.at(t)
-        per_degree = {
-            p: systole_value(stable_systole(kt, p, search_radius=search_radius), p)
-            for p in set(partition.parts)
-        }
-        part_vals = tuple(per_degree[p] for p in partition.parts)
+        searches = {p: stable_systole(kt, p, search_radius=search_radius)
+                    for p in set(partition.parts)}
+        upper_bound_only |= any(res.upper_bound_only for res in searches.values())
+        part_vals = tuple(systole_value(searches[p], p) for p in partition.parts)
         product = Fraction(1)
         for v in part_vals:
             product *= v
         volume = fundamental_class_mass(kt)
         samples.append(SweepSample(t, part_vals, product, volume, product / volume))
     exponent = _tail_exponent(samples)
-    if exponent is not None and exponent >= 1:
+    if upper_bound_only:
+        verdict = "inconclusive"  # some part systole is only an upper bound
+    elif exponent is not None and exponent >= 1:
         verdict = f"diverges({exponent})"
     else:
         verdict = "bounded"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .complexes import Chain, WeightedCellComplex
@@ -32,7 +33,8 @@ class HomologyClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -51,6 +53,11 @@ class HomologySummary:
     @property
     def top_dim(self) -> int:
         return len(self.betti) - 1
+
+    @cached_property
+    def negated_coordinate_maps(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Every coordinate map with its entries negated, computed once per summary."""
+        return tuple(tuple(tuple(-v for v in row) for row in cmap) for cmap in self.coordinate_maps)
 
     def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
         """Rational homology coordinates of a cycle; zero iff z bounds."""

@@ -4,8 +4,9 @@ Solves  min c.x  subject to  A x = b, x >= 0  on an integer tableau: each
 row is stored as Python-int numerators with one positive row denominator,
 so the true row is numerators / denominator and every pivot is exact
 integer (fraction-free) elimination.  Optima come back as exact
-``Fraction``s.  Bland's pivot rule is used throughout, which rules out
-cycling.
+``Fraction``s, together with an optimal dual y (A^T y <= c, b.y = c.x)
+read off the final reduced costs.  Bland's pivot rule is used throughout,
+which rules out cycling.
 """
 
 from __future__ import annotations
@@ -30,42 +31,49 @@ def solve_lp(
     a: list[list[Fraction]],
     b: list[Fraction],
     c: list[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """Minimize c.x over {A x = b, x >= 0}; returns (value, x).
+    reduced_costs: bool = False,
+) -> tuple:
+    """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y).
 
-    Entries may be ints or Fractions; the optimum and x are Fractions.
+    y is an optimal dual, one entry per row of A.  With ``reduced_costs``
+    the structural reduced costs c - A^T y follow as a fourth item.
+    Entries may be ints or Fractions; every result is a Fraction.
     """
     m = len(a)
     n = len(c)
     if any(len(row) != n for row in a):
         raise ValueError("constraint matrix width does not match cost vector")
-    if m == 0:
-        return Fraction(0), [Fraction(0)] * n
 
     # phase 1: artificial columns n..n+m-1; row i's artificial entry is its
     # denominator, so the true tableau is [A | I | b] with b >= 0
     total = n + m
     tab = []
     den = []
+    sign = []
     for i, (row, bv) in enumerate(zip(a, b)):
         nums, d = _integer_row([*row, bv])
+        sign.append(-1 if nums[-1] < 0 else 1)
         if nums[-1] < 0:
             nums = [-x for x in nums]
         tab.append(nums[:-1] + [0] * i + [d] + [0] * (m - 1 - i) + nums[-1:])
         den.append(d)
     basis = list(range(n, n + m))
-    value, _ = _optimize(tab, den, basis, [0] * n + [1] * m, total)
-    if value != 0:
+    zrow, zden = _optimize(tab, den, basis, [0] * n + [1] * m, total)
+    if zrow[-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
     _drive_out_artificials(tab, den, basis, n)
 
-    # phase 2 on the original columns only
-    value, value_den = _optimize(tab, den, basis, list(c) + [0] * m, n)
+    # phase 2 on the original columns only.  Artificial column n+i has
+    # reduced cost -y_i for row i as stored (negated or not, dropped or not)
+    zrow, zden = _optimize(tab, den, basis, list(c) + [0] * m, n)
     x = [Fraction(0)] * n
     for row, d, bj in zip(tab, den, basis):
         if bj < n:
             x[bj] = Fraction(row[-1], d)
-    return Fraction(value, value_den), x
+    y = [Fraction(-s * zrow[n + i], zden) for i, s in enumerate(sign)]
+    if reduced_costs:
+        return Fraction(-zrow[-1], zden), x, y, [Fraction(z, zden) for z in zrow[:n]]
+    return Fraction(-zrow[-1], zden), x, y
 
 
 def _integer_row(values) -> tuple[list[int], int]:
@@ -77,8 +85,9 @@ def _integer_row(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _optimize(tab, den, basis, cost, allowed: int) -> tuple[int, int]:
-    """Run simplex over columns [0, allowed); returns the optimum as (num, den).
+def _optimize(tab, den, basis, cost, allowed: int) -> tuple[list[int], int]:
+    """Run simplex over columns [0, allowed); returns the final reduced-cost
+    row as (numerators, denominator), whose last entry is minus the optimum.
 
     Maintains the reduced-cost row incrementally, as integer numerators over
     one denominator like the tableau rows; entering variable is the
@@ -94,7 +103,7 @@ def _optimize(tab, den, basis, cost, allowed: int) -> tuple[int, int]:
     while True:
         entering = next((j for j in range(allowed) if zrow[j] < 0), None)
         if entering is None:
-            return -zrow[-1], zden
+            return zrow, zden
         # least rhs_i / a_ic over a_ic > 0, then least basis index, compared
         # by cross-multiplication: the row denominators cancel
         leaving = None

@@ -4,23 +4,25 @@ The stable norm of a rational homology class is the minimum mass over the
 cellular cycles representing it.  Every such question is one LP over the
 q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
-the usual sign split ``x = x+ - x-``.  The slab constants of the systole
-certificate are the same LP with a single coordinate row.  In a degree
-with no (q+1)-cells a class holds exactly one cycle, whose mass is its
-norm without an LP.  Stable systoles minimize the stable norm over nonzero
-integral classes: exactly for one-dimensional homology, and by a certified
-lattice box search otherwise.
+the usual sign split ``x = x+ - x-``.  In a degree with no (q+1)-cells a
+class holds exactly one cycle, whose mass is its norm without an LP.  Each
+norm carries a dual certificate (Federer's comass duality): a cocycle f
+with |f| <= w on every q-cell and f = λ on the generators, so
+``‖h‖ >= |λ.h|`` for every class h.  Stable systoles minimize the stable
+norm over nonzero integral classes: exactly for one-dimensional homology,
+and otherwise by a lattice search that these bounds prune and certify.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
-from .homology import HomologyClass, HomologySummary, homology
+from .homology import HomologyClass, homology
 from .lp import solve_lp
 
 Rational = Fraction | int
@@ -31,6 +33,8 @@ class StableNormResult:
     value: Fraction
     optimal_cycle: Chain
     certificate: str  # "optimal-LP" | "unique-cycle" | "trivial-zero-class"
+    dual: tuple[Fraction, ...] | None = None  # λ, one entry per generator
+    cocycle: tuple[Fraction, ...] | None = None  # f on the q-cells
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class SystoleResult:
     @property
     def is_trivial(self) -> bool:
         return self.search_status == "trivial"
+
+    @property
+    def upper_bound_only(self) -> bool:  # the radius cap was hit before certification
+        return self.search_status.startswith("bounded-search")
 
 
 def systole_value(res: SystoleResult, q: int) -> Fraction:
@@ -59,7 +67,7 @@ class VerificationReport:
     lhs: Fraction | None
     rhs: Fraction | None
     relation: str
-    status: str  # "pass" | "fail" | "inapplicable"
+    status: str  # "pass" | "fail" | "inapplicable" | "inconclusive"
     details: dict = field(default_factory=dict)
 
     @property
@@ -78,33 +86,39 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
     if K.n_cells(q + 1) == 0:
-        # no boundaries in degree q: the class holds exactly one cycle
+        # no boundaries: the class holds one cycle z, and f = w.sign(z) is a cocycle
         z = summary.representative(cls)
-        return StableNormResult(K.mass(z), z, "unique-cycle")
-    cmap = summary.coordinate_maps[q]
-    cycle = minimum_mass_cycle(K, q, list(zip(cmap, cls.coords)))
-    return StableNormResult(K.mass(cycle), cycle, "optimal-LP")
+        f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, K.weights[q]))
+        dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[q])
+        return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
+    cycle, dual, f = minimum_mass_cycle(K, q, cls.coords)
+    return StableNormResult(K.mass(cycle), cycle, "optimal-LP", dual, f)
 
 
 def minimum_mass_cycle(
-    K: WeightedCellComplex,
-    q: int,
-    rows: list[tuple[tuple[Fraction, ...], Fraction]],
-) -> Chain:
-    """Mass-minimal q-cycle x subject to ``coeffs . x = target`` for each row.
+    K: WeightedCellComplex, q: int, coords: tuple[Fraction, ...]
+) -> tuple[Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Mass-minimal q-cycle with rational homology coordinates coords, its λ and f.
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by the nonzero rows of ``∂_q x = 0`` and by
-    the given rows.  With the rows of the rational coordinate map and a
-    class's coordinates, the feasible set is exactly the cycles in that
-    class, because a cycle with zero coordinates bounds rationally.
+    one row per coordinate of the rational coordinate map.  Its feasible
+    set is exactly the cycles in the class, because a cycle with zero
+    coordinates bounds rationally.  λ is the dual of the coordinate rows,
+    and f(σ) = w(σ) - (reduced cost of σ+).
     """
+    summary = homology(K)
     nq = K.n_cells(q)
     cycle_rows = [row for row in K.boundary_matrix(q) if any(row)] if q else []
-    a = [list(r) + [-v for v in r] for r in cycle_rows + [c for c, _ in rows]]
-    b = [0] * len(cycle_rows) + [target for _, target in rows]
-    _value, x = solve_lp(a, b, list(K.weights[q]) * 2)
-    return Chain(q, tuple(x[i] - x[nq + i] for i in range(nq)))
+    a = [row + [-v for v in row] for row in cycle_rows]
+    a += [[*row, *neg] for row, neg in zip(summary.coordinate_maps[q],
+                                            summary.negated_coordinate_maps[q])]
+    ws = K.weights[q]
+    _value, x, y, reduced = solve_lp(a, [0] * len(cycle_rows) + list(coords), list(ws) * 2,
+                                     reduced_costs=True)
+    cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
+    f = tuple(w - d if d else w for w, d in zip(ws, reduced))
+    return cycle, tuple(y[len(cycle_rows):]), f
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
@@ -119,57 +133,80 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
         res = stable_norm(K, HomologyClass(q, (Fraction(1),)))
         return SystoleResult(res.value, (1,), "exact")
 
-    slab = [_slab_constant(K, summary, q, i) for i in range(b)]
-    floor = min(slab)
+    duals = []  # every λ found; ‖h‖ >= L(h) = max_k |λ_k.h| for all h
     best: Fraction | None = None
     witness: tuple[int, ...] | None = None
-    seen_radius = 0
     for r in range(1, search_radius + 1):
-        for v in _primitive_vectors(b, r, seen_radius):
-            res = stable_norm(K, HomologyClass(q, tuple(Fraction(x) for x in v)))
+        for v in _primitive_vectors(b, r):
+            if best is not None and _dual_bound(duals, v) >= best:
+                continue  # cannot improve on best
+            res = stable_norm(K, HomologyClass(q, v))
+            duals.append(res.dual)
             if best is None or res.value < best:
                 best = res.value
                 witness = v
-        seen_radius = r
-        if best is not None and best <= r * floor:
+        # every class left has max-norm >= r+1, so its norm is at least
+        # (r+1) times the least L on the max-norm unit sphere
+        if _bounds_sphere(duals, b, best / (r + 1)):
             return SystoleResult(best, witness, "certified")
     return SystoleResult(best, witness, f"bounded-search({search_radius})")
 
 
-def _slab_constant(K, summary: HomologySummary, q: int, i: int) -> Fraction:
-    """Least mass of a cycle whose i-th rational coordinate is exactly 1."""
-    cmap = summary.coordinate_maps[q]
-    return K.mass(minimum_mass_cycle(K, q, [(cmap[i], Fraction(1))]))
+def _dual_bound(duals, v) -> Fraction:
+    return max((abs(sum(map(operator.mul, lam, v))) for lam in duals), default=Fraction(0))
 
 
-def _primitive_vectors(dim: int, radius: int, skip_radius: int):
-    """Primitive integer vectors with max-norm in (skip_radius, radius]."""
-    rng = range(-radius, radius + 1)
-    for v in itertools.product(rng, repeat=dim):
-        m = max(abs(x) for x in v) if v else 0
-        if m == 0 or m <= skip_radius:
-            continue
-        first = next(x for x in v if x != 0)
-        if first < 0:
-            continue  # norms are symmetric under negation
-        if math.gcd(*[abs(x) for x in v]) != 1:
-            continue
-        yield v
+def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
+    """Whether L(h) = max_k |λ_k.h| >= level on the max-norm unit sphere.
+
+    L(-h) = L(h), so the faces h_j = 1 cover the sphere; e_j on face j is
+    tried first.  Each face's least L is one LP in t and u = h + 1 on the
+    other coordinates: u + s = 2 and t - sign λ.h - p = 0 per dual and sign.
+    """
+    if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
+        return False
+    m, n = b - 1, 2 * len(duals)
+    for j in range(b):
+        others = [i for i in range(b) if i != j]
+        a = [[0] + [int(i == r) for i in range(m)] * 2 + [0] * n for r in range(m)]
+        rhs = [2] * m
+        for k, (lam, sign) in enumerate(itertools.product(duals, (1, -1))):
+            slack = [-int(c == k) for c in range(n)]
+            a.append([1] + [-sign * lam[i] for i in others] + [0] * m + slack)
+            rhs.append(sign * (lam[j] - sum(lam[i] for i in others)))
+        if solve_lp(a, rhs, [1] + [0] * (2 * m + n))[0] < level:
+            return False
+    return True
+
+
+def _primitive_vectors(dim: int, radius: int):
+    """Primitive integer vectors with max-norm exactly radius, up to sign."""
+    for v in itertools.product(range(-radius, radius + 1), repeat=dim):
+        # norms are symmetric under negation: keep v whose first nonzero is positive
+        if max(map(abs, v)) == radius and next(x for x in v if x) > 0 and math.gcd(*v) == 1:
+            yield v
 
 
 # ---------------------------------------------------------------------------
 # Verification reports for the scaling, product, projection and map bounds
 # ---------------------------------------------------------------------------
 
+def _law_status(holds: bool, searches) -> str:
+    """pass or fail; inconclusive when a systole in the law is only an upper bound."""
+    if any(res.upper_bound_only for res in searches):
+        return "inconclusive"
+    return "pass" if holds else "fail"
+
+
 def verify_rescaling(K: WeightedCellComplex, q: int, t: Rational) -> VerificationReport:
     """Scaling the metric by t^2 must scale the degree-q systole by t^q."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    base = systole_value(stable_systole(K, q), q)
-    scaled = systole_value(stable_systole(K.rescale(t), q), q)
+    searches = stable_systole(K, q), stable_systole(K.rescale(t), q)
+    base, scaled = (systole_value(res, q) for res in searches)
     expected = t ** q * base
-    status = "pass" if scaled == expected else "fail"
+    status = _law_status(scaled == expected, searches)
     return VerificationReport(
         name="rescaling-law",
         lhs=scaled,
@@ -184,10 +221,10 @@ def verify_product_inequality(
     K: WeightedCellComplex, L: WeightedCellComplex, p: int, q: int
 ) -> VerificationReport:
     """Systole of a product is at most the product of factor systoles."""
-    sk = systole_value(stable_systole(K, p), p)
-    sl = systole_value(stable_systole(L, q), q)
-    sp = systole_value(stable_systole(product_complex(K, L), p + q), p + q)
-    status = "pass" if sp <= sk * sl else "fail"
+    searches = (stable_systole(K, p), stable_systole(L, q),
+                stable_systole(product_complex(K, L), p + q))
+    sk, sl, sp = (systole_value(res, d) for res, d in zip(searches, (p, q, p + q)))
+    status = _law_status(sp <= sk * sl, searches)
     return VerificationReport(
         name="product-inequality",
         lhs=sp,
@@ -221,9 +258,9 @@ def verify_projection_equality(
             status="inapplicable",
             details={"reason": "Kunneth hypothesis violated in degree %d" % q},
         )
-    sp = systole_value(stable_systole(product_complex(K, L), q), q)
-    sk = systole_value(stable_systole(K, q), q)
-    status = "pass" if sp == sk else "fail"
+    searches = stable_systole(product_complex(K, L), q), stable_systole(K, q)
+    sp, sk = (systole_value(res, q) for res in searches)
+    status = _law_status(sp == sk, searches)
     return VerificationReport(
         name="projection-equality",
         lhs=sp,
@@ -358,15 +395,14 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
             status="inapplicable",
             details={"reason": "map is not injective on degree-%d rational homology" % q},
         )
-    sl = systole_value(stable_systole(L, q), q)
-    sk = systole_value(stable_systole(K, q), q)
+    searches = stable_systole(L, q), stable_systole(K, q)
+    sl, sk = (systole_value(res, q) for res in searches)
     d = info.degree_bound
-    ok = sl <= sk <= d * sl
     return VerificationReport(
         name="degree-sandwich",
         lhs=sk,
         rhs=d * sl,
         relation="sandwich",
-        status="pass" if ok else "fail",
+        status=_law_status(sl <= sk <= d * sl, searches),
         details={"lower": sl, "pulled-back": sk, "degree-bound": d},
     )

@@ -8,6 +8,7 @@ boxes.  Tests compare the fast implementations against these.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from dataclasses import replace
@@ -215,3 +216,24 @@ def brute_force_class_norms(K: WeightedCellComplex, q: int, box: int = 3):
         if coords not in table or m < table[coords]:
             table[coords] = m
     return table
+
+
+# ---------------------------------------------------------------------------
+# Systole searches that hit their radius cap
+# ---------------------------------------------------------------------------
+
+def capped_systoles(monkeypatch, inflate=0):
+    """Report every nontrivial systole as an upper bound, `inflate` above its value."""
+    norms = importlib.import_module("stasys.norms")
+    deform = importlib.import_module("stasys.deform")
+    real = norms.stable_systole
+
+    def capped(K, q, search_radius=5):
+        res = real(K, q, search_radius)
+        if res.value is None:
+            return res
+        return replace(res, value=res.value + inflate,
+                       search_status=f"bounded-search({search_radius})")
+
+    monkeypatch.setattr(norms, "stable_systole", capped)
+    monkeypatch.setattr(deform, "stable_systole", capped)

@@ -15,6 +15,8 @@ from stasys import (
 )
 from stasys.cli import main
 
+from conftest import capped_systoles
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -133,6 +135,13 @@ def test_stable_norm_command(files, capsys):
                        "-q", "1", "--class", "2,-1")
     assert code == 0
     assert "stable norm = 9" in out
+    first, second = out.splitlines()
+    assert first == "stable norm = 9  [optimal-LP]"
+    lam = [int(x) for x in second.removeprefix("dual: lambda = [").removesuffix("]").split(",")]
+    assert 2 * lam[0] - lam[1] == 9  # λ.h is the norm
+    code, out, _ = run(capsys, "stable-norm", files["flat_torus3"],
+                       "-q", "1", "--class", "0,0")
+    assert out.splitlines() == ["stable norm = 0  [trivial-zero-class]"]
 
 
 def test_cup_length_command(files, capsys):
@@ -173,6 +182,17 @@ def test_verify_projection_inapplicable_exits_zero(files, capsys):
                        files["circle3"], "-q", "1")
     assert code == 0
     assert out.startswith("INAPPLICABLE")
+
+
+def test_upper_bound_systoles_print_inconclusive(files, capsys, monkeypatch):
+    capped_systoles(monkeypatch)
+    code, out, _ = run(capsys, "verify", "rescale", files["circle3"], "-q", "1", "--t", "7")
+    assert code == 0
+    assert out.startswith("INCONCLUSIVE rescaling-law: 21 == 21")
+    code, out, _ = run(capsys, "deform", files["circle3"], files["circle3"],
+                       "--partition", "1,1", "--t", "1,2")
+    assert code == 0
+    assert "verdict: inconclusive" in out
 
 
 def test_verify_degree_sandwich(files, capsys):

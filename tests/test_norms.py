@@ -1,15 +1,23 @@
 """Stable norms, systoles, and the exact comparison laws."""
 
+import importlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stasys import (
+    Chain,
+    DeformationFamily,
     HomologyClass,
+    Partition,
+    StableNormResult,
     circle,
     cubical_sphere,
+    deformation_sweep,
     flat_torus,
     fundamental_class_mass,
     homology,
@@ -31,6 +39,7 @@ from stasys import (
 from conftest import (
     brute_force_class_norms,
     brute_force_systole,
+    capped_systoles,
     theta_graph,
     wedge_two_circles,
     weighted_circle,
@@ -156,6 +165,121 @@ def test_systole_witness_is_primitive():
     assert gcd(*[abs(x) for x in res.witness_class]) == 1
 
 
+def first_least(value_of, b, radius):
+    """Value and first class of least norm among the primitive classes of
+    max-norm at most radius, in the search's shell order: no pruning and
+    no certificate."""
+    best = witness = None
+    for r in range(1, radius + 1):
+        for v in itertools.product(range(-r, r + 1), repeat=b):
+            if max(map(abs, v)) != r or next(x for x in v if x) < 0 or math.gcd(*v) != 1:
+                continue
+            value = value_of(v)
+            if best is None or value < best:
+                best, witness = value, v
+    return best, witness
+
+
+@pytest.mark.parametrize("K, q", [
+    (flat_torus(3).rescale(F(5, 3)), 1),
+    (torus_triangulated(), 1),
+    (product_complex(circle(3), circle(4)), 1),
+    (wedge_two_circles(), 1),
+    (theta_graph(), 1),
+])
+def test_pruned_search_matches_the_whole_box(K, q):
+    # classes skipped by a dual bound never improve the minimum, so value
+    # and witness equal those of evaluating every class up to the radius
+    res = stable_systole(K, q, search_radius=3)
+    assert res.search_status == "certified"
+    def value_of(v):
+        return stable_norm(K, HomologyClass(q, v)).value
+
+    assert (res.value, res.witness_class) == first_least(value_of, 2, 3)
+
+
+@pytest.mark.parametrize("K", [flat_torus(4), torus_triangulated()], ids=["flat_torus(4)", "T2_9"])
+def test_rank_two_systole_takes_two_cycle_lps(K, monkeypatch):
+    norms = importlib.import_module("stasys.norms")
+    calls = []
+    real = norms.minimum_mass_cycle
+    monkeypatch.setattr(norms, "minimum_mass_cycle",
+                        lambda *args: calls.append(args) or real(*args))
+    res = stable_systole(K, 1)
+    assert res.search_status == "certified"
+    assert len(calls) <= 2
+
+
+def skewed_norm(forms):
+    """N(h) = sum of w |l.h| over forms (l, w), with a subgradient as its dual."""
+    def norm(K, cls):
+        h = cls.coords
+        value, dual = F(0), [F(0)] * len(h)
+        for l, w in forms:
+            dot = sum(a * b for a, b in zip(l, h))
+            value += w * abs(dot)
+            sign = (dot > 0) - (dot < 0)
+            dual = [d + w * sign * a for d, a in zip(dual, l)]
+        return StableNormResult(value, Chain(cls.degree, ()), "optimal-LP", tuple(dual))
+    return norm
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          st.integers(1, 9)), min_size=2, max_size=3))
+def test_search_on_skewed_lattice_norms(forms):
+    # a rank-2 norm whose shortest class may lie several shells out: the
+    # search must skip only classes that cannot improve, and certify only
+    # when no class beyond its last shell is shorter
+    assume(any(l1[0] * l2[1] != l1[1] * l2[0] for (l1, _), (l2, _) in
+               itertools.combinations(forms, 2)))
+    norm = skewed_norm(forms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("stasys.norms"), "stable_norm", norm)
+        res = stable_systole(flat_torus(3), 1, search_radius=4)
+    def value_of(v):
+        return norm(None, HomologyClass(1, v)).value
+
+    if res.search_status == "certified":
+        assert (res.value, res.witness_class) == first_least(value_of, 2, 12)
+    else:
+        assert res.search_status == "bounded-search(4)"
+        assert (res.value, res.witness_class) == first_least(value_of, 2, 4)
+
+
+def test_shortest_class_two_shells_out():
+    # N(x, y) = 10|x - 2y| + |y| is least at (2, 1); radius 1 cannot certify
+    norm = skewed_norm([((1, -2), 10), ((0, 1), 1)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("stasys.norms"), "stable_norm", norm)
+        capped = stable_systole(flat_torus(3), 1, search_radius=1)
+        full = stable_systole(flat_torus(3), 1)
+    assert (capped.value, capped.witness_class, capped.search_status) == (10, (1, 0),
+                                                                          "bounded-search(1)")
+    assert (full.value, full.witness_class, full.search_status) == (1, (2, 1), "certified")
+
+
+@pytest.mark.parametrize("duals, least", [
+    ([(2, 1)], 0),                     # L vanishes at (-1/2, 1)
+    ([(2, 1), (0, 1)], 1),             # least at (1, -1) and on part of h2 = 1
+    ([(1, 1), (1, -1)], 1),
+    ([(4, 4), (4, -4), (4, 0)], 4),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1),
+    ([(1, -1, 0), (0, 1, -1)], 0),     # L vanishes at (1, 1, 1)
+])
+def test_least_dual_bound_on_the_unit_sphere(duals, least):
+    from stasys.norms import _bounds_sphere
+    duals = [tuple(map(F, lam)) for lam in duals]
+    assert _bounds_sphere(duals, len(duals[0]), least)
+    assert not _bounds_sphere(duals, len(duals[0]), least + F(1, 1000))
+
+
+def test_search_radius_is_only_a_cap():
+    assert stable_systole(flat_torus(3), 1, search_radius=1).search_status == "certified"
+    res = stable_systole(flat_torus(3), 1, search_radius=0)
+    assert res.value is None and res.search_status == "bounded-search(0)"
+
+
 # ---------------------------------------------------------------------------
 # Verification laws
 # ---------------------------------------------------------------------------
@@ -181,6 +305,22 @@ def test_projection_equality_and_inapplicability():
     assert verify_projection_equality(sphere(2), circle(3), 2).passed
     r = verify_projection_equality(circle(3), circle(3), 1)
     assert r.status == "inapplicable"
+
+
+@pytest.mark.parametrize("inflate", [0, 1], ids=["true values", "inflated values"])
+def test_upper_bound_systoles_make_laws_inconclusive(monkeypatch, inflate):
+    capped_systoles(monkeypatch, inflate)
+    reports = [
+        verify_rescaling(circle(4), 1, 3),
+        verify_product_inequality(circle(3), circle(4), 1, 1),
+        verify_projection_equality(sphere(2), circle(3), 2),
+        verify_degree_sandwich(cover_map(3, 2), 1),
+    ]
+    assert [r.status for r in reports] == ["inconclusive"] * 4
+    assert not any(r.passed for r in reports)
+    rep = deformation_sweep(DeformationFamily(product_complex(circle(3), circle(4))),
+                            Partition((1, 1)), t_samples=(F(1), F(2), F(4)))
+    assert rep.verdict == "inconclusive" and not rep.diverges
 
 
 # ---------------------------------------------------------------------------
