@@ -5,8 +5,8 @@ row is stored as Python-int numerators with one positive row denominator,
 so the true row is numerators / denominator and every pivot is exact
 integer (fraction-free) elimination.  Optima come back as exact
 ``Fraction``s, together with an optimal dual y (A^T y <= c, b.y = c.x)
-read off the final reduced costs.  Bland's pivot rule is used throughout,
-which rules out cycling.
+and the reduced costs c - A^T y, both read off the final reduced-cost
+row.  Bland's pivot rule is used throughout, which rules out cycling.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ def solve_lp(
     a: list[list[Fraction]],
     b: list[Fraction],
     c: list[Fraction],
-    reduced_costs: bool = False,
-) -> tuple:
-    """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y).
+) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
+    """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, reduced).
 
-    y is an optimal dual, one entry per row of A.  With ``reduced_costs``
-    the structural reduced costs c - A^T y follow as a fourth item.
+    y is an optimal dual, one entry per row of A, and reduced = c - A^T y
+    holds the structural reduced costs, read off the final tableau.
     Entries may be ints or Fractions; every result is a Fraction.
     """
     m = len(a)
@@ -71,9 +70,7 @@ def solve_lp(
         if bj < n:
             x[bj] = Fraction(row[-1], d)
     y = [Fraction(-s * zrow[n + i], zden) for i, s in enumerate(sign)]
-    if reduced_costs:
-        return Fraction(-zrow[-1], zden), x, y, [Fraction(z, zden) for z in zrow[:n]]
-    return Fraction(-zrow[-1], zden), x, y
+    return Fraction(-zrow[-1], zden), x, y, [Fraction(z, zden) for z in zrow[:n]]
 
 
 def _integer_row(values) -> tuple[list[int], int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
-from .homology import HomologyClass, homology
+from .homology import HomologyClass, HomologySummary, homology
 from .lp import solve_lp
 
 Rational = Fraction | int
@@ -91,14 +91,14 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, K.weights[q]))
         dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[q])
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
-    cycle, dual, f = minimum_mass_cycle(K, q, cls.coords)
+    cycle, dual, f = minimum_mass_cycle(K, summary, cls)
     return StableNormResult(K.mass(cycle), cycle, "optimal-LP", dual, f)
 
 
 def minimum_mass_cycle(
-    K: WeightedCellComplex, q: int, coords: tuple[Fraction, ...]
+    K: WeightedCellComplex, summary: HomologySummary, cls: HomologyClass
 ) -> tuple[Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Mass-minimal q-cycle with rational homology coordinates coords, its λ and f.
+    """Mass-minimal cycle in cls, with its λ and f; summary is homology(K).
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by the nonzero rows of ``∂_q x = 0`` and by
@@ -107,15 +107,14 @@ def minimum_mass_cycle(
     coordinates bounds rationally.  λ is the dual of the coordinate rows,
     and f(σ) = w(σ) - (reduced cost of σ+).
     """
-    summary = homology(K)
+    q = cls.degree
     nq = K.n_cells(q)
     cycle_rows = [row for row in K.boundary_matrix(q) if any(row)] if q else []
     a = [row + [-v for v in row] for row in cycle_rows]
     a += [[*row, *neg] for row, neg in zip(summary.coordinate_maps[q],
                                             summary.negated_coordinate_maps[q])]
     ws = K.weights[q]
-    _value, x, y, reduced = solve_lp(a, [0] * len(cycle_rows) + list(coords), list(ws) * 2,
-                                     reduced_costs=True)
+    _value, x, y, reduced = solve_lp(a, [0] * len(cycle_rows) + list(cls.coords), list(ws) * 2)
     cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
     f = tuple(w - d if d else w for w, d in zip(ws, reduced))
     return cycle, tuple(y[len(cycle_rows):]), f

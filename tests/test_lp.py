@@ -20,28 +20,28 @@ def frac(rows):
 
 def test_simple_equality_program():
     # min x0 + 2 x1 s.t. x0 + x1 = 4, x >= 0
-    value, x, _ = solve_lp(frac([[1, 1]]), [F(4)], [F(1), F(2)])
+    value, x, _, _ = solve_lp(frac([[1, 1]]), [F(4)], [F(1), F(2)])
     assert value == 4
     assert x[0] == 4 and x[1] == 0
 
 
 def test_two_constraints():
     # min 3x + y s.t. x + y = 3, x - y = 1 -> x = 2, y = 1
-    value, x, _ = solve_lp(frac([[1, 1], [1, -1]]), [F(3), F(1)], [F(3), F(1)])
+    value, x, _, _ = solve_lp(frac([[1, 1], [1, -1]]), [F(3), F(1)], [F(3), F(1)])
     assert value == 7
     assert x[:2] == [F(2), F(1)]
 
 
 def test_negative_rhs_normalized():
     # min x0 s.t. -x0 - x1 = -5 (i.e. x0 + x1 = 5)
-    value, x, _ = solve_lp(frac([[-1, -1]]), [F(-5)], [F(1), F(0)])
+    value, x, _, _ = solve_lp(frac([[-1, -1]]), [F(-5)], [F(1), F(0)])
     assert value == 0
     assert x[1] == 5
 
 
 def test_fractional_optimum():
     # min x0 + x1 s.t. 2 x0 + 3 x1 = 1, split optimally on the cheap rate
-    value, _, _ = solve_lp(frac([[2, 3]]), [F(1)], [F(1), F(1)])
+    value, _, _, _ = solve_lp(frac([[2, 3]]), [F(1)], [F(1), F(1)])
     assert value == F(1, 3)
 
 
@@ -57,7 +57,7 @@ def test_unbounded():
 
 
 def test_redundant_rows_are_tolerated():
-    value, _, _ = solve_lp(frac([[1, 1], [2, 2]]), [F(4), F(8)], [F(1), F(2)])
+    value, _, _, _ = solve_lp(frac([[1, 1], [2, 2]]), [F(4), F(8)], [F(1), F(2)])
     assert value == 4
 
 
@@ -69,7 +69,7 @@ def test_cycle_space_program_with_redundant_zero_rows():
     boundary = [[-1, 0, 1], [1, -1, 0], [0, 1, -1]]
     rows = [row + [-v for v in row] for row in boundary]
     rows.append([2, 0, 0, -2, 0, 0])
-    value, x, _ = solve_lp(frac(rows), [F(0), F(0), F(0), F(2)], [F(c) for c in (1, 2, 3) * 2])
+    value, x, _, _ = solve_lp(frac(rows), [F(0), F(0), F(0), F(2)], [F(c) for c in (1, 2, 3) * 2])
     assert value == 6
     assert x == [F(1), F(1), F(1), F(0), F(0), F(0)]
 
@@ -81,7 +81,7 @@ def test_degenerate_program_terminates():
         [1, 0, 0, 1],
         [0, 1, 0, -1],
     ])
-    value, x, _ = solve_lp(rows, [F(2), F(1), F(1)], [F(1)] * 4)
+    value, x, _, _ = solve_lp(rows, [F(2), F(1), F(1)], [F(1)] * 4)
     assert value == 2
     assert all(v >= 0 for v in x)
 
@@ -112,7 +112,7 @@ def bfs_optimum(a, b, c):
 
 def dual_problems(a, b, c, value):
     """Weak and strong duality for the y that solve_lp returns with (a, b, c)."""
-    _, _, y, reduced = solve_lp(a, b, c, reduced_costs=True)
+    _, _, y, reduced = solve_lp(a, b, c)
     problems = []
     if len(y) != len(a):
         problems.append(f"{len(y)} duals for {len(a)} rows")
@@ -132,13 +132,13 @@ def test_dual_of_redundant_and_negated_rows():
     a = [[1, 1, 0], [2, 2, 0], [-1, 0, -1]]
     b = [4, 8, -3]
     c = [1, 2, 3]
-    value, x, y = solve_lp(a, b, c)
+    value, x, y, _ = solve_lp(a, b, c)
     assert value == 5 and x == [F(3), F(1), F(0)]
     assert dual_problems(a, b, c, value) == []
     # the same with Fraction entries on the negated row
     a[2] = [F(-1, 2), 0, F(-1, 2)]
     b[2] = F(-3, 2)
-    value, _, _ = solve_lp(a, b, c)
+    value, _, _, _ = solve_lp(a, b, c)
     assert value == 5
     assert dual_problems(a, b, c, value) == []
 
@@ -149,7 +149,7 @@ def test_dual_of_the_cycle_program():
     rows = [row + [-v for v in row] for row in boundary] + [[2, 0, 0, -2, 0, 0]]
     b = [0, 0, 0, 2]
     c = [1, 2, 3] * 2
-    value, _, y = solve_lp(rows, b, c)
+    value, _, y, _ = solve_lp(rows, b, c)
     assert value == 6 and y[3] == 3  # the coordinate row's dual: mass 6 per unit of 2 x0
     assert dual_problems(rows, b, c, value) == []
 
@@ -178,7 +178,7 @@ def feasible_program(data):
 def test_random_feasible_programs(data):
     """The optimum is exact: it equals the least cost over all vertices."""
     a, b, c, x0 = feasible_program(data)
-    value, x, _ = solve_lp(a, b, c)
+    value, x, _, _ = solve_lp(a, b, c)
     feasible_cost = sum(ci * xi for ci, xi in zip(c, x0))
     assert value <= feasible_cost
     assert all(xi >= 0 for xi in x)
@@ -204,8 +204,8 @@ def test_row_scaling_leaves_the_answer_unchanged(data):
     a, b, c, _ = feasible_program(data)
     scales = [data.draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
               for _ in a]
-    value, x, _ = solve_lp(a, b, c)
-    scaled_value, scaled_x, _ = solve_lp(
+    value, x, _, _ = solve_lp(a, b, c)
+    scaled_value, scaled_x, _, _ = solve_lp(
         [[s * v for v in row] for s, row in zip(scales, a)],
         [s * bi for s, bi in zip(scales, b)],
         c,
@@ -226,7 +226,7 @@ def test_row_scaling_keeps_the_cycle_program_answer():
     scales = [F(3, 2), F(5), F(2, 7), F(4, 3)]
     scaled = [[s * v for v in row] for s, row in zip(scales, rows)]
     b = [F(0), F(0), F(0), F(2) * scales[3]]
-    value, x, _ = solve_lp(scaled, b, [F(c, 3) for c in (1, 2, 3) * 2])
+    value, x, _, _ = solve_lp(scaled, b, [F(c, 3) for c in (1, 2, 3) * 2])
     assert value == 2
     assert x == [F(1), F(1), F(1), F(0), F(0), F(0)]
 
@@ -239,13 +239,13 @@ def test_phase_one_pivots_on_the_rows_as_given():
     # artificials: artificials of 1/3 and 1/6 would act as rows scaled by 3
     # and 6, enter x2 first and stop at (1, 0, 1)
     a = [[F(-1, 3), F(-1), F(0)], [F(-1, 2), F(-2, 3), F(2)]]
-    value, x, _ = solve_lp(a, [F(-1, 3), F(3, 2)], [F(0)] * 3)
+    value, x, _, _ = solve_lp(a, [F(-1, 3), F(3, 2)], [F(0)] * 3)
     assert value == 0
     assert x == [F(0), F(1, 3), F(31, 36)]
 
 
 def test_negative_fractional_rhs_rows():
     # -x0/2 - x1/3 = -1 and x0 - x1 = 1/2 with mixed denominators
-    value, x, _ = solve_lp([[F(-1, 2), F(-1, 3)], [F(1), F(-1)]], [F(-1), F(1, 2)], [F(1), F(1)])
+    value, x, _, _ = solve_lp([[F(-1, 2), F(-1, 3)], [F(1), F(-1)]], [F(-1), F(1, 2)], [F(1), F(1)])
     assert x == [F(7, 5), F(9, 10)]
     assert value == F(23, 10)
