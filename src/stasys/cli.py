@@ -8,12 +8,13 @@ exact fraction, with a decimal approximation in parentheses when not an integer.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
 
 from . import io as sio
-from .category import Partition, catstsys_bounds, parse_product_expression
+from .category import DimensionProfile, Partition, catstsys_bounds, parse_product_expression
 from .cohomology import cup_length, lpd as complex_lpd
 from .complexes import DeformationFamily, product_complex
 from .deform import deformation_sweep
@@ -172,8 +173,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "lpd":
-        profile = _load_profile_or_expr(args.source, allow_complex=True)
-        value = profile if isinstance(profile, int) or profile is None else profile.lpd
+        value = _lpd(args.source)
         print(f"lpd = {value if value is not None else 'none'}")
         return EXIT_OK
 
@@ -239,16 +239,21 @@ def _verify(args) -> int:
     raise ValueError(f"unknown lemma {args.lemma!r}")
 
 
-def _load_profile_or_expr(source: str, allow_complex: bool = False):
+def _load_profile_or_expr(source: str) -> DimensionProfile:
     if os.path.exists(source):
-        if allow_complex:
-            try:
-                K = sio.load_complex(source)
-                return complex_lpd(K)
-            except (KeyError, ValueError):
-                pass
         return sio.load_profile(source)
     return parse_product_expression(source)
+
+
+def _lpd(source: str) -> int | None:
+    """lpd of a complex file (a JSON object with "cells"), a profile file or an expression."""
+    if not os.path.exists(source):
+        return parse_product_expression(source).lpd
+    with open(source) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and "cells" in data:
+        return complex_lpd(sio.complex_from_dict(data))
+    return sio.profile_from_dict(data).lpd
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ size of its coefficient vector.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -174,12 +175,14 @@ class WeightedCellComplex:
                     raise ComplexInvariantError(
                         f"boundary of {self.cell_ids[1][j]} does not sum to zero")
         for q in range(2, self.top_dim + 1):
-            from .linalg import mat_mul  # local import avoids cycle at module load
-            lower = [[Fraction(x) for x in row] for row in self.boundary_matrix(q - 1)]
-            upper = [[Fraction(x) for x in row] for row in self.boundary_matrix(q)]
-            prod = mat_mul(lower, upper)
-            if any(any(x != 0 for x in row) for row in prod):
-                raise ComplexInvariantError(f"boundary of boundary nonzero at degree {q}")
+            lower = self.boundary_cols[q - 1]
+            for col in self.boundary_cols[q]:
+                total = Counter()
+                for face, inc in col:
+                    for ridge, inc2 in lower[face]:
+                        total[ridge] += inc * inc2
+                if any(total.values()):
+                    raise ComplexInvariantError(f"boundary of boundary nonzero at degree {q}")
         if self.kind == "simplicial":
             if self.vertex_lists is None:
                 raise ComplexInvariantError("simplicial complex needs vertex lists")
@@ -209,9 +212,8 @@ def build_complex(
     kind: str,
     cells: list[list[tuple]],
     factor_degrees: list[list[tuple[int, int]]] | None = None,
-    validate: bool = True,
 ) -> WeightedCellComplex:
-    """Assemble a complex from per-degree cell specs.
+    """Assemble and validate a complex from per-degree cell specs.
 
     Each cell spec is ``(cell_id, weight, boundary, vertices)`` where
     ``boundary`` maps face ids to incidences (list of pairs) and
@@ -235,6 +237,9 @@ def build_complex(
             bdry = spec[2]
             if q == 0 and bdry:
                 raise ComplexInvariantError("vertices cannot have boundary")
+            for fid, _ in bdry:
+                if fid not in face_index:
+                    raise ComplexInvariantError(f"boundary of {spec[0]} names unknown face {fid!r}")
             col = tuple((face_index[fid], int(inc)) for fid, inc in bdry)
             cols.append(col)
             v = spec[3] if len(spec) > 3 else None
@@ -253,21 +258,19 @@ def build_complex(
         vertex_lists=tuple(vertex_lists) if (has_vertices and kind == "simplicial") else None,
         factor_degrees=tuple(tuple(tags) for tags in factor_degrees) if factor_degrees else None,
     )
-    if validate:
-        out.validate()
+    out.validate()
     return out
 
 
 def simplicial_from_top(
     top_simplices: list[tuple[int, ...]],
     weights: dict[tuple[int, ...], Rational] | None = None,
-    default_weight: Rational = 1,
 ) -> WeightedCellComplex:
     """Simplicial complex generated by maximal simplices (faces filled in).
 
     Vertices are integers; every simplex is stored with increasing vertex
     order and the alternating-sign boundary.  ``weights`` overrides the
-    default weight per sorted vertex tuple.
+    weight 1 per sorted vertex tuple.
     """
     weights = weights or {}
     by_degree: list[set[tuple[int, ...]]] = []
@@ -286,7 +289,7 @@ def simplicial_from_top(
         ordered = sorted(simplices)
         specs = []
         for vs in ordered:
-            w = Fraction(weights.get(vs, default_weight))
+            w = Fraction(weights.get(vs, 1))
             bdry = []
             for k in range(q + 1):
                 face = vs[:k] + vs[k + 1:]
@@ -444,9 +447,9 @@ def cubical_sphere(n: int) -> WeightedCellComplex:
     return build_complex("cubical", cells)
 
 
-def flat_torus(k: int, edge_weight: Rational = 1) -> WeightedCellComplex:
-    """Flat torus from a k-by-k grid: product of two cubical circles."""
-    c = circle(k, edge_weight=edge_weight, kind="cubical")
+def flat_torus(k: int) -> WeightedCellComplex:
+    """Flat torus from a k-by-k grid of unit edges: product of two cubical circles."""
+    c = circle(k, kind="cubical")
     return product_complex(c, c)
 
 

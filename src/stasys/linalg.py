@@ -5,8 +5,8 @@ Everything here works on plain lists of lists holding ``fractions.Fraction``
 Gaussian elimination is plenty.  Homology needs only the integer routines:
 the Smith normal form with its inverses and the fraction-free solve.  The
 rational routines serve rank tests (cup-product spans, degree-sandwich
-injectivity) and the boundary-of-boundary check in ``validate``; ``solve``
-and ``inverse`` remain as exact references for the tests.
+injectivity); ``solve`` and ``inverse`` remain as exact references for
+the tests.
 """
 
 from __future__ import annotations
@@ -16,31 +16,8 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a, b) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in mat_mul")
-    cols = len(b[0]) if b else 0
-    out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
-    return out
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(a) -> Matrix:

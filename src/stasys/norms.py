@@ -11,6 +11,9 @@ with |f| <= w on every q-cell and f = λ on the generators, so
 ``‖h‖ >= |λ.h|`` for every class h.  Stable systoles minimize the stable
 norm over nonzero integral classes: exactly for one-dimensional homology,
 and otherwise by a lattice search that these bounds prune and certify.
+The search stops once L(h) = max_k |λ_k.h| is large enough on the
+max-norm unit sphere, which b LPs of the same sign-split L1 shape decide:
+the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate j.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
-from .lp import solve_lp
+from .lp import Infeasible, solve_lp
 
 Rational = Fraction | int
 
@@ -158,24 +161,21 @@ def _dual_bound(duals, v) -> Fraction:
 def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
     """Whether L(h) = max_k |λ_k.h| >= level on the max-norm unit sphere.
 
-    L(-h) = L(h), so the faces h_j = 1 cover the sphere; e_j on face j is
-    tried first.  Each face's least L is one LP in t and u = h + 1 on the
-    other coordinates: u + s = 2 and t - sign λ.h - p = 0 per dual and sign.
+    The unit vectors e_j are tried first.  L is positively homogeneous, so
+    the claim holds exactly when every h with L(h) <= 1 has |h_j| <= 1/level.
+    By LP duality the largest h_j there is the least sum of |μ_k| over μ
+    with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-.
+    It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
         return False
-    m, n = b - 1, 2 * len(duals)
-    for j in range(b):
-        others = [i for i in range(b) if i != j]
-        a = [[0] + [int(i == r) for i in range(m)] * 2 + [0] * n for r in range(m)]
-        rhs = [2] * m
-        for k, (lam, sign) in enumerate(itertools.product(duals, (1, -1))):
-            slack = [-int(c == k) for c in range(n)]
-            a.append([1] + [-sign * lam[i] for i in others] + [0] * m + slack)
-            rhs.append(sign * (lam[j] - sum(lam[i] for i in others)))
-        if solve_lp(a, rhs, [1] + [0] * (2 * m + n))[0] < level:
-            return False
-    return True
+    a = [[lam[i] for lam in duals] + [-lam[i] for lam in duals] for i in range(b)]
+    ones = [1] * (2 * len(duals))
+    try:
+        return all(solve_lp(a, [int(i == j) for i in range(b)], ones)[0] * level <= 1
+                   for j in range(b))
+    except Infeasible:
+        return level <= 0
 
 
 def _primitive_vectors(dim: int, radius: int):
@@ -294,6 +294,9 @@ def simplicial_map(
         raise ValueError("both complexes must be simplicial")
     if K.top_dim != L.top_dim:
         raise ValueError("source and target must share the top dimension")
+    for (v,) in K.vertex_lists[0]:
+        if v not in vertex_map:
+            raise ValueError(f"vertex map gives no image for source vertex {v}")
     for q, per_deg in enumerate(K.vertex_lists):
         for vs in per_deg:
             images = [vertex_map[v] for v in vs]

@@ -157,6 +157,34 @@ def test_lpd_on_file_and_expression(files, capsys):
     assert code == 0 and "lpd = 3" in out
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"weight": "one"}, "Invalid literal for Fraction: 'one'"),
+    ({"boundary": [["s0", 1], ["s1", 1]]}, "boundary of s0.1 does not sum to zero"),
+], ids=["weight-one", "unbalanced-edge"])
+def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
+    # a file with "cells" is read as a complex only, never retried as a profile
+    path = tmp_path / "bad.json"
+    path.write_text(_circle_with(**fields))
+    code, _, err = run(capsys, "lpd", str(path))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_unknown_face_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(_circle_with(boundary=[["s9", 1], ["s0", -1]]))
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert err == "error: boundary of s0.1 names unknown face 's9'\n"
+
+
+def test_unmapped_source_vertex_is_named(files, capsys):
+    code, _, err = run(capsys, "verify", "degree-sandwich", files["circle6"],
+                       files["circle3"], "--vertex-map", "0,1,2", "-q", "1")
+    assert code == 2
+    assert err == "error: vertex map gives no image for source vertex 3\n"
+
+
 def test_catstsys_expression(capsys):
     code, out, _ = run(capsys, "catstsys", "S1 x S2")
     assert code == 0

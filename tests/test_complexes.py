@@ -75,6 +75,25 @@ def test_validate_rejects_edge_with_unbalanced_boundary():
         ])
 
 
+def test_validate_rejects_nonzero_boundary_of_boundary():
+    # both edges run from v0 to v1, so each is balanced, but the face e0 + e1
+    # has boundary 2 (v1 - v0)
+    with pytest.raises(ComplexInvariantError, match="boundary of boundary nonzero at degree 2"):
+        build_complex("general", [
+            [("v0", 1, []), ("v1", 1, [])],
+            [("e0", 1, [("v1", 1), ("v0", -1)], None), ("e1", 1, [("v1", 1), ("v0", -1)], None)],
+            [("f0", 1, [("e0", 1), ("e1", 1)], None)],
+        ])
+
+
+def test_build_complex_names_an_unknown_face():
+    with pytest.raises(ComplexInvariantError, match="boundary of e0 names unknown face 'v9'"):
+        build_complex("general", [
+            [("v0", 1, [])],
+            [("e0", 1, [("v9", 1), ("v0", -1)], None)],
+        ])
+
+
 def test_build_complex_rejects_duplicate_ids():
     with pytest.raises(ComplexInvariantError):
         build_complex("general", [[("v", 1, []), ("v", 1, [])]])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stasys.linalg import (
     identity,
     inverse,
-    mat_mul,
     rank,
     rref,
     smith_normal_form,
@@ -23,6 +22,11 @@ F = Fraction
 
 def frac_matrix(rows):
     return [[F(x) for x in row] for row in rows]
+
+
+def mat_mul(a, b):
+    assert not a or len(a[0]) == len(b), "shape mismatch"
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
 
 
 def test_rref_identity():

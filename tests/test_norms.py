@@ -259,6 +259,13 @@ def test_shortest_class_two_shells_out():
     assert (full.value, full.witness_class, full.search_status) == (1, (2, 1), "certified")
 
 
+# On the face h_1 = 1, L = max(|1 - 2y|, |2y|, |1 - 2z|, |2z|) >= 1/2 with
+# equality only at y = z = 1/4; on the faces h_2 = ±1 and h_3 = ±1 one of
+# |2y|, |2z| is 2.  So the least, 1/2, lies inside a face, while the unit
+# vectors give L(e_1) = 1 and L(e_2) = L(e_3) = 2.
+INSIDE_A_FACE = [(1, -2, 0), (0, 2, 0), (1, 0, -2), (0, 0, 2)]
+
+
 @pytest.mark.parametrize("duals, least", [
     ([(2, 1)], 0),                     # L vanishes at (-1/2, 1)
     ([(2, 1), (0, 1)], 1),             # least at (1, -1) and on part of h2 = 1
@@ -266,12 +273,62 @@ def test_shortest_class_two_shells_out():
     ([(4, 4), (4, -4), (4, 0)], 4),
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1),
     ([(1, -1, 0), (0, 1, -1)], 0),     # L vanishes at (1, 1, 1)
+    (INSIDE_A_FACE, F(1, 2)),
 ])
 def test_least_dual_bound_on_the_unit_sphere(duals, least):
     from stasys.norms import _bounds_sphere
     duals = [tuple(map(F, lam)) for lam in duals]
     assert _bounds_sphere(duals, len(duals[0]), least)
     assert not _bounds_sphere(duals, len(duals[0]), least + F(1, 1000))
+
+
+def least_on_square(duals):
+    """Least L(h) = max_k |λ_k.h| over the max-norm unit circle, edge by edge.
+
+    L is even, so the edges h = (1, s) and h = (s, 1), -1 <= s <= 1, cover
+    the circle up to sign.  On an edge L is the largest of |α_k + β_k s|,
+    convex and piecewise linear, so its least value lies at an endpoint or
+    at a kink: where α_k + β_k s = ±(α_l + β_l s), which with k = l and the
+    minus sign is where α_k + β_k s vanishes.
+    """
+    least = None
+    for flip in (False, True):
+        lines = [lam[::-1] if flip else lam for lam in duals]
+        cuts = [F(-1), F(1)]
+        for (a1, b1), (a2, b2) in itertools.product(lines, repeat=2):
+            for sign in (1, -1):
+                if b1 != sign * b2:
+                    cuts.append((sign * a2 - a1) / (b1 - sign * b2))
+        for s in cuts:
+            if -1 <= s <= 1:
+                value = max(abs(al + be * s) for al, be in lines)
+                least = value if least is None else min(least, value)
+    return least
+
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=4))
+def test_stop_test_against_the_edges_of_the_square(duals):
+    from stasys.norms import _bounds_sphere
+    least = least_on_square(duals)
+    assert _bounds_sphere(duals, 2, least)
+    assert not _bounds_sphere(duals, 2, least + F(1, 10 ** 6))
+
+
+def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
+    norms = importlib.import_module("stasys.norms")
+    rows = []
+    real = norms.solve_lp
+    monkeypatch.setattr(norms, "solve_lp", lambda a, *rest: rows.append(len(a)) or real(a, *rest))
+    for duals, level in (([(2, 1), (0, 1)], 1), ([(4, 4), (4, -4), (4, 0)], 4),
+                         (INSIDE_A_FACE, F(1, 2))):
+        b = len(duals[0])
+        rows.clear()
+        assert norms._bounds_sphere([tuple(map(F, lam)) for lam in duals], b, level)
+        assert rows == [b] * b
 
 
 def test_search_radius_is_only_a_cap():
