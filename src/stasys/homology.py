@@ -14,9 +14,8 @@ integer Gram solve per degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .complexes import Chain, WeightedCellComplex
@@ -49,15 +48,11 @@ class HomologySummary:
     generators: tuple[tuple[Chain, ...], ...]
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    tableaux: dict = field(default_factory=dict, compare=False, repr=False)  # norm LPs by q
 
     @property
     def top_dim(self) -> int:
         return len(self.betti) - 1
-
-    @cached_property
-    def negated_coordinate_maps(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Every coordinate map with its entries negated, computed once per summary."""
-        return tuple(tuple(tuple(-v for v in row) for row in cmap) for cmap in self.coordinate_maps)
 
     def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
         """Rational homology coordinates of a cycle; zero iff z bounds."""

@@ -50,7 +50,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,8 @@ def complex_to_dict(K: WeightedCellComplex) -> dict:
 def complex_from_dict(data: dict) -> WeightedCellComplex:
     _require(data, dict, "a complex")
     kind = _field(data, "kind", "complex JSON")
+    if kind not in ("simplicial", "cubical", "general"):
+        raise ValueError(f"kind must be simplicial, cubical or general, not {kind!r}")
     top = _as_int(_field(data, "top_dim", "complex JSON"), "top_dim")
     if top < 0:
         raise ValueError(f"top_dim must be at least 0, not {top}")
@@ -115,6 +120,8 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
                 qtags.append((_as_int(tag[0], "a factor degree"), _as_int(tag[1], "a factor degree")))
         cells.append(specs)
         tags.append(qtags)
+    if extra := [key for key in cells_by_degree if key not in {str(q) for q in range(top + 1)}]:
+        raise ValueError(f"cells has degree {extra[0]!r} outside 0..{top}")
     return build_complex(kind, cells, factor_degrees=tags if has_tags else None)
 
 

@@ -7,6 +7,9 @@ integer (fraction-free) elimination.  Optima come back as exact
 ``Fraction``s, together with an optimal dual y (A^T y <= c, b.y = c.x)
 and the reduced costs c - A^T y, both read off the final reduced-cost
 row.  Bland's pivot rule is used throughout, which rules out cycling.
+`prepare` builds the tableau [A | I] once, with each row whose right-hand
+side is 0 crashed onto a structural column (Bixby's crash basis), and
+`solve_lp` copies it for each (b, c): phase 1 then starts at that basis.
 """
 
 from __future__ import annotations
@@ -27,37 +30,68 @@ class Unbounded(LPError):
     pass
 
 
+class Tableau:
+    """The integer tableau [A | I] that `prepare` builds and crashes."""
+
+    def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
+        self.rows, self.den, self.basis, self.m = rows, den, basis, m
+
+    def __len__(self) -> int:  # the row count of A, dropped rows included
+        return self.m
+
+
+def prepare(a: list[list[Fraction]], b: list[Fraction]) -> Tableau:
+    """The tableau [A | I], right-hand side 0, with each row where b is 0 crashed.
+
+    A crashed row takes its first nonzero structural column as its basic
+    variable: with b_i = 0 that pivot moves no right-hand side.  A row left
+    zero on every structural column is dropped.  Only the zero pattern of
+    b matters; the tableau serves every b that vanishes on those rows.
+    """
+    m, n = len(a), len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("rows of the constraint matrix differ in width")
+    rows, den = [], []
+    for i, row in enumerate(a):
+        nums, d = _integer_row(row)
+        rows.append(nums + [0] * i + [d] + [0] * (m - 1 - i) + [0])
+        den.append(d)
+    basis = list(range(n, n + m))
+    _drive_out_artificials(rows, den, basis, n, {i for i, bi in enumerate(b) if bi})
+    return Tableau(rows, den, basis, m)
+
+
 def solve_lp(
-    a: list[list[Fraction]],
+    a: list[list[Fraction]] | Tableau,
     b: list[Fraction],
     c: list[Fraction],
 ) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
     """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, reduced).
 
-    y is an optimal dual, one entry per row of A, and reduced = c - A^T y
-    holds the structural reduced costs, read off the final tableau.
-    Entries may be ints or Fractions; every result is a Fraction.
+    ``a`` is the rows of A or a `Tableau` prepared from them.  y is an
+    optimal dual, one entry per row of A, and reduced = c - A^T y holds
+    the structural reduced costs, read off the final tableau.  Entries may
+    be ints or Fractions; every result is a Fraction.
     """
-    m = len(a)
-    n = len(c)
-    if any(len(row) != n for row in a):
+    t = a if isinstance(a, Tableau) else prepare(a, b)
+    m, n = len(t), len(c)
+    if any(len(row) != n + m + 1 for row in t.rows):
         raise ValueError("constraint matrix width does not match cost vector")
+    tab, den, basis = [row[:] for row in t.rows], t.den[:], t.basis[:]
 
-    # phase 1: artificial columns n..n+m-1; row i's artificial entry is its
-    # denominator, so the true tableau is [A | I | b] with b >= 0
-    total = n + m
-    tab = []
-    den = []
-    sign = []
-    for i, (row, bv) in enumerate(zip(a, b)):
-        nums, d = _integer_row([*row, bv])
-        sign.append(-1 if nums[-1] < 0 else 1)
-        if nums[-1] < 0:
-            nums = [-x for x in nums]
-        tab.append(nums[:-1] + [0] * i + [d] + [0] * (m - 1 - i) + nums[-1:])
-        den.append(d)
-    basis = list(range(n, n + m))
-    zrow, zden = _optimize(tab, den, basis, [0] * n + [1] * m, total)
+    # phase 1 over the rows whose artificial is still basic, at level |b_i|:
+    # a row with b_i < 0 is negated but for its artificial entry
+    sign, cost = [1] * m, [0] * (n + m)
+    for r, bj in enumerate(basis):
+        if bj >= n:
+            v = Fraction(b[bj - n]) * den[r]
+            cost[bj], sign[bj - n] = 1, -1 if v < 0 else 1
+            den[r] *= v.denominator
+            tab[r] = [x * sign[bj - n] * v.denominator for x in tab[r][:-1]] + [abs(v.numerator)]
+            tab[r][bj] = den[r]
+    if any(bi and not cost[n + i] for i, bi in enumerate(b)):
+        raise ValueError("right-hand side is nonzero on a row the tableau crashed")
+    zrow, zden = _optimize(tab, den, basis, cost, n)
     if zrow[-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
     _drive_out_artificials(tab, den, basis, n)
@@ -161,11 +195,11 @@ def _eliminate(row: list[int], d: int, prow: list[int], nz, col: int) -> int:
     return d * p // g
 
 
-def _drive_out_artificials(tab, den, basis, n: int) -> None:
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
+def _drive_out_artificials(tab, den, basis, n: int, keep=()) -> None:
+    """Pivot zero-level artificials not of rows in keep out of the basis; drop redundant rows."""
     i = 0
     while i < len(tab):
-        if basis[i] >= n:
+        if basis[i] >= n and basis[i] - n not in keep:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is None:
                 del tab[i]

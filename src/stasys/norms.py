@@ -4,7 +4,9 @@ The stable norm of a rational homology class is the minimum mass over the
 cellular cycles representing it.  Every such question is one LP over the
 q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
-the usual sign split ``x = x+ - x-``.  In a degree with no (q+1)-cells a
+the usual sign split ``x = x+ - x-``.  The rows depend on the structure
+alone, so their tableau is crashed once per (structure, q); a class sets
+only its right-hand sides and costs.  In a degree with no (q+1)-cells a
 class holds exactly one cycle, whose mass is its norm without an LP.  Each
 norm carries a dual certificate (Federer's comass duality): a cocycle f
 with |f| <= w on every q-cell and f = λ on the generators, so
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
-from .lp import Infeasible, solve_lp
+from .lp import Infeasible, prepare, solve_lp
 
 Rational = Fraction | int
 
@@ -104,23 +106,25 @@ def minimum_mass_cycle(
     """Mass-minimal cycle in cls, with its λ and f; summary is homology(K).
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
-    w.(x+ + x-), constrained by the nonzero rows of ``∂_q x = 0`` and by
-    one row per coordinate of the rational coordinate map.  Its feasible
-    set is exactly the cycles in the class, because a cycle with zero
-    coordinates bounds rationally.  λ is the dual of the coordinate rows,
-    and f(σ) = w(σ) - (reduced cost of σ+).
+    w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
+    of the rational coordinate map, on the tableau kept in summary.tableaux.
+    Its feasible set is exactly the cycles in the class, because a cycle
+    with zero coordinates bounds rationally.  λ is the dual of the
+    coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
     """
     q = cls.degree
     nq = K.n_cells(q)
-    cycle_rows = [row for row in K.boundary_matrix(q) if any(row)] if q else []
-    a = [row + [-v for v in row] for row in cycle_rows]
-    a += [[*row, *neg] for row, neg in zip(summary.coordinate_maps[q],
-                                            summary.negated_coordinate_maps[q])]
+    tab = summary.tableaux.get(q)
+    if tab is None:
+        rows = [*(K.boundary_matrix(q) if q else []), *summary.coordinate_maps[q]]
+        b = [0] * (len(rows) - len(cls.coords)) + [1] * len(cls.coords)
+        tab = summary.tableaux[q] = prepare([[*row, *(-v for v in row)] for row in rows], b)
+    ncycle = len(tab) - len(cls.coords)
     ws = K.weights[q]
-    _value, x, y, reduced = solve_lp(a, [0] * len(cycle_rows) + list(cls.coords), list(ws) * 2)
+    _value, x, y, reduced = solve_lp(tab, [0] * ncycle + list(cls.coords), list(ws) * 2)
     cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
     f = tuple(w - d if d else w for w, d in zip(ws, reduced))
-    return cycle, tuple(y[len(cycle_rows):]), f
+    return cycle, tuple(y[ncycle:]), f
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:

@@ -170,6 +170,14 @@ def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_zero_denominator_weight_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(_circle_with(weight="1/0"))
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert err == "error: '1/0' has a zero denominator\n"
+
+
 def test_unknown_face_is_named(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(_circle_with(boundary=[["s9", 1], ["s0", -1]]))

@@ -1,8 +1,11 @@
 """Round trips through the JSON and CSV serializers."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stasys import (
     DeformationFamily,
@@ -132,3 +135,78 @@ def test_csv_round_trip():
     assert lines[0].startswith("t,systole_q1_part0,systole_q1_part1,product,volume,ratio")
     samples = csv_to_samples(text)
     assert samples == list(rep.samples)
+
+
+def test_unknown_kind_is_rejected():
+    for kind in ("weird", 3):
+        data = complex_to_dict(circle(3))
+        data["kind"] = kind
+        with pytest.raises(ValueError, match=f"not {kind!r}"):
+            complex_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["2", "-1"])
+def test_cells_outside_the_degree_range_are_rejected(key):
+    # circle(3) has top_dim 1, so cells of degree 2 or -1 cannot belong to it
+    data = complex_to_dict(circle(3))
+    data["cells"][key] = []
+    with pytest.raises(ValueError, match=f"cells has degree '{key}' outside 0..1"):
+        complex_from_dict(data)
+
+
+def test_zero_denominator_weight_is_rejected():
+    data = complex_to_dict(circle(3))
+    data["cells"]["0"][1]["weight"] = "1/0"
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        complex_from_dict(data)
+
+
+def _paths(obj, path=()):
+    """Every path to a leaf or to a key of ``obj``, a tree of dicts and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    out = [path] if path else []
+    for key, value in items:
+        out += _paths(value, path + (key,))
+    return out
+
+
+VALID_INPUTS = [
+    (complex_from_dict, complex_to_dict(circle(3))),
+    (complex_from_dict, complex_to_dict(rp2())),
+    (complex_from_dict, complex_to_dict(flat_torus(3))),
+    (profile_from_dict, profile_to_dict(parse_product_expression("S2 x S2 x S3"))),
+    (profile_from_dict, {"name": "X", "dimension": 2, "betti": [1, 0, 1], "orientable": True}),
+]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+    st.sampled_from(["1/0", "-1", "0", "1/2", "x", "", "3"]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+CIRCLE = VALID_INPUTS[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VALID_INPUTS), st.integers(min_value=0), st.booleans(), JUNK)
+@example(CIRCLE, _paths(CIRCLE[1]).index(("cells", "1", 0, "weight")), False, "1/0")
+def test_readers_raise_only_input_errors(case, pick, drop, junk):
+    # one leaf of a valid complex or profile replaced with junk, or one key
+    # or list entry dropped: the reader returns or raises an error that
+    # cli.main reports with exit 2
+    reader, valid = case
+    paths = _paths(valid)
+    path = paths[pick % len(paths)]
+    mutated = copy.deepcopy(valid)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    try:
+        reader(mutated)
+    except (ValueError, KeyError):
+        pass

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stasys.linalg import rank, solve
-from stasys.lp import Infeasible, Unbounded, solve_lp
+from stasys.lp import Infeasible, Unbounded, prepare, solve_lp
 
 F = Fraction
 
@@ -110,9 +110,10 @@ def bfs_optimum(a, b, c):
     return best, vertices
 
 
-def dual_problems(a, b, c, value):
-    """Weak and strong duality for the y that solve_lp returns with (a, b, c)."""
-    _, _, y, reduced = solve_lp(a, b, c)
+def dual_problems(a, b, c, value, prepared=None):
+    """Weak and strong duality for the y that solve_lp returns with (a, b, c),
+    or with (prepared, b, c) when a tableau prepared from a is given."""
+    _, _, y, reduced = solve_lp(a if prepared is None else prepared, b, c)
     problems = []
     if len(y) != len(a):
         problems.append(f"{len(y)} duals for {len(a)} rows")
@@ -249,3 +250,43 @@ def test_negative_fractional_rhs_rows():
     value, x, _, _ = solve_lp([[F(-1, 2), F(-1, 3)], [F(1), F(-1)]], [F(-1), F(1, 2)], [F(1), F(1)])
     assert x == [F(7, 5), F(9, 10)]
     assert value == F(23, 10)
+
+
+# The theta graph: two vertex rows of the sign-split boundary, with zero
+# right-hand sides and rank 1, and two rows reading a cycle's coordinates in
+# the loops e0 - e1 and e1 - e2, one of them over denominator 2
+THETA_ROWS = [row + [-v for v in row]
+              for row in ([-1, -1, -1], [1, 1, 1], [1, 0, 0], [0, 0, F(-1, 2)])]
+THETA = prepare(THETA_ROWS, [0, 0, 1, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals(-3, 3, 4), min_size=2, max_size=2),
+       st.lists(rationals(0, 5, 6), min_size=6, max_size=6))
+def test_prepared_tableau_serves_every_right_hand_side(coords, c):
+    """One tableau, crashed once on the zero rows, solves every (b, c) as fresh rows do."""
+    b = [0, 0, *coords]
+    value, x, y, _ = solve_lp(THETA, b, c)
+    assert len(THETA) == 4 and len(y) == 4
+    assert value == bfs_optimum(THETA_ROWS, b, c)[0] == solve_lp(THETA_ROWS, b, c)[0]
+    assert dual_problems(THETA_ROWS, b, c, value, prepared=THETA) == []
+    assert all(v >= 0 for v in x)
+    for row, bi in zip(THETA_ROWS, b):
+        assert sum(rj * xj for rj, xj in zip(row, x)) == bi
+
+
+def test_prepared_tableau_is_left_as_it_was():
+    b, c = [0, 0, F(-3, 2), 2], [1, 2, 3, 4, 5, 6]
+    before = [row[:] for row in THETA.rows], THETA.den[:], THETA.basis[:]
+    first = solve_lp(THETA, b, c)
+    assert (THETA.rows, THETA.den, THETA.basis) == before
+    assert solve_lp(THETA, b, c) == first
+
+
+def test_crash_leaves_only_the_nonzero_rows_open():
+    # the first vertex row takes a structural column, the second (its
+    # negative) is dropped, and the two loop rows keep their artificials
+    assert len(THETA.rows) == 3
+    assert [bj - 6 for bj in THETA.basis if bj >= 6] == [2, 3]
+    with pytest.raises(ValueError, match="crashed"):
+        solve_lp(THETA, [1, 0, 1, 1], [1] * 6)

@@ -331,6 +331,63 @@ def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
         assert rows == [b] * b
 
 
+def cut_pairing(K, z):
+    """(a, b): cycle z of a product of two circles paired with two cut cocycles.
+
+    a sums z over the first-factor cells (e|v) above one first-factor edge
+    e, b over the second-factor cells (u|f) above one second-factor edge f.
+    Each is a cocycle: a square's boundary meets such a cut in two opposite
+    edges of opposite sign.
+    """
+    cells = [(cid[1:-1].split("|"), tag) for cid, tag in zip(K.cell_ids[1], K.factor_degrees[1])]
+    e = min(s[0] for s, tag in cells if tag == (1, 0))
+    f = min(s[1] for s, tag in cells if tag == (0, 1))
+    a = sum(c for (s, tag), c in zip(cells, z.coeffs) if tag == (1, 0) and s[0] == e)
+    b = sum(c for (s, tag), c in zip(cells, z.coeffs) if tag == (0, 1) and s[1] == f)
+    return a, b
+
+
+def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
+    # weights never enter the tableau: rescaled and deformed metrics reuse
+    # it.  On flat_torus(4) the norm of a class pairing to (a, b) with the
+    # cuts is |a| Lx + |b| Ly, Lx and Ly the lengths of the factor circles
+    norms = importlib.import_module("stasys.norms")
+    K = flat_torus(4)
+    summary = homology(K)
+    summary.tableaux.clear()
+    calls = []
+    real = norms.prepare
+    monkeypatch.setattr(norms, "prepare", lambda *args: calls.append(args) or real(*args))
+    family = DeformationFamily(K)
+    for t in (F(1), F(5, 3), F(1, 2)):
+        for L, lx, ly in ((K.rescale(t), 4 * t, 4 * t), (family.at(t), 4 * t, 4)):
+            assert homology(L) is summary
+            for coords in ((1, 0), (0, 1), (2, -1), (-1, 3), (F(1, 2), 2)):
+                cls = HomologyClass(1, coords)
+                a, b = cut_pairing(K, summary.representative(cls))
+                assert stable_norm(L, cls).value == abs(a) * lx + abs(b) * ly
+    assert len(calls) == 1
+
+
+def test_torus_norms_take_few_pivots(monkeypatch):
+    # the 32 norms of the primitive directions in [-2, 2]^2 at multiples 1
+    # and 2 on flat_torus(4), from the tableau crashed once: 366 pivots;
+    # phase 1 from an all-artificial basis took 648
+    lp = importlib.import_module("stasys.lp")
+    K = flat_torus(4)
+    stable_norm(K, HomologyClass(1, (1, 0)))
+    directions = [(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                  if (a, b) != (0, 0) and math.gcd(a, b) == 1]
+    pivots = []
+    real = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(1) or real(*args))
+    for a, b in directions:
+        for m in (1, 2):
+            stable_norm(K, HomologyClass(1, (m * a, m * b)))
+    assert len(directions) == 16
+    assert len(pivots) <= 400
+
+
 def test_search_radius_is_only_a_cap():
     assert stable_systole(flat_torus(3), 1, search_radius=1).search_status == "certified"
     res = stable_systole(flat_torus(3), 1, search_radius=0)
