@@ -7,9 +7,10 @@ columns rk.. of ``V_inv`` and the rows rk.. of ``V`` read a cycle's
 coordinates in that basis, so d_{q+1} in kernel coordinates is an exact
 integer product.  A second SNF of that matrix gives Betti numbers, torsion
 coefficients and integral generator chains (columns of its ``U``).  The
-rational coordinate map that evaluates the homology class of any cycle in
-the generator basis is the set of harmonic rows, all found by one exact
-integer Gram solve per degree.
+coordinate map that evaluates the homology class of any cycle in the
+generator basis is read off the same factors: its rows are the free rows
+of the second SNF's ``U_inv`` times the rows that read kernel coordinates,
+so they are integral cochains.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .complexes import Chain, WeightedCellComplex
 from .linalg import smith_normal_form  # re-exported
 
@@ -111,7 +111,10 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         tors_cols = [_column(u, i) for i, x in enumerate(diag) if x not in (0, 1, -1)]
         generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in free_cols))
         torsion_generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in tors_cols))
-        coordinate_maps.append(_coordinate_map(kernel, u_inv[r:], nq))
+        # row i vanishes on boundaries (u_inv times their kernel coordinates is
+        # d v, zero in rows >= r) and reads generator j as delta_ij (to_kernel
+        # maps generator j to column r+j of u)
+        coordinate_maps.append(tuple(_lattice_chain(to_kernel, row, q, nq).coeffs for row in u_inv[r:]))
 
     summary = HomologySummary(
         betti=tuple(betti),
@@ -158,35 +161,12 @@ def _column(mat: list[list[int]], j: int) -> list[int]:
     return [row[j] for row in mat]
 
 
-def _lattice_chain(kernel: list[list[int]], col: list[int], q: int, nq: int) -> Chain:
+def _lattice_chain(rows: list[list[int]], col: list[int], q: int, nq: int) -> Chain:
+    """The integer combination sum_j col[j] * rows[j] as a q-chain."""
     coeffs = [0] * nq
     for j, cj in enumerate(col):
         if cj:
             for i in range(nq):
-                coeffs[i] += cj * kernel[j][i]
+                coeffs[i] += cj * rows[j][i]
     return Chain(q, tuple(Fraction(c) for c in coeffs))
 
-
-def _coordinate_map(kernel, free_rows, nq):
-    """Rows of the linear map sending a cycle to its free-part coordinates.
-
-    Row i is the harmonic cochain h_i: it lies in the span of the kernel
-    basis and h_i . k_j = free_rows[i][j].  Writing h_i = K y_i, every y_i
-    solves the same Gram system (K^T K) y_i = free_rows[i], so one exact
-    solve per degree gives them all.
-    """
-    if not free_rows:
-        return tuple()
-    gram = [[sum(a * b for a, b in zip(ki, kj) if a) for kj in kernel] for ki in kernel]
-    numer, det = linalg.solve_integer(gram, linalg.transpose(free_rows))
-    rows = []
-    for i in range(len(free_rows)):
-        h = [0] * nq
-        for kj, nrow in zip(kernel, numer):
-            y = nrow[i]
-            if y:
-                for c, x in enumerate(kj):
-                    if x:
-                        h[c] += y * x
-        rows.append(tuple(Fraction(x, det) for x in h))
-    return tuple(rows)

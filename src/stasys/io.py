@@ -33,10 +33,21 @@ def _field(data: dict, key: str, where: str):
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, OverflowError):  # a list, an object, null or an infinity
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+    if not isinstance(value, float) or value.is_integer():  # not 1.7, an infinity or NaN
+        try:
+            return int(value)
+        except (TypeError, ValueError):  # a list, an object, null or a non-numeric string
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
+def _flag(data: dict, key: str, default, nullable: bool = False):
+    """data[key], or default if absent; it must be a JSON boolean, or null when ``nullable``."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    allowed = "true, false or null" if nullable else "true or false"
+    raise ValueError(f"{key} must be {allowed}, not {value!r}")
 
 
 def _cell_id(value, what: str):
@@ -165,9 +176,9 @@ def profile_from_dict(data: dict) -> DimensionProfile:
         n=n,
         betti=tuple(_as_int(b, "a Betti number")
                     for b in _require(_field(data, "betti", "profile JSON"), list, "betti")),
-        orientable=bool(data.get("orientable", True)),
-        max_cup_flag=data.get("max_cup_length"),
-        homology_sphere=bool(data.get("homology_sphere", False)),
+        orientable=_flag(data, "orientable", True),
+        max_cup_flag=_flag(data, "max_cup_length", None, nullable=True),
+        homology_sphere=_flag(data, "homology_sphere", False),
         factors=factors,
         name=data.get("name", ""),
     )

@@ -2,11 +2,11 @@
 
 Everything here works on plain lists of lists holding ``fractions.Fraction``
 (or ``int`` for the integer routines).  Matrices are desk-scale, so dense
-Gaussian elimination is plenty.  Homology needs only the integer routines:
-the Smith normal form with its inverses and the fraction-free solve.  The
-rational routines serve rank tests (cup-product spans, degree-sandwich
-injectivity); ``solve`` and ``inverse`` remain as exact references for
-the tests.
+Gaussian elimination is plenty.  Homology needs only the integer Smith
+normal form with its inverses: the cycle lattice, Betti numbers, torsion,
+generators and coordinate rows all come from it.  The rational routines
+serve rank tests (cup-product spans, degree-sandwich injectivity);
+``solve`` and ``inverse`` remain as exact references for the tests.
 """
 
 from __future__ import annotations
@@ -75,32 +75,6 @@ def inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
-
-
-def solve_integer(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Solve A X = B for a nonsingular square integer A; returns (N, det) with X = N / det.
-
-    One fraction-free Gauss-Jordan elimination (Bareiss) of [A | B]: every
-    intermediate entry is an integer minor of the input, so each division
-    is exact and no Fraction is formed.  At the end every diagonal entry is
-    det, which is det A up to sign.
-    """
-    n = len(a)
-    m = [list(arow) + list(brow) for arow, brow in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        pk = m[k]
-        p = pk[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pk)]
-        prev = p
-    return [row[n:] for row in m], prev
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,14 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, K.weights[q]))
         dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[q])
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
-    cycle, dual, f = minimum_mass_cycle(K, summary, cls)
-    return StableNormResult(K.mass(cycle), cycle, "optimal-LP", dual, f)
+    value, cycle, dual, f = minimum_mass_cycle(K, summary, cls)
+    return StableNormResult(value, cycle, "optimal-LP", dual, f)
 
 
 def minimum_mass_cycle(
     K: WeightedCellComplex, summary: HomologySummary, cls: HomologyClass
-) -> tuple[Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Mass-minimal cycle in cls, with its λ and f; summary is homology(K).
+) -> tuple[Fraction, Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Least mass in cls, a cycle attaining it, λ and f; summary is homology(K).
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
@@ -121,10 +121,10 @@ def minimum_mass_cycle(
         tab = summary.tableaux[q] = prepare([[*row, *(-v for v in row)] for row in rows], b)
     ncycle = len(tab) - len(cls.coords)
     ws = K.weights[q]
-    _value, x, y, reduced = solve_lp(tab, [0] * ncycle + list(cls.coords), list(ws) * 2)
+    value, x, y, reduced = solve_lp(tab, [0] * ncycle + list(cls.coords), list(ws) * 2)
     cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
     f = tuple(w - d if d else w for w, d in zip(ws, reduced))
-    return cycle, tuple(y[ncycle:]), f
+    return value, cycle, tuple(y[ncycle:]), f
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:

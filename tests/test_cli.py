@@ -130,6 +130,17 @@ def test_missing_field_is_named(files, tmp_path, capsys):
     assert "complex JSON is missing field 'kind'" in err
 
 
+def test_string_profile_flag_exits_two_naming_the_field(tmp_path, capsys):
+    # "false" is a non-empty string: read as a truth value it would claim
+    # orientability and fail on betti_n instead
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps({"name": "RP2", "dimension": 2, "betti": [1, 0, 0],
+                                "orientable": "false"}))
+    code, _, err = run(capsys, "catstsys", str(path))
+    assert code == 2
+    assert err == "error: orientable must be true or false, not 'false'\n"
+
+
 def test_stable_norm_command(files, capsys):
     code, out, _ = run(capsys, "stable-norm", files["flat_torus3"],
                        "-q", "1", "--class", "2,-1")

@@ -127,6 +127,37 @@ def test_missing_profile_field_is_named():
         profile_from_dict({"name": "X", "dimension": 2})
 
 
+PROFILE_X = {"name": "X", "dimension": 2, "betti": [1, 0, 1]}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("orientable", "false", "orientable must be true or false, not 'false'"),
+    ("homology_sphere", 0, "homology_sphere must be true or false, not 0"),
+    ("max_cup_length", "no", "max_cup_length must be true, false or null, not 'no'"),
+], ids=["orientable", "homology_sphere", "max_cup_length"])
+def test_profile_flags_must_be_json_booleans(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict({**PROFILE_X, field: value})
+    assert profile_from_dict({**PROFILE_X, "max_cup_length": None}).max_cup_flag is None
+    assert profile_from_dict({**PROFILE_X, "orientable": True}).orientable is True
+
+
+def test_complex_reader_rejects_non_integral_numbers():
+    data = complex_to_dict(circle(3))
+    data["top_dim"] = 1.7
+    with pytest.raises(ValueError, match="top_dim must be an integer, not 1.7"):
+        complex_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dimension", 2.9, "dimension must be an integer, not 2.9"),
+    ("betti", [1, 0, 1.2], "a Betti number must be an integer, not 1.2"),
+], ids=["dimension", "betti"])
+def test_profile_reader_rejects_non_integral_numbers(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict({**PROFILE_X, field: value})
+
+
 def test_csv_round_trip():
     fam = DeformationFamily(flat_torus(3))
     rep = deformation_sweep(fam, Partition((1, 1)), t_samples=(F(1), F(2), F(4)))

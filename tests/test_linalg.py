@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from stasys.linalg import (
     rref,
     smith_normal_form,
     solve,
-    solve_integer,
     transpose,
 )
 
@@ -51,18 +49,6 @@ def test_solve_consistent_and_inconsistent():
 def test_inverse_round_trip():
     a = frac_matrix([[2, 1], [1, 1]])
     assert mat_mul(a, inverse(a)) == identity(2)
-
-
-def test_solve_integer_matches_fraction_solve():
-    # the first pivot is zero, so the elimination must swap rows
-    a = [[0, 2, 1], [3, 1, 0], [1, 1, 4]]
-    b = [[1, 0], [0, 5], [-2, 7]]
-    numer, det = solve_integer(a, b)
-    for j in range(2):
-        col = [F(row[j], det) for row in numer]
-        assert col == solve(frac_matrix(a), [F(row[j]) for row in b])
-    with pytest.raises(ValueError):
-        solve_integer([[1, 2], [2, 4]], [[1], [1]])
 
 
 def _assert_snf(m):
