@@ -43,7 +43,7 @@ def fmt(x: Fraction) -> str:
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.replace(",", " ").split()]
+    return [sio.parse_frac(tok) for tok in text.replace(",", " ").split()]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -125,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads an option value "--" as no value
+            parser.error(f"argument {name}: expected one value")
     try:
         return _dispatch(args)
     except (ValueError, KeyError, OSError) as exc:
@@ -160,7 +164,7 @@ def _dispatch(args) -> int:
 
     if cmd == "stable-norm":
         K = sio.load_complex(args.file)
-        coords = tuple(Fraction(x) for x in args.coords.replace(",", " ").split())
+        coords = tuple(_parse_fraction_list(args.coords))
         res = stable_norm(K, HomologyClass(args.q, coords))
         print(f"stable norm = {fmt(res.value)}  [{res.certificate}]")
         if res.dual is not None:
@@ -221,7 +225,7 @@ def _dispatch(args) -> int:
 def _verify(args) -> int:
     if args.lemma == "rescale":
         K = sio.load_complex(args.file)
-        return _print_report(verify_rescaling(K, args.q, Fraction(args.t)))
+        return _print_report(verify_rescaling(K, args.q, sio.parse_frac(args.t)))
     if args.lemma == "product":
         k1 = sio.load_complex(args.file1)
         k2 = sio.load_complex(args.file2)

@@ -23,6 +23,8 @@ from .linalg import smith_normal_form  # re-exported
 
 __all__ = ["HomologySummary", "HomologyClass", "homology", "smith_normal_form", "class_coordinates"]
 
+Sparse = list[tuple[int, int]]  # the nonzero (index, value) pairs of an integer vector
+
 
 @dataclass(frozen=True)
 class HomologyClass:
@@ -135,38 +137,52 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _cycle_lattice(K: WeightedCellComplex, q: int, nq: int) -> tuple[list[list[int]], list[list[int]]]:
+def _cycle_lattice(K: WeightedCellComplex, q: int, nq: int) -> tuple[list[Sparse], list[Sparse]]:
     """Integral basis of the degree-q cycle lattice, and rows reading a cycle in it.
 
     Row i of the second list dotted with basis vector k_j is delta_ij.
     """
     if q == 0 or K.n_cells(q - 1) == 0:
-        basis = _identity(nq)
+        basis = [[(i, 1)] for i in range(nq)]
         return basis, basis
     if nq == 0:
         return [], []
     _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_matrix(q))
     rank = sum(1 for i in range(min(len(d), nq)) if d[i][i] != 0)
     # M V_inv = U D vanishes on the zero columns of D, and V V_inv = I
-    return [_column(v_inv, j) for j in range(rank, nq)], v[rank:]
+    return _sparse(_column(v_inv, j) for j in range(rank, nq)), _sparse(v[rank:])
 
 
-def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[list[int]]) -> list[list[int]]:
+def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[Sparse]) -> list[list[int]]:
     """Kernel coordinates of each (q+1)-cell's boundary: exact integers."""
     cols = K.boundary_cols[q + 1]
-    return [[sum(row[face] * inc for face, inc in col) for col in cols] for row in to_kernel]
+    cofaces = [[] for _ in range(K.n_cells(q))]
+    for j, col in enumerate(cols):
+        for face, inc in col:
+            cofaces[face].append((j, inc))
+    out = []
+    for row in to_kernel:
+        acc = [0] * len(cols)
+        for face, x in row:
+            for j, inc in cofaces[face]:
+                acc[j] += x * inc
+        out.append(acc)
+    return out
 
 
 def _column(mat: list[list[int]], j: int) -> list[int]:
     return [row[j] for row in mat]
 
 
-def _lattice_chain(rows: list[list[int]], col: list[int], q: int, nq: int) -> Chain:
+def _sparse(vectors) -> list[Sparse]:
+    return [[(i, x) for i, x in enumerate(vec) if x] for vec in vectors]
+
+
+def _lattice_chain(rows: list[Sparse], col: list[int], q: int, nq: int) -> Chain:
     """The integer combination sum_j col[j] * rows[j] as a q-chain."""
     coeffs = [0] * nq
     for j, cj in enumerate(col):
         if cj:
-            for i in range(nq):
-                coeffs[i] += cj * rows[j][i]
+            for i, x in rows[j]:
+                coeffs[i] += cj * x
     return Chain(q, tuple(Fraction(c) for c in coeffs))
-

@@ -33,11 +33,10 @@ def _field(data: dict, key: str, where: str):
 
 
 def _as_int(value, what: str) -> int:
-    if not isinstance(value, float) or value.is_integer():  # not 1.7, an infinity or NaN
-        try:
-            return int(value)
-        except (TypeError, ValueError):  # a list, an object, null or a non-numeric string
-            pass
+    """A JSON integer or integral float: not a boolean, a string, 1.7, an infinity or NaN."""
+    integral_float = isinstance(value, float) and value.is_integer()
+    if integral_float or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 

@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals and the integers.
 
-Everything here works on plain lists of lists holding ``fractions.Fraction``
-(or ``int`` for the integer routines).  Matrices are desk-scale, so dense
-Gaussian elimination is plenty.  Homology needs only the integer Smith
-normal form with its inverses: the cycle lattice, Betti numbers, torsion,
-generators and coordinate rows all come from it.  The rational routines
-serve rank tests (cup-product spans, degree-sandwich injectivity);
-``solve`` and ``inverse`` remain as exact references for the tests.
+Matrices come in and go out as plain lists of lists holding
+``fractions.Fraction`` (or ``int`` for the integer routines).  Homology
+needs only the integer Smith normal form with its inverses: the cycle
+lattice, Betti numbers, torsion, generators and coordinate rows all come
+from it.  Boundary matrices run to thousands of rows and are almost all
+zeros and unit pivots, so the Smith form works on sparse rows and each
+elementary operation costs the nonzeros it touches.  The rational routines
+are dense Gaussian elimination on small matrices and serve rank tests
+(cup-product spans, degree-sandwich injectivity); ``solve`` and ``inverse``
+remain as exact references for the tests.
 """
 
 from __future__ import annotations
@@ -85,100 +88,147 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
     """Decompose an integer matrix as M = U D V; returns (U, D, V, U_inv, V_inv).
 
     U and V are unimodular, D is diagonal with each diagonal entry dividing
-    the next.  Pivoting picks the smallest nonzero entry to limit growth.
-    Every elementary operation is applied to D and mirrored on the four
-    transforms, so all five are int matrices with no inversion at the end:
-    a row operation on D is the same row operation on U_inv and the inverse
-    column operation on U, and a column operation on D is the same column
-    operation on V_inv and the inverse row operation on V.  Then
+    the next.  Every elementary operation is applied to D and mirrored on the
+    four transforms, so all five are int matrices with no inversion at the
+    end: a row operation on D is the same row operation on U_inv and the
+    inverse column operation on U, and a column operation on D is the same
+    column operation on V_inv and the inverse row operation on V.  Then
     U_inv M V_inv = D, U U_inv = I and V V_inv = I.  All five factors are
-    returned even for empty shapes.
+    returned dense, even for empty shapes.
+
+    The pivot rule is part of the contract, because homology generators (and
+    so the coordinates a user gives a class in) are read off these factors:
+    step t takes the first entry of least magnitude in row-major order of the
+    trailing block.  A unit ends that scan, and a unit pivot skips the
+    divisibility check.  D and the transforms are stored as sparse rows, and
+    swaps only permute the order in which D's rows and columns are read, so
+    each operation costs the nonzeros it touches.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    d = [list(map(int, row)) for row in m]
-    u_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    u_t = [[int(i == j) for j in range(nrows)] for i in range(nrows)]  # columns of U
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    v_inv_t = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # columns of V_inv
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in m]  # D by stored row
+    cols = [set() for _ in range(ncols)]  # stored rows holding each stored column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    rp, cp = list(range(nrows)), list(range(ncols))  # position -> stored row / column
+    rpos, cpos = list(range(nrows)), list(range(ncols))  # stored row / column -> position
+    u_inv = [{i: 1} for i in range(nrows)]  # rows of U_inv, by stored row of D
+    u_t = [{i: 1} for i in range(nrows)]  # columns of U
+    v = [{j: 1} for j in range(ncols)]  # rows of V, by stored column of D
+    v_inv_t = [{j: 1} for j in range(ncols)]  # columns of V_inv
+
+    def axpy(dst, src, k):
+        # dst += k * src on sparse rows
+        for c, x in src.items():
+            y = dst.get(c, 0) + k * x
+            if y:
+                dst[c] = y
+            else:
+                del dst[c]
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-        u_t[i], u_t[j] = u_t[j], u_t[i]
+        rp[i], rp[j] = rp[j], rp[i]
+        rpos[rp[i]], rpos[rp[j]] = i, j
 
     def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        v_inv_t[i], v_inv_t[j] = v_inv_t[j], v_inv_t[i]
-        v[i], v[j] = v[j], v[i]
+        cp[i], cp[j] = cp[j], cp[i]
+        cpos[cp[i]], cpos[cp[j]] = i, j
 
     def add_row(dst, src, k):
         # row_dst += k * row_src; in U, column src -= k * column dst
-        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u_inv[dst] = [x + k * y for x, y in zip(u_inv[dst], u_inv[src])]
-        u_t[src] = [x - k * y for x, y in zip(u_t[src], u_t[dst])]
+        if k:
+            pd, ps = rp[dst], rp[src]
+            axpy(rows[pd], rows[ps], k)
+            for c in rows[ps]:
+                (cols[c].add if c in rows[pd] else cols[c].discard)(pd)
+            axpy(u_inv[pd], u_inv[ps], k)
+            axpy(u_t[ps], u_t[pd], -k)
 
     def add_col(dst, src, k):
         # col_dst += k * col_src; in V, row src -= k * row dst
-        for row in d:
-            row[dst] += k * row[src]
-        v_inv_t[dst] = [x + k * y for x, y in zip(v_inv_t[dst], v_inv_t[src])]
-        v[src] = [x - k * y for x, y in zip(v[src], v[dst])]
+        if k:
+            pd, ps = cp[dst], cp[src]
+            for r in cols[ps]:
+                row = rows[r]
+                row[pd] = row.get(pd, 0) + k * row[ps]
+                if row[pd]:
+                    cols[pd].add(r)
+                else:
+                    del row[pd]
+                    cols[pd].discard(r)
+            axpy(v_inv_t[pd], v_inv_t[ps], k)
+            axpy(v[ps], v[pd], -k)
 
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u_inv[i] = [-x for x in u_inv[i]]
-        u_t[i] = [-x for x in u_t[i]]
+        p = rp[i]
+        for mat in (rows, u_inv, u_t):
+            mat[p] = {c: -x for c, x in mat[p].items()}
+
+    def entry(i, j):
+        return rows[rp[i]].get(cp[j], 0)
 
     t = 0
     while t < min(nrows, ncols):
-        # locate smallest-magnitude nonzero entry in the trailing block
+        # rows from t on are zero left of column t, so the trailing block is
+        # their nonzeros; the strict < keeps the first of equal magnitudes
         best = None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+            row = rows[rp[i]]
+            if row:
+                a, j = min((abs(x), cpos[c]) for c, x in row.items())
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if d[t][t] < 0:
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        if entry(t, t) < 0:
             negate_row(t)
-        # clear row and column t; pivot may shrink, so iterate
+        # clear row and column t; pivot may shrink, so iterate.  An operation
+        # on row (column) i leaves the later rows (columns) as they were, so
+        # the nonzeros found at the start of a pass are the ones it visits.
         while True:
             dirty = False
-            for i in range(t + 1, nrows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
+            for i in sorted(rpos[r] for r in cols[cp[t]]):
+                if i > t:
+                    add_row(i, t, -(entry(i, t) // entry(t, t)))
+                    if entry(i, t) != 0:
                         swap_rows(t, i)
-                        if d[t][t] < 0:
+                        if entry(t, t) < 0:
                             negate_row(t)
                         dirty = True
-            for j in range(t + 1, ncols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
+            for j in sorted(cpos[c] for c in rows[rp[t]]):
+                if j > t:
+                    add_col(j, t, -(entry(t, j) // entry(t, t)))
+                    if entry(t, j) != 0:
                         swap_cols(t, j)
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility: pivot must divide every later entry
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
+        # enforce divisibility: pivot must divide every later entry (a unit does)
+        pivot = entry(t, t)
+        if pivot != 1:
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % pivot for x in rows[rp[i]].values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
+                add_row(t, offender, 1)
+                continue
         t += 1
 
-    return transpose(u_t), d, v, u_inv, transpose(v_inv_t)
+    def dense(sparse, order, n):
+        # row a is the stored row order[a]
+        out = [[0] * n for _ in order]
+        for a, p in enumerate(order):
+            for b, x in sparse[p].items():
+                out[a][b] = x
+        return out
 
+    # rows and columns from t on are zero, so D is its first t pivots
+    d = [[0] * ncols for _ in range(nrows)]
+    for i in range(t):
+        d[i][i] = entry(i, i)
+    return (transpose(dense(u_t, rp, nrows)), d, dense(v, cp, ncols),
+            dense(u_inv, rp, nrows), transpose(dense(v_inv_t, cp, ncols)))

@@ -250,7 +250,7 @@ def verify_projection_equality(
     bl = homology(L).betti
     def betti(bs, i):
         return bs[i] if 0 <= i < len(bs) else 0
-    cross_terms = sum(betti(bk, q - j) * betti(bl, j) for j in range(1, q + 1))
+    cross_terms = sum(betti(bk, q - j) * bl[j] for j in range(1, min(q + 1, len(bl))))
     ok = betti(bl, 0) == 1 and betti(bk, q) > 0 and cross_terms == 0
     if not ok:
         return VerificationReport(

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stasys import (
     circle,
@@ -189,6 +191,25 @@ def test_zero_denominator_weight_exits_two(tmp_path, capsys):
     assert err == "error: '1/0' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("stable-norm", "flat_torus3", "-q", "1", "--class", "1/0,1"),
+    ("verify", "rescale", "circle3", "-q", "1", "--t", "1/0"),
+    ("deform", "circle3", "circle3", "--partition", "1,1", "--t", "2,1/0"),
+], ids=["class", "verify-rescale-t", "deform-t"])
+def test_zero_denominator_argument_exits_two(argv, files, capsys):
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert err == "error: '1/0' has a zero denominator\n"
+
+
+def test_boolean_betti_number_exits_two_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"name": "X", "dimension": 2, "betti": [1, True, 1]}))
+    code, _, err = run(capsys, "catstsys", str(path))
+    assert code == 2
+    assert err == "error: a Betti number must be an integer, not True\n"
+
+
 def test_unknown_face_is_named(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(_circle_with(boundary=[["s9", 1], ["s0", -1]]))
@@ -267,3 +288,68 @@ def test_bad_expression_exits_two(capsys):
     code, _, err = run(capsys, "catstsys", "T2 x S1")
     assert code == 2
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# Argument fuzzing: junk in any numeric option exits 0 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, K in {"circle3": circle(3), "circle4": circle(4), "flat_torus3": flat_torus(3)}.items():
+        paths[name] = str(root / f"{name}.json")
+        save_complex(K, paths[name])
+    return paths
+
+
+JUNK_TOKENS = ("", " ", ",", "x", "1/0", "0/0", "1/2", "-1/2", "1e3", "nan", "inf", "-", "--",
+               "1,,2", "2/", "/3", "0x1", "1_0", "\u0661", "+1", " 1 ")
+DEGREES = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(("99999999999999999999", "-99999")),
+                    st.sampled_from(JUNK_TOKENS))
+RADII = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(JUNK_TOKENS))  # searches stay short
+FRACTIONS = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(JUNK_TOKENS),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=5).map(str))
+LISTS = st.one_of(st.lists(FRACTIONS, max_size=3).map(",".join), st.sampled_from(JUNK_TOKENS))
+INT_LISTS = st.one_of(st.lists(st.integers(-2, 4).map(str), max_size=4).map(",".join),
+                      st.lists(st.sampled_from(JUNK_TOKENS), min_size=1, max_size=2).map(",".join))
+CIRCLES = st.sampled_from(("circle3", "circle4"))
+ANY_FILE = st.sampled_from(("circle3", "circle4", "flat_torus3"))
+
+
+@st.composite
+def command_lines(draw):
+    # one subcommand with every numeric option drawn from junk; two-file
+    # commands use the circles, so products stay small
+    kind = draw(st.sampled_from(("systole", "stable-norm", "rescale", "product", "projection",
+                                 "degree-sandwich", "deform")))
+    if kind == "systole":
+        return ["systole", draw(ANY_FILE), "-q", draw(DEGREES), "-R", draw(RADII)]
+    if kind == "stable-norm":
+        return ["stable-norm", draw(ANY_FILE), "-q", draw(DEGREES), "--class=" + draw(LISTS)]
+    if kind == "rescale":
+        return ["verify", "rescale", draw(ANY_FILE), "-q", draw(DEGREES), "--t=" + draw(FRACTIONS)]
+    if kind == "product":
+        return ["verify", "product", draw(CIRCLES), draw(CIRCLES), "-p", draw(DEGREES), "-q", draw(DEGREES)]
+    if kind == "projection":
+        return ["verify", "projection", draw(CIRCLES), draw(CIRCLES), "-q", draw(DEGREES)]
+    if kind == "degree-sandwich":
+        return ["verify", "degree-sandwich", draw(CIRCLES), draw(CIRCLES),
+                "--vertex-map=" + draw(INT_LISTS), "-q", draw(DEGREES)]
+    return ["deform", draw(CIRCLES), draw(CIRCLES), "--partition=" + draw(INT_LISTS),
+            "--t=" + draw(LISTS), "-R", draw(RADII)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+@example(["stable-norm", "circle3", "-q", "1", "--class=--"])  # argparse gives a list
+@example(["verify", "projection", "circle3", "circle4", "-q", "99999999999999999999"])
+def test_junk_arguments_exit_zero_or_two(small_files, capsys, argv):
+    argv = [small_files.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the token
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2), argv

@@ -118,6 +118,26 @@ def test_coordinate_rows_are_integral_and_dual_to_generators(name, seed):
                 assert _dot(row, g) == int(i == j), (name, q, i, j)
 
 
+def test_flat_torus_12_homology():
+    # 576 cells: generators are integral cycles, and coordinate rows read
+    # them as delta_ij and vanish on the boundary of every 2-cell.
+    K = flat_torus(12)
+    summary = homology(K)
+    assert summary.betti == (1, 2, 1)
+    assert summary.torsion == ((), (), ())
+    for q in range(K.top_dim + 1):
+        gens = summary.generators[q]
+        for g in gens:
+            assert K.is_cycle(g)
+            assert all(c.denominator == 1 for c in g.coeffs)
+        for i, row in enumerate(summary.coordinate_maps[q]):
+            assert all(c.denominator == 1 for c in row)
+            if q < K.top_dim:
+                for j in range(K.n_cells(q + 1)):
+                    assert _dot(row, K.boundary_of(K.unit_chain(q + 1, j))) == 0, (q, i, j)
+            assert [_dot(row, g) for g in gens] == [int(i == j) for j in range(len(gens))]
+
+
 def test_class_coordinates_rejects_non_cycles():
     K = circle(3)
     not_cycle = Chain(1, (F(1), F(0), F(0)))

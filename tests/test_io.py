@@ -158,6 +158,25 @@ def test_profile_reader_rejects_non_integral_numbers(field, value, message):
         profile_from_dict({**PROFILE_X, field: value})
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["cells"]["1"][0]["boundary"][0].__setitem__(1, True), "an incidence must be an integer, not True"),
+    (lambda d: d.__setitem__("top_dim", "2"), "top_dim must be an integer, not '2'"),
+], ids=["boolean-incidence", "string-top-dim"])
+def test_complex_reader_rejects_booleans_and_strings(edit, message):
+    data = complex_to_dict(circle(3))
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        complex_from_dict(data)
+
+
+def test_profile_reader_rejects_a_boolean_betti_number():
+    # int(True) is 1: read as a number this would load as a 1-dimensional profile
+    with pytest.raises(ValueError, match="dimension must be an integer, not True"):
+        profile_from_dict({"dimension": True, "betti": [True, True]})
+    with pytest.raises(ValueError, match="a Betti number must be an integer, not True"):
+        profile_from_dict({**PROFILE_X, "betti": [1, True, 1]})
+
+
 def test_csv_round_trip():
     fam = DeformationFamily(flat_torus(3))
     rep = deformation_sweep(fam, Partition((1, 1)), t_samples=(F(1), F(2), F(4)))
