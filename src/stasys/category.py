@@ -10,11 +10,7 @@ Where no rule closes the gap the verdict stays honest: lower < upper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .complexes import WeightedCellComplex
-from .homology import homology
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,7 @@ def sphere_profile(m: int) -> DimensionProfile:
 def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionProfile:
     """Profile of a triangulated space; ring flags come from the cup product."""
     from .cohomology import has_maximal_real_cup_length
+    from .homology import homology
 
     betti = homology(K).betti
     n = K.top_dim

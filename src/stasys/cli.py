@@ -13,22 +13,9 @@ import os
 import sys
 from fractions import Fraction
 
+# The package holds `io` unloaded: its body runs on the first file access.
+# Each command imports the layers it uses, so a cold run compiles only those.
 from . import io as sio
-from .category import DimensionProfile, Partition, catstsys_bounds, parse_product_expression
-from .cohomology import cup_length, lpd as complex_lpd
-from .complexes import DeformationFamily, product_complex
-from .deform import deformation_sweep
-from .homology import HomologyClass, homology
-from .norms import (
-    VerificationReport,
-    simplicial_map,
-    stable_norm,
-    stable_systole,
-    verify_degree_sandwich,
-    verify_product_inequality,
-    verify_projection_equality,
-    verify_rescaling,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -140,6 +127,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "homology":
+        from .homology import homology
+
         K = sio.load_complex(args.file)
         summary = homology(K)
         for q in range(K.top_dim + 1):
@@ -151,6 +140,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "systole":
+        from .norms import stable_systole
+
         K = sio.load_complex(args.file)
         res = stable_systole(K, args.q, search_radius=args.radius)
         if res.is_trivial:
@@ -163,6 +154,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "stable-norm":
+        from .homology import HomologyClass
+        from .norms import stable_norm
+
         K = sio.load_complex(args.file)
         coords = tuple(_parse_fraction_list(args.coords))
         res = stable_norm(K, HomologyClass(args.q, coords))
@@ -172,6 +166,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "cup-length":
+        from .cohomology import cup_length
+
         K = sio.load_complex(args.file)
         print(f"cup-length = {cup_length(K)}")
         return EXIT_OK
@@ -182,6 +178,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "catstsys":
+        from .category import catstsys_bounds
+
         profile = _load_profile_or_expr(args.source)
         verdict = catstsys_bounds(profile)
         name = profile.name or "profile"
@@ -199,6 +197,10 @@ def _dispatch(args) -> int:
         return _verify(args)
 
     if cmd == "deform":
+        from .category import Partition
+        from .complexes import DeformationFamily, product_complex
+        from .deform import deformation_sweep
+
         kx = sio.load_complex(args.xfile)
         ky = sio.load_complex(args.yfile)
         family = DeformationFamily(product_complex(kx, ky))
@@ -223,6 +225,14 @@ def _dispatch(args) -> int:
 
 
 def _verify(args) -> int:
+    from .norms import (
+        simplicial_map,
+        verify_degree_sandwich,
+        verify_product_inequality,
+        verify_projection_equality,
+        verify_rescaling,
+    )
+
     if args.lemma == "rescale":
         K = sio.load_complex(args.file)
         return _print_report(verify_rescaling(K, args.q, sio.parse_frac(args.t)))
@@ -244,6 +254,8 @@ def _verify(args) -> int:
 
 
 def _load_profile_or_expr(source: str) -> DimensionProfile:
+    from .category import parse_product_expression
+
     if os.path.exists(source):
         return sio.load_profile(source)
     return parse_product_expression(source)
@@ -252,10 +264,14 @@ def _load_profile_or_expr(source: str) -> DimensionProfile:
 def _lpd(source: str) -> int | None:
     """lpd of a complex file (a JSON object with "cells"), a profile file or an expression."""
     if not os.path.exists(source):
+        from .category import parse_product_expression
+
         return parse_product_expression(source).lpd
     with open(source) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "cells" in data:
+        from .cohomology import lpd as complex_lpd
+
         return complex_lpd(sio.complex_from_dict(data))
     return sio.profile_from_dict(data).lpd
 

@@ -57,6 +57,8 @@ def deformation_sweep(
 ) -> DeformationReport:
     """Tabulate the exact ratio along the family and classify its growth."""
     ts = tuple(Fraction(t) for t in t_samples)
+    if not ts:
+        raise ValueError("t samples must not be empty")
     if list(ts) != sorted(set(ts)) or any(t < 1 for t in ts):
         raise ValueError("t samples must be strictly increasing and >= 1")
     base = family.base
@@ -78,8 +80,8 @@ def deformation_sweep(
         volume = fundamental_class_mass(kt)
         samples.append(SweepSample(t, part_vals, product, volume, product / volume))
     exponent = _tail_exponent(samples)
-    if upper_bound_only:
-        verdict = "inconclusive"  # some part systole is only an upper bound
+    if upper_bound_only or len(samples) < 2:
+        verdict = "inconclusive"  # an upper bound only, or one sample shows no growth
     elif exponent is not None and exponent >= 1:
         verdict = f"diverges({exponent})"
     else:

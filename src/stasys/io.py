@@ -1,19 +1,18 @@
 """File formats: JSON complexes and profiles, CSV deformation reports.
 
 Weights and all numeric report fields are serialized as exact fraction
-strings ("3/4"), so every round trip is lossless.
+strings ("3/4"), so every round trip is lossless.  ``category``, ``deform``
+and ``csv`` are imported inside the functions that use them, so reading a
+complex loads neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 from fractions import Fraction
 
-from .category import DimensionProfile, product_profile
 from .complexes import WeightedCellComplex, build_complex
-from .deform import DeformationReport, SweepSample
 
 
 def _require(value, kind: type, what: str):
@@ -164,6 +163,8 @@ def profile_to_dict(p: DimensionProfile) -> dict:
 
 
 def profile_from_dict(data: dict) -> DimensionProfile:
+    from .category import DimensionProfile, product_profile
+
     _require(data, dict, "a profile")
     factors = tuple(profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors"))
     if "betti" not in data and factors:
@@ -198,6 +199,8 @@ def load_profile(path: str) -> DimensionProfile:
 # ---------------------------------------------------------------------------
 
 def report_to_csv(report: DeformationReport) -> str:
+    import csv
+
     buf = _io.StringIO()
     writer = csv.writer(buf)
     parts = report.partition.parts
@@ -212,6 +215,10 @@ def report_to_csv(report: DeformationReport) -> str:
 
 
 def csv_to_samples(text: str) -> list[SweepSample]:
+    import csv
+
+    from .deform import SweepSample
+
     reader = csv.reader(_io.StringIO(text))
     header = next(reader)
     nparts = len(header) - 4

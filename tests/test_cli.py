@@ -278,6 +278,24 @@ def test_deform_csv(files, capsys):
     assert "verdict: bounded" in out
 
 
+@pytest.mark.parametrize("ts", ["", " , "])
+def test_deform_without_samples_exits_two(files, capsys, ts):
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, "deform", files["circle3"], files["circle3"],
+                             "--partition", "1,1", "--t", ts, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "empty" in err
+
+
+def test_deform_one_sample_is_inconclusive(files, capsys):
+    code, out, _ = run(capsys, "deform", files["circle3"], files["circle3"],
+                       "--partition", "1,1", "--t", "2")
+    assert code == 0
+    assert out.splitlines() == ["t = 2: product = 9, volume = 18, ratio = 1/2 (~0.5)",
+                                "verdict: inconclusive (growth exponent n/a; "
+                                "evidence along one family, not a proof)"]
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "homology", "/nonexistent/file.json")
     assert code == 2

@@ -64,12 +64,21 @@ def test_s1_x_s2_good_partition_is_bounded():
 
 def test_sweep_validates_samples_and_partition():
     fam = DeformationFamily(flat_torus(3))
+    with pytest.raises(ValueError, match="empty"):
+        deformation_sweep(fam, Partition((1, 1)), t_samples=())
     with pytest.raises(ValueError):
         deformation_sweep(fam, Partition((1, 1)), t_samples=(F(2), F(1)))
     with pytest.raises(ValueError):
         deformation_sweep(fam, Partition((1, 1)), t_samples=(F(1, 2), F(1)))
     with pytest.raises(ValueError):
         deformation_sweep(fam, Partition((3,)), t_samples=(F(1), F(2)))
+
+
+def test_one_sample_sweep_is_inconclusive():
+    rep = deformation_sweep(DeformationFamily(flat_torus(3)), Partition((1, 1)), t_samples=(F(2),))
+    assert [s.ratio for s in rep.samples] == [F(1, 2)]
+    assert rep.growth_exponent is None
+    assert rep.verdict == "inconclusive"
 
 
 def test_exact_log():
