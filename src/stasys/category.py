@@ -106,10 +106,7 @@ class DimensionProfile:
 
     @property
     def lpd(self) -> int | None:
-        for q in range(1, self.n + 1):
-            if self.betti[q] > 0:
-                return q
-        return None
+        return min(self.admissible_degrees, default=None)
 
     @property
     def admissible_degrees(self) -> set[int]:
@@ -227,8 +224,15 @@ class CategoryVerdict:
 
 
 def _max_admissible_size(profile: DimensionProfile) -> int:
-    parts = enumerate_partitions(profile.n, profile.admissible_degrees)
-    return parts[0].size if parts else 0
+    """Most parts of an admissible partition of n (0 if there is none)."""
+    if profile.n < 1:
+        raise ValueError("n must be positive")
+    degrees = sorted(profile.admissible_degrees)
+    most: list[int | None] = [0]  # most[m]: most admissible parts summing to m
+    for m in range(1, profile.n + 1):
+        counts = [most[m - d] for d in degrees if d <= m and most[m - d] is not None]
+        most.append(max(counts) + 1 if counts else None)
+    return most[profile.n] or 0
 
 
 def _sum_rule_applies(p: DimensionProfile, q: DimensionProfile) -> tuple[bool, str]:
@@ -239,9 +243,7 @@ def _sum_rule_applies(p: DimensionProfile, q: DimensionProfile) -> tuple[bool, s
     dimension (without the floor conditions the rule would claim products
     it does not cover, e.g. a circle times a 2-sphere).
     """
-    lp, lq = p.lpd, q.lpd
-    if lp is None or lq is None:
-        return False, "a factor has no positive-degree homology"
+    lp, lq = p.lpd, q.lpd  # not None: every factor already passed catstsys_bounds
     if p.resolved_max_cup() is not True or q.resolved_max_cup() is not True:
         return False, "factor without known maximal cup length"
     if not mod_condition(p.n, lp, q.n, lq):
@@ -260,14 +262,11 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
     lower, lower_rule = 1, "fundamental-class partition"
     upper, upper_rule = _max_admissible_size(profile), "admissible-partition arithmetic"
 
-    flag = profile.resolved_max_cup()
-    if flag is True:
-        l = profile.lpd
-        cap = profile.n // l
+    if profile.resolved_max_cup() is True:
+        # every admissible part is at least lpd, so upper <= cap already
+        cap = profile.n // profile.lpd
         if cap > lower:
             lower, lower_rule = cap, "cup-length lower bound (maximal cup length)"
-        if cap < upper:
-            upper, upper_rule = cap, "dimension cap at maximal cup length"
 
     if profile.factors:
         subs = [catstsys_bounds(f) for f in profile.factors]
@@ -343,12 +342,10 @@ def _is_categorical(profile: DimensionProfile, part: Partition) -> bool:
     if part.size == 1:
         return part.parts[0] == profile.n and profile.betti[profile.n] > 0
     if profile.resolved_max_cup() is True:
+        # a maximal-length witness carries the homogeneous split l + ... + l = n
         l = profile.lpd
-        if part.size == profile.n // l and all(p >= l for p in part.parts):
-            # a maximal-length witness exists; accept the partition matching
-            # the homogeneous split when the dimension cap is met exactly
-            if part.size * l == profile.n and all(p == l for p in part.parts):
-                return True
+        if part.size * l == profile.n and all(p == l for p in part.parts):
+            return True
     if profile.factors and len(profile.factors) >= 2:
         return _splits_into_factor_partitions(list(part.parts), list(profile.factors))
     return False
@@ -367,8 +364,6 @@ def _splits_into_factor_partitions(parts: list[int], factors: list[DimensionProf
             if not _is_categorical(head, Partition(tuple(chosen))):
                 continue
             remaining = [p for i, p in enumerate(parts) if i not in combo]
-            if not rest and not remaining:
-                return True
-            if rest and _splits_into_factor_partitions(remaining, rest):
+            if _splits_into_factor_partitions(remaining, rest):
                 return True
     return False

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (an inapplicable or inconclusive law included), 1 a
 verified property failed, 2 bad input.  All numeric output is printed as an
-exact fraction, with a decimal approximation in parentheses when not an integer.
+exact fraction, with a decimal approximation in parentheses when it is not an
+integer and a float can hold it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ def fmt(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
-    return f"{x} (~{float(x):.6g})"
+    try:
+        return f"{x} (~{float(x):.6g})"
+    except OverflowError:  # beyond the float range: the exact fraction alone
+        return str(x)
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:

@@ -2,10 +2,10 @@
 
 Cochains are evaluated on the stored (globally sorted) vertex orders, the
 dual basis is the homology summary's coordinate map (no second solve), the
-cup product is the front-face/back-face formula, and ring invariants are
-computed by an exact degree-wise span filtration: cup-length, the least
-positive dimension with nonzero reduced cohomology, and whether the ring
-attains the dimensional cap floor(n / lpd) with a top-degree product.
+cup product is the front-face/back-face formula, and ``ring_profile`` reads
+all ring invariants off one exact degree-wise span filtration: cup-length,
+the least positive dimension with nonzero reduced cohomology, and whether the
+ring attains the dimensional cap floor(n / lpd) with a top-degree product.
 """
 
 from __future__ import annotations
@@ -56,12 +56,11 @@ def coboundary(K: WeightedCellComplex, alpha: Cochain) -> Cochain:
     q = alpha.degree
     n_up = K.n_cells(q + 1)
     out = [Fraction(0)] * n_up
-    if n_up:
-        for j in range(n_up):
-            total = Fraction(0)
-            for face, inc in K.boundary_cols[q + 1][j]:
-                total += inc * alpha.values[face]
-            out[j] = total
+    for j in range(n_up):
+        total = Fraction(0)
+        for face, inc in K.boundary_cols[q + 1][j]:
+            total += inc * alpha.values[face]
+        out[j] = total
     return Cochain(q + 1, tuple(out))
 
 
@@ -123,7 +122,7 @@ def _product_filtration(K: WeightedCellComplex) -> list[list[_RingElement]]:
     """Levels of the span filtration generated by positive-degree classes.
 
     Level k holds a basis (in cohomology coordinates) of the span of all
-    k-fold cup products; level 0 is a placeholder.
+    k-fold cup products; level 0 is a placeholder, and later levels are nonempty.
     """
     basis = cohomology_basis(K)
     level1 = [
@@ -131,9 +130,11 @@ def _product_filtration(K: WeightedCellComplex) -> list[list[_RingElement]]:
         for q in range(1, K.top_dim + 1)
         for alpha in basis.basis[q]
     ]
-    levels: list[list[_RingElement]] = [[], level1]
-    while levels[-1]:
-        nxt: list[_RingElement] = []
+    levels: list[list[_RingElement]] = [[]]
+    nxt = level1
+    while nxt:
+        levels.append(nxt)
+        nxt = []
         span: dict[int, list[list[Fraction]]] = {}
         for el in levels[-1]:
             for gen in level1:
@@ -148,19 +149,7 @@ def _product_filtration(K: WeightedCellComplex) -> list[list[_RingElement]]:
                 if linalg.rank(rows + [coords]) > len(rows):
                     rows.append(coords)
                     nxt.append(_RingElement(prod, el.factor_degrees + gen.factor_degrees))
-        if not nxt:
-            break
-        levels.append(nxt)
     return levels
-
-
-def cup_length(K: WeightedCellComplex) -> int:
-    """Longest nonzero cup product of positive-degree rational classes."""
-    return _cup_length(_product_filtration(K))
-
-
-def _cup_length(levels: list[list[_RingElement]]) -> int:
-    return max(k for k, lvl in enumerate(levels) if lvl or k == 0)
 
 
 def lpd(K: WeightedCellComplex) -> int | None:
@@ -172,37 +161,30 @@ def lpd(K: WeightedCellComplex) -> int | None:
     return None
 
 
-def has_maximal_real_cup_length(K: WeightedCellComplex) -> tuple[bool, tuple[int, ...] | None]:
-    """True iff a floor(n/lpd)-fold product is nonzero in top-degree cohomology."""
-    l = lpd(K)
-    if l is None:
-        return False, None
-    return _maximal_product(K.top_dim, l, _product_filtration(K))
-
-
-def _maximal_product(
-    n: int, l: int | None, levels: list[list[_RingElement]]
-) -> tuple[bool, tuple[int, ...] | None]:
-    """A floor(n/l)-fold product of degree n among the filtration's levels."""
-    if l is None:
-        return False, None
-    r = n // l
-    if r == 0 or r >= len(levels):
-        return False, None
-    for el in levels[r]:
-        if el.cochain.degree == n:
-            return True, el.factor_degrees
-    return False, None
-
-
 def ring_profile(K: WeightedCellComplex) -> RingProfile:
+    """Ring invariants; the witness is a nonzero floor(n/lpd)-fold product of degree n."""
+    levels = _product_filtration(K)  # raises first on a non-simplicial complex
     l = lpd(K)
-    levels = _product_filtration(K)
-    flag, witness = _maximal_product(K.top_dim, l, levels)
+    n = K.top_dim
+    witness = None
+    if l is not None and n // l < len(levels):
+        witness = next((el.factor_degrees for el in levels[n // l]
+                        if el.cochain.degree == n), None)
     return RingProfile(
-        dimension=K.top_dim,
+        dimension=n,
         lpd=l,
-        cup_length=_cup_length(levels),
-        max_cup_length_flag=flag,
+        cup_length=len(levels) - 1,
+        max_cup_length_flag=witness is not None,
         witness_degrees=witness,
     )
+
+
+def cup_length(K: WeightedCellComplex) -> int:
+    """Longest nonzero cup product of positive-degree rational classes."""
+    return ring_profile(K).cup_length
+
+
+def has_maximal_real_cup_length(K: WeightedCellComplex) -> tuple[bool, tuple[int, ...] | None]:
+    """True iff a floor(n/lpd)-fold product is nonzero in top-degree cohomology."""
+    ring = ring_profile(K)
+    return ring.max_cup_length_flag, ring.witness_degrees

@@ -121,25 +121,16 @@ class WeightedCellComplex:
         ws = self.weights[chain.degree]
         return sum((abs(c) * w for c, w in zip(chain.coeffs, ws) if c), Fraction(0))
 
-    def rescale(self, t: Rational, by_factor_tags: bool = False) -> "WeightedCellComplex":
-        """Scale weights by t^q per degree, or t^a per first-factor degree."""
+    def rescale(self, t: Rational) -> "WeightedCellComplex":
+        """Scale the weights of degree q by t^q."""
         t = Fraction(t)
         if t <= 0:
             raise ValueError("scale factor must be positive")
         powers = [t ** q for q in range(self.top_dim + 1)]
-        if by_factor_tags:
-            if self.factor_degrees is None:
-                raise ValueError("complex has no factor tags")
-            new_weights = tuple(
-                tuple(w * powers[a] if a else w for w, (a, _) in zip(ws, tags))
-                for ws, tags in zip(self.weights, self.factor_degrees)
-            )
-        else:
-            new_weights = tuple(
-                tuple(w * powers[q] for w in ws) if q else ws
-                for q, ws in enumerate(self.weights)
-            )
-        return replace(self, weights=new_weights)
+        return replace(self, weights=tuple(
+            tuple(w * powers[q] for w in ws) if q else ws
+            for q, ws in enumerate(self.weights)
+        ))
 
     @cached_property
     def _vertex_index(self) -> tuple[dict[tuple[int, ...], int], ...] | None:
@@ -379,7 +370,13 @@ class DeformationFamily:
         t = Fraction(t)
         if t == 1:
             return self.base
-        return self.base.rescale(t, by_factor_tags=True)
+        if t <= 0:
+            raise ValueError("scale factor must be positive")
+        powers = [t ** a for a in range(self.base.top_dim + 1)]
+        return replace(self.base, weights=tuple(
+            tuple(w * powers[a] if a else w for w, (a, _) in zip(ws, tags))
+            for ws, tags in zip(self.base.weights, self.base.factor_degrees)
+        ))
 
 
 # ---------------------------------------------------------------------------

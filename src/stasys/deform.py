@@ -115,11 +115,20 @@ def _tail_exponent(samples: list[SweepSample]) -> int | None:
 
 
 def _exact_log(base: Fraction, value: Fraction) -> int | None:
+    """Integer w with base ** w == value, or None.
+
+    base = a/b in lowest terms, and base ** w is a^w / b^w (b^-w / a^-w for w < 0):
+    the guess compares ints, which math.log takes at any size, with log(a) > 0.
+    """
     if base <= 1 or value <= 0:
         return None
     if value == 1:
         return 0
-    guess = round(math.log(float(value)) / math.log(float(base)))
+    a = math.log(base.numerator)
+    if value > 1:
+        guess = round(math.log(value.numerator) / a)
+    else:
+        guess = -round(math.log(value.denominator) / a)
     for w in (guess - 1, guess, guess + 1):
         if base ** w == value:
             return w

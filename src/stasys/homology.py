@@ -52,10 +52,6 @@ class HomologySummary:
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
     tableaux: dict = field(default_factory=dict, compare=False, repr=False)  # norm LPs by q
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.betti) - 1
-
     def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
         """Rational homology coordinates of a cycle; zero iff z bounds."""
         if not K.is_cycle(z):

@@ -8,8 +8,8 @@ from it.  Boundary matrices run to thousands of rows and are almost all
 zeros and unit pivots, so the Smith form works on sparse rows and each
 elementary operation costs the nonzeros it touches.  The rational routines
 are dense Gaussian elimination on small matrices and serve rank tests
-(cup-product spans, degree-sandwich injectivity); ``solve`` and ``inverse``
-remain as exact references for the tests.
+(cup-product spans, degree-sandwich injectivity).  ``inverse`` has no caller
+in the library; it stays because ``perfbench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -54,21 +54,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1]) if a else 0
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    if not a:
-        return None if any(b) else []
-    n = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx][n]
-    return x
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -160,11 +145,6 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
             axpy(v_inv_t[pd], v_inv_t[ps], k)
             axpy(v[ps], v[pd], -k)
 
-    def negate_row(i):
-        p = rp[i]
-        for mat in (rows, u_inv, u_t):
-            mat[p] = {c: -x for c, x in mat[p].items()}
-
     def entry(i, j):
         return rows[rp[i]].get(cp[j], 0)
 
@@ -185,8 +165,10 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
             break
         swap_rows(t, best[1])
         swap_cols(t, best[2])
-        if entry(t, t) < 0:
-            negate_row(t)
+        if entry(t, t) < 0:  # negate row t of D and U_inv, and column t of U
+            p = rp[t]
+            for mat in (rows, u_inv, u_t):
+                mat[p] = {c: -x for c, x in mat[p].items()}
         # clear row and column t; pivot may shrink, so iterate.  An operation
         # on row (column) i leaves the later rows (columns) as they were, so
         # the nonzeros found at the start of a pass are the ones it visits.
@@ -195,10 +177,8 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
             for i in sorted(rpos[r] for r in cols[cp[t]]):
                 if i > t:
                     add_row(i, t, -(entry(i, t) // entry(t, t)))
-                    if entry(i, t) != 0:
+                    if entry(i, t) != 0:  # a remainder mod the pivot: positive
                         swap_rows(t, i)
-                        if entry(t, t) < 0:
-                            negate_row(t)
                         dirty = True
             for j in sorted(cpos[c] for c in rows[rp[t]]):
                 if j > t:

@@ -387,19 +387,20 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
     K = pullback_weights(info)
     L = info.target
     hk, hl = homology(K), homology(L)
-    if hk.betti[q] == 0 or hl.betti[q] == 0:
+    if not 0 <= q <= L.top_dim or hk.betti[q] == 0 or hl.betti[q] == 0:
         raise ValueError(f"trivial homology in degree {q}")
     pushed = [hl.class_coordinates(L, push_chain(info, g)) for g in hk.generators[q]]
     from .linalg import rank
     mono = rank([list(map(Fraction, row)) for row in pushed]) == hk.betti[q]
-    if not mono:
+    if not mono or info.degree_bound == 0:  # a degree-0 map bounds nothing above
         return VerificationReport(
             name="degree-sandwich",
             lhs=None,
             rhs=None,
             relation="<=",
             status="inapplicable",
-            details={"reason": "map is not injective on degree-%d rational homology" % q},
+            details={"reason": "map is not injective on degree-%d rational homology" % q
+                     if not mono else "map has degree 0"},
         )
     searches = stable_systole(L, q), stable_systole(K, q)
     sl, sk = (systole_value(res, q) for res in searches)

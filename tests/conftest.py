@@ -31,6 +31,7 @@ from stasys import (
     sphere,
     torus_triangulated,
 )
+from stasys.linalg import rref
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,20 @@ def rational_rank(mat: list[list[int]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """One solution of A x = b, or None if inconsistent (exact, by row reduction)."""
+    if not a:
+        return None if any(b) else []
+    n = len(a[0])
+    r, pivots = rref([list(row) + [bv] for row, bv in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = r[row_idx][n]
+    return x
 
 
 def betti_oracle(K: WeightedCellComplex, q: int) -> int:

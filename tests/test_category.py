@@ -17,6 +17,11 @@ from stasys import (
     sphere_profile,
     torus_triangulated,
 )
+from stasys.category import _max_admissible_size
+
+T2 = DimensionProfile(n=2, betti=(1, 2, 1), max_cup_flag=True, name="T2")
+P = DimensionProfile(n=5, betti=(1, 0, 1, 1, 0, 1), max_cup_flag=True, name="P")
+Q = DimensionProfile(n=4, betti=(1, 0, 1, 0, 1), name="Q")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,47 @@ def test_sum_rule_reports_inapplicable_for_s1_x_s2():
     assert any("factor-sum rule inapplicable" in n for n in v.notes)
 
 
+def test_factor_cup_length_sum_lower_bound():
+    v = catstsys_bounds(kunneth_product(T2, sphere_profile(2)))
+    assert (v.lower, v.upper) == (3, 4)
+    assert v.lower_rule == "factor cup-length sum"
+
+
+def test_factor_sum_rule_sets_the_upper_bound():
+    v = catstsys_bounds(kunneth_product(P, sphere_profile(3)))
+    assert v.exact and v.value == 3
+    assert v.upper_rule == "factor-sum rule"
+
+
+def test_factor_sum_rule_inapplicable_notes():
+    v = catstsys_bounds(kunneth_product(P, P))
+    assert (v.lower, v.upper) == (4, 5)
+    assert "factor-sum rule inapplicable to (P) x (P): remainder condition fails" in v.notes
+    v = catstsys_bounds(kunneth_product(Q, sphere_profile(2)))
+    assert (v.lower, v.upper) == (1, 3)
+    assert ("factor-sum rule inapplicable to (Q) x (S2): "
+            "factor without known maximal cup length") in v.notes
+
+
+def test_max_admissible_size_matches_enumeration():
+    # every set of admissible degrees containing n, for n up to 8
+    for n in range(1, 9):
+        for mask in range(2 ** (n - 1)):
+            betti = (1,) + tuple((mask >> (q - 1)) & 1 for q in range(1, n)) + (1,)
+            p = DimensionProfile(n=n, betti=betti)
+            parts = enumerate_partitions(n, p.admissible_degrees)
+            assert _max_admissible_size(p) == parts[0].size, betti
+    for p in (T2, P, Q, kunneth_product(P, Q), parse_product_expression("S2 x S3 x S5")):
+        assert _max_admissible_size(p) == enumerate_partitions(p.n, p.admissible_degrees)[0].size
+
+
+def test_two_hundred_circles():
+    p = product_profile([sphere_profile(1)] * 200)
+    assert _max_admissible_size(p) == 200
+    v = catstsys_bounds(p)
+    assert v.exact and v.value == 200
+
+
 def test_nonorientable_profiles_rejected():
     p = DimensionProfile(n=2, betti=(1, 0, 0), orientable=False)
     with pytest.raises(ValueError):
@@ -163,3 +209,8 @@ def test_partition_verdicts_s1_x_s2():
     assert verdicts[(1, 2)] == "categorical"
     assert verdicts[(1, 1, 1)] == "ruled-out"  # size 3 > category 2
     assert verdicts[(3,)] == "categorical"
+
+
+def test_partition_verdicts_without_known_ring():
+    verdicts = {part.parts: v for part, v in partition_verdicts(Q).items()}
+    assert verdicts == {(2, 2): "unknown", (4,): "categorical"}

@@ -1,21 +1,25 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stasys import (
+    DimensionProfile,
     circle,
     complex_to_dict,
+    cubical_sphere,
     flat_torus,
     rp2,
     save_complex,
+    save_profile,
     sphere,
     torus_triangulated,
 )
-from stasys.cli import main
+from stasys.cli import fmt, main
 
 from conftest import capped_systoles
 
@@ -232,6 +236,28 @@ def test_catstsys_expression(capsys):
     assert "factor-sum rule inapplicable" in out
 
 
+def test_catstsys_and_lpd_on_a_profile_file(tmp_path, capsys):
+    path = str(tmp_path / "q.json")
+    save_profile(DimensionProfile(n=4, betti=(1, 0, 1, 0, 1), name="Q"), path)
+    code, out, _ = run(capsys, "catstsys", path)
+    assert code == 0
+    assert out.splitlines()[0] == "catstsys(Q) in [1, 2]"
+    assert run(capsys, "lpd", path) == (0, "lpd = 2\n", "")
+
+
+def test_fmt_beyond_float_range():
+    assert fmt(F(1, 3)) == "1/3 (~0.333333)"
+    assert fmt(F(10**400, 3)) == f"{10**400}/3"
+
+
+def test_verify_rescale_beyond_float_range(files, capsys):
+    code, out, err = run(capsys, "verify", "rescale", files["circle3"],
+                         "-q", "1", "--t", f"{10**400}/3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [f"PASS rescaling-law: {10**400} == {10**400}",
+                                    f"  t = {10**400}/3"]
+
+
 def test_verify_rescale(files, capsys):
     code, out, _ = run(capsys, "verify", "rescale", files["circle3"],
                        "-q", "1", "--t", "7")
@@ -268,6 +294,26 @@ def test_verify_degree_sandwich(files, capsys):
                        files["circle3"], "--vertex-map", "0,1,2,0,1,2", "-q", "1")
     assert code == 0
     assert "degree-bound = 2" in out
+
+
+def test_verify_degree_sandwich_not_injective_is_inapplicable(files, capsys):
+    code, out, _ = run(capsys, "verify", "degree-sandwich", files["circle6"],
+                       files["circle3"], "--vertex-map", "0,1,2,1,0,2", "-q", "1")
+    assert code == 0
+    assert out.startswith("INAPPLICABLE degree-sandwich: map is not injective")
+
+
+def test_deform_beyond_float_range(files, tmp_path, capsys):
+    s1, s2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
+    save_complex(circle(3, kind="cubical"), s1)
+    save_complex(cubical_sphere(2), s2)
+    code, out, err = run(capsys, "deform", s1, s2, "--partition", "1,1,1", "--t", "1,2,1e200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("verdict: diverges(2) (growth exponent 2;")
+    code, out, err = run(capsys, "deform", files["circle3"], files["circle3"],
+                         "--partition", "1,1", "--t", "1,1e400")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("verdict: bounded (growth exponent -1;")
 
 
 def test_deform_csv(files, capsys):
@@ -363,6 +409,8 @@ def command_lines(draw):
 @given(command_lines())
 @example(["stable-norm", "circle3", "-q", "1", "--class=--"])  # argparse gives a list
 @example(["verify", "projection", "circle3", "circle4", "-q", "99999999999999999999"])
+@example(["verify", "degree-sandwich", "circle4", "circle3", "--vertex-map=1,2,1,2", "-q", "2"])
+@example(["verify", "degree-sandwich", "circle4", "circle3", "--vertex-map=1,2,1,2", "-q", "0"])
 def test_junk_arguments_exit_zero_or_two(small_files, capsys, argv):
     argv = [small_files.get(a, a) for a in argv]
     try:

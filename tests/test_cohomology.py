@@ -7,6 +7,7 @@ import pytest
 
 from stasys import (
     Cochain,
+    build_complex,
     circle,
     coboundary,
     cohomology_basis,
@@ -168,6 +169,15 @@ def test_unit_acts_as_identity():
     beta = cohomology_basis(K).basis[1][0]
     prod = cup_product(K, one, beta)
     assert cohomology_coordinates(K, prod) == cohomology_coordinates(K, beta)
+
+
+def test_maximal_cup_length_requires_simplicial():
+    # a single cubical vertex has no positive-degree homology, and still raises
+    K = build_complex("cubical", [[("v", 1, [])]])
+    with pytest.raises(ValueError, match="simplicial"):
+        has_maximal_real_cup_length(K)
+    with pytest.raises(ValueError, match="simplicial"):
+        cup_length(K)
 
 
 def test_cup_product_requires_simplicial():

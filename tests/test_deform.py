@@ -87,3 +87,10 @@ def test_exact_log():
     assert _exact_log(F(2), F(1)) == 0
     assert _exact_log(F(2), F(3)) is None
     assert _exact_log(F(1), F(2)) is None
+
+
+def test_exact_log_beyond_float_range():
+    assert _exact_log(F(10**400), F(10**800)) == 2
+    assert _exact_log(F(10**400), F(1, 10**400)) == -1
+    # a base that rounds to the float 1.0 gives no guess from log(base)
+    assert _exact_log(F(10**400 + 1, 10**400), F(2)) is None

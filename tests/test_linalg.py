@@ -11,9 +11,10 @@ from stasys.linalg import (
     rank,
     rref,
     smith_normal_form,
-    solve,
     transpose,
 )
+
+from conftest import solve
 
 F = Fraction
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stasys.linalg import rank, solve
+from stasys.linalg import rank
 from stasys.lp import Infeasible, Unbounded, prepare, solve_lp
+
+from conftest import solve
 
 F = Fraction
 
@@ -91,7 +93,7 @@ def bfs_optimum(a, b, c):
 
     An independent oracle: every vertex is the unique solution on some
     rank(A) linearly independent columns, so enumerating those column sets
-    with `linalg.solve` and keeping the nonnegative solutions finds them all.
+    with `conftest.solve` and keeping the nonnegative solutions finds them all.
     """
     n = len(c)
     best, vertices = None, set()
