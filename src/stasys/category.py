@@ -9,7 +9,6 @@ Where no rule closes the gap the verdict stays honest: lower < upper.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -74,35 +73,40 @@ def mod_condition(m: int, lpd_m: int, n: int, lpd_n: int) -> bool:
 
 @dataclass(frozen=True)
 class DimensionProfile:
-    """Symbolic descriptor: dimension, Betti numbers and ring-level flags.
+    """Symbolic descriptor: dimension, Betti numbers and a ring-level flag.
 
     ``max_cup_flag`` is three-valued: True/False when known, None when the
     ring-level property cannot be derived from the available data.
+    Orientability and being a real homology sphere are read off the Betti
+    numbers.
     """
 
     n: int
     betti: tuple[int, ...]
-    orientable: bool = True
     max_cup_flag: bool | None = None
-    homology_sphere: bool = False
     factors: tuple["DimensionProfile", ...] = ()
     name: str = ""
 
     def __post_init__(self):
         betti = tuple(int(b) for b in self.betti)
+        if self.n < 0:
+            raise ValueError(f"dimension must be at least 0, not {self.n}")
         if len(betti) != self.n + 1:
             raise ValueError("betti list must have n+1 entries")
         if betti[0] != 1:
             raise ValueError("profiles describe connected spaces (betti_0 = 1)")
-        if self.orientable and betti[self.n] != 1:
-            raise ValueError("orientable profiles need betti_n = 1")
-        if self.homology_sphere:
-            expected = tuple(
-                1 if q in (0, self.n) else 0 for q in range(self.n + 1)
-            )
-            if betti != expected:
-                raise ValueError("homology-sphere profile has wrong Betti numbers")
+        if betti[self.n] not in (0, 1):
+            raise ValueError("a closed connected manifold has betti_n = 0 or 1")
         object.__setattr__(self, "betti", betti)
+
+    @property
+    def orientable(self) -> bool:
+        return self.betti[self.n] == 1
+
+    @property
+    def homology_sphere(self) -> bool:
+        """A real homology sphere: n >= 1 and betti = (1, 0, ..., 0, 1)."""
+        return self.n >= 1 and self.betti == (1,) + (0,) * (self.n - 1) + (1,)
 
     @property
     def lpd(self) -> int | None:
@@ -122,10 +126,7 @@ def sphere_profile(m: int) -> DimensionProfile:
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
     betti = tuple(1 if q in (0, m) else 0 for q in range(m + 1))
-    return DimensionProfile(
-        n=m, betti=betti, orientable=True, max_cup_flag=True,
-        homology_sphere=True, name=f"S{m}",
-    )
+    return DimensionProfile(n=m, betti=betti, max_cup_flag=True, name=f"S{m}")
 
 
 def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionProfile:
@@ -133,35 +134,24 @@ def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionPro
     from .cohomology import has_maximal_real_cup_length
     from .homology import homology
 
-    betti = homology(K).betti
-    n = K.top_dim
-    flag: bool | None
-    if K.kind == "simplicial":
-        flag = has_maximal_real_cup_length(K)[0]
-    else:
-        flag = None
-    orientable = betti[n] == 1
-    sphere_like = betti == tuple(1 if q in (0, n) else 0 for q in range(n + 1))
-    return DimensionProfile(
-        n=n, betti=betti, orientable=orientable, max_cup_flag=flag,
-        homology_sphere=sphere_like and orientable, name=name,
-    )
+    flag = has_maximal_real_cup_length(K)[0] if K.kind == "simplicial" else None
+    return DimensionProfile(n=K.top_dim, betti=homology(K).betti, max_cup_flag=flag, name=name)
 
 
 def _product_max_cup(p: DimensionProfile, q: DimensionProfile) -> bool | None:
     """Derive the maximal-cup-length flag of a product, when the floor and
     remainder compatibility conditions allow it; None when underivable."""
-    lp, lq = p.lpd, q.lpd
-    if lp is None or lq is None:
+    if (p.lpd is None or q.lpd is None
+            or p.resolved_max_cup() is not True or q.resolved_max_cup() is not True):
         return None
-    if p.resolved_max_cup() is not True or q.resolved_max_cup() is not True:
-        return None
-    l = min(lp, lq)
-    if p.n // lp != p.n // l or q.n // lq != q.n // l:
-        return None
-    if p.n % l + q.n % l < l:
-        return True
-    return None
+    l = min(p.lpd, q.lpd)
+    return True if _floors_agree(p, q) and p.n % l + q.n % l < l else None
+
+
+def _floors_agree(p: DimensionProfile, q: DimensionProfile) -> bool:
+    """floor(n / lpd) of each factor equals floor(n / l), l the combined lpd."""
+    l = min(p.lpd, q.lpd)
+    return p.n // p.lpd == p.n // l and q.n // q.lpd == q.n // l
 
 
 def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfile:
@@ -176,9 +166,7 @@ def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfil
     return DimensionProfile(
         n=n,
         betti=tuple(betti),
-        orientable=p.orientable and q.orientable,
         max_cup_flag=_product_max_cup(p, q),
-        homology_sphere=False,
         factors=factors,
         name=name,
     )
@@ -243,13 +231,12 @@ def _sum_rule_applies(p: DimensionProfile, q: DimensionProfile) -> tuple[bool, s
     dimension (without the floor conditions the rule would claim products
     it does not cover, e.g. a circle times a 2-sphere).
     """
-    lp, lq = p.lpd, q.lpd  # not None: every factor already passed catstsys_bounds
+    # lpd is not None: every factor already passed catstsys_bounds
     if p.resolved_max_cup() is not True or q.resolved_max_cup() is not True:
         return False, "factor without known maximal cup length"
-    if not mod_condition(p.n, lp, q.n, lq):
+    if not mod_condition(p.n, p.lpd, q.n, q.lpd):
         return False, "remainder condition fails"
-    l = min(lp, lq)
-    if p.n // lp != p.n // l or q.n // lq != q.n // l:
+    if not _floors_agree(p, q):
         return False, "floor compatibility with the combined least positive dimension fails"
     return True, ""
 
@@ -282,33 +269,26 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
             if total > lower:
                 lower, lower_rule = total, "factor cup-length sum"
         # fold the factor-sum rule pairwise over the factor list
-        acc = profile.factors[0]
-        acc_verdict = subs[0]
-        folded = acc_verdict.exact
+        acc, value, folded = profile.factors[0], subs[0].lower, subs[0].exact
         for f, sub in zip(profile.factors[1:], subs[1:]):
             ok, why = _sum_rule_applies(acc, f)
-            if ok and folded and sub.exact:
-                value = acc_verdict.lower + sub.lower
-                acc = kunneth_product(acc, f)
-                acc_verdict = CategoryVerdict(value, value, "factor-sum rule", "factor-sum rule")
-                notes.append(
-                    f"factor-sum rule applies to {acc.name}: remainder condition holds"
-                )
-            else:
+            if not (ok and folded and sub.exact):
                 if not ok:
-                    notes.append(
-                        f"factor-sum rule inapplicable to ({acc.name}) x ({f.name}): {why}"
-                    )
+                    notes.append(f"factor-sum rule inapplicable to ({acc.name or '?'}) x "
+                                 f"({f.name or '?'}): {why}")
                 folded = False
                 break
+            acc, value = kunneth_product(acc, f), value + sub.lower
+            notes.append(f"factor-sum rule applies to {acc.name}: remainder condition holds")
         if folded and len(profile.factors) > 1:
-            if acc_verdict.lower > lower:
-                lower, lower_rule = acc_verdict.lower, "factor-sum rule"
-            if acc_verdict.upper < upper:
-                upper, upper_rule = acc_verdict.upper, "factor-sum rule"
+            if value > lower:
+                lower, lower_rule = value, "factor-sum rule"
+            if value < upper:
+                upper, upper_rule = value, "factor-sum rule"
 
-    if lower > upper:
-        raise RuntimeError(f"inconsistent bounds {lower} > {upper} for {profile.name}")
+    if lower > upper:  # a ring flag no cup product attains, or factors that are not the product's
+        raise ValueError(f"inconsistent profile {profile.name or '?'}: lower bound {lower} via "
+                         f"{lower_rule} exceeds upper bound {upper} via {upper_rule}")
     return CategoryVerdict(
         lower=lower,
         upper=upper,
@@ -320,50 +300,26 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
 
 def partition_verdicts(profile: DimensionProfile) -> dict[Partition, str]:
     """Classify every admissible partition as categorical / ruled-out / unknown."""
-    verdict = catstsys_bounds(profile)
-    out: dict[Partition, str] = {}
-    for part in enumerate_partitions(profile.n, profile.admissible_degrees):
-        if part.size > verdict.upper:
-            out[part] = "ruled-out"
-        elif _is_categorical(profile, part):
-            out[part] = "categorical"
-        else:
-            out[part] = "unknown"
+    upper = catstsys_bounds(profile).upper
+    witnessed = _witnessed_partitions(profile)
+    return {
+        part: "ruled-out" if part.size > upper else
+              "categorical" if part.parts in witnessed else "unknown"
+        for part in enumerate_partitions(profile.n, profile.admissible_degrees)
+    }
+
+
+def _witnessed_partitions(profile: DimensionProfile) -> set[tuple[int, ...]]:
+    """Sorted partitions of n carried by the fundamental class, by a ring that
+    attains its cap (l + ... + l = n), or, on a product, by the cross product
+    of one witness per factor.  lpd is not None: catstsys_bounds passed."""
+    n, l = profile.n, profile.lpd
+    out = {(n,)} if profile.betti[n] > 0 else set()
+    if profile.resolved_max_cup() is True and n % l == 0:
+        out.add((l,) * (n // l))
+    if len(profile.factors) >= 2:
+        unions = {()}
+        for f in profile.factors:
+            unions = {tuple(sorted(u + w)) for u in unions for w in _witnessed_partitions(f)}
+        out |= unions
     return out
-
-
-def _is_categorical(profile: DimensionProfile, part: Partition) -> bool:
-    """Witnessed-categorical test via cup-product factorizations.
-
-    Single-part partitions are carried by the fundamental class; products
-    recurse: a partition splitting into per-factor categorical partitions
-    is categorical by the cross product of the factor witnesses.
-    """
-    if part.size == 1:
-        return part.parts[0] == profile.n and profile.betti[profile.n] > 0
-    if profile.resolved_max_cup() is True:
-        # a maximal-length witness carries the homogeneous split l + ... + l = n
-        l = profile.lpd
-        if part.size * l == profile.n and all(p == l for p in part.parts):
-            return True
-    if profile.factors and len(profile.factors) >= 2:
-        return _splits_into_factor_partitions(list(part.parts), list(profile.factors))
-    return False
-
-
-def _splits_into_factor_partitions(parts: list[int], factors: list[DimensionProfile]) -> bool:
-    if not factors:
-        return not parts
-    head, rest = factors[0], factors[1:]
-    indices = range(len(parts))
-    for k in range(1, len(parts) - len(rest) + 1):
-        for combo in itertools.combinations(indices, k):
-            chosen = sorted(parts[i] for i in combo)
-            if sum(chosen) != head.n:
-                continue
-            if not _is_categorical(head, Partition(tuple(chosen))):
-                continue
-            remaining = [p for i, p in enumerate(parts) if i not in combo]
-            if _splits_into_factor_partitions(remaining, rest):
-                return True
-    return False

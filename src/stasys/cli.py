@@ -9,7 +9,6 @@ integer and a float can hold it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -271,8 +270,7 @@ def _lpd(source: str) -> int | None:
         from .category import parse_product_expression
 
         return parse_product_expression(source).lpd
-    with open(source) as fh:
-        data = json.load(fh)
+    data = sio.load_json(source)
     if isinstance(data, dict) and "cells" in data:
         from .cohomology import lpd as complex_lpd
 

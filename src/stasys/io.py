@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io as _io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from .complexes import WeightedCellComplex, build_complex
@@ -39,13 +40,12 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
-def _flag(data: dict, key: str, default, nullable: bool = False):
-    """data[key], or default if absent; it must be a JSON boolean, or null when ``nullable``."""
-    value = data.get(key, default)
+def _flag(value, what: str, nullable: bool = False):
+    """A JSON boolean, or null when ``nullable``."""
     if isinstance(value, bool) or (nullable and value is None):
         return value
     allowed = "true, false or null" if nullable else "true or false"
-    raise ValueError(f"{key} must be {allowed}, not {value!r}")
+    raise ValueError(f"{what} must be {allowed}, not {value!r}")
 
 
 def _cell_id(value, what: str):
@@ -139,9 +139,17 @@ def save_complex(K: WeightedCellComplex, path: str) -> None:
         json.dump(complex_to_dict(K), fh, indent=1)
 
 
-def load_complex(path: str) -> WeightedCellComplex:
+def load_json(path: str):
+    """The JSON value in a file; nesting too deep to parse is a ValueError."""
     with open(path) as fh:
-        return complex_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
+
+
+def load_complex(path: str) -> WeightedCellComplex:
+    return complex_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +170,55 @@ def profile_to_dict(p: DimensionProfile) -> dict:
     return out
 
 
+# Readers of the fields that the factors (all four) or the Betti numbers (the flags) determine.
+_DERIVED_FIELDS = {
+    "dimension": lambda v: _as_int(v, "dimension"),
+    "betti": lambda v: tuple(_as_int(b, "a Betti number") for b in _require(v, list, "betti")),
+    "orientable": lambda v: _flag(v, "orientable"),
+    "homology_sphere": lambda v: _flag(v, "homology_sphere"),
+}
+
+
 def profile_from_dict(data: dict) -> DimensionProfile:
+    """A profile; one with ``factors`` is their product.
+
+    ``orientable`` and ``homology_sphere`` are read off the Betti numbers,
+    and a product's ``dimension``, ``betti`` and ring flag off its factors.
+    A value given beside them must agree, except that ``max_cup_length``
+    may fill a ring flag the factors leave null.
+    """
+    try:
+        return _profile_from_dict(data)
+    except RecursionError:  # the reader recurses once per level of "factors"
+        raise ValueError("profile nests factors too deeply to read") from None
+
+
+def _profile_from_dict(data: dict) -> DimensionProfile:
     from .category import DimensionProfile, product_profile
 
     _require(data, dict, "a profile")
-    factors = tuple(profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors"))
-    if "betti" not in data and factors:
-        return product_profile(list(factors))
-    n = _as_int(_field(data, "dimension", "profile JSON"), "dimension")
-    if n < 0:
-        raise ValueError(f"dimension must be at least 0, not {n}")
-    return DimensionProfile(
-        n=n,
-        betti=tuple(_as_int(b, "a Betti number")
-                    for b in _require(_field(data, "betti", "profile JSON"), list, "betti")),
-        orientable=_flag(data, "orientable", True),
-        max_cup_flag=_flag(data, "max_cup_length", None, nullable=True),
-        homology_sphere=_flag(data, "homology_sphere", False),
-        factors=factors,
-        name=data.get("name", ""),
-    )
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a JSON string, not {name!r}")
+    given = {key: read(data[key]) for key, read in _DERIVED_FIELDS.items() if key in data}
+    flag = _flag(data.get("max_cup_length"), "max_cup_length", nullable=True)
+    factors = [_profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors")]
+    if factors:
+        p = product_profile(factors)
+        if p.max_cup_flag is not None and flag is not None:
+            given["max_cup_length"] = flag
+    else:
+        p = DimensionProfile(n=_field(given, "dimension", "profile JSON"),
+                             betti=_field(given, "betti", "profile JSON"))
+    derived = {"dimension": p.n, "betti": p.betti, "orientable": p.orientable,
+               "homology_sphere": p.homology_sphere, "max_cup_length": p.max_cup_flag}
+    for key, value in given.items():
+        if value != derived[key]:
+            source = "the factors" if factors else "the Betti numbers"
+            raise ValueError(f"{key} {json.dumps(data[key])} disagrees with "
+                             f"{json.dumps(derived[key])} derived from {source}")
+    return replace(p, max_cup_flag=flag if p.max_cup_flag is None else p.max_cup_flag,
+                   name=name or p.name)
 
 
 def save_profile(p: DimensionProfile, path: str) -> None:
@@ -190,8 +227,7 @@ def save_profile(p: DimensionProfile, path: str) -> None:
 
 
 def load_profile(path: str) -> DimensionProfile:
-    with open(path) as fh:
-        return profile_from_dict(json.load(fh))
+    return profile_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------

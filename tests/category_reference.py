@@ -1,0 +1,64 @@
+"""A subset-search reference for ``stasys.category.partition_verdicts``.
+
+This is the categorical-partition test the library ran before it built the
+set of witnessed partitions: for each factor of a product it tries every
+subset of the partition's parts, so its cost grows exponentially with the
+number of parts.  Kept here, outside ``src/``, only as an oracle for the
+tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from stasys.category import DimensionProfile, Partition, catstsys_bounds, enumerate_partitions
+
+
+def reference_partition_verdicts(profile: DimensionProfile) -> dict[Partition, str]:
+    verdict = catstsys_bounds(profile)
+    out: dict[Partition, str] = {}
+    for part in enumerate_partitions(profile.n, profile.admissible_degrees):
+        if part.size > verdict.upper:
+            out[part] = "ruled-out"
+        elif _is_categorical(profile, part):
+            out[part] = "categorical"
+        else:
+            out[part] = "unknown"
+    return out
+
+
+def _is_categorical(profile: DimensionProfile, part: Partition) -> bool:
+    """Witnessed-categorical test via cup-product factorizations.
+
+    Single-part partitions are carried by the fundamental class; products
+    recurse: a partition splitting into per-factor categorical partitions
+    is categorical by the cross product of the factor witnesses.
+    """
+    if part.size == 1:
+        return part.parts[0] == profile.n and profile.betti[profile.n] > 0
+    if profile.resolved_max_cup() is True:
+        # a maximal-length witness carries the homogeneous split l + ... + l = n
+        l = profile.lpd
+        if part.size * l == profile.n and all(p == l for p in part.parts):
+            return True
+    if profile.factors and len(profile.factors) >= 2:
+        return _splits_into_factor_partitions(list(part.parts), list(profile.factors))
+    return False
+
+
+def _splits_into_factor_partitions(parts: list[int], factors: list[DimensionProfile]) -> bool:
+    if not factors:
+        return not parts
+    head, rest = factors[0], factors[1:]
+    indices = range(len(parts))
+    for k in range(1, len(parts) - len(rest) + 1):
+        for combo in itertools.combinations(indices, k):
+            chosen = sorted(parts[i] for i in combo)
+            if sum(chosen) != head.n:
+                continue
+            if not _is_categorical(head, Partition(tuple(chosen))):
+                continue
+            remaining = [p for i, p in enumerate(parts) if i not in combo]
+            if _splits_into_factor_partitions(remaining, rest):
+                return True
+    return False

@@ -15,9 +15,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from stasys import (
     Chain,
+    DimensionProfile,
     WeightedCellComplex,
     circle,
     class_coordinates,
@@ -26,6 +28,9 @@ from stasys import (
     homology,
     point,
     product_complex,
+    product_profile,
+    profile_from_dict,
+    profile_to_dict,
     rp2,
     simplicial_from_top,
     sphere,
@@ -252,3 +257,38 @@ def capped_systoles(monkeypatch, inflate=0):
 
     monkeypatch.setattr(norms, "stable_systole", capped)
     monkeypatch.setattr(deform, "stable_systole", capped)
+
+
+RING_FLAGS = (True, False, None)
+
+
+@st.composite
+def profile_leaves(draw, max_n: int) -> DimensionProfile:
+    """An orientable profile of dimension 1..max_n with Betti numbers 0..2 and any ring flag."""
+    n = draw(st.integers(1, max_n))
+    middle = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    return DimensionProfile(n=n, betti=(1, *middle, 1),
+                            max_cup_flag=draw(st.sampled_from(RING_FLAGS)),
+                            name=draw(st.sampled_from(("", "A", "B"))))
+
+
+@st.composite
+def profile_products(draw, max_n: int = 12) -> DimensionProfile:
+    """A product of 1-3 factors of total dimension at most max_n; a factor
+    may itself be a two-factor product read from JSON, whose ring flag the
+    file fills when the factors leave it null."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        room = max_n - sum(f.n for f in factors)
+        if room < 1:
+            break
+        if room >= 2 and draw(st.booleans()):
+            a = draw(profile_leaves(room - 1))
+            b = draw(profile_leaves(room - a.n))
+            data = {"factors": [profile_to_dict(a), profile_to_dict(b)]}
+            if product_profile([a, b]).max_cup_flag is None:
+                data["max_cup_length"] = draw(st.sampled_from(RING_FLAGS))
+            factors.append(profile_from_dict(data))
+        else:
+            factors.append(draw(profile_leaves(room)))
+    return product_profile(factors)

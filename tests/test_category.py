@@ -1,6 +1,7 @@
 """Partition arithmetic and category bounds for dimension profiles."""
 
 import pytest
+from hypothesis import given, settings
 
 from stasys import (
     CategoryVerdict,
@@ -18,6 +19,9 @@ from stasys import (
     torus_triangulated,
 )
 from stasys.category import _max_admissible_size
+
+from category_reference import reference_partition_verdicts
+from conftest import profile_products
 
 T2 = DimensionProfile(n=2, betti=(1, 2, 1), max_cup_flag=True, name="T2")
 P = DimensionProfile(n=5, betti=(1, 0, 1, 1, 0, 1), max_cup_flag=True, name="P")
@@ -179,7 +183,7 @@ def test_two_hundred_circles():
 
 
 def test_nonorientable_profiles_rejected():
-    p = DimensionProfile(n=2, betti=(1, 0, 0), orientable=False)
+    p = DimensionProfile(n=2, betti=(1, 0, 0))
     with pytest.raises(ValueError):
         catstsys_bounds(p)
 
@@ -214,3 +218,48 @@ def test_partition_verdicts_s1_x_s2():
 def test_partition_verdicts_without_known_ring():
     verdicts = {part.parts: v for part, v in partition_verdicts(Q).items()}
     assert verdicts == {(2, 2): "unknown", (4,): "categorical"}
+
+
+def _outcome(verdicts, profile):
+    try:
+        return verdicts(profile)
+    except ValueError as exc:  # a ring flag the Betti numbers cannot carry, in both
+        return str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(profile_products())
+def test_partition_verdicts_match_the_subset_search(profile):
+    assert _outcome(partition_verdicts, profile) == _outcome(reference_partition_verdicts, profile)
+
+
+def test_partition_verdicts_of_three_unflagged_factors():
+    # the subset search takes seconds here; the witnessed set is three tuples
+    f = DimensionProfile(n=6, betti=(1,) * 7)
+    verdicts = partition_verdicts(product_profile([f, f, f]))
+    assert len(verdicts) == 385
+    assert sorted(p.parts for p, v in verdicts.items() if v == "categorical") == [(6, 6, 6), (18,)]
+
+
+def test_flags_are_read_off_the_betti_numbers():
+    assert sphere_profile(3).homology_sphere and sphere_profile(3).orientable
+    assert DimensionProfile(n=3, betti=(1, 0, 0, 1)).homology_sphere
+    assert not DimensionProfile(n=2, betti=(1, 2, 1)).homology_sphere
+    assert not DimensionProfile(n=2, betti=(1, 0, 0)).orientable
+    assert not DimensionProfile(n=0, betti=(1,)).homology_sphere
+    with pytest.raises(ValueError, match="betti_n = 0 or 1"):
+        DimensionProfile(n=2, betti=(1, 0, 2))
+
+
+def test_unflagged_homology_spheres_use_the_sphere_product_count():
+    p = product_profile([DimensionProfile(n=1, betti=(1, 1)), DimensionProfile(n=2, betti=(1, 0, 1))])
+    v = catstsys_bounds(p)
+    assert (v.lower, v.upper, v.lower_rule) == (2, 2, "sphere-product count")
+    assert ("factor-sum rule inapplicable to (?) x (?): floor compatibility with the "
+            "combined least positive dimension fails") in v.notes
+
+
+def test_ring_flag_beyond_the_betti_numbers_is_an_input_error():
+    # no admissible partition of 5 into floor(5 / 2) = 2 parts
+    with pytest.raises(ValueError, match="inconsistent profile X: lower bound 2"):
+        catstsys_bounds(DimensionProfile(n=5, betti=(1, 0, 1, 0, 0, 1), max_cup_flag=True, name="X"))

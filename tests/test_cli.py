@@ -147,6 +147,48 @@ def test_string_profile_flag_exits_two_naming_the_field(tmp_path, capsys):
     assert err == "error: orientable must be true or false, not 'false'\n"
 
 
+SPHERE_1 = {"dimension": 1, "betti": [1, 1]}
+SPHERE_2 = {"name": "S2", "dimension": 2, "betti": [1, 0, 1],
+            "homology_sphere": True, "max_cup_length": True}
+
+
+@pytest.mark.parametrize("profile, message", [
+    # the factors give dimension 4: read as given, the bounds crossed
+    ({"name": "M", "dimension": 1, "betti": [1, 1], "factors": [SPHERE_2, SPHERE_2]},
+     "error: dimension 1 disagrees with 4 derived from the factors\n"),
+    ({"dimension": 2, "betti": [1, 0, 1], "factors": [SPHERE_1]},
+     "error: dimension 2 disagrees with 1 derived from the factors\n"),
+    ({"factors": [{**SPHERE_1, "name": 5}, SPHERE_2]}, "error: name must be a JSON string, not 5\n"),
+    ({"name": "X", "dimension": 5, "betti": [1, 0, 1, 0, 0, 1], "max_cup_length": True},
+     "error: inconsistent profile X: lower bound 2 via cup-length lower bound (maximal cup "
+     "length) exceeds upper bound 1 via admissible-partition arithmetic\n"),
+], ids=["dimension-beside-factors", "one-factor", "name", "ring-flag"])
+def test_contradicting_profile_exits_two_naming_the_field(profile, message, tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    assert run(capsys, "catstsys", str(path)) == (2, "", message)
+
+
+def test_unflagged_sphere_factors_give_the_sphere_product_count(tmp_path, capsys):
+    path = tmp_path / "s1xs2.json"
+    path.write_text(json.dumps({"factors": [SPHERE_1, {"dimension": 2, "betti": [1, 0, 1]}]}))
+    code, out, _ = run(capsys, "catstsys", str(path))
+    assert code == 0
+    assert out.splitlines()[:3] == ["catstsys(? x ?) = 2",
+                                    "  lower bound: 2 via sphere-product count",
+                                    "  upper bound: 2 via sphere-product count"]
+    assert "factor-sum rule inapplicable to (?) x (?)" in out
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"factors": [' * 1200 + json.dumps(SPHERE_1) + "]}" * 1200)
+    for command in ("catstsys", "homology"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_stable_norm_command(files, capsys):
     code, out, _ = run(capsys, "stable-norm", files["flat_torus3"],
                        "-q", "1", "--class", "2,-1")

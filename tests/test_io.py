@@ -31,7 +31,7 @@ from stasys import (
     torus_triangulated,
 )
 
-from conftest import weighted_circle
+from conftest import profile_products, weighted_circle
 
 F = Fraction
 
@@ -92,6 +92,58 @@ def test_profile_from_factors_only():
                          "homology_sphere": True, "max_cup_length": True}]}
     p = profile_from_dict(data)
     assert p.n == 3 and p.betti == (1, 1, 1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_products())
+def test_product_profile_round_trip(p):
+    assert profile_from_dict(profile_to_dict(p)) == p
+
+
+S1 = {"dimension": 1, "betti": [1, 1]}
+S2 = {"dimension": 2, "betti": [1, 0, 1]}
+S3 = {"dimension": 3, "betti": [1, 0, 0, 1]}
+T2 = {"name": "T2", "dimension": 2, "betti": [1, 2, 1]}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dimension": 2, "betti": [1, 0, 1], "factors": [S1]},
+     "dimension 2 disagrees with 1 derived from the factors"),
+    ({"betti": [1, 1, 1], "factors": [S1, S2]},
+     r"betti \[1, 1, 1\] disagrees with \[1, 1, 1, 1\] derived from the factors"),
+    ({"factors": [S1, S2], "homology_sphere": True},
+     "homology_sphere true disagrees with false derived from the factors"),
+    ({"factors": [S1, {**S2, "betti": [1, 0, 0]}], "orientable": True},
+     "orientable true disagrees with false derived from the factors"),
+    ({"factors": [S2, S3], "max_cup_length": False},
+     "max_cup_length false disagrees with true derived from the factors"),
+    ({**S2, "orientable": False}, "orientable false disagrees with true derived from the Betti numbers"),
+    ({**S3, "homology_sphere": False},
+     "homology_sphere false disagrees with true derived from the Betti numbers"),
+    ({"factors": [{**S1, "name": 5}, S2]}, "name must be a JSON string, not 5"),
+], ids=["dimension", "betti", "homology_sphere", "orientable", "max_cup_length",
+        "orientable-leaf", "homology_sphere-leaf", "name"])
+def test_profile_fields_must_agree_with_derived_values(data, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict(data)
+
+
+def test_product_profile_reads_derived_values_and_fills_a_null_ring_flag():
+    p = profile_from_dict({"name": "M", "dimension": 3, "betti": [1, 3, 3, 1],
+                           "orientable": True, "homology_sphere": False,
+                           "max_cup_length": True, "factors": [T2, S1]})
+    assert (p.name, p.n, p.betti, p.max_cup_flag) == ("M", 3, (1, 3, 3, 1), True)
+    assert profile_from_dict({"factors": [T2, S1]}).max_cup_flag is None
+    assert profile_from_dict({"factors": [S2, S3], "max_cup_length": True}).max_cup_flag is True
+    assert profile_from_dict({"factors": [S2, S3]}).name == "? x ?"
+
+
+def test_profile_nested_beyond_the_recursion_limit_is_an_input_error():
+    data = S1
+    for _ in range(1200):
+        data = {"factors": [data]}
+    with pytest.raises(ValueError, match="profile nests factors too deeply to read"):
+        profile_from_dict(data)
 
 
 @pytest.mark.parametrize("reader", [complex_from_dict, profile_from_dict])
