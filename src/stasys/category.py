@@ -78,7 +78,7 @@ class DimensionProfile:
     ``max_cup_flag`` is three-valued: True/False when known, None when the
     ring-level property cannot be derived from the available data.
     Orientability and being a real homology sphere are read off the Betti
-    numbers.
+    numbers, and a real homology sphere's flag is True.
     """
 
     n: int
@@ -98,6 +98,10 @@ class DimensionProfile:
         if betti[self.n] not in (0, 1):
             raise ValueError("a closed connected manifold has betti_n = 0 or 1")
         object.__setattr__(self, "betti", betti)
+        if self.homology_sphere:
+            if self.max_cup_flag is False:
+                raise ValueError("a real homology sphere has maximal cup length")
+            object.__setattr__(self, "max_cup_flag", True)
 
     @property
     def orientable(self) -> bool:
@@ -116,17 +120,12 @@ class DimensionProfile:
     def admissible_degrees(self) -> set[int]:
         return {q for q in range(1, self.n + 1) if self.betti[q] > 0}
 
-    def resolved_max_cup(self) -> bool | None:
-        if self.homology_sphere:
-            return True
-        return self.max_cup_flag
-
 
 def sphere_profile(m: int) -> DimensionProfile:
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
     betti = tuple(1 if q in (0, m) else 0 for q in range(m + 1))
-    return DimensionProfile(n=m, betti=betti, max_cup_flag=True, name=f"S{m}")
+    return DimensionProfile(n=m, betti=betti, name=f"S{m}")
 
 
 def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionProfile:
@@ -142,7 +141,7 @@ def _product_max_cup(p: DimensionProfile, q: DimensionProfile) -> bool | None:
     """Derive the maximal-cup-length flag of a product, when the floor and
     remainder compatibility conditions allow it; None when underivable."""
     if (p.lpd is None or q.lpd is None
-            or p.resolved_max_cup() is not True or q.resolved_max_cup() is not True):
+            or p.max_cup_flag is not True or q.max_cup_flag is not True):
         return None
     l = min(p.lpd, q.lpd)
     return True if _floors_agree(p, q) and p.n % l + q.n % l < l else None
@@ -232,7 +231,7 @@ def _sum_rule_applies(p: DimensionProfile, q: DimensionProfile) -> tuple[bool, s
     it does not cover, e.g. a circle times a 2-sphere).
     """
     # lpd is not None: every factor already passed catstsys_bounds
-    if p.resolved_max_cup() is not True or q.resolved_max_cup() is not True:
+    if p.max_cup_flag is not True or q.max_cup_flag is not True:
         return False, "factor without known maximal cup length"
     if not mod_condition(p.n, p.lpd, q.n, q.lpd):
         return False, "remainder condition fails"
@@ -249,7 +248,7 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
     lower, lower_rule = 1, "fundamental-class partition"
     upper, upper_rule = _max_admissible_size(profile), "admissible-partition arithmetic"
 
-    if profile.resolved_max_cup() is True:
+    if profile.max_cup_flag is True:
         # every admissible part is at least lpd, so upper <= cap already
         cap = profile.n // profile.lpd
         if cap > lower:
@@ -264,7 +263,7 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
             if count < upper:
                 upper, upper_rule = count, "sphere-product count"
             notes.append("sphere-product rule: category equals the number of factors")
-        if all(f.resolved_max_cup() is True for f in profile.factors):
+        if all(f.max_cup_flag is True for f in profile.factors):
             total = sum(f.n // f.lpd for f in profile.factors)
             if total > lower:
                 lower, lower_rule = total, "factor cup-length sum"
@@ -315,7 +314,7 @@ def _witnessed_partitions(profile: DimensionProfile) -> set[tuple[int, ...]]:
     of one witness per factor.  lpd is not None: catstsys_bounds passed."""
     n, l = profile.n, profile.lpd
     out = {(n,)} if profile.betti[n] > 0 else set()
-    if profile.resolved_max_cup() is True and n % l == 0:
+    if profile.max_cup_flag is True and n % l == 0:
         out.add((l,) * (n // l))
     if len(profile.factors) >= 2:
         unions = {()}

@@ -62,6 +62,8 @@ def deformation_sweep(
     if list(ts) != sorted(set(ts)) or any(t < 1 for t in ts):
         raise ValueError("t samples must be strictly increasing and >= 1")
     base = family.base
+    if partition.n != base.top_dim:
+        raise ValueError(f"partition sums to {partition.n}, not to the dimension {base.top_dim}")
     summary = homology(base)
     for p in set(partition.parts):
         if p > base.top_dim or summary.betti[p] == 0:

@@ -182,10 +182,10 @@ _DERIVED_FIELDS = {
 def profile_from_dict(data: dict) -> DimensionProfile:
     """A profile; one with ``factors`` is their product.
 
-    ``orientable`` and ``homology_sphere`` are read off the Betti numbers,
-    and a product's ``dimension``, ``betti`` and ring flag off its factors.
-    A value given beside them must agree, except that ``max_cup_length``
-    may fill a ring flag the factors leave null.
+    ``orientable``, ``homology_sphere`` and a real homology sphere's ring
+    flag are read off the Betti numbers, and a product's ``dimension``,
+    ``betti`` and ring flag off its factors.  A value given beside them must
+    agree, except that ``max_cup_length`` may fill a ring flag left null.
     """
     try:
         return _profile_from_dict(data)
@@ -205,11 +205,11 @@ def _profile_from_dict(data: dict) -> DimensionProfile:
     factors = [_profile_from_dict(f) for f in _require(data.get("factors", []), list, "factors")]
     if factors:
         p = product_profile(factors)
-        if p.max_cup_flag is not None and flag is not None:
-            given["max_cup_length"] = flag
     else:
         p = DimensionProfile(n=_field(given, "dimension", "profile JSON"),
                              betti=_field(given, "betti", "profile JSON"))
+    if p.max_cup_flag is not None and flag is not None:
+        given["max_cup_length"] = flag
     derived = {"dimension": p.n, "betti": p.betti, "orientable": p.orientable,
                "homology_sphere": p.homology_sphere, "max_cup_length": p.max_cup_flag}
     for key, value in given.items():

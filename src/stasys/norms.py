@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
+from .linalg import rank
 from .lp import Infeasible, prepare, solve_lp
 
 Rational = Fraction | int
@@ -284,10 +285,9 @@ class SimplicialMapInfo:
     target: WeightedCellComplex
     vertex_map: tuple[tuple[int, int], ...]
     degree_bound: int
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.vertex_map)
+    # cells[q][j]: (target index of source q-cell j's image, sign of the
+    # permutation that sorts its image vertices)
+    cells: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def simplicial_map(
@@ -301,51 +301,40 @@ def simplicial_map(
     for (v,) in K.vertex_lists[0]:
         if v not in vertex_map:
             raise ValueError(f"vertex map gives no image for source vertex {v}")
-    for q, per_deg in enumerate(K.vertex_lists):
+    cells = []
+    for per_deg in K.vertex_lists:
+        row = []
         for vs in per_deg:
             images = [vertex_map[v] for v in vs]
             if len(set(images)) != len(images):
                 raise ValueError(f"map degenerates simplex {vs}")
-            if L.cell_by_vertices(tuple(sorted(images))) is None:
+            target = L.cell_by_vertices(tuple(sorted(images)))
+            if target is None:
                 raise ValueError(f"image of simplex {vs} is not a simplex of the target")
-    d = _degree_bound(K, L, vertex_map)
-    return SimplicialMapInfo(
-        source=K,
-        target=L,
-        vertex_map=tuple(sorted(vertex_map.items())),
-        degree_bound=d,
-    )
+            row.append((target, _permutation_sign(images)))
+        cells.append(tuple(row))
+    info = SimplicialMapInfo(K, L, tuple(sorted(vertex_map.items())), 0, tuple(cells))
+    return replace(info, degree_bound=_degree_bound(info))
 
 
 def push_chain(info: SimplicialMapInfo, chain: Chain) -> Chain:
-    """Chain-level pushforward; degenerate cells (none here) would map to 0."""
-    return Chain(chain.degree, tuple(_pushed_coeffs(info.source, info.target, info.mapping, chain)))
+    """Chain-level pushforward along the cell table."""
+    out = [Fraction(0)] * info.target.n_cells(chain.degree)
+    for c, (target, sign) in zip(chain.coeffs, info.cells[chain.degree]):
+        if c:
+            out[target] += c * sign
+    return Chain(chain.degree, tuple(out))
 
 
-def _pushed_coeffs(K, L, vm: dict[int, int], chain: Chain) -> list[Fraction]:
-    """Coefficients on L's cells of the image of a chain of K under vertex map vm."""
-    out = [Fraction(0)] * L.n_cells(chain.degree)
-    for j, c in enumerate(chain.coeffs):
-        if not c:
-            continue
-        vs = K.vertex_lists[chain.degree][j]
-        images = [vm[v] for v in vs]
-        target = L.cell_by_vertices(tuple(sorted(images)))
-        out[target] += c * _permutation_sign(images)
-    return out
-
-
-def _degree_bound(K, L, vertex_map) -> int:
+def _degree_bound(info: SimplicialMapInfo) -> int:
     """Largest absolute local degree over the target's top cells."""
-    n = L.top_dim
-    hk, hl = homology(K), homology(L)
+    n = info.target.top_dim
+    hk, hl = homology(info.source), homology(info.target)
     if hk.betti[n] != 1 or hl.betti[n] != 1:
         raise ValueError("degree needs one-dimensional top homology on both sides")
-    zk = hk.generators[n][0]
-    zl = hl.generators[n][0]
-    pushed = _pushed_coeffs(K, L, vertex_map, zk)
+    pushed = push_chain(info, hk.generators[n][0])
     degrees = set()
-    for pe, ze in zip(pushed, zl.coeffs):
+    for pe, ze in zip(pushed.coeffs, hl.generators[n][0].coeffs):
         if ze == 0:
             if pe != 0:
                 raise ValueError("pushforward misses the target fundamental cycle")
@@ -369,16 +358,9 @@ def _permutation_sign(seq: list[int]) -> int:
 
 def pullback_weights(info: SimplicialMapInfo) -> WeightedCellComplex:
     """Give each source cell the weight of its image cell in the target."""
-    K, L = info.source, info.target
-    vm = info.mapping
-    new_weights = []
-    for q, per_deg in enumerate(K.vertex_lists):
-        ws = []
-        for vs in per_deg:
-            images = tuple(sorted(vm[v] for v in vs))
-            ws.append(L.weights[q][L.cell_by_vertices(images)])
-        new_weights.append(tuple(ws))
-    return replace(K, weights=tuple(new_weights))
+    ws = info.target.weights
+    return replace(info.source, weights=tuple(
+        tuple(ws[q][target] for target, _ in per_deg) for q, per_deg in enumerate(info.cells)))
 
 
 def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationReport:
@@ -390,8 +372,7 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
     if not 0 <= q <= L.top_dim or hk.betti[q] == 0 or hl.betti[q] == 0:
         raise ValueError(f"trivial homology in degree {q}")
     pushed = [hl.class_coordinates(L, push_chain(info, g)) for g in hk.generators[q]]
-    from .linalg import rank
-    mono = rank([list(map(Fraction, row)) for row in pushed]) == hk.betti[q]
+    mono = rank(pushed) == hk.betti[q]
     if not mono or info.degree_bound == 0:  # a degree-0 map bounds nothing above
         return VerificationReport(
             name="degree-sandwich",

@@ -36,7 +36,7 @@ def _is_categorical(profile: DimensionProfile, part: Partition) -> bool:
     """
     if part.size == 1:
         return part.parts[0] == profile.n and profile.betti[profile.n] > 0
-    if profile.resolved_max_cup() is True:
+    if profile.max_cup_flag is True:
         # a maximal-length witness carries the homogeneous split l + ... + l = n
         l = profile.lpd
         if part.size * l == profile.n and all(p == l for p in part.parts):

@@ -264,11 +264,13 @@ RING_FLAGS = (True, False, None)
 
 @st.composite
 def profile_leaves(draw, max_n: int) -> DimensionProfile:
-    """An orientable profile of dimension 1..max_n with Betti numbers 0..2 and any ring flag."""
+    """An orientable profile of dimension 1..max_n with Betti numbers 0..2 and any ring
+    flag a real homology sphere (whose flag is True) does not contradict."""
     n = draw(st.integers(1, max_n))
     middle = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    flags = RING_FLAGS if any(middle) else (True, None)
     return DimensionProfile(n=n, betti=(1, *middle, 1),
-                            max_cup_flag=draw(st.sampled_from(RING_FLAGS)),
+                            max_cup_flag=draw(st.sampled_from(flags)),
                             name=draw(st.sampled_from(("", "A", "B"))))
 
 

@@ -68,7 +68,13 @@ def test_mod_condition():
 def test_sphere_profile_fields():
     p = sphere_profile(3)
     assert p.betti == (1, 0, 0, 1)
-    assert p.lpd == 3 and p.homology_sphere and p.resolved_max_cup()
+    assert p.lpd == 3 and p.homology_sphere and p.max_cup_flag
+
+
+def test_homology_sphere_ring_flag_is_derived():
+    assert DimensionProfile(n=3, betti=(1, 0, 0, 1)).max_cup_flag is True
+    with pytest.raises(ValueError, match="maximal cup length"):
+        DimensionProfile(n=3, betti=(1, 0, 0, 1), max_cup_flag=False)
 
 
 def test_profile_validation():

@@ -169,6 +169,19 @@ def test_contradicting_profile_exits_two_naming_the_field(profile, message, tmp_
     assert run(capsys, "catstsys", str(path)) == (2, "", message)
 
 
+SPHERE_3_NOT_MAXIMAL = {"dimension": 3, "betti": [1, 0, 0, 1], "max_cup_length": False}
+
+
+@pytest.mark.parametrize("profile", [
+    SPHERE_3_NOT_MAXIMAL, {"factors": [SPHERE_3_NOT_MAXIMAL, SPHERE_3_NOT_MAXIMAL]},
+], ids=["leaf", "product"])
+def test_false_ring_flag_on_a_homology_sphere_exits_two(profile, tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    assert run(capsys, "catstsys", str(path)) == (
+        2, "", "error: max_cup_length false disagrees with true derived from the Betti numbers\n")
+
+
 def test_unflagged_sphere_factors_give_the_sphere_product_count(tmp_path, capsys):
     path = tmp_path / "s1xs2.json"
     path.write_text(json.dumps({"factors": [SPHERE_1, {"dimension": 2, "betti": [1, 0, 1]}]}))
@@ -343,6 +356,15 @@ def test_verify_degree_sandwich_not_injective_is_inapplicable(files, capsys):
                        files["circle3"], "--vertex-map", "0,1,2,1,0,2", "-q", "1")
     assert code == 0
     assert out.startswith("INAPPLICABLE degree-sandwich: map is not injective")
+
+
+@pytest.mark.parametrize("partition", ["1", ","], ids=["short", "empty"])
+def test_deform_partition_must_sum_to_the_dimension(partition, files, tmp_path, capsys):
+    c4 = str(tmp_path / "c4.json")
+    save_complex(circle(4), c4)
+    code, out, err = run(capsys, "deform", files["circle3"], c4, "--partition", partition)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: partition sums to ") and err.endswith("not to the dimension 2\n")
 
 
 def test_deform_beyond_float_range(files, tmp_path, capsys):

@@ -74,6 +74,12 @@ def test_sweep_validates_samples_and_partition():
         deformation_sweep(fam, Partition((3,)), t_samples=(F(1), F(2)))
 
 
+@pytest.mark.parametrize("parts", [(1,), ()], ids=["short", "empty"])
+def test_sweep_partition_must_sum_to_the_dimension(parts):
+    with pytest.raises(ValueError, match="sums to .*, not to the dimension 2"):
+        deformation_sweep(DeformationFamily(flat_torus(3)), Partition(parts))
+
+
 def test_one_sample_sweep_is_inconclusive():
     rep = deformation_sweep(DeformationFamily(flat_torus(3)), Partition((1, 1)), t_samples=(F(2),))
     assert [s.ratio for s in rep.samples] == [F(1, 2)]

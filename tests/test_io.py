@@ -190,7 +190,8 @@ PROFILE_X = {"name": "X", "dimension": 2, "betti": [1, 0, 1]}
 def test_profile_flags_must_be_json_booleans(field, value, message):
     with pytest.raises(ValueError, match=message):
         profile_from_dict({**PROFILE_X, field: value})
-    assert profile_from_dict({**PROFILE_X, "max_cup_length": None}).max_cup_flag is None
+    torus = {"dimension": 2, "betti": [1, 2, 1], "max_cup_length": None}
+    assert profile_from_dict(torus).max_cup_flag is None
     assert profile_from_dict({**PROFILE_X, "orientable": True}).orientable is True
 
 

@@ -24,6 +24,7 @@ from stasys import (
     point,
     product_complex,
     pullback_weights,
+    push_chain,
     rp2,
     simplicial_map,
     sphere,
@@ -472,6 +473,36 @@ def test_simplicial_map_rejects_degenerate():
     # edge (2,3) collapses to the single vertex 0
     with pytest.raises(ValueError):
         simplicial_map(circle(4), circle(4), {0: 0, 1: 1, 2: 0, 3: 0})
+
+
+def test_simplicial_map_names_the_degenerate_simplex():
+    with pytest.raises(ValueError, match=r"map degenerates simplex \(0, 1\)"):
+        simplicial_map(circle(4), circle(3), {0: 0, 1: 0, 2: 1, 3: 2})
+
+
+def _torus_translation():
+    """Shift the 9-vertex torus one step along its first grid direction."""
+    return {3 * i + j: 3 * ((i + 1) % 3) + j for i in range(3) for j in range(3)}
+
+
+@pytest.mark.parametrize("source, target, vertex_map, bound, factor", [
+    (circle(6), circle(3), {i: -i % 3 for i in range(6)}, 2, -2),  # reflection
+    (sphere(2), sphere(2), {0: 1, 1: 0, 2: 2, 3: 3}, 1, -1),  # odd vertex permutation
+    (sphere(3), sphere(3), {i: 4 - i for i in range(5)}, 1, 1),  # even reversal
+    (torus_triangulated(), torus_triangulated(), _torus_translation(), 1, 1),
+    (circle(4), circle(4), {0: 0, 1: 1, 2: 0, 3: 1}, 0, 0),  # fold
+], ids=["reflection", "transposition", "reversal", "translation", "fold"])
+def test_push_chain_carries_the_orientation_sign(source, target, vertex_map, bound, factor):
+    info = simplicial_map(source, target, vertex_map)
+    assert info.degree_bound == bound
+    n = source.top_dim
+    pushed = push_chain(info, homology(source).generators[n][0])
+    assert pushed.coeffs == tuple(factor * c for c in homology(target).generators[n][0].coeffs)
+
+
+def test_pullback_weights_along_a_reflection():
+    info = simplicial_map(circle(6), circle(3, edge_weight=F(5, 3)), {i: -i % 3 for i in range(6)})
+    assert pullback_weights(info).weights[1] == (F(5, 3),) * 6
 
 
 # ---------------------------------------------------------------------------
