@@ -31,7 +31,7 @@ _EXPORTS = {
         "partition_verdicts", "product_profile", "profile_from_complex", "sphere_profile",
     ),
     "cohomology": (
-        "Cochain", "CohomologyBasis", "RingProfile", "coboundary", "cohomology_basis",
+        "Cochain", "RingProfile", "coboundary", "cohomology_basis",
         "cohomology_coordinates", "cup_length", "cup_product", "has_maximal_real_cup_length",
         "is_cocycle", "lpd", "pairing", "ring_profile",
     ),

@@ -93,6 +93,8 @@ class DimensionProfile:
             raise ValueError(f"dimension must be at least 0, not {self.n}")
         if len(betti) != self.n + 1:
             raise ValueError("betti list must have n+1 entries")
+        if min(betti) < 0:
+            raise ValueError(f"Betti numbers must be at least 0, not {min(betti)}")
         if betti[0] != 1:
             raise ValueError("profiles describe connected spaces (betti_0 = 1)")
         if betti[self.n] not in (0, 1):
@@ -279,9 +281,9 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
                 break
             acc, value = kunneth_product(acc, f), value + sub.lower
             notes.append(f"factor-sum rule applies to {acc.name}: remainder condition holds")
+        # a completed fold raises no lower bound: it needs every factor
+        # flagged, so the factor cup-length sum has set lower >= value already
         if folded and len(profile.factors) > 1:
-            if value > lower:
-                lower, lower_rule = value, "factor-sum rule"
             if value < upper:
                 upper, upper_rule = value, "factor-sum rule"
 

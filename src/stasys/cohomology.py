@@ -31,13 +31,6 @@ class Cochain:
 
 
 @dataclass(frozen=True)
-class CohomologyBasis:
-    """Dual basis cocycles per degree, paired against homology generators."""
-
-    basis: tuple[tuple[Cochain, ...], ...]
-
-
-@dataclass(frozen=True)
 class RingProfile:
     dimension: int
     lpd: int | None
@@ -99,56 +92,47 @@ def cohomology_coordinates(K: WeightedCellComplex, alpha: Cochain) -> tuple[Frac
     return tuple(pairing(K, alpha, g) for g in gens)
 
 
-def cohomology_basis(K: WeightedCellComplex) -> CohomologyBasis:
+def cohomology_basis(K: WeightedCellComplex) -> tuple[tuple[Cochain, ...], ...]:
     """Per degree, cocycles alpha_i with <alpha_i, gen_j> = delta_ij.
 
     These are the rows of the homology coordinate map: each row vanishes on
     every boundary, so it is a cocycle, and it reads generator j as delta_ij.
     """
     _require_simplicial(K)
-    return CohomologyBasis(basis=tuple(
+    return tuple(
         tuple(Cochain(q, row) for row in rows)
         for q, rows in enumerate(homology(K).coordinate_maps)
-    ))
+    )
 
 
-@dataclass(frozen=True)
-class _RingElement:
-    cochain: Cochain
-    factor_degrees: tuple[int, ...]
-
-
-def _product_filtration(K: WeightedCellComplex) -> list[list[_RingElement]]:
+def _product_filtration(K: WeightedCellComplex) -> list[list[tuple[Cochain, tuple[int, ...]]]]:
     """Levels of the span filtration generated by positive-degree classes.
 
     Level k holds a basis (in cohomology coordinates) of the span of all
-    k-fold cup products; level 0 is a placeholder, and later levels are nonempty.
+    k-fold cup products, each as a (product, factor degrees) pair; level 0
+    is a placeholder, and later levels are nonempty.
     """
     basis = cohomology_basis(K)
-    level1 = [
-        _RingElement(alpha, (q,))
-        for q in range(1, K.top_dim + 1)
-        for alpha in basis.basis[q]
-    ]
-    levels: list[list[_RingElement]] = [[]]
+    level1 = [(alpha, (q,)) for q in range(1, K.top_dim + 1) for alpha in basis[q]]
+    levels = [[]]
     nxt = level1
     while nxt:
         levels.append(nxt)
         nxt = []
         span: dict[int, list[list[Fraction]]] = {}
-        for el in levels[-1]:
-            for gen in level1:
-                deg = el.cochain.degree + gen.cochain.degree
+        for el, el_degrees in levels[-1]:
+            for gen, gen_degrees in level1:
+                deg = el.degree + gen.degree
                 if deg > K.top_dim:
                     continue
-                prod = cup_product(K, el.cochain, gen.cochain)
+                prod = cup_product(K, el, gen)
                 coords = list(cohomology_coordinates(K, prod))
                 if all(c == 0 for c in coords):
                     continue
                 rows = span.setdefault(deg, [])
                 if linalg.rank(rows + [coords]) > len(rows):
                     rows.append(coords)
-                    nxt.append(_RingElement(prod, el.factor_degrees + gen.factor_degrees))
+                    nxt.append((prod, el_degrees + gen_degrees))
     return levels
 
 
@@ -168,8 +152,8 @@ def ring_profile(K: WeightedCellComplex) -> RingProfile:
     n = K.top_dim
     witness = None
     if l is not None and n // l < len(levels):
-        witness = next((el.factor_degrees for el in levels[n // l]
-                        if el.cochain.degree == n), None)
+        witness = next((degrees for prod, degrees in levels[n // l]
+                        if prod.degree == n), None)
     return RingProfile(
         dimension=n,
         lpd=l,

@@ -95,11 +95,9 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         kernel, to_kernel = _cycle_lattice(K, q, nq)
         z = len(kernel)
         ncols = K.n_cells(q + 1)
-        if z and ncols:
-            u, d, _v, u_inv, _v_inv = smith_normal_form(_boundaries_in_kernel(K, q, to_kernel))
-        else:
-            u = u_inv = _identity(z)
-            d = [[0] * ncols for _ in range(z)]
+        # with no (q+1)-cells the z x 0 matrix gives U = U_inv = I_z
+        m = _boundaries_in_kernel(K, q, to_kernel) if ncols else [[] for _ in kernel]
+        u, d, _v, u_inv, _v_inv = smith_normal_form(m)
         diag = [d[i][i] for i in range(min(z, ncols))]
         nonzero = [abs(x) for x in diag if x != 0]
         r = len(nonzero)
@@ -129,20 +127,14 @@ def class_coordinates(K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
     return homology(K).class_coordinates(K, z)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _cycle_lattice(K: WeightedCellComplex, q: int, nq: int) -> tuple[list[Sparse], list[Sparse]]:
     """Integral basis of the degree-q cycle lattice, and rows reading a cycle in it.
 
     Row i of the second list dotted with basis vector k_j is delta_ij.
     """
-    if q == 0 or K.n_cells(q - 1) == 0:
+    if q == 0 or K.n_cells(q - 1) == 0:  # a matrix with no rows cannot carry nq columns
         basis = [[(i, 1)] for i in range(nq)]
         return basis, basis
-    if nq == 0:
-        return [], []
     _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_matrix(q))
     rank = sum(1 for i in range(min(len(d), nq)) if d[i][i] != 0)
     # M V_inv = U D vanishes on the zero columns of D, and V V_inv = I

@@ -251,17 +251,26 @@ def report_to_csv(report: DeformationReport) -> str:
 
 
 def csv_to_samples(text: str) -> list[SweepSample]:
+    """Samples of a report written by ``report_to_csv``; ValueError on anything else."""
     import csv
 
     from .deform import SweepSample
 
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
+    try:
+        rows = list(csv.reader(_io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
+    header = rows[0] if rows else []
+    if len(header) < 4 or header[0] != "t" or header[-3:] != ["product", "volume", "ratio"]:
+        raise ValueError(f"CSV header must be t, the part columns, product, volume, ratio; "
+                         f"got {header}")
     nparts = len(header) - 4
     samples = []
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(f"CSV row has {len(row)} fields, the header {len(header)}")
         samples.append(SweepSample(
             t=parse_frac(row[0]),
             part_systoles=tuple(parse_frac(x) for x in row[1:1 + nparts]),

@@ -140,7 +140,7 @@ def test_accept_08_cup_length_and_ring_laws():
         if p + q + r > 2:
             continue
         def rand(deg):
-            bs = basis.basis[deg]
+            bs = basis[deg]
             coeffs = [F(rng.randint(-3, 3)) for _ in bs]
             vals = [sum((c * b.values[i] for c, b in zip(coeffs, bs)), F(0))
                     for i in range(K.n_cells(deg))]

@@ -84,6 +84,11 @@ def test_profile_validation():
         DimensionProfile(n=2, betti=(2, 0, 1))  # disconnected
 
 
+def test_negative_betti_number_is_rejected():
+    with pytest.raises(ValueError, match="Betti numbers must be at least 0, not -3"):
+        DimensionProfile(n=2, betti=(1, -3, 1))
+
+
 def test_kunneth_product_betti_convolution():
     p = kunneth_product(sphere_profile(2), sphere_profile(2))
     assert p.betti == (1, 0, 2, 0, 1)

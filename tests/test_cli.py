@@ -182,6 +182,19 @@ def test_false_ring_flag_on_a_homology_sphere_exits_two(profile, tmp_path, capsy
         2, "", "error: max_cup_length false disagrees with true derived from the Betti numbers\n")
 
 
+NEGATIVE_BETTI = {"name": "M", "dimension": 2, "betti": [1, -3, 1]}
+
+
+@pytest.mark.parametrize("command", ["catstsys", "lpd"])
+@pytest.mark.parametrize("profile", [NEGATIVE_BETTI, {"factors": [NEGATIVE_BETTI, SPHERE_2]}],
+                         ids=["leaf", "product"])
+def test_negative_betti_number_exits_two(command, profile, tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    assert run(capsys, command, str(path)) == (
+        2, "", "error: Betti numbers must be at least 0, not -3\n")
+
+
 def test_unflagged_sphere_factors_give_the_sphere_product_count(tmp_path, capsys):
     path = tmp_path / "s1xs2.json"
     path.write_text(json.dumps({"factors": [SPHERE_1, {"dimension": 2, "betti": [1, 0, 1]}]}))

@@ -7,6 +7,7 @@ import pytest
 from stasys import (
     Chain,
     HomologyClass,
+    build_complex,
     circle,
     class_coordinates,
     cubical_sphere,
@@ -54,6 +55,35 @@ def test_known_betti_and_torsion(idx):
     summary = homology(K)
     assert summary.betti == betti
     assert summary.torsion == torsion
+
+
+def _unbounded_cells(*degrees):
+    """A cubical complex with the given cell ids per degree, every boundary empty."""
+    return build_complex("cubical", [[(cid, 1, [], None) for cid in ids] for ids in degrees])
+
+
+# Every cell is a cycle and nothing bounds, so Betti number q counts the q-cells.
+UNBOUNDED = {
+    "simplicial-point": (point(), (1,)),
+    "cubical-point": (_unbounded_cells(["v"]), (1,)),
+    "no-cells": (_unbounded_cells([]), (0,)),
+    "two-vertices-and-a-2-cell": (_unbounded_cells(["a", "b"], [], ["f"]), (2, 0, 1)),
+    "a-vertex-and-two-3-cells": (_unbounded_cells(["v"], [], [], ["c", "d"]), (1, 0, 0, 2)),
+    "a-vertex-and-two-loops": (_unbounded_cells(["v"], ["e", "g"]), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", UNBOUNDED)
+def test_cells_without_boundaries_are_the_generators(name):
+    # these shapes give the Smith form empty or columnless matrices
+    K, betti = UNBOUNDED[name]
+    summary = homology(K)
+    assert summary.betti == betti
+    assert summary.torsion == ((),) * len(betti)
+    for q, n in enumerate(betti):
+        identity = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+        assert tuple(g.coeffs for g in summary.generators[q]) == identity
+        assert summary.coordinate_maps[q] == identity
 
 
 def test_betti_matches_rank_oracle():

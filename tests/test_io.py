@@ -240,6 +240,37 @@ def test_csv_round_trip():
     assert samples == list(rep.samples)
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "t,a,b,c,d\n1,2\n",
+    "a,b\n1,2\n",
+    "t,product,volume,ratio\n1,2\n",
+    "t,product,volume,ratio\n1,2," + "3" * 131_073 + ",4\n",
+    "t,product,volume,ratio\n1,\x00,3,4\n",
+], ids=["empty", "short-row", "no-t-column", "row-shorter-than-header", "huge-field", "nul"])
+def test_csv_reader_rejects_a_malformed_report(text):
+    with pytest.raises(ValueError):
+        csv_to_samples(text)
+
+
+CSV_CELLS = st.one_of(st.text(max_size=4),
+                      st.sampled_from(["t", "product", "volume", "ratio", "1", "1/0", "-2/3", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.sampled_from(["", "t,product,volume,ratio\n", "t,s,product,volume,ratio\n"]),
+              st.lists(st.lists(CSV_CELLS, max_size=6), max_size=4))
+    .map(lambda parts: parts[0] + "\n".join(",".join(row) for row in parts[1])),
+))
+def test_csv_reader_raises_only_value_errors(text):
+    try:
+        csv_to_samples(text)
+    except ValueError:
+        pass
+
+
 def test_unknown_kind_is_rejected():
     for kind in ("weird", 3):
         data = complex_to_dict(circle(3))

@@ -24,7 +24,7 @@ PUBLIC = {
     "category": "CategoryVerdict DimensionProfile Partition catstsys_bounds "
                 "enumerate_partitions kunneth_product mod_condition parse_product_expression "
                 "partition_verdicts product_profile profile_from_complex sphere_profile",
-    "cohomology": "Cochain CohomologyBasis RingProfile coboundary cohomology_basis "
+    "cohomology": "Cochain RingProfile coboundary cohomology_basis "
                   "cohomology_coordinates cup_length cup_product has_maximal_real_cup_length "
                   "is_cocycle lpd pairing ring_profile",
     "complexes": "Chain ComplexInvariantError DeformationFamily WeightedCellComplex "
