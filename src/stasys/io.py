@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io as _io
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -58,9 +59,23 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# Fraction builds 10**e exactly for a decimal exponent e, so "1e99999999"
+# would take minutes.  int() reads at most 4300 digits from a string by
+# default, so this bound lets an exponent reach no number whose digits
+# could not also be written out.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
+
+
 def parse_frac(s: str) -> Fraction:
+    text = str(s).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{s!r} has a decimal exponent beyond ±{MAX_EXPONENT}")
     try:
-        return Fraction(str(s).strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} has a zero denominator") from None
 

@@ -10,12 +10,25 @@ row.  Bland's pivot rule is used throughout, which rules out cycling.
 `prepare` builds the tableau [A | I] once, with each row whose right-hand
 side is 0 crashed onto a structural column (Bixby's crash basis), and
 `solve_lp` copies it for each (b, c): phase 1 then starts at that basis.
+
+A `Tableau` also records the optimal bases it has found for its last cost
+vector c.  An optimal basis B stays optimal for every b with B⁻¹b >= 0,
+because dual feasibility depends on c alone; on that cone the optimum is
+y.b with the recorded dual y.  So a b inside a recorded basis's cone is
+answered without copying the tableau or pivoting, and only a b outside
+every recorded cone runs the two phases, whose basis is then recorded
+too.  A solve in which phase 1 drops a dependent row records nothing,
+since B⁻¹b >= 0 would not check that row's consistency for a later b.
+A new c replaces the records.  The value is the optimum whatever
+was solved before, but where the optimum is degenerate the x and y
+returned may depend on which right-hand sides the tableau has seen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class LPError(Exception):
@@ -31,10 +44,12 @@ class Unbounded(LPError):
 
 
 class Tableau:
-    """The integer tableau [A | I] that `prepare` builds and crashes."""
+    """The integer tableau [A | I] that `prepare` builds and crashes, and the
+    optimal bases found on it for the cost vector `cost`."""
 
     def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
         self.rows, self.den, self.basis, self.m = rows, den, basis, m
+        self.cost, self.optima = None, []
 
     def __len__(self) -> int:  # the row count of A, dropped rows included
         return self.m
@@ -71,12 +86,57 @@ def solve_lp(
     ``a`` is the rows of A or a `Tableau` prepared from them.  y is an
     optimal dual, one entry per row of A, and reduced = c - A^T y holds
     the structural reduced costs, read off the final tableau.  Entries may
-    be ints or Fractions; every result is a Fraction.
+    be ints or Fractions; every result is a Fraction.  A tableau answers
+    b from a basis it recorded for the same c when B⁻¹b >= 0.
     """
     t = a if isinstance(a, Tableau) else prepare(a, b)
     m, n = len(t), len(c)
     if any(len(row) != n + m + 1 for row in t.rows):
         raise ValueError("constraint matrix width does not match cost vector")
+    opened = [bj - n for bj in t.basis if bj >= n]
+    if any(b[i] for i in set(range(len(b))).difference(opened)):
+        raise ValueError("right-hand side is nonzero on a row the tableau crashed")
+    if t is not a:
+        return _two_phase(t, b, c, opened)[:4]
+    c = tuple(c)
+    if t.cost != c:
+        t.cost, t.optima = c, []
+    for optimum in t.optima:
+        answer = optimum.answer(b, opened, n)
+        if answer is not None:
+            return answer
+    *answer, optimum = _two_phase(t, b, c, opened)
+    if optimum is not None:
+        t.optima.append(optimum)
+    return tuple(answer)
+
+
+class _Optimum:
+    """An optimal basis of a tableau: for each basic column j, the row of
+    B⁻¹ on the open rows as integers over one denominator; and y and the
+    reduced costs, which hold for every b in the basis's cone."""
+
+    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced):
+        self.rows, self.y, self.reduced = rows, y, reduced
+
+    def answer(self, b, opened: list[int], n: int):
+        """(value, x, y, reduced) when B⁻¹b >= 0, else None."""
+        bn, d = _integer_row([b[i] for i in opened])
+        x = [Fraction(0)] * n
+        for j, inv, den in self.rows:
+            v = sum(map(mul, inv, bn))
+            if v < 0:
+                return None
+            if v:
+                x[j] = Fraction(v, den * d)
+        value = sum((self.y[i] * b[i] for i in opened), Fraction(0))
+        return value, x, list(self.y), list(self.reduced)
+
+
+def _two_phase(t: Tableau, b, c, opened: list[int]):
+    """The two-phase solve on a copy of t; returns (value, x, y, reduced,
+    the optimal basis as an `_Optimum`, or None when phase 1 dropped a row)."""
+    m, n = len(t), len(c)
     tab, den, basis = [row[:] for row in t.rows], t.den[:], t.basis[:]
 
     # phase 1 over the rows whose artificial is still basic, at level |b_i|:
@@ -89,8 +149,6 @@ def solve_lp(
             den[r] *= v.denominator
             tab[r] = [x * sign[bj - n] * v.denominator for x in tab[r][:-1]] + [abs(v.numerator)]
             tab[r][bj] = den[r]
-    if any(bi and not cost[n + i] for i, bi in enumerate(b)):
-        raise ValueError("right-hand side is nonzero on a row the tableau crashed")
     zrow, zden = _optimize(tab, den, basis, cost, n)
     if zrow[-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
@@ -104,7 +162,14 @@ def solve_lp(
         if bj < n:
             x[bj] = Fraction(row[-1], d)
     y = [Fraction(-s * zrow[n + i], zden) for i, s in enumerate(sign)]
-    return Fraction(-zrow[-1], zden), x, y, [Fraction(z, zden) for z in zrow[:n]]
+    reduced = [Fraction(z, zden) for z in zrow[:n]]
+    optimum = None
+    if len(tab) == len(t.rows):
+        # B⁻¹ times the open rows' unit columns is their artificial columns,
+        # each read with the sign its row was stored under
+        optimum = _Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
+                            for row, d, bj in zip(tab, den, basis)], tuple(y), tuple(reduced))
+    return Fraction(-zrow[-1], zden), x, y, reduced, optimum
 
 
 def _integer_row(values) -> tuple[list[int], int]:

@@ -6,7 +6,12 @@ q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
 the usual sign split ``x = x+ - x-``.  The rows depend on the structure
 alone, so their tableau is crashed once per (structure, q); a class sets
-only its right-hand sides and costs.  In a degree with no (q+1)-cells a
+only its right-hand sides and costs, and the tableau answers a class
+inside the cone of an optimal basis it recorded for the same weights
+without pivoting (see `stasys.lp`).  Norms and systoles do not depend on
+which classes were solved before; where the optimum is degenerate, the
+optimal cycle and λ returned may, and each is still a valid certificate.
+In a degree with no (q+1)-cells a
 class holds exactly one cycle, whose mass is its norm without an LP.  Each
 norm carries a dual certificate (Federer's comass duality): a cocycle f
 with |f| <= w on every q-cell and f = λ on the generators, so
@@ -108,8 +113,9 @@ def minimum_mass_cycle(
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
-    of the rational coordinate map, on the tableau kept in summary.tableaux.
-    Its feasible set is exactly the cycles in the class, because a cycle
+    of the rational coordinate map, on the tableau kept in summary.tableaux,
+    which also keeps the optimal bases found for the weights of the last
+    call.  Its feasible set is exactly the cycles in the class, because a cycle
     with zero coordinates bounds rationally.  λ is the dual of the
     coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
     """
@@ -140,7 +146,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
         res = stable_norm(K, HomologyClass(q, (Fraction(1),)))
         return SystoleResult(res.value, (1,), "exact")
 
-    duals = []  # every λ found; ‖h‖ >= L(h) = max_k |λ_k.h| for all h
+    duals = []  # every distinct λ found; ‖h‖ >= L(h) = max_k |λ_k.h| for all h
     best: Fraction | None = None
     witness: tuple[int, ...] | None = None
     for r in range(1, search_radius + 1):
@@ -148,7 +154,8 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
             if best is not None and _dual_bound(duals, v) >= best:
                 continue  # cannot improve on best
             res = stable_norm(K, HomologyClass(q, v))
-            duals.append(res.dual)
+            if res.dual not in duals:  # a recorded basis gives its λ again
+                duals.append(res.dual)
             if best is None or res.value < best:
                 best = res.value
                 witness = v

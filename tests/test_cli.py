@@ -274,6 +274,17 @@ def test_zero_denominator_argument_exits_two(argv, files, capsys):
     assert err == "error: '1/0' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("stable-norm", "flat_torus3", "-q", "1", "--class", "1e99999999,1"),
+    ("verify", "rescale", "circle3", "-q", "1", "--t", "1e99999999"),
+    ("deform", "circle3", "circle3", "--partition", "1,1", "--t", "2,1e99999999"),
+], ids=["class", "verify-rescale-t", "deform-t"])
+def test_decimal_exponent_past_the_bound_exits_two(argv, files, capsys):
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert err == "error: '1e99999999' has a decimal exponent beyond ±4300\n"
+
+
 def test_boolean_betti_number_exits_two_naming_the_field(tmp_path, capsys):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({"name": "X", "dimension": 2, "betti": [1, True, 1]}))

@@ -30,6 +30,7 @@ from stasys import (
     stable_systole,
     torus_triangulated,
 )
+from stasys.io import parse_frac
 
 from conftest import profile_products, weighted_circle
 
@@ -293,6 +294,30 @@ def test_zero_denominator_weight_is_rejected():
     data["cells"]["0"][1]["weight"] = "1/0"
     with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
         complex_from_dict(data)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", F(10**4300)),
+    ("-2.5E-4300", F(-25, 10**4301)),
+    ("1e+0_4_3_0_0", F(10**4300)),
+])
+def test_decimal_exponents_up_to_the_bound_are_read_exactly(text, value):
+    assert parse_frac(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+04301", "1e99999999", "1e" + "9" * 5000])
+def test_decimal_exponents_past_the_bound_are_rejected(text):
+    with pytest.raises(ValueError, match="decimal exponent beyond ±4300"):
+        parse_frac(text)
+
+
+def test_a_weight_or_csv_field_past_the_exponent_bound_is_rejected():
+    data = complex_to_dict(circle(3))
+    data["cells"]["0"][1]["weight"] = "1e99999999"
+    with pytest.raises(ValueError, match="'1e99999999' has a decimal exponent"):
+        complex_from_dict(data)
+    with pytest.raises(ValueError, match="'1e-99999999' has a decimal exponent"):
+        csv_to_samples("t,product,volume,ratio\n1,2,1e-99999999,4\n")
 
 
 def _paths(obj, path=()):

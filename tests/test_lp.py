@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import importlib
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from stasys.lp import Infeasible, Unbounded, prepare, solve_lp
 from conftest import solve
 
 F = Fraction
+lp = importlib.import_module("stasys.lp")
 
 
 def frac(rows):
@@ -277,12 +280,57 @@ def test_prepared_tableau_serves_every_right_hand_side(coords, c):
         assert sum(rj * xj for rj, xj in zip(row, x)) == bi
 
 
-def test_prepared_tableau_is_left_as_it_was():
+def test_prepared_tableau_is_left_as_it_was(monkeypatch):
     b, c = [0, 0, F(-3, 2), 2], [1, 2, 3, 4, 5, 6]
     before = [row[:] for row in THETA.rows], THETA.den[:], THETA.basis[:]
     first = solve_lp(THETA, b, c)
     assert (THETA.rows, THETA.den, THETA.basis) == before
+    # the repeat is answered from the basis the first call recorded: no simplex runs
+    monkeypatch.setattr(lp, "_optimize", no_simplex)
     assert solve_lp(THETA, b, c) == first
+    assert solve_lp(THETA, [2 * v for v in b], c)[0] == 2 * first[0]
+    assert (THETA.rows, THETA.den, THETA.basis) == before
+
+
+def no_simplex(*args):
+    raise AssertionError("the simplex ran where a recorded basis answers")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(rationals(-3, 3, 4), min_size=2, max_size=2), min_size=1, max_size=8),
+       st.lists(rationals(0, 5, 6), min_size=6, max_size=6))
+def test_recorded_bases_answer_as_a_fresh_tableau_does(coords, c):
+    """Right-hand sides in any order through one tableau: each value, and the
+    primal and dual feasibility of each answer, as a fresh tableau gives."""
+    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    for cs in coords:
+        b = [0, 0, *cs]
+        value, x, y, reduced = solve_lp(tab, b, c)
+        assert value == solve_lp(prepare(THETA_ROWS, [0, 0, 1, 1]), b, c)[0]
+        assert all(v >= 0 for v in x) and sum(map(operator.mul, c, x)) == value
+        for row, bi in zip(THETA_ROWS, b):
+            assert sum(rj * xj for rj, xj in zip(row, x)) == bi
+        assert dual_problems(THETA_ROWS, b, c, value, prepared=tab) == []
+
+
+def test_a_solve_that_drops_a_row_records_nothing():
+    # both rows are open and the second is twice the first, so phase 1
+    # drops one: a basis on the row left would call b = (4, 9) feasible
+    tab = prepare([[1, 1], [2, 2]], [1, 1])
+    assert solve_lp(tab, [4, 8], [1, 2])[:2] == (4, [4, 0])
+    assert tab.optima == []
+    with pytest.raises(Infeasible):
+        solve_lp(tab, [4, 9], [1, 2])
+    assert solve_lp(tab, [5, 10], [1, 2])[0] == 5
+
+
+def test_a_new_cost_vector_is_never_answered_from_the_old_bases():
+    # x0 is basic for c = (1, 2), x1 for c = (2, 1); b = 3 lies in both cones
+    tab = prepare([[1, 1]], [1])
+    assert solve_lp(tab, [4], [1, 2])[:2] == (4, [4, 0])
+    assert solve_lp(tab, [3], [2, 1])[:2] == (3, [0, 3])
+    assert solve_lp(tab, [3], [1, 2])[:2] == (3, [3, 0])
+    assert len(tab.optima) == 1
 
 
 def test_crash_leaves_only_the_nonzero_rows_open():

@@ -1,8 +1,10 @@
 """Stable norms, systoles, and the exact comparison laws."""
 
+import functools
 import importlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from stasys import (
     verify_projection_equality,
     verify_rescaling,
 )
+from stasys.norms import minimum_mass_cycle
 
 from conftest import (
     brute_force_class_norms,
@@ -45,6 +48,7 @@ from conftest import (
     wedge_two_circles,
     weighted_circle,
 )
+from test_certificates import certificate_problems
 
 F = Fraction
 
@@ -126,6 +130,50 @@ def test_theta_graph_norms():
     table = brute_force_class_norms(K, 1)
     for coords, best in table.items():
         assert stable_norm(K, HomologyClass(1, coords)).value <= best
+
+
+# Every nonzero class of the box, solved in a drawn order through one fresh
+# tableau per example; fresh_norm is a class's norm from a tableau that
+# solved nothing before it
+ORDER_CASES = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated()}
+BOX = [c for c in itertools.product(range(-2, 3), repeat=2) if any(c)]
+
+
+@functools.cache
+def fresh_norm(name, coords):
+    K = ORDER_CASES[name]
+    return minimum_mass_cycle(K, replace(homology(K), tableaux={}), HomologyClass(1, coords))[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(ORDER_CASES)), st.permutations(BOX))
+def test_norms_do_not_depend_on_the_classes_solved_before(name, order):
+    K = ORDER_CASES[name]
+    summary = replace(homology(K), tableaux={})
+    for coords in order:
+        value, cycle, dual, f = minimum_mass_cycle(K, summary, HomologyClass(1, coords))
+        assert value == fresh_norm(name, coords)
+        res = StableNormResult(value, cycle, "optimal-LP", dual, f)
+        assert certificate_problems(K, summary.generators[1], res) == [], coords
+
+
+def test_a_reweighted_structure_is_not_answered_from_the_old_weights():
+    # the same cells as flat_torus(3) with one factor circle's edges twice
+    # as heavy: a basis optimal for the old weights need not be optimal now
+    K = flat_torus(3)
+    summary = homology(K)
+    heavy = replace(K, weights=(K.weights[0], tuple(
+        w * (2 if tag == (1, 0) else 1) for w, tag in zip(K.weights[1], K.factor_degrees[1])),
+        K.weights[2]))
+    assert homology(heavy) is summary
+    old = {coords: stable_norm(K, HomologyClass(1, coords)).value for coords in BOX}
+    for coords in BOX:
+        res = stable_norm(heavy, HomologyClass(1, coords))
+        fresh = minimum_mass_cycle(heavy, replace(summary, tableaux={}), HomologyClass(1, coords))
+        assert res.value == fresh[0]
+        assert certificate_problems(heavy, summary.generators[1], res) == []
+    assert sorted(stable_norm(heavy, HomologyClass(1, c)).value for c in ((1, 0), (0, 1))) == [3, 6]
+    assert old[1, 0] == old[0, 1] == 3
 
 
 # ---------------------------------------------------------------------------
