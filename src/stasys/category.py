@@ -159,8 +159,9 @@ def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfil
     """Profile of a direct product: Betti convolution plus derivable flags."""
     n = p.n + q.n
     betti = [0] * (n + 1)
+    nonzero = [(j, bj) for j, bj in enumerate(q.betti) if bj]  # a sphere has two
     for i, bi in enumerate(p.betti):
-        for j, bj in enumerate(q.betti):
+        for j, bj in nonzero:
             betti[i + j] += bi * bj
     factors = (p.factors or (p,)) + (q.factors or (q,))
     name = " x ".join(f.name or "?" for f in factors)
@@ -173,17 +174,27 @@ def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfil
     )
 
 
+# A profile holds one Betti number per degree and every rule reads them all,
+# so the ten characters "S100000000" would ask for a 10**8-entry tuple and
+# run out of memory.  Ten thousand dimensions is far beyond any complex this
+# package can triangulate, and a product of a few spheres that size still
+# takes well under a second.
+MAX_EXPRESSION_DIMENSION = 10_000
+
+
 def parse_product_expression(expr: str) -> DimensionProfile:
     """Parse a sphere-product expression like ``S2 x S3`` or ``S1 * S2``."""
     tokens = [t for t in expr.replace("*", " x ").split() if t.lower() != "x"]
     if not tokens:
         raise ValueError("empty product expression")
-    factors = []
+    dims = []
     for tok in tokens:
         if not (tok[0] in "Ss" and tok[1:].isdigit()):
             raise ValueError(f"cannot parse factor {tok!r}; expected e.g. S3")
-        factors.append(sphere_profile(int(tok[1:])))
-    return product_profile(factors)
+        dims.append(int(tok[1:]))
+    if (n := sum(dims)) > MAX_EXPRESSION_DIMENSION:
+        raise ValueError(f"product dimension {n} exceeds {MAX_EXPRESSION_DIMENSION}")
+    return product_profile([sphere_profile(m) for m in dims])
 
 
 def product_profile(profiles: list[DimensionProfile]) -> DimensionProfile:

@@ -1,16 +1,17 @@
 """Integral and rational homology of a weighted cell complex.
 
 Everything comes from integer Smith normal forms that carry their own
-inverses (``M = U D V`` with ``U_inv`` and ``V_inv`` alongside).  In degree
-q the SNF of the boundary map d_q gives the cycle lattice: its basis is the
-columns rk.. of ``V_inv`` and the rows rk.. of ``V`` read a cycle's
-coordinates in that basis, so d_{q+1} in kernel coordinates is an exact
-integer product.  A second SNF of that matrix gives Betti numbers, torsion
-coefficients and integral generator chains (columns of its ``U``).  The
-coordinate map that evaluates the homology class of any cycle in the
-generator basis is read off the same factors: its rows are the free rows
-of the second SNF's ``U_inv`` times the rows that read kernel coordinates,
-so they are integral cochains.
+inverses (``M = U D V`` with ``U_inv`` and ``V_inv`` alongside), which take
+sparse columns and return sparse factors.  In degree q the SNF of the
+boundary map d_q, fed ``boundary_cols[q]`` as it stands (in degree 0 a
+matrix with no rows), gives the cycle lattice: its basis is the columns
+rk.. of ``V_inv`` and the rows rk.. of ``V`` read a cycle's coordinates in
+that basis, so d_{q+1} in kernel coordinates is an exact integer product.
+A second SNF of that matrix gives Betti numbers, torsion coefficients and
+integral generator chains (columns of its ``U``).  The coordinate map that
+evaluates the homology class of any cycle in the generator basis is read off
+the same factors: its rows are the free rows of the second SNF's ``U_inv``
+times the rows that read kernel coordinates, so they are integral cochains.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .linalg import smith_normal_form  # re-exported
 
 __all__ = ["HomologySummary", "HomologyClass", "homology", "smith_normal_form", "class_coordinates"]
 
-Sparse = list[tuple[int, int]]  # the nonzero (index, value) pairs of an integer vector
+Sparse = dict[int, int]  # the nonzeros of an integer vector, by index
 
 
 @dataclass(frozen=True)
@@ -92,21 +93,15 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
     coordinate_maps = []
     for q in range(K.top_dim + 1):
         nq = K.n_cells(q)
-        kernel, to_kernel = _cycle_lattice(K, q, nq)
-        z = len(kernel)
-        ncols = K.n_cells(q + 1)
-        # with no (q+1)-cells the z x 0 matrix gives U = U_inv = I_z
-        m = _boundaries_in_kernel(K, q, to_kernel) if ncols else [[] for _ in kernel]
-        u, d, _v, u_inv, _v_inv = smith_normal_form(m)
-        diag = [d[i][i] for i in range(min(z, ncols))]
-        nonzero = [abs(x) for x in diag if x != 0]
-        r = len(nonzero)
-        betti.append(z - r)
-        torsion.append(tuple(x for x in nonzero if x > 1))
-        free_cols = [_column(u, i) for i in range(r, z)]
-        tors_cols = [_column(u, i) for i, x in enumerate(diag) if x not in (0, 1, -1)]
-        generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in free_cols))
-        torsion_generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in tors_cols))
+        kernel, to_kernel = _cycle_lattice(K, q)
+        # in the top degree the z x 0 matrix gives U = U_inv = I_z
+        u, d, _v, u_inv, _v_inv = smith_normal_form(_boundaries_in_kernel(K, q, to_kernel), len(kernel))
+        diag = [row[i] for i, row in enumerate(d) if row]  # the positive pivots
+        r = len(diag)
+        betti.append(len(kernel) - r)
+        torsion.append(tuple(x for x in diag if x > 1))
+        generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in u[r:]))
+        torsion_generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col, x in zip(u, diag) if x > 1))
         # row i vanishes on boundaries (u_inv times their kernel coordinates is
         # d v, zero in rows >= r) and reads generator j as delta_ij (to_kernel
         # maps generator j to column r+j of u)
@@ -127,50 +122,35 @@ def class_coordinates(K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
     return homology(K).class_coordinates(K, z)
 
 
-def _cycle_lattice(K: WeightedCellComplex, q: int, nq: int) -> tuple[list[Sparse], list[Sparse]]:
+def _cycle_lattice(K: WeightedCellComplex, q: int) -> tuple[list[Sparse], list[Sparse]]:
     """Integral basis of the degree-q cycle lattice, and rows reading a cycle in it.
 
     Row i of the second list dotted with basis vector k_j is delta_ij.
     """
-    if q == 0 or K.n_cells(q - 1) == 0:  # a matrix with no rows cannot carry nq columns
-        basis = [[(i, 1)] for i in range(nq)]
-        return basis, basis
-    _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_matrix(q))
-    rank = sum(1 for i in range(min(len(d), nq)) if d[i][i] != 0)
+    _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_cols[q], K.n_cells(q - 1))
+    rank = sum(1 for row in d if row)
     # M V_inv = U D vanishes on the zero columns of D, and V V_inv = I
-    return _sparse(_column(v_inv, j) for j in range(rank, nq)), _sparse(v[rank:])
+    return v_inv[rank:], v[rank:]
 
 
-def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[Sparse]) -> list[list[int]]:
-    """Kernel coordinates of each (q+1)-cell's boundary: exact integers."""
-    cols = K.boundary_cols[q + 1]
-    cofaces = [[] for _ in range(K.n_cells(q))]
-    for j, col in enumerate(cols):
-        for face, inc in col:
-            cofaces[face].append((j, inc))
-    out = []
-    for row in to_kernel:
-        acc = [0] * len(cols)
-        for face, x in row:
-            for j, inc in cofaces[face]:
-                acc[j] += x * inc
-        out.append(acc)
-    return out
+def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[Sparse]) -> list[list[tuple]]:
+    """Kernel coordinates of each (q+1)-cell's boundary, as sparse columns.
+
+    A column names a kernel row once for each face that row reads; the Smith
+    form sums the repeats into exact integers.
+    """
+    readers = [[] for _ in range(K.n_cells(q))]  # (kernel row, value) pairs reading each q-cell
+    for i, row in enumerate(to_kernel):
+        for face, x in row.items():
+            readers[face].append((i, x))
+    cols = K.boundary_cols[q + 1] if q < K.top_dim else ()
+    return [[(i, x * inc) for face, inc in col for i, x in readers[face]] for col in cols]
 
 
-def _column(mat: list[list[int]], j: int) -> list[int]:
-    return [row[j] for row in mat]
-
-
-def _sparse(vectors) -> list[Sparse]:
-    return [[(i, x) for i, x in enumerate(vec) if x] for vec in vectors]
-
-
-def _lattice_chain(rows: list[Sparse], col: list[int], q: int, nq: int) -> Chain:
-    """The integer combination sum_j col[j] * rows[j] as a q-chain."""
-    coeffs = [0] * nq
-    for j, cj in enumerate(col):
-        if cj:
-            for i, x in rows[j]:
-                coeffs[i] += cj * x
-    return Chain(q, tuple(Fraction(c) for c in coeffs))
+def _lattice_chain(vectors: list[Sparse], coeffs: Sparse, q: int, nq: int) -> Chain:
+    """The integer combination sum_j coeffs[j] * vectors[j] as a q-chain."""
+    out = [0] * nq
+    for j, c in coeffs.items():
+        for i, x in vectors[j].items():
+            out[i] += c * x
+    return Chain(q, tuple(Fraction(c) for c in out))

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices come in and go out as plain lists of lists holding
-``fractions.Fraction`` (or ``int`` for the integer routines).  Homology
-needs only the integer Smith normal form with its inverses: the cycle
-lattice, Betti numbers, torsion, generators and coordinate rows all come
-from it.  Boundary matrices run to thousands of rows and are almost all
-zeros and unit pivots, so the Smith form works on sparse rows and each
-elementary operation costs the nonzeros it touches.  The rational routines
-are dense Gaussian elimination on small matrices and serve rank tests
-(cup-product spans, degree-sandwich injectivity).  ``inverse`` has no caller
-in the library; it stays because ``perfbench/tracing.py`` wraps it by name.
+Homology needs only the integer Smith normal form with its inverses: the
+cycle lattice, Betti numbers, torsion, generators and coordinate rows all
+come from it.  Boundary matrices run to thousands of rows and are almost all
+zeros and unit pivots, so the Smith form takes sparse columns, works on
+sparse rows and returns sparse factors, and each elementary operation costs
+the nonzeros it touches.  The rational routines take and return plain lists
+of lists holding ``fractions.Fraction``: they are dense Gaussian elimination
+on small matrices and serve rank tests (cup-product spans, degree-sandwich
+injectivity).  ``inverse`` has no caller in the library; it stays because
+``perfbench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ Matrix = list[list[Fraction]]
 
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(a) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -69,17 +65,24 @@ def inverse(a: Matrix) -> Matrix:
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
+def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     """Decompose an integer matrix as M = U D V; returns (U, D, V, U_inv, V_inv).
 
-    U and V are unimodular, D is diagonal with each diagonal entry dividing
-    the next.  Every elementary operation is applied to D and mirrored on the
-    four transforms, so all five are int matrices with no inversion at the
-    end: a row operation on D is the same row operation on U_inv and the
-    inverse column operation on U, and a column operation on D is the same
-    column operation on V_inv and the inverse row operation on V.  Then
-    U_inv M V_inv = D, U U_inv = I and V V_inv = I.  All five factors are
-    returned dense, even for empty shapes.
+    M is given by its columns, each a sequence of (row, value) pairs as in a
+    complex's ``boundary_cols``, with ``nrows`` rows; a row named twice in a
+    column sums.  U and V are unimodular, D is diagonal with each diagonal
+    entry dividing the next.  Every elementary operation is applied to D and
+    mirrored on the four transforms, so all five are int matrices with no
+    inversion at the end: a row operation on D is the same row operation on
+    U_inv and the inverse column operation on U, and a column operation on D
+    is the same column operation on V_inv and the inverse row operation on V.
+    Then U_inv M V_inv = D, U U_inv = I and V V_inv = I.
+
+    The factors come back sparse, as lists of {index: value} dicts holding
+    the nonzeros: U and V_inv by column, D, V and U_inv by row, which is how
+    homology reads them.  Row i of D is {i: d_i} for i below the rank and {}
+    after it: D keeps the shape of the other four, because
+    ``perfbench/tracing.py`` walks every factor two levels deep.
 
     The pivot rule is part of the contract, because homology generators (and
     so the coordinates a user gives a class in) are read off these factors:
@@ -89,9 +92,12 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
     swaps only permute the order in which D's rows and columns are read, so
     each operation costs the nonzeros it touches.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in m]  # D by stored row
+    ncols = len(columns)
+    rows = [{} for _ in range(nrows)]  # D by stored row
+    for j, col in enumerate(columns):
+        for i, x in col:
+            rows[i][j] = rows[i].get(j, 0) + x
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
     cols = [set() for _ in range(ncols)]  # stored rows holding each stored column
     for i, row in enumerate(rows):
         for j in row:
@@ -198,17 +204,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
                 continue
         t += 1
 
-    def dense(sparse, order, n):
-        # row a is the stored row order[a]
-        out = [[0] * n for _ in order]
-        for a, p in enumerate(order):
-            for b, x in sparse[p].items():
-                out[a][b] = x
-        return out
-
     # rows and columns from t on are zero, so D is its first t pivots
-    d = [[0] * ncols for _ in range(nrows)]
-    for i in range(t):
-        d[i][i] = entry(i, i)
-    return (transpose(dense(u_t, rp, nrows)), d, dense(v, cp, ncols),
-            dense(u_inv, rp, nrows), transpose(dense(v_inv_t, cp, ncols)))
+    d = [{i: entry(i, i)} if i < t else {} for i in range(nrows)]
+    return ([u_t[p] for p in rp], d, [v[p] for p in cp],
+            [u_inv[p] for p in rp], [v_inv_t[p] for p in cp])

@@ -36,7 +36,7 @@ from stasys import (
     sphere,
     torus_triangulated,
 )
-from stasys.linalg import rref
+from stasys.linalg import rref, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,31 @@ def rational_rank(mat: list[list[int]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def sparse_columns(m: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The columns of a dense matrix as (row, value) pairs, as the Smith form takes them."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m[0]) if m else 0)]
+
+
+def dense_factors(factors, nrows: int, ncols: int) -> tuple[list[list[int]], ...]:
+    """The five sparse Smith factors of an nrows x ncols matrix, made dense."""
+    u, d, v, u_inv, v_inv = factors
+
+    def from_rows(rows, n):
+        return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+    def from_columns(cols, n):
+        return [[col.get(i, 0) for col in cols] for i in range(n)]
+
+    return (from_columns(u, nrows), from_rows(d, ncols), from_rows(v, ncols),
+            from_rows(u_inv, nrows), from_columns(v_inv, ncols))
+
+
+def dense_snf(m: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """``smith_normal_form`` of a dense matrix, its factors made dense."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    return dense_factors(smith_normal_form(sparse_columns(m), nrows), nrows, ncols)
 
 
 def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:

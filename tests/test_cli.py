@@ -242,6 +242,18 @@ def test_lpd_on_file_and_expression(files, capsys):
     assert code == 0 and "lpd = 3" in out
 
 
+@pytest.mark.parametrize("expr, dimension", [("S100000000", 100000000), ("S6000 x S6000", 12000)])
+@pytest.mark.parametrize("command", ["lpd", "catstsys"])
+def test_product_expression_past_the_dimension_bound_exits_two(command, expr, dimension, capsys):
+    assert run(capsys, command, expr) == (2, "", f"error: product dimension {dimension} exceeds 10000\n")
+
+
+def test_product_expression_at_the_dimension_bound_is_answered(capsys):
+    assert run(capsys, "lpd", "S5000 x S5000") == (0, "lpd = 5000\n", "")
+    code, out, _ = run(capsys, "catstsys", "S5000 x S5000")
+    assert code == 0 and out.startswith("catstsys(S5000 x S5000) = 2\n")
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"weight": "one"}, "Invalid literal for Fraction: 'one'"),
     ({"boundary": [["s0", 1], ["s1", 1]]}, "boundary of s0.1 does not sum to zero"),

@@ -1,5 +1,6 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,41 @@ def test_kunneth_ranks_for_products():
     assert homology(K).betti == (1, 1, 1, 1)
     L = product_complex(torus_triangulated(), circle(3))
     assert homology(L).betti == (1, 3, 3, 1)
+
+
+# Generators, torsion generators and coordinate rows are read off the Smith
+# factors, and users give classes in that basis, so the whole summary is
+# pinned: any change to the elimination's operations or their order shows here.
+PINNED_SUMMARIES = [
+    ("flat_torus(8)", lambda: flat_torus(8), "64b7b0f6789a5420", "d0aa509f34a002f5"),
+    ("T2_9 x C3", lambda: product_complex(torus_triangulated(), circle(3)),
+     "0b0d1e4e45dde1a5", "416135b5649630e8"),
+    ("RP2", rp2, "fe25322173585228", "dca27fdd49f381c9"),
+]
+
+
+@pytest.mark.parametrize("name, build, digest, permuted_digest", PINNED_SUMMARIES)
+def test_homology_summary_is_pinned(name, build, digest, permuted_digest):
+    K = build()
+    for complex_, expected in ((K, digest), (permuted(K, 11), permuted_digest)):
+        got = hashlib.sha256(repr(homology(complex_)).encode()).hexdigest()[:16]
+        assert got == expected, name
+
+
+def _loop_with_a_face(face_boundary):
+    return build_complex("general", [
+        [("v", 1, [])],
+        [("e", 1, [("v", 1), ("v", -1)], None)],
+        [("f", 1, face_boundary, None)],
+    ])
+
+
+def test_a_face_named_twice_sums():
+    # e + e: the disc glued twice along the loop, so H_1 = Z/2 (RP^2's cell structure)
+    summary = homology(_loop_with_a_face([("e", 1), ("e", 1)]))
+    assert summary.betti == (1, 0, 0)
+    assert summary.torsion[1] == (2,)
+    # e - e: the face's boundary cancels to zero, so it is a 2-cycle and e survives
+    summary = homology(_loop_with_a_face([("e", 1), ("e", -1)]))
+    assert summary.betti == (1, 1, 1)
+    assert summary.torsion == ((), (), ())

@@ -11,10 +11,9 @@ from stasys.linalg import (
     rank,
     rref,
     smith_normal_form,
-    transpose,
 )
 
-from conftest import solve
+from conftest import dense_snf, solve, sparse_columns
 
 F = Fraction
 
@@ -53,9 +52,15 @@ def test_inverse_round_trip():
 
 
 def _assert_snf(m):
-    factors = smith_normal_form(m)
-    u, d, v, u_inv, v_inv = factors
     nr, nc = len(m), len(m[0]) if m else 0
+    sparse = smith_normal_form(sparse_columns(m), nr)
+    # U and V_inv by column, D, V and U_inv by row, holding only nonzeros;
+    # row i of D is {i: d_i} up to the rank and {} after it
+    assert [len(f) for f in sparse] == [nr, nr, nc, nr, nc]
+    assert all(x for f in sparse for vec in f for x in vec.values())
+    assert all(set(row) <= {i} for i, row in enumerate(sparse[1]))
+    factors = dense_snf(m)
+    u, d, v, u_inv, v_inv = factors
     # convention: M = U * D * V with U, V unimodular; integer matrices whose
     # product with an integer inverse is I have determinant +-1
     assert all(type(x) is int for f in factors for row in f for x in row)
@@ -102,6 +107,21 @@ def test_snf_random_matrices(nr, nc, data):
 
 def test_snf_preserves_rank():
     m = [[1, 2], [2, 4], [3, 6]]
-    _, d, _, _, _ = smith_normal_form(m)
+    _, d, _, _, _ = dense_snf(m)
     assert sum(1 for i in range(2) if d[i][i]) == rank(frac_matrix(m))
+
+
+def test_snf_sums_a_row_named_twice():
+    assert smith_normal_form([[(0, 1), (0, 1)]], 1)[1] == [{0: 2}]
+    assert smith_normal_form([[(0, 1), (0, -1)]], 1)[1] == [{}]
+    # a matrix with no rows: every column is free and V = V_inv = I
+    assert smith_normal_form([(), ()], 0) == ([], [], [{0: 1}, {1: 1}], [], [{0: 1}, {1: 1}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_snf_of_split_entries_is_the_snf_of_their_sums(nr, nc, data):
+    m = [[data.draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
+    split = [[p for i, x in col for p in ((i, x - 1), (i, 1))] for col in sparse_columns(m)]
+    assert smith_normal_form(split, nr) == smith_normal_form(sparse_columns(m), nr)
 

@@ -2,7 +2,8 @@
 
 Both must perform the same elementary operations in the same order, so the
 five factors (U, D, V, U_inv, V_inv) are compared entry for entry: homology
-generators are read off them, and users give classes in that basis.
+generators are read off them, and users give classes in that basis.  The
+sparse factors are made dense for the comparison.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from stasys import circle, cubical_sphere, flat_torus, product_complex, rp2, tor
 from stasys.homology import _boundaries_in_kernel, _cycle_lattice
 from stasys.linalg import smith_normal_form
 
-from conftest import permuted
+from conftest import dense_factors, dense_snf, permuted
 from snf_reference import dense_smith_normal_form
 
 # Mostly units and zeros, like boundary matrices.  Only a few larger entries:
@@ -45,7 +46,7 @@ def integer_matrices(draw):
 @example([[0, 0], [0, 0], [0, 0]])
 @example([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])  # ties between unit entries
 def test_snf_matches_the_dense_elimination(m):
-    assert smith_normal_form(m) == dense_smith_normal_form(m)
+    assert dense_snf(m) == dense_smith_normal_form(m)
 
 
 STRUCTURES = {
@@ -66,23 +67,32 @@ def _mat_mul(a, b):
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_snf_matches_the_dense_elimination_on_homology_inputs(name, seed):
-    # Every matrix homology() factors: each boundary matrix, and each
-    # boundary matrix in the coordinates of the cycle lattice below it.
+    # Every matrix homology() factors, in the sparse columns it passes: each
+    # boundary matrix, and each boundary matrix in the coordinates of the
+    # cycle lattice below it, whose columns name a row once per face read.
     K = STRUCTURES[name]()
     if seed is not None:
         K = permuted(K, seed)
     for q in range(K.top_dim + 1):
         nq = K.n_cells(q)
+        kernel, to_kernel = _cycle_lattice(K, q)
         if q:
-            boundary = K.boundary_matrix(q)
-            factors = dense_smith_normal_form(boundary)
-            assert smith_normal_form(boundary) == factors, (name, seed, q)
+            factors = dense_smith_normal_form(K.boundary_matrix(q))
+            sparse = smith_normal_form(K.boundary_cols[q], K.n_cells(q - 1))
+            assert dense_factors(sparse, K.n_cells(q - 1), nq) == factors, (name, seed, q)
             d, v = factors[1], factors[2]
             rank = sum(1 for i in range(min(len(d), nq)) if d[i][i])
-            to_kernel = v[rank:]
+            dense_to_kernel = v[rank:]
         else:
-            to_kernel = [[int(i == j) for j in range(nq)] for i in range(nq)]
+            dense_to_kernel = [[int(i == j) for j in range(nq)] for i in range(nq)]
+        assert [[row.get(j, 0) for j in range(nq)] for row in to_kernel] == dense_to_kernel, (name, seed, q)
         if q < K.top_dim:
-            in_kernel = _mat_mul(to_kernel, K.boundary_matrix(q + 1))
-            assert _boundaries_in_kernel(K, q, _cycle_lattice(K, q, nq)[1]) == in_kernel, (name, seed, q)
-            assert smith_normal_form(in_kernel) == dense_smith_normal_form(in_kernel), (name, seed, q)
+            in_kernel = _mat_mul(dense_to_kernel, K.boundary_matrix(q + 1))
+            cols = _boundaries_in_kernel(K, q, to_kernel)
+            summed = [[0] * len(cols) for _ in kernel]
+            for j, col in enumerate(cols):
+                for i, x in col:
+                    summed[i][j] += x
+            assert summed == in_kernel, (name, seed, q)
+            sparse = smith_normal_form(cols, len(kernel))
+            assert dense_factors(sparse, len(kernel), len(cols)) == dense_smith_normal_form(in_kernel), (name, seed, q)
