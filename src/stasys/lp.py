@@ -11,17 +11,23 @@ row.  Bland's pivot rule is used throughout, which rules out cycling.
 side is 0 crashed onto a structural column (Bixby's crash basis), and
 `solve_lp` copies it for each (b, c): phase 1 then starts at that basis.
 
-A `Tableau` also records the optimal bases it has found for its last cost
-vector c.  An optimal basis B stays optimal for every b with B⁻¹b >= 0,
-because dual feasibility depends on c alone; on that cone the optimum is
-y.b with the recorded dual y.  So a b inside a recorded basis's cone is
-answered without copying the tableau or pivoting, and only a b outside
-every recorded cone runs the two phases, whose basis is then recorded
-too.  A solve in which phase 1 drops a dependent row records nothing,
-since B⁻¹b >= 0 would not check that row's consistency for a later b.
-A new c replaces the records.  The value is the optimum whatever
-was solved before, but where the optimum is degenerate the x and y
-returned may depend on which right-hand sides the tableau has seen.
+A `Tableau` also records the optimal bases it has found, per direction of
+the cost vector.  An optimal basis B stays optimal for every b with
+B⁻¹b >= 0, because dual feasibility depends on c alone; on that cone the
+optimum is y.b with the recorded dual y.  Dual feasibility is also blind
+to a positive factor: writing c = s·ĉ, with s > 0 and ĉ the primitive
+integer vector (entries of gcd 1) along c, a basis optimal for c is
+optimal for every positive multiple of c, with y and the reduced costs
+scaled alike.  So the records are keyed by ĉ, and a b inside the cone of
+a basis recorded for ĉ is answered without copying the tableau or
+pivoting, its y and reduced costs scaled to the s of the call; only a b
+outside every recorded cone runs the two phases, whose basis is then
+recorded too.  A new direction adds a key and leaves the others' records.
+A solve in which phase 1 drops a dependent row records nothing, since
+B⁻¹b >= 0 would not check that row's consistency for a later b.  The
+value is the optimum whatever was solved before, but where the optimum is
+degenerate the x and y returned may depend on which right-hand sides, and
+which positive multiples of c, the tableau has seen.
 """
 
 from __future__ import annotations
@@ -45,11 +51,14 @@ class Unbounded(LPError):
 
 class Tableau:
     """The integer tableau [A | I] that `prepare` builds and crashes, and the
-    optimal bases found on it for the cost vector `cost`."""
+    optimal bases found on it: `optima` maps each primitive integer cost
+    direction ĉ solved on it to the bases recorded for ĉ.  `cost` is the
+    last cost vector, `scale` its s in c = s·ĉ and `current` its bases."""
 
     def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
         self.rows, self.den, self.basis, self.m = rows, den, basis, m
-        self.cost, self.optima = None, []
+        self.optima: dict[tuple[int, ...], list[_Optimum]] = {}
+        self.cost, self.scale, self.current = None, None, []
 
     def __len__(self) -> int:  # the row count of A, dropped rows included
         return self.m
@@ -87,10 +96,13 @@ def solve_lp(
     optimal dual, one entry per row of A, and reduced = c - A^T y holds
     the structural reduced costs, read off the final tableau.  Entries may
     be ints or Fractions; every result is a Fraction.  A tableau answers
-    b from a basis it recorded for the same c when B⁻¹b >= 0.
+    b from a basis it recorded for a positive multiple of c when B⁻¹b >= 0.
     """
     t = a if isinstance(a, Tableau) else prepare(a, b)
     m, n = len(t), len(c)
+    if len(b) != m:
+        raise ValueError(f"right-hand side has length {len(b)}, "
+                         f"but the constraint matrix has {m} rows")
     if any(len(row) != n + m + 1 for row in t.rows):
         raise ValueError("constraint matrix width does not match cost vector")
     opened = [bj - n for bj in t.basis if bj >= n]
@@ -100,27 +112,42 @@ def solve_lp(
         return _two_phase(t, b, c, opened)[:4]
     c = tuple(c)
     if t.cost != c:
-        t.cost, t.optima = c, []
-    for optimum in t.optima:
-        answer = optimum.answer(b, opened, n)
+        direction, t.scale = _direction(c)
+        t.cost, t.current = c, t.optima.setdefault(direction, [])
+    for optimum in t.current:
+        answer = optimum.answer(b, opened, n, t.scale)
         if answer is not None:
             return answer
     *answer, optimum = _two_phase(t, b, c, opened)
     if optimum is not None:
-        t.optima.append(optimum)
+        optimum.scale = t.scale
+        t.current.append(optimum)
     return tuple(answer)
+
+
+def _direction(c: tuple) -> tuple[tuple[int, ...], Fraction]:
+    """(ĉ, s) with c = s·ĉ, s > 0 and ĉ an integer vector of gcd 1; s = 1 for c = 0."""
+    nums, d = _integer_row(c)
+    g = gcd(*nums)
+    if g == 0:
+        return tuple(nums), Fraction(1)
+    return tuple(v // g for v in nums), Fraction(g, d)
 
 
 class _Optimum:
     """An optimal basis of a tableau: for each basic column j, the row of
     B⁻¹ on the open rows as integers over one denominator; and y and the
-    reduced costs, which hold for every b in the basis's cone."""
+    reduced costs for the cost s·ĉ, s = `scale`, which hold for every b in
+    the basis's cone."""
 
     def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced):
-        self.rows, self.y, self.reduced = rows, y, reduced
+        self.rows, self.y, self.reduced, self.scale = rows, y, reduced, None
 
-    def answer(self, b, opened: list[int], n: int):
-        """(value, x, y, reduced) when B⁻¹b >= 0, else None."""
+    def answer(self, b, opened: list[int], n: int, scale: Fraction):
+        """(value, x, y, reduced) for the cost scale·ĉ when B⁻¹b >= 0, else None.
+
+        y and the reduced costs are kept at the scale of the last answer,
+        so repeats at one scale multiply nothing."""
         bn, d = _integer_row([b[i] for i in opened])
         x = [Fraction(0)] * n
         for j, inv, den in self.rows:
@@ -129,6 +156,11 @@ class _Optimum:
                 return None
             if v:
                 x[j] = Fraction(v, den * d)
+        if scale != self.scale:
+            r = scale / self.scale
+            self.y = tuple(v * r for v in self.y)
+            self.reduced = tuple(v * r for v in self.reduced)
+            self.scale = scale
         value = sum((self.y[i] * b[i] for i in opened), Fraction(0))
         return value, x, list(self.y), list(self.reduced)
 

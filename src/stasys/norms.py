@@ -7,12 +7,13 @@ row per rational coordinate of the class, with the L1 mass linearized by
 the usual sign split ``x = x+ - x-``.  The rows depend on the structure
 alone, so their tableau is crashed once per (structure, q); a class sets
 only its right-hand sides and costs, and the tableau answers a class
-inside the cone of an optimal basis it recorded for the same weights
-without pivoting (see `stasys.lp`).  Norms and systoles do not depend on
-which classes were solved before; where the optimum is degenerate, the
-optimal cycle and λ returned may, and each is still a valid certificate.
-In a degree with no (q+1)-cells a
-class holds exactly one cycle, whose mass is its norm without an LP.  Each
+inside the cone of an optimal basis it recorded for the same weights, or
+for any positive multiple of them such as a rescaled metric, without
+pivoting (see `stasys.lp`).  Norms and systoles do not depend on which
+classes or metrics were solved before; where the optimum is degenerate,
+the optimal cycle and λ returned may, and each is still a valid
+certificate.  In a degree with no (q+1)-cells a class holds exactly one
+cycle, whose mass is its norm without an LP.  Each
 norm carries a dual certificate (Federer's comass duality): a cocycle f
 with |f| <= w on every q-cell and f = λ on the generators, so
 ``‖h‖ >= |λ.h|`` for every class h.  Stable systoles minimize the stable
@@ -114,9 +115,10 @@ def minimum_mass_cycle(
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
     of the rational coordinate map, on the tableau kept in summary.tableaux,
-    which also keeps the optimal bases found for the weights of the last
-    call.  Its feasible set is exactly the cycles in the class, because a cycle
-    with zero coordinates bounds rationally.  λ is the dual of the
+    which also keeps the optimal bases found for each direction of weights
+    solved on it, so the weights times any t > 0 reuse them.  Its feasible
+    set is exactly the cycles in the class, because a cycle with zero
+    coordinates bounds rationally.  λ is the dual of the
     coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
     """
     q = cls.degree

@@ -318,7 +318,7 @@ def test_a_solve_that_drops_a_row_records_nothing():
     # drops one: a basis on the row left would call b = (4, 9) feasible
     tab = prepare([[1, 1], [2, 2]], [1, 1])
     assert solve_lp(tab, [4, 8], [1, 2])[:2] == (4, [4, 0])
-    assert tab.optima == []
+    assert tab.optima == {(1, 2): []}
     with pytest.raises(Infeasible):
         solve_lp(tab, [4, 9], [1, 2])
     assert solve_lp(tab, [5, 10], [1, 2])[0] == 5
@@ -330,7 +330,60 @@ def test_a_new_cost_vector_is_never_answered_from_the_old_bases():
     assert solve_lp(tab, [4], [1, 2])[:2] == (4, [4, 0])
     assert solve_lp(tab, [3], [2, 1])[:2] == (3, [0, 3])
     assert solve_lp(tab, [3], [1, 2])[:2] == (3, [3, 0])
-    assert len(tab.optima) == 1
+    assert {d: len(bases) for d, bases in tab.optima.items()} == {(1, 2): 1, (2, 1): 1}
+
+
+def test_a_positive_multiple_of_a_recorded_cost_is_answered_from_its_bases(monkeypatch):
+    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    b, c = [0, 0, F(-3, 2), 2], [1, 2, 3, 4, 5, F(6, 5)]
+    value, x, y, reduced = solve_lp(tab, b, c)
+    monkeypatch.setattr(lp, "_optimize", no_simplex)
+    for k in (F(3, 2), 2, F(1, 7), 1):
+        kc = [k * v for v in c]
+        assert solve_lp(tab, b, kc) == (k * value, x, [k * v for v in y], [k * v for v in reduced])
+        assert dual_problems(THETA_ROWS, b, kc, k * value, prepared=tab) == []
+    assert list(tab.optima) == [(5, 10, 15, 20, 25, 6)]
+    # a negative multiple is another direction: its program is unbounded
+    monkeypatch.undo()
+    with pytest.raises(Unbounded):
+        solve_lp(tab, b, [-v for v in c])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(rationals(0, 5, 6), min_size=6, max_size=6), min_size=1, max_size=2),
+       st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=1, max_size=2),
+       st.lists(st.tuples(st.integers(0, 3), st.lists(rationals(-3, 3, 4), min_size=2, max_size=2)),
+                min_size=1, max_size=8))
+def test_interleaved_costs_are_answered_as_a_fresh_tableau_does(costs, factors, solves):
+    """Two to four cost vectors, at least one a positive multiple of
+    another, and right-hand sides in any order through one tableau."""
+    costs = costs + [[k * v for v in costs[0]] for k in factors]
+    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    for i, coords in solves:
+        b, c = [0, 0, *coords], costs[i % len(costs)]
+        value, x, _, _ = solve_lp(tab, b, c)
+        assert value == solve_lp(prepare(THETA_ROWS, [0, 0, 1, 1]), b, c)[0]
+        assert all(v >= 0 for v in x) and sum(map(operator.mul, c, x)) == value
+        assert dual_problems(THETA_ROWS, b, c, value, prepared=tab) == []
+
+
+def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
+    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    b = [0, 0, 1, 2]
+    assert solve_lp(tab, b, [0] * 6)[0] == 0
+    assert solve_lp(tab, b, [1] * 6)[0] == bfs_optimum(THETA_ROWS, b, [1] * 6)[0]
+    # back to the zero direction: answered from its record
+    value, _, y, reduced = solve_lp(tab, b, [F(0)] * 6)
+    assert value == 0 and y == [0] * 4 and reduced == [0] * 6
+    assert dual_problems(THETA_ROWS, b, [0] * 6, value, prepared=tab) == []
+    assert sorted(tab.optima) == [(0,) * 6, (1,) * 6]
+
+
+def test_right_hand_side_must_have_one_entry_per_row():
+    with pytest.raises(ValueError, match="length 1, but the constraint matrix has 2 rows"):
+        solve_lp(prepare([[1, 1], [1, -1]], [1, 1]), [1], [1, 1])
+    with pytest.raises(ValueError, match="length 2, but the constraint matrix has 1 rows"):
+        solve_lp([[1, 1]], [1, 2], [1, 1])
 
 
 def test_crash_leaves_only_the_nonzero_rows_open():

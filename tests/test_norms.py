@@ -418,6 +418,24 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
+    # rescaling multiplies every q=1 cost by t, so each basis recorded for
+    # flat_torus(4) stays optimal and no two-phase solve runs on its tableau
+    lp = importlib.import_module("stasys.lp")
+    K = flat_torus(4)
+    summary = homology(K)
+    summary.tableaux.clear()
+    base = stable_systole(K, 1)
+    tab = summary.tableaux[1]
+    solved = []
+    real = lp._two_phase
+    monkeypatch.setattr(lp, "_two_phase", lambda t, *rest: solved.append(t) or real(t, *rest))
+    for t in (F(3, 2), F(1, 2), F(2)):
+        res = stable_systole(K.rescale(t), 1)
+        assert (res.value, res.search_status) == (t * base.value, base.search_status)
+    assert tab not in solved
+
+
 def test_torus_norms_take_few_pivots(monkeypatch):
     # the 32 norms of the primitive directions in [-2, 2]^2 at multiples 1
     # and 2 on flat_torus(4), from the tableau crashed once: 366 pivots;
