@@ -10,6 +10,8 @@ row.  Bland's pivot rule is used throughout, which rules out cycling.
 `prepare` builds the tableau [A | I] once, with each row whose right-hand
 side is 0 crashed onto a structural column (Bixby's crash basis), and
 `solve_lp` copies it for each (b, c): phase 1 then starts at that basis.
+Rows of A given to `solve_lp` are prepared into a throwaway tableau that
+takes the same path; its records are discarded with it.
 
 A `Tableau` also records the optimal bases it has found, per direction of
 the cost vector.  An optimal basis B stays optimal for every b with
@@ -92,11 +94,12 @@ def solve_lp(
 ) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
     """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, reduced).
 
-    ``a`` is the rows of A or a `Tableau` prepared from them.  y is an
-    optimal dual, one entry per row of A, and reduced = c - A^T y holds
-    the structural reduced costs, read off the final tableau.  Entries may
-    be ints or Fractions; every result is a Fraction.  A tableau answers
-    b from a basis it recorded for a positive multiple of c when B⁻¹b >= 0.
+    ``a`` is a `Tableau`, or the rows of A, prepared for b into a throwaway
+    one.  y is an optimal dual, one entry per row of A, and reduced =
+    c - A^T y holds the structural reduced costs, read off the final
+    tableau.  Entries may be ints or Fractions; every result is a Fraction.
+    A tableau answers b from a basis it recorded for a positive multiple of
+    c when B⁻¹b >= 0.
     """
     t = a if isinstance(a, Tableau) else prepare(a, b)
     m, n = len(t), len(c)
@@ -108,8 +111,6 @@ def solve_lp(
     opened = [bj - n for bj in t.basis if bj >= n]
     if any(b[i] for i in set(range(len(b))).difference(opened)):
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
-    if t is not a:
-        return _two_phase(t, b, c, opened)[:4]
     c = tuple(c)
     if t.cost != c:
         direction, t.scale = _direction(c)
@@ -118,11 +119,7 @@ def solve_lp(
         answer = optimum.answer(b, opened, n, t.scale)
         if answer is not None:
             return answer
-    *answer, optimum = _two_phase(t, b, c, opened)
-    if optimum is not None:
-        optimum.scale = t.scale
-        t.current.append(optimum)
-    return tuple(answer)
+    return _two_phase(t, b, c, opened)
 
 
 def _direction(c: tuple) -> tuple[tuple[int, ...], Fraction]:
@@ -140,8 +137,8 @@ class _Optimum:
     reduced costs for the cost s·ĉ, s = `scale`, which hold for every b in
     the basis's cone."""
 
-    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced):
-        self.rows, self.y, self.reduced, self.scale = rows, y, reduced, None
+    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced, scale: Fraction):
+        self.rows, self.y, self.reduced, self.scale = rows, y, reduced, scale
 
     def answer(self, b, opened: list[int], n: int, scale: Fraction):
         """(value, x, y, reduced) for the cost scale·ĉ when B⁻¹b >= 0, else None.
@@ -166,8 +163,8 @@ class _Optimum:
 
 
 def _two_phase(t: Tableau, b, c, opened: list[int]):
-    """The two-phase solve on a copy of t; returns (value, x, y, reduced,
-    the optimal basis as an `_Optimum`, or None when phase 1 dropped a row)."""
+    """The two-phase solve on a copy of t; returns (value, x, y, reduced) and
+    records the optimal basis in t.current unless phase 1 dropped a row."""
     m, n = len(t), len(c)
     tab, den, basis = [row[:] for row in t.rows], t.den[:], t.basis[:]
 
@@ -195,13 +192,13 @@ def _two_phase(t: Tableau, b, c, opened: list[int]):
             x[bj] = Fraction(row[-1], d)
     y = [Fraction(-s * zrow[n + i], zden) for i, s in enumerate(sign)]
     reduced = [Fraction(z, zden) for z in zrow[:n]]
-    optimum = None
     if len(tab) == len(t.rows):
         # B⁻¹ times the open rows' unit columns is their artificial columns,
         # each read with the sign its row was stored under
-        optimum = _Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
-                            for row, d, bj in zip(tab, den, basis)], tuple(y), tuple(reduced))
-    return Fraction(-zrow[-1], zden), x, y, reduced, optimum
+        t.current.append(_Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
+                                   for row, d, bj in zip(tab, den, basis)],
+                                  tuple(y), tuple(reduced), t.scale))
+    return Fraction(-zrow[-1], zden), x, y, reduced
 
 
 def _integer_row(values) -> tuple[list[int], int]:

@@ -21,7 +21,8 @@ norm over nonzero integral classes: exactly for one-dimensional homology,
 and otherwise by a lattice search that these bounds prune and certify.
 The search stops once L(h) = max_k |λ_k.h| is large enough on the
 max-norm unit sphere, which b LPs of the same sign-split L1 shape decide:
-the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate j.
+the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all
+solved on one tableau prepared per stop test.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     """Least stable norm among integral classes with nonzero rational image."""
     if search_radius < 0:
         raise ValueError(f"search radius must be at least 0, not {search_radius}")
+    if q < 0:
+        raise ValueError(f"degree {q} out of range")
     summary = homology(K)
-    if q < 0 or q > K.top_dim or summary.betti[q] == 0:
+    if q > K.top_dim or summary.betti[q] == 0:
         return SystoleResult(None, None, "trivial")
     b = summary.betti[q]
     if b == 1:
@@ -178,15 +181,16 @@ def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
     The unit vectors e_j are tried first.  L is positively homogeneous, so
     the claim holds exactly when every h with L(h) <= 1 has |h_j| <= 1/level.
     By LP duality the largest h_j there is the least sum of |μ_k| over μ
-    with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-.
-    It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
+    with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-,
+    the b of them solved on one tableau prepared with every row open.  It
+    is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
         return False
-    a = [[lam[i] for lam in duals] + [-lam[i] for lam in duals] for i in range(b)]
+    tab = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
     ones = [1] * (2 * len(duals))
     try:
-        return all(solve_lp(a, [int(i == j) for i in range(b)], ones)[0] * level <= 1
+        return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1
                    for j in range(b))
     except Infeasible:
         return level <= 0
@@ -256,6 +260,8 @@ def verify_projection_equality(
     Applicable when degree-q homology of the product comes entirely from
     (q, 0) tensor terms with L connected; otherwise reported inapplicable.
     """
+    if q < 0:
+        raise ValueError(f"degree {q} out of range")
     bk = homology(K).betti
     bl = homology(L).betti
     def betti(bs, i):

@@ -362,6 +362,19 @@ def test_verify_product(files, capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+@pytest.mark.parametrize("argv, above_top", [
+    (("systole", "circle3"), "stsys_2 = trivial"),
+    (("verify", "projection", "circle3", "circle3"), "INAPPLICABLE projection-equality"),
+], ids=["systole", "verify-projection"])
+def test_negative_degree_exits_two(argv, above_top, files, capsys):
+    # as stable-norm does, while a degree above the top is trivial or inapplicable
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "-q", "-1")
+    assert (code, out, err) == (2, "", "error: degree -1 out of range\n")
+    code, out, _ = run(capsys, *argv, "-q", "2")
+    assert code == 0 and out.startswith(above_top)
+
+
 def test_verify_projection_inapplicable_exits_zero(files, capsys):
     code, out, _ = run(capsys, "verify", "projection", files["circle3"],
                        files["circle3"], "-q", "1")

@@ -184,7 +184,9 @@ def feasible_program(data):
 def test_random_feasible_programs(data):
     """The optimum is exact: it equals the least cost over all vertices."""
     a, b, c, x0 = feasible_program(data)
-    value, x, _, _ = solve_lp(a, b, c)
+    value, x, _, _ = answer = solve_lp(a, b, c)
+    # rows are prepared into a throwaway tableau and take the tableau's path
+    assert answer == solve_lp(prepare(a, b), b, c)
     feasible_cost = sum(ci * xi for ci, xi in zip(c, x0))
     assert value <= feasible_cost
     assert all(xi >= 0 for xi in x)

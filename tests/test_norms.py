@@ -368,16 +368,19 @@ def test_stop_test_against_the_edges_of_the_square(duals):
 
 
 def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
-    norms = importlib.import_module("stasys.norms")
-    rows = []
+    # and all b programs of one stop test run on the one tableau it prepared
+    norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
+    tableaux = []
     real = norms.solve_lp
-    monkeypatch.setattr(norms, "solve_lp", lambda a, *rest: rows.append(len(a)) or real(a, *rest))
+    monkeypatch.setattr(norms, "solve_lp", lambda a, *rest: tableaux.append(a) or real(a, *rest))
     for duals, level in (([(2, 1), (0, 1)], 1), ([(4, 4), (4, -4), (4, 0)], 4),
                          (INSIDE_A_FACE, F(1, 2))):
         b = len(duals[0])
-        rows.clear()
+        tableaux.clear()
         assert norms._bounds_sphere([tuple(map(F, lam)) for lam in duals], b, level)
-        assert rows == [b] * b
+        assert [len(a) for a in tableaux] == [b] * b
+        assert isinstance(tableaux[0], lp.Tableau)
+        assert all(a is tableaux[0] for a in tableaux)
 
 
 def cut_pairing(K, z):
