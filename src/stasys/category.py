@@ -280,21 +280,26 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
             total = sum(f.n // f.lpd for f in profile.factors)
             if total > lower:
                 lower, lower_rule = total, "factor cup-length sum"
-        # fold the factor-sum rule pairwise over the factor list
+        # fold the factor-sum rule pairwise over the factor list; a fold's
+        # note names only the factor it adds and its position, since a note
+        # naming the sub-product would make the notes quadratic in the count
         acc, value, folded = profile.factors[0], subs[0].lower, subs[0].exact
-        for f, sub in zip(profile.factors[1:], subs[1:]):
+        for k, (f, sub) in enumerate(zip(profile.factors[1:], subs[1:]), start=2):
             ok, why = _sum_rule_applies(acc, f)
             if not (ok and folded and sub.exact):
                 if not ok:
-                    notes.append(f"factor-sum rule inapplicable to ({acc.name or '?'}) x "
+                    notes.append(f"factor-sum rule inapplicable at factor {k} "
                                  f"({f.name or '?'}): {why}")
                 folded = False
                 break
             acc, value = kunneth_product(acc, f), value + sub.lower
-            notes.append(f"factor-sum rule applies to {acc.name}: remainder condition holds")
+            notes.append(f"factor-sum rule applies at factor {k} ({f.name or '?'}): "
+                         "remainder condition holds")
         # a completed fold raises no lower bound: it needs every factor
         # flagged, so the factor cup-length sum has set lower >= value already
         if folded and len(profile.factors) > 1:
+            notes.append(f"factor-sum rule applies to {profile.name or '?'}: "
+                         "remainder condition holds at every factor")
             if value < upper:
                 upper, upper_rule = value, "factor-sum rule"
 

@@ -122,8 +122,10 @@ class WeightedCellComplex:
         return sum((abs(c) * w for c, w in zip(chain.coeffs, ws) if c), Fraction(0))
 
     def rescale(self, t: Rational) -> "WeightedCellComplex":
-        """Scale the weights of degree q by t^q."""
+        """Scale the weights of degree q by t^q; t = 1 gives self."""
         t = Fraction(t)
+        if t == 1:
+            return self
         if t <= 0:
             raise ValueError("scale factor must be positive")
         powers = [t ** q for q in range(self.top_dim + 1)]

@@ -113,8 +113,8 @@ def solve_lp(
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
     c = tuple(c)
     if t.cost != c:
-        direction, t.scale = _direction(c)
-        t.cost, t.current = c, t.optima.setdefault(direction, [])
+        chat, t.scale = direction(c)
+        t.cost, t.current = c, t.optima.setdefault(chat, [])
     for optimum in t.current:
         answer = optimum.answer(b, opened, n, t.scale)
         if answer is not None:
@@ -122,7 +122,7 @@ def solve_lp(
     return _two_phase(t, b, c, opened)
 
 
-def _direction(c: tuple) -> tuple[tuple[int, ...], Fraction]:
+def direction(c: tuple) -> tuple[tuple[int, ...], Fraction]:
     """(ĉ, s) with c = s·ĉ, s > 0 and ĉ an integer vector of gcd 1; s = 1 for c = 0."""
     nums, d = _integer_row(c)
     g = gcd(*nums)

@@ -19,7 +19,11 @@ with |f| <= w on every q-cell and f = λ on the generators, so
 ``‖h‖ >= |λ.h|`` for every class h.  Stable systoles minimize the stable
 norm over nonzero integral classes: exactly for one-dimensional homology,
 and otherwise by a lattice search that these bounds prune and certify.
-The search stops once L(h) = max_k |λ_k.h| is large enough on the
+A metric scaled by s scales every norm and λ by s, so the search runs in
+units of the weights' primitive integer direction ĉ (weights = s·ĉ, as
+`stasys.lp.direction` splits them): each class's LP is costed by the
+integers ĉ, only its value and λ are read, and the least norm is
+multiplied by s once, at the end.  The search stops once L(h) = max_k |λ_k.h| is large enough on the
 max-norm unit sphere, which b LPs of the same sign-split L1 shape decide:
 the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all
 solved on one tableau prepared per stop test.
@@ -36,7 +40,7 @@ from fractions import Fraction
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
 from .linalg import rank
-from .lp import Infeasible, prepare, solve_lp
+from .lp import Infeasible, direction, prepare, solve_lp
 
 Rational = Fraction | int
 
@@ -99,13 +103,19 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
     if K.n_cells(q + 1) == 0:
-        # no boundaries: the class holds one cycle z, and f = w.sign(z) is a cocycle
-        z = summary.representative(cls)
-        f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, K.weights[q]))
-        dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[q])
+        z, f, dual = _unique_cycle(summary, cls, K.weights[q])
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
     value, cycle, dual, f = minimum_mass_cycle(K, summary, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
+
+
+def _unique_cycle(summary: HomologySummary, cls: HomologyClass, weights):
+    """With no (q+1)-cells, cls holds one cycle z: z, the cocycle f = w.sign(z)
+    for the q-cell weights w, and λ = f on the generators."""
+    z = summary.representative(cls)
+    f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, weights))
+    dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[cls.degree])
+    return z, f, dual
 
 
 def minimum_mass_cycle(
@@ -124,17 +134,35 @@ def minimum_mass_cycle(
     """
     q = cls.degree
     nq = K.n_cells(q)
+    ws = K.weights[q]
+    value, x, y, reduced = _norm_lp(K, summary, q, cls.coords, ws)
+    cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
+    f = tuple(w - d if d else w for w, d in zip(ws, reduced))
+    return value, cycle, tuple(y[-len(cls.coords):]), f
+
+
+def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
+    """`solve_lp`'s (value, x, y, reduced) for the norm LP of the degree-q
+    class with the given coordinates, costed by the given q-cell weights, on
+    the tableau of summary.tableaux[q], prepared here on first use; λ is the
+    last b entries of y."""
     tab = summary.tableaux.get(q)
     if tab is None:
         rows = [*(K.boundary_matrix(q) if q else []), *summary.coordinate_maps[q]]
-        b = [0] * (len(rows) - len(cls.coords)) + [1] * len(cls.coords)
+        b = [0] * (len(rows) - len(coords)) + [1] * len(coords)
         tab = summary.tableaux[q] = prepare([[*row, *(-v for v in row)] for row in rows], b)
-    ncycle = len(tab) - len(cls.coords)
-    ws = K.weights[q]
-    value, x, y, reduced = solve_lp(tab, [0] * ncycle + list(cls.coords), list(ws) * 2)
-    cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
-    f = tuple(w - d if d else w for w, d in zip(ws, reduced))
-    return value, cycle, tuple(y[ncycle:]), f
+    return solve_lp(tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights))
+
+
+def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
+                coords: tuple[int, ...], weights) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The norm and λ of the nonzero integral class with these coordinates
+    under the given q-cell weights, without the optimal cycle or the cocycle."""
+    if K.n_cells(q + 1) == 0:
+        z, f, dual = _unique_cycle(summary, HomologyClass(q, coords), weights)
+        return sum(map(operator.mul, f, z.coeffs), Fraction(0)), dual
+    value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
+    return value, tuple(y[-len(coords):])
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
@@ -147,9 +175,12 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     if q > K.top_dim or summary.betti[q] == 0:
         return SystoleResult(None, None, "trivial")
     b = summary.betti[q]
+    # the weights are s·ĉ with ĉ integral and primitive; norms, λ's and the
+    # search's levels all scale by s, so the search runs in units of ĉ
+    chat, s = direction(K.weights[q])
     if b == 1:
-        res = stable_norm(K, HomologyClass(q, (Fraction(1),)))
-        return SystoleResult(res.value, (1,), "exact")
+        value, _ = _class_norm(K, summary, q, (1,), chat)
+        return SystoleResult(value * s, (1,), "exact")
 
     duals = []  # every distinct λ found; ‖h‖ >= L(h) = max_k |λ_k.h| for all h
     best: Fraction | None = None
@@ -158,17 +189,18 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
         for v in _primitive_vectors(b, r):
             if best is not None and _dual_bound(duals, v) >= best:
                 continue  # cannot improve on best
-            res = stable_norm(K, HomologyClass(q, v))
-            if res.dual not in duals:  # a recorded basis gives its λ again
-                duals.append(res.dual)
-            if best is None or res.value < best:
-                best = res.value
+            value, dual = _class_norm(K, summary, q, v, chat)
+            if dual not in duals:  # a recorded basis gives its λ again
+                duals.append(dual)
+            if best is None or value < best:
+                best = value
                 witness = v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
         if _bounds_sphere(duals, b, best / (r + 1)):
-            return SystoleResult(best, witness, "certified")
-    return SystoleResult(best, witness, f"bounded-search({search_radius})")
+            return SystoleResult(best * s, witness, "certified")
+    return SystoleResult(None if best is None else best * s, witness,
+                         f"bounded-search({search_radius})")
 
 
 def _dual_bound(duals, v) -> Fraction:
@@ -188,7 +220,7 @@ def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
         return False
     tab = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
-    ones = [1] * (2 * len(duals))
+    ones = (1,) * (2 * len(duals))
     try:
         return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1
                    for j in range(b))

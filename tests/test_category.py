@@ -167,11 +167,20 @@ def test_factor_sum_rule_sets_the_upper_bound():
 def test_factor_sum_rule_inapplicable_notes():
     v = catstsys_bounds(kunneth_product(P, P))
     assert (v.lower, v.upper) == (4, 5)
-    assert "factor-sum rule inapplicable to (P) x (P): remainder condition fails" in v.notes
+    assert "factor-sum rule inapplicable at factor 2 (P): remainder condition fails" in v.notes
     v = catstsys_bounds(kunneth_product(Q, sphere_profile(2)))
     assert (v.lower, v.upper) == (1, 3)
-    assert ("factor-sum rule inapplicable to (Q) x (S2): "
+    assert ("factor-sum rule inapplicable at factor 2 (S2): "
             "factor without known maximal cup length") in v.notes
+
+
+def test_fold_notes_name_one_factor_each():
+    # a note naming the sub-product folded so far would make the notes
+    # quadratic in the factor count: 2000 circles wrote 10 MB of them
+    v = catstsys_bounds(parse_product_expression(" x ".join(["S1"] * 500)))
+    assert v.exact and v.value == 500
+    assert "factor-sum rule applies at factor 500 (S1): remainder condition holds" in v.notes
+    assert sum(len(note.encode()) for note in v.notes) < 100 * 500
 
 
 def test_max_admissible_size_matches_enumeration():
@@ -266,7 +275,7 @@ def test_unflagged_homology_spheres_use_the_sphere_product_count():
     p = product_profile([DimensionProfile(n=1, betti=(1, 1)), DimensionProfile(n=2, betti=(1, 0, 1))])
     v = catstsys_bounds(p)
     assert (v.lower, v.upper, v.lower_rule) == (2, 2, "sphere-product count")
-    assert ("factor-sum rule inapplicable to (?) x (?): floor compatibility with the "
+    assert ("factor-sum rule inapplicable at factor 2 (?): floor compatibility with the "
             "combined least positive dimension fails") in v.notes
 
 

@@ -203,7 +203,7 @@ def test_unflagged_sphere_factors_give_the_sphere_product_count(tmp_path, capsys
     assert out.splitlines()[:3] == ["catstsys(? x ?) = 2",
                                     "  lower bound: 2 via sphere-product count",
                                     "  upper bound: 2 via sphere-product count"]
-    assert "factor-sum rule inapplicable to (?) x (?)" in out
+    assert "factor-sum rule inapplicable at factor 2 (?)" in out
 
 
 def test_deeply_nested_json_exits_two(tmp_path, capsys):

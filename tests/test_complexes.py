@@ -123,6 +123,13 @@ def test_rescale_scales_weights_by_degree():
         K.rescale(0)
 
 
+def test_rescale_by_one_is_the_complex_itself():
+    # as DeformationFamily.at(1) is the base
+    K = circle(3)
+    assert K.rescale(1) is K
+    assert K.rescale(F(1)) is K
+
+
 def test_product_complex_counts_and_weights():
     A = circle(3, edge_weight=F(1, 2), kind="cubical")
     B = circle(4, edge_weight=F(3), kind="cubical")

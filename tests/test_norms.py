@@ -251,9 +251,8 @@ def test_pruned_search_matches_the_whole_box(K, q):
 def test_rank_two_systole_takes_two_cycle_lps(K, monkeypatch):
     norms = importlib.import_module("stasys.norms")
     calls = []
-    real = norms.minimum_mass_cycle
-    monkeypatch.setattr(norms, "minimum_mass_cycle",
-                        lambda *args: calls.append(args) or real(*args))
+    real = norms._norm_lp
+    monkeypatch.setattr(norms, "_norm_lp", lambda *args: calls.append(args) or real(*args))
     res = stable_systole(K, 1)
     assert res.search_status == "certified"
     assert len(calls) <= 2
@@ -273,6 +272,15 @@ def skewed_norm(forms):
     return norm
 
 
+def patch_norm_lp(mp, norm):
+    """Make the class LP the search runs answer with norm's value and λ (the
+    last b entries of y); a search on unit weights reads no other field."""
+    def norm_lp(K, summary, q, coords, weights):
+        res = norm(K, HomologyClass(q, coords))
+        return res.value, [], list(res.dual), []
+    mp.setattr(importlib.import_module("stasys.norms"), "_norm_lp", norm_lp)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                           st.integers(1, 9)), min_size=2, max_size=3))
@@ -284,7 +292,7 @@ def test_search_on_skewed_lattice_norms(forms):
                itertools.combinations(forms, 2)))
     norm = skewed_norm(forms)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("stasys.norms"), "stable_norm", norm)
+        patch_norm_lp(mp, norm)
         res = stable_systole(flat_torus(3), 1, search_radius=4)
     def value_of(v):
         return norm(None, HomologyClass(1, v)).value
@@ -300,7 +308,7 @@ def test_shortest_class_two_shells_out():
     # N(x, y) = 10|x - 2y| + |y| is least at (2, 1); radius 1 cannot certify
     norm = skewed_norm([((1, -2), 10), ((0, 1), 1)])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("stasys.norms"), "stable_norm", norm)
+        patch_norm_lp(mp, norm)
         capped = stable_systole(flat_torus(3), 1, search_radius=1)
         full = stable_systole(flat_torus(3), 1)
     assert (capped.value, capped.witness_class, capped.search_status) == (10, (1, 0),
@@ -437,6 +445,57 @@ def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
         res = stable_systole(K.rescale(t), 1)
         assert (res.value, res.search_status) == (t * base.value, base.search_status)
     assert tab not in solved
+
+
+@pytest.mark.parametrize("K", [flat_torus(3), product_complex(circle(3), circle(4)),
+                               product_complex(circle(3, kind="cubical"), cubical_sphere(2))],
+                         ids=["flat_torus(3)", "C3xC4", "S1xS2"])
+def test_the_search_solves_on_primitive_integer_costs(K, monkeypatch):
+    # the search runs in units of the weights' primitive integer direction,
+    # so on a rescaled or deformed metric it hands solve_lp only costs of
+    # gcd 1 and never answers from a recorded basis at another scale
+    norms = importlib.import_module("stasys.norms")
+    lp = importlib.import_module("stasys.lp")
+    homology(K).tableaux.clear()
+    costs, scales = [], []
+    real_solve, real_answer = norms.solve_lp, lp._Optimum.answer
+    monkeypatch.setattr(norms, "solve_lp", lambda a, b, c: costs.append(c) or real_solve(a, b, c))
+
+    def answer(self, b, opened, n, scale):
+        scales.append((self.scale, scale))
+        return real_answer(self, b, opened, n, scale)
+
+    monkeypatch.setattr(lp._Optimum, "answer", answer)
+    metrics = [K.rescale(t) for t in (F(2), F(1, 3), F(5, 4))]
+    metrics += [DeformationFamily(K).at(t) for t in (F(3, 2), F(4))]
+    for Kt in metrics:
+        for q in range(K.top_dim + 1):
+            stable_systole(Kt, q)
+    assert costs and scales
+    for c in costs:
+        assert type(c) is tuple and {type(v) for v in c} == {int} and math.gcd(*c) == 1
+    assert all(old == new for old, new in scales)
+
+
+EQUIVARIANCE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
+                "C3xC4": product_complex(circle(3), circle(4))}
+
+
+@functools.cache
+def unscaled_systole(name, q):
+    return stable_systole(EQUIVARIANCE[name], q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EQUIVARIANCE)), st.integers(0, 2),
+       st.integers(1, 9), st.integers(1, 9))
+def test_systoles_are_equivariant_under_rescaling(name, q, num, den):
+    # a metric scaled by t has every degree-q norm scaled by t^q
+    t = F(num, den)
+    base = unscaled_systole(name, q)
+    res = stable_systole(EQUIVARIANCE[name].rescale(t), q)
+    assert res.value == t ** q * base.value
+    assert (res.witness_class, res.search_status) == (base.witness_class, base.search_status)
 
 
 def test_torus_norms_take_few_pivots(monkeypatch):
