@@ -10,6 +10,8 @@ Where no rule closes the gap the verdict stays honest: lower < upper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,13 @@ class DimensionProfile:
         """A real homology sphere: n >= 1 and betti = (1, 0, ..., 0, 1)."""
         return self.n >= 1 and self.betti == (1,) + (0,) * (self.n - 1) + (1,)
 
-    @property
+    @cached_property
     def lpd(self) -> int | None:
         return min(self.admissible_degrees, default=None)
 
-    @property
-    def admissible_degrees(self) -> set[int]:
-        return {q for q in range(1, self.n + 1) if self.betti[q] > 0}
+    @cached_property
+    def admissible_degrees(self) -> frozenset[int]:
+        return frozenset(q for q in range(1, self.n + 1) if self.betti[q] > 0)
 
 
 def sphere_profile(m: int) -> DimensionProfile:
@@ -139,7 +141,18 @@ def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionPro
     return DimensionProfile(n=K.top_dim, betti=homology(K).betti, max_cup_flag=flag, name=name)
 
 
-def _product_max_cup(p: DimensionProfile, q: DimensionProfile) -> bool | None:
+class _Shape(NamedTuple):
+    """What the product rules read of a profile: its dimension, least
+    positive dimension and maximal-cup-length flag.  The product of two
+    connected factors has the sum of their dimensions and the least of
+    their lpds (Künneth, b_0 = 1)."""
+
+    n: int
+    lpd: int | None
+    max_cup_flag: bool | None
+
+
+def _product_max_cup(p: DimensionProfile | _Shape, q: DimensionProfile) -> bool | None:
     """Derive the maximal-cup-length flag of a product, when the floor and
     remainder compatibility conditions allow it; None when underivable."""
     if (p.lpd is None or q.lpd is None
@@ -149,7 +162,7 @@ def _product_max_cup(p: DimensionProfile, q: DimensionProfile) -> bool | None:
     return True if _floors_agree(p, q) and p.n % l + q.n % l < l else None
 
 
-def _floors_agree(p: DimensionProfile, q: DimensionProfile) -> bool:
+def _floors_agree(p: DimensionProfile | _Shape, q: DimensionProfile) -> bool:
     """floor(n / lpd) of each factor equals floor(n / l), l the combined lpd."""
     l = min(p.lpd, q.lpd)
     return p.n // p.lpd == p.n // l and q.n // q.lpd == q.n // l
@@ -227,6 +240,8 @@ def _max_admissible_size(profile: DimensionProfile) -> int:
     """Most parts of an admissible partition of n (0 if there is none)."""
     if profile.n < 1:
         raise ValueError("n must be positive")
+    if profile.lpd is not None and profile.n % profile.lpd == 0:
+        return profile.n // profile.lpd  # no part is below lpd
     degrees = sorted(profile.admissible_degrees)
     most: list[int | None] = [0]  # most[m]: most admissible parts summing to m
     for m in range(1, profile.n + 1):
@@ -235,7 +250,7 @@ def _max_admissible_size(profile: DimensionProfile) -> int:
     return most[profile.n] or 0
 
 
-def _sum_rule_applies(p: DimensionProfile, q: DimensionProfile) -> tuple[bool, str]:
+def _sum_rule_applies(p: DimensionProfile | _Shape, q: DimensionProfile) -> tuple[bool, str]:
     """Applicability of the factor-sum rule for catstsys of a product.
 
     Requires both factors to attain maximal cup length, the remainder
@@ -282,8 +297,13 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
                 lower, lower_rule = total, "factor cup-length sum"
         # fold the factor-sum rule pairwise over the factor list; a fold's
         # note names only the factor it adds and its position, since a note
-        # naming the sub-product would make the notes quadratic in the count
-        acc, value, folded = profile.factors[0], subs[0].lower, subs[0].exact
+        # naming the sub-product would make the notes quadratic in the count.
+        # The running product is carried as the _Shape that kunneth_product
+        # would give it, all that _sum_rule_applies reads; no such product
+        # is a homology sphere, whose flag the profile would raise to True
+        first = profile.factors[0]
+        acc = _Shape(first.n, first.lpd, first.max_cup_flag)
+        value, folded = subs[0].lower, subs[0].exact
         for k, (f, sub) in enumerate(zip(profile.factors[1:], subs[1:]), start=2):
             ok, why = _sum_rule_applies(acc, f)
             if not (ok and folded and sub.exact):
@@ -292,7 +312,8 @@ def catstsys_bounds(profile: DimensionProfile) -> CategoryVerdict:
                                  f"({f.name or '?'}): {why}")
                 folded = False
                 break
-            acc, value = kunneth_product(acc, f), value + sub.lower
+            acc = _Shape(acc.n + f.n, min(acc.lpd, f.lpd), _product_max_cup(acc, f))
+            value += sub.lower
             notes.append(f"factor-sum rule applies at factor {k} ({f.name or '?'}): "
                          "remainder condition holds")
         # a completed fold raises no lower bound: it needs every factor

@@ -51,7 +51,9 @@ class HomologySummary:
     generators: tuple[tuple[Chain, ...], ...]
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    tableaux: dict = field(default_factory=dict, compare=False, repr=False)  # norm LPs by q
+    # prepared LP tableaux: norm LPs keyed by the degree q, the systole
+    # search's stop-test programs by their tuple of λ's
+    tableaux: dict = field(default_factory=dict, compare=False, repr=False)
 
     def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
         """Rational homology coordinates of a cycle; zero iff z bounds."""

@@ -22,11 +22,15 @@ and otherwise by a lattice search that these bounds prune and certify.
 A metric scaled by s scales every norm and λ by s, so the search runs in
 units of the weights' primitive integer direction ĉ (weights = s·ĉ, as
 `stasys.lp.direction` splits them): each class's LP is costed by the
-integers ĉ, only its value and λ are read, and the least norm is
-multiplied by s once, at the end.  The search stops once L(h) = max_k |λ_k.h| is large enough on the
-max-norm unit sphere, which b LPs of the same sign-split L1 shape decide:
-the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all
-solved on one tableau prepared per stop test.
+integers ĉ, only its value and λ are read (a unique cycle's in plain
+ints), and the least norm is multiplied by s once, at the end.  The search
+stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
+sphere, which b LPs of the same sign-split L1 shape decide: the least sum
+|μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all solved on one
+tableau kept in summary.tableaux per λ set, beside the norm tableaux kept
+per q.  A search repeated on the same structure and weight direction so
+finds every λ set's tableau with its bases recorded, and prepares nothing
+and runs no two-phase solve.
 """
 
 from __future__ import annotations
@@ -159,8 +163,12 @@ def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
     """The norm and λ of the nonzero integral class with these coordinates
     under the given q-cell weights, without the optimal cycle or the cocycle."""
     if K.n_cells(q + 1) == 0:
-        z, f, dual = _unique_cycle(summary, HomologyClass(q, coords), weights)
-        return sum(map(operator.mul, f, z.coeffs), Fraction(0)), dual
+        # the one cycle z = sum_k c_k g_k and f = w.sign(z), from the
+        # generators' integer numerators: ints in, ints out for integral w
+        gens = [[g.numerator for g in gen.coeffs] for gen in summary.generators[q]]
+        z = [sum(map(operator.mul, coords, col)) for col in zip(*gens)]
+        f = [w if c > 0 else -w if c < 0 else 0 for c, w in zip(z, weights)]
+        return sum(map(operator.mul, f, z)), tuple(sum(map(operator.mul, f, g)) for g in gens)
     value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
     return value, tuple(y[-len(coords):])
 
@@ -197,7 +205,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
                 witness = v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
-        if _bounds_sphere(duals, b, best / (r + 1)):
+        if _bounds_sphere(summary.tableaux, duals, b, best / (r + 1)):
             return SystoleResult(best * s, witness, "certified")
     return SystoleResult(None if best is None else best * s, witness,
                          f"bounded-search({search_radius})")
@@ -207,19 +215,24 @@ def _dual_bound(duals, v) -> Fraction:
     return max((abs(sum(map(operator.mul, lam, v))) for lam in duals), default=Fraction(0))
 
 
-def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
+def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
     """Whether L(h) = max_k |λ_k.h| >= level on the max-norm unit sphere.
 
     The unit vectors e_j are tried first.  L is positively homogeneous, so
     the claim holds exactly when every h with L(h) <= 1 has |h_j| <= 1/level.
     By LP duality the largest h_j there is the least sum of |μ_k| over μ
     with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-,
-    the b of them solved on one tableau prepared with every row open.  It
-    is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
+    the b of them solved on one tableau prepared with every row open and
+    kept per λ set in ``tableaux`` (a summary's, keyed by the tuple of λ's),
+    so a repeated stop test answers each e_j from a basis recorded on it.
+    It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
         return False
-    tab = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
+    key = tuple(duals)
+    tab = tableaux.get(key)
+    if tab is None:
+        tab = tableaux[key] = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
     ones = (1,) * (2 * len(duals))
     try:
         return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1

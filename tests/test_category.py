@@ -1,5 +1,7 @@
 """Partition arithmetic and category bounds for dimension profiles."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -200,6 +202,21 @@ def test_two_hundred_circles():
     assert _max_admissible_size(p) == 200
     v = catstsys_bounds(p)
     assert v.exact and v.value == 200
+
+
+def test_bounds_of_many_factors_rebuild_no_product(monkeypatch):
+    # the factor-sum fold carries only the running product's n, lpd and
+    # flag, and a profile builds its admissible degrees once, so the bounds
+    # of k factors take time linear in k
+    category = importlib.import_module("stasys.category")
+    p = product_profile([sphere_profile(1)] * 500)
+    assert p.admissible_degrees is p.admissible_degrees
+    calls = []
+    real = category.kunneth_product
+    monkeypatch.setattr(category, "kunneth_product", lambda *args: calls.append(1) or real(*args))
+    v = catstsys_bounds(p)
+    assert v.exact and v.value == 500 and v.upper_rule == "admissible-partition arithmetic"
+    assert calls == []
 
 
 def test_nonorientable_profiles_rejected():

@@ -335,8 +335,8 @@ INSIDE_A_FACE = [(1, -2, 0), (0, 2, 0), (1, 0, -2), (0, 0, 2)]
 def test_least_dual_bound_on_the_unit_sphere(duals, least):
     from stasys.norms import _bounds_sphere
     duals = [tuple(map(F, lam)) for lam in duals]
-    assert _bounds_sphere(duals, len(duals[0]), least)
-    assert not _bounds_sphere(duals, len(duals[0]), least + F(1, 1000))
+    assert _bounds_sphere({}, duals, len(duals[0]), least)
+    assert not _bounds_sphere({}, duals, len(duals[0]), least + F(1, 1000))
 
 
 def least_on_square(duals):
@@ -371,8 +371,8 @@ small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 def test_stop_test_against_the_edges_of_the_square(duals):
     from stasys.norms import _bounds_sphere
     least = least_on_square(duals)
-    assert _bounds_sphere(duals, 2, least)
-    assert not _bounds_sphere(duals, 2, least + F(1, 10 ** 6))
+    assert _bounds_sphere({}, duals, 2, least)
+    assert not _bounds_sphere({}, duals, 2, least + F(1, 10 ** 6))
 
 
 def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
@@ -385,7 +385,7 @@ def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
                          (INSIDE_A_FACE, F(1, 2))):
         b = len(duals[0])
         tableaux.clear()
-        assert norms._bounds_sphere([tuple(map(F, lam)) for lam in duals], b, level)
+        assert norms._bounds_sphere({}, [tuple(map(F, lam)) for lam in duals], b, level)
         assert [len(a) for a in tableaux] == [b] * b
         assert isinstance(tableaux[0], lp.Tableau)
         assert all(a is tableaux[0] for a in tableaux)
@@ -496,6 +496,62 @@ def test_systoles_are_equivariant_under_rescaling(name, q, num, den):
     res = stable_systole(EQUIVARIANCE[name].rescale(t), q)
     assert res.value == t ** q * base.value
     assert (res.witness_class, res.search_status) == (base.witness_class, base.search_status)
+
+
+def test_a_warm_repeat_runs_no_two_phase_solve(monkeypatch):
+    # norm tableaux are kept per degree and stop-test tableaux per λ set,
+    # each with the optimal bases recorded on it, so a search repeated on
+    # the same structure and weight direction prepares and pivots nothing
+    norms, lp, deform = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp", "deform"))
+    family = DeformationFamily(product_complex(circle(3), circle(4)))
+    searches = []
+    real_systole = deform.stable_systole
+    monkeypatch.setattr(deform, "stable_systole",
+                        lambda *args, **kw: searches.append(real_systole(*args, **kw)) or searches[-1])
+    runs = (lambda: stable_systole(torus_triangulated(), 1),
+            lambda: stable_systole(flat_torus(3), 1),
+            lambda: deformation_sweep(family, Partition((1, 1))))
+    first = [run() for run in runs], list(searches)
+    assert len(searches) == 4 and all(res.search_status == "certified" for res in searches)
+    searches.clear()
+    calls = []
+    real_two_phase, real_prepare = lp._two_phase, norms.prepare
+    monkeypatch.setattr(lp, "_two_phase", lambda *args: calls.append("two_phase") or real_two_phase(*args))
+    monkeypatch.setattr(norms, "prepare", lambda *args: calls.append("prepare") or real_prepare(*args))
+    assert ([run() for run in runs], searches) == first
+    assert calls == []
+
+
+TOP_DEGREES = {"sphere(2)": sphere(2), "T2_9": torus_triangulated(),
+               "C3xC4": product_complex(circle(3), circle(4)),
+               "S1xS2": product_complex(circle(3, kind="cubical"), cubical_sphere(2))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TOP_DEGREES)), st.integers(-4, 4).filter(bool),
+       st.integers(1, 9), st.integers(1, 9), st.data())
+def test_unique_cycle_norms_in_integers_match_stable_norm(name, coord, num, den, data):
+    # in the top degree a class holds one cycle; the search's integer path
+    # must give stable_norm's value and λ, on the weights themselves and on
+    # their primitive direction ĉ (weights = s·ĉ) scaled back by s
+    norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
+    K = TOP_DEGREES[name]
+    q = K.top_dim
+    top = data.draw(st.lists(st.integers(1, 9), min_size=K.n_cells(q), max_size=K.n_cells(q)))
+    K = replace(K, weights=(*K.weights[:q], tuple(map(F, top))))
+    t = F(num, den)
+    metrics = [K, K.rescale(t)]
+    if K.factor_degrees is not None:
+        metrics.append(DeformationFamily(K).at(t))
+    summary = homology(K)
+    for L in metrics:
+        res = stable_norm(L, HomologyClass(q, (coord,)))
+        assert res.certificate == "unique-cycle"
+        assert norms._class_norm(L, summary, q, (coord,), L.weights[q]) == (res.value, res.dual)
+        chat, s = lp.direction(L.weights[q])
+        value, dual = norms._class_norm(L, summary, q, (coord,), chat)
+        assert type(value) is int and {type(v) for v in dual} == {int}
+        assert (value * s, tuple(v * s for v in dual)) == (res.value, res.dual)
 
 
 def test_torus_norms_take_few_pivots(monkeypatch):
