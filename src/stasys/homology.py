@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import Chain, WeightedCellComplex
 from .linalg import smith_normal_form  # re-exported
@@ -52,8 +53,15 @@ class HomologySummary:
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
     # prepared LP tableaux: norm LPs keyed by the degree q, the systole
-    # search's stop-test programs by their tuple of λ's
+    # search's stop-test programs by their tuple of λ's (the newest
+    # norms.STOP_TESTS_KEPT of them)
     tableaux: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def integer_generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each degree's generators as int coefficient vectors (they are integral)."""
+        return tuple(tuple(tuple(c.numerator for c in g.coeffs) for g in gens)
+                     for gens in self.generators)
 
     def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
         """Rational homology coordinates of a cycle; zero iff z bounds."""

@@ -27,8 +27,8 @@ ints), and the least norm is multiplied by s once, at the end.  The search
 stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
 sphere, which b LPs of the same sign-split L1 shape decide: the least sum
 |μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all solved on one
-tableau kept in summary.tableaux per λ set, beside the norm tableaux kept
-per q.  A search repeated on the same structure and weight direction so
+tableau kept in summary.tableaux per λ set (the newest STOP_TESTS_KEPT),
+beside the norm tableaux kept per q.  A search repeated on the same structure and weight direction so
 finds every λ set's tableau with its bases recorded, and prepares nothing
 and runs no two-phase solve.
 """
@@ -107,19 +107,22 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
     if K.n_cells(q + 1) == 0:
-        z, f, dual = _unique_cycle(summary, cls, K.weights[q])
+        z, f, dual = _unique_cycle(summary, q, cls.coords, K.weights[q])
+        z = Chain(q, tuple(z))
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
     value, cycle, dual, f = minimum_mass_cycle(K, summary, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
 
 
-def _unique_cycle(summary: HomologySummary, cls: HomologyClass, weights):
-    """With no (q+1)-cells, cls holds one cycle z: z, the cocycle f = w.sign(z)
-    for the q-cell weights w, and λ = f on the generators."""
-    z = summary.representative(cls)
-    f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z.coeffs, weights))
-    dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in summary.generators[cls.degree])
-    return z, f, dual
+def _unique_cycle(summary: HomologySummary, q: int, coords, weights):
+    """With no (q+1)-cells, the class with these coordinates holds one cycle
+    z = sum_k c_k g_k: z's coefficients, the cocycle f = w.sign(z) for the
+    q-cell weights w, and λ = f on the generators.  It reads the generators'
+    integer coefficients, so integral coordinates and weights give ints."""
+    gens = summary.integer_generators[q]
+    z = [sum(map(operator.mul, coords, col)) for col in zip(*gens)]
+    f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z, weights))
+    return z, f, tuple(sum(map(operator.mul, f, g)) for g in gens)
 
 
 def minimum_mass_cycle(
@@ -163,12 +166,8 @@ def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
     """The norm and λ of the nonzero integral class with these coordinates
     under the given q-cell weights, without the optimal cycle or the cocycle."""
     if K.n_cells(q + 1) == 0:
-        # the one cycle z = sum_k c_k g_k and f = w.sign(z), from the
-        # generators' integer numerators: ints in, ints out for integral w
-        gens = [[g.numerator for g in gen.coeffs] for gen in summary.generators[q]]
-        z = [sum(map(operator.mul, coords, col)) for col in zip(*gens)]
-        f = [w if c > 0 else -w if c < 0 else 0 for c, w in zip(z, weights)]
-        return sum(map(operator.mul, f, z)), tuple(sum(map(operator.mul, f, g)) for g in gens)
+        z, f, dual = _unique_cycle(summary, q, coords, weights)
+        return sum(map(operator.mul, f, z)), dual
     value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
     return value, tuple(y[-len(coords):])
 
@@ -205,7 +204,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
                 witness = v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
-        if _bounds_sphere(summary.tableaux, duals, b, best / (r + 1)):
+        if _bounds_sphere(summary.tableaux, duals, b, Fraction(best, r + 1)):
             return SystoleResult(best * s, witness, "certified")
     return SystoleResult(None if best is None else best * s, witness,
                          f"bounded-search({search_radius})")
@@ -213,6 +212,9 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
 
 def _dual_bound(duals, v) -> Fraction:
     return max((abs(sum(map(operator.mul, lam, v))) for lam in duals), default=Fraction(0))
+
+
+STOP_TESTS_KEPT = 64  # stop-test tableaux kept per summary, so many directions stay bounded
 
 
 def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
@@ -223,8 +225,9 @@ def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
     By LP duality the largest h_j there is the least sum of |μ_k| over μ
     with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-,
     the b of them solved on one tableau prepared with every row open and
-    kept per λ set in ``tableaux`` (a summary's, keyed by the tuple of λ's),
-    so a repeated stop test answers each e_j from a basis recorded on it.
+    kept per λ set in ``tableaux`` (a summary's, keyed by the tuple of λ's,
+    the newest STOP_TESTS_KEPT of them), so a repeated stop test answers
+    each e_j from a basis recorded on it.
     It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
@@ -232,6 +235,9 @@ def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
     key = tuple(duals)
     tab = tableaux.get(key)
     if tab is None:
+        kept = [k for k in tableaux if type(k) is tuple]
+        for k in kept[:len(kept) + 1 - STOP_TESTS_KEPT]:  # the oldest go first
+            del tableaux[k]
         tab = tableaux[key] = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
     ones = (1,) * (2 * len(duals))
     try:

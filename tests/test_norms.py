@@ -391,6 +391,40 @@ def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
         assert all(a is tableaux[0] for a in tableaux)
 
 
+def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
+    # the oldest stop-test tableau goes when a new one would exceed the
+    # bound; the norm tableaux, keyed by q, stay
+    norms = importlib.import_module("stasys.norms")
+    monkeypatch.setattr(norms, "STOP_TESTS_KEPT", 3)
+    tableaux = {1: "norm tableau"}
+    keys = [((F(k), F(0)), (F(0), F(1))) for k in range(1, 6)]
+    for duals in keys:
+        assert norms._bounds_sphere(tableaux, list(duals), 2, F(1, 2))
+    assert list(tableaux) == [1, *keys[2:]]
+
+
+A = 10 ** 400
+
+
+@pytest.mark.parametrize("K, top, least", [
+    (theta_graph(), (A, A, A + 1, A, A, A), 4 * A),
+    (wedge_two_circles(), (A + 1, A + 2, A, A, A + 3, A + 7), 3 * A + 6),
+], ids=["theta", "wedge"])
+def test_graph_systoles_stay_exact_on_huge_weights(monkeypatch, K, top, least):
+    # a graph's edges bound nothing, so its classes take the integer
+    # unique-cycle path; the weights are their own primitive direction and
+    # every stop-test level must stay an exact Fraction
+    norms = importlib.import_module("stasys.norms")
+    levels = []
+    real = norms._bounds_sphere
+    monkeypatch.setattr(norms, "_bounds_sphere",
+                        lambda tableaux, duals, b, level: levels.append(level) or real(tableaux, duals, b, level))
+    res = stable_systole(replace(K, weights=(K.weights[0], tuple(map(F, top)))), 1)
+    assert (res.value, res.search_status) == (least, "certified")
+    assert type(res.value) is Fraction
+    assert levels and all(type(level) is Fraction for level in levels)
+
+
 def cut_pairing(K, z):
     """(a, b): cycle z of a product of two circles paired with two cut cocycles.
 
