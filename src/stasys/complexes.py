@@ -3,16 +3,22 @@
 A complex stores, per degree, an ordered list of cells with positive
 rational weights and sparse integer boundary incidences.  Weights play the
 role of a piecewise-linear metric: the mass of a chain is the weighted L1
-size of its coefficient vector.
+size of its coefficient vector.  Each degree's weights are a `Weights`
+sequence, read as a tuple of Fractions and also as s·ĉ: ĉ the primitive
+integer direction of the weights and s > 0 one rational factor.  A
+rescaled or deformed metric is built as a new s (and, for a deformation,
+a new integer ĉ), so it touches no cell weight as a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 Rational = Fraction | int
 BoundaryColumn = tuple[tuple[int, int], ...]  # ((face_index, incidence), ...)
@@ -49,23 +55,87 @@ class Chain:
         return Chain(self.degree, tuple(s * c for c in self.coeffs))
 
 
+class Weights(Sequence):
+    """One degree's cell weights: a tuple of Fractions, also carried as s·ĉ.
+
+    Indexing, iteration, ``==``, ``hash`` and ``repr`` are those of the
+    tuple of values.  ``split`` is (ĉ, s) with values = s·ĉ, s > 0 and ĉ
+    the primitive integer direction (entries of gcd 1), as
+    `stasys.lp.direction` computes it.  A Weights is built from either
+    side, and the other is computed on first read.
+    """
+
+    __slots__ = ("_values", "_split", "_hash")
+
+    def __init__(self, values=None, split: tuple[tuple[int, ...], Fraction] | None = None):
+        self._values = None if values is None else tuple(values)
+        self._split, self._hash = split, None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            chat, s = self._split
+            self._values = tuple(s * c for c in chat)
+        return self._values
+
+    @property
+    def split(self) -> tuple[tuple[int, ...], Fraction]:
+        if self._split is None:
+            from .lp import direction  # `stasys homology` loads no LP layer
+            self._split = direction(self._values)
+        return self._split
+
+    def scaled(self, t: Fraction) -> "Weights":
+        """These weights times t > 0, sharing ĉ."""
+        chat, s = self.split
+        return Weights(split=(chat, s * t))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Weights):
+            other = other.values
+        return self.values == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.values)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return repr(self.values)
+
+
 @dataclass(frozen=True)
 class WeightedCellComplex:
     """Graded cell complex with integer boundaries and positive weights.
 
     ``boundary_cols[q][j]`` lists the (face index, incidence) pairs of the
-    j-th q-cell; degree 0 has an empty entry.  ``vertex_lists`` is present
-    for simplicial complexes and stores each cell's vertices in strictly
-    increasing order (the global vertex order used by the cup product).
-    ``factor_degrees`` tags product cells with their per-factor degrees.
+    j-th q-cell; degree 0 has an empty entry.  ``weights[q]`` is a `Weights`
+    (plain tuples are wrapped), read cell by cell or as s·ĉ.
+    ``vertex_lists`` is present for simplicial complexes and stores each
+    cell's vertices in strictly increasing order (the global vertex order
+    used by the cup product).  ``factor_degrees`` tags product cells with
+    their per-factor degrees.
     """
 
     kind: str
     cell_ids: tuple[tuple[str, ...], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
+    weights: tuple[Weights, ...]
     boundary_cols: tuple[tuple[BoundaryColumn, ...], ...]
     vertex_lists: tuple[tuple[tuple[int, ...], ...], ...] | None = None
     factor_degrees: tuple[tuple[tuple[int, int], ...], ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(
+            ws if type(ws) is Weights else Weights(ws) for ws in self.weights))
 
     @property
     def top_dim(self) -> int:
@@ -128,11 +198,8 @@ class WeightedCellComplex:
             return self
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        powers = [t ** q for q in range(self.top_dim + 1)]
         return replace(self, weights=tuple(
-            tuple(w * powers[q] for w in ws) if q else ws
-            for q, ws in enumerate(self.weights)
-        ))
+            ws.scaled(t ** q) if q else ws for q, ws in enumerate(self.weights)))
 
     @cached_property
     def _vertex_index(self) -> tuple[dict[tuple[int, ...], int], ...] | None:
@@ -369,16 +436,26 @@ class DeformationFamily:
                     raise ComplexInvariantError("factor tags must split the cell degree")
 
     def at(self, t: Rational) -> WeightedCellComplex:
+        """The base with each cell's weight times t^a, built in integers.
+
+        With t = p/r and weights s·ĉ, a q-cell of first-factor degree a
+        weighs (s/r^q)·ĉ·p^a·r^(q-a): the integers m = ĉ·p^a·r^(q-a) over
+        their gcd g are the new ĉ, and s·g/r^q the new s.
+        """
         t = Fraction(t)
         if t == 1:
             return self.base
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        powers = [t ** a for a in range(self.base.top_dim + 1)]
-        return replace(self.base, weights=tuple(
-            tuple(w * powers[a] if a else w for w, (a, _) in zip(ws, tags))
-            for ws, tags in zip(self.base.weights, self.base.factor_degrees)
-        ))
+        p, r = t.numerator, t.denominator
+        weights = [self.base.weights[0]]
+        for q in range(1, self.base.top_dim + 1):
+            chat, s = self.base.weights[q].split
+            powers = [p ** a * r ** (q - a) for a in range(q + 1)]
+            m = [c * powers[a] for c, (a, _) in zip(chat, self.base.factor_degrees[q])]
+            g = gcd(*m)
+            weights.append(Weights(split=(tuple(v // g for v in m), s * g / r ** q)))
+        return replace(self.base, weights=tuple(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,14 @@ class DeformationReport:
 
 
 def fundamental_class_mass(K: WeightedCellComplex) -> Fraction:
-    """Mass of the generating top cycle (the total weighted volume)."""
+    """Mass of the generating top cycle (the total weighted volume): with
+    weights s·ĉ, s times the sum of |g_σ|·ĉ_σ over its integer coefficients g."""
     summary = homology(K)
     top = K.top_dim
     if summary.betti[top] != 1:
         raise ValueError(f"no fundamental class: betti_{top} = {summary.betti[top]}")
-    return K.mass(summary.generators[top][0])
+    chat, s = K.weights[top].split
+    return s * sum(abs(g) * c for g, c in zip(summary.integer_generators[top][0], chat))
 
 
 def deformation_sweep(

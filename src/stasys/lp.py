@@ -24,7 +24,8 @@ scaled alike.  So the records are keyed by ĉ, and a b inside the cone of
 a basis recorded for ĉ is answered without copying the tableau or
 pivoting, its y and reduced costs scaled to the s of the call; only a b
 outside every recorded cone runs the two phases, whose basis is then
-recorded too.  A new direction adds a key and leaves the others' records.
+recorded too.  A new direction adds a key and leaves the others' records,
+but for the oldest once DIRECTIONS_KEPT are kept.
 A solve in which phase 1 drops a dependent row records nothing, since
 B⁻¹b >= 0 would not check that row's consistency for a later b.  The
 value is the optimum whatever was solved before, but where the optimum is
@@ -51,11 +52,15 @@ class Unbounded(LPError):
     pass
 
 
+DIRECTIONS_KEPT = 64  # cost directions recorded per tableau, so many metrics stay bounded
+
+
 class Tableau:
     """The integer tableau [A | I] that `prepare` builds and crashes, and the
     optimal bases found on it: `optima` maps each primitive integer cost
-    direction ĉ solved on it to the bases recorded for ĉ.  `cost` is the
-    last cost vector, `scale` its s in c = s·ĉ and `current` its bases."""
+    direction ĉ solved on it to the bases recorded for ĉ, the newest
+    DIRECTIONS_KEPT of them.  `cost` is the last cost vector, `scale` its s
+    in c = s·ĉ and `current` its bases."""
 
     def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
         self.rows, self.den, self.basis, self.m = rows, den, basis, m
@@ -114,7 +119,11 @@ def solve_lp(
     c = tuple(c)
     if t.cost != c:
         chat, t.scale = direction(c)
-        t.cost, t.current = c, t.optima.setdefault(chat, [])
+        t.cost, t.current = c, t.optima.get(chat)
+        if t.current is None:
+            if len(t.optima) >= DIRECTIONS_KEPT:  # the oldest goes first
+                del t.optima[next(iter(t.optima))]
+            t.current = t.optima[chat] = []
     for optimum in t.current:
         answer = optimum.answer(b, opened, n, t.scale)
         if answer is not None:

@@ -21,7 +21,7 @@ norm over nonzero integral classes: exactly for one-dimensional homology,
 and otherwise by a lattice search that these bounds prune and certify.
 A metric scaled by s scales every norm and λ by s, so the search runs in
 units of the weights' primitive integer direction ĉ (weights = s·ĉ, as
-`stasys.lp.direction` splits them): each class's LP is costed by the
+the complex carries them): each class's LP is costed by the
 integers ĉ, only its value and λ are read (a unique cycle's in plain
 ints), and the least norm is multiplied by s once, at the end.  The search
 stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
@@ -44,7 +44,7 @@ from fractions import Fraction
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
 from .linalg import rank
-from .lp import Infeasible, direction, prepare, solve_lp
+from .lp import Infeasible, prepare, solve_lp
 
 Rational = Fraction | int
 
@@ -184,7 +184,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     b = summary.betti[q]
     # the weights are s·ĉ with ĉ integral and primitive; norms, λ's and the
     # search's levels all scale by s, so the search runs in units of ĉ
-    chat, s = direction(K.weights[q])
+    chat, s = K.weights[q].split
     if b == 1:
         value, _ = _class_norm(K, summary, q, (1,), chat)
         return SystoleResult(value * s, (1,), "exact")

@@ -1,5 +1,7 @@
 """Structural invariants of weighted cell complexes and the standard zoo."""
 
+import importlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,15 +15,20 @@ from stasys import (
     WeightedCellComplex,
     build_complex,
     circle,
+    complex_to_dict,
     cubical_sphere,
     flat_torus,
+    fundamental_class_mass,
+    homology,
     point,
     product_complex,
     rp2,
     simplicial_from_top,
     sphere,
+    stable_systole,
     torus_triangulated,
 )
+from stasys.complexes import Weights
 
 from conftest import weighted_circle
 
@@ -128,6 +135,65 @@ def test_rescale_by_one_is_the_complex_itself():
     K = circle(3)
     assert K.rescale(1) is K
     assert K.rescale(F(1)) is K
+
+
+TS = (F(1, 3), F(3, 2), F(7), F(27, 8))
+FIVE_THIRDS = circle(3, edge_weight=F(5, 3))
+
+
+def assert_same_weights(K, expected):
+    """K's weights are value for value the plain tuples `expected`."""
+    rebuilt = replace(K, weights=expected)
+    assert K.weights == expected and expected == K.weights
+    assert [repr(ws) for ws in K.weights] == [repr(ws) for ws in expected]
+    assert repr(K) == repr(rebuilt)
+    assert complex_to_dict(K) == complex_to_dict(rebuilt)
+    assert K == rebuilt and hash(K) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("t", TS, ids=str)
+@pytest.mark.parametrize("K", [weighted_circle(), FIVE_THIRDS, flat_torus(3).rescale(F(5, 3))],
+                         ids=["1,1/2,2", "5/3", "ft3*5/3"])
+def test_rescaled_weights_are_the_per_cell_products(K, t):
+    assert_same_weights(K.rescale(t), tuple(tuple(w * t ** q for w in ws)
+                                            for q, ws in enumerate(K.weights)))
+
+
+@pytest.mark.parametrize("t", TS, ids=str)
+@pytest.mark.parametrize("P", [product_complex(weighted_circle(), FIVE_THIRDS),
+                               product_complex(FIVE_THIRDS, weighted_circle())],
+                         ids=["1,1/2,2 x 5/3", "5/3 x 1,1/2,2"])
+def test_deformed_weights_are_the_per_cell_products(P, t):
+    Kt = DeformationFamily(P).at(t)
+    assert_same_weights(Kt, tuple(tuple(w * t ** a for w, (a, _) in zip(ws, tags))
+                                  for ws, tags in zip(P.weights, P.factor_degrees)))
+    assert fundamental_class_mass(Kt) == Kt.mass(homology(Kt).generators[2][0])
+
+
+def test_weights_read_as_their_tuple_and_as_s_times_chat():
+    ws = Weights((F(5, 3), F(5, 6), F(10, 3)))
+    assert ws.split == ((2, 1, 4), F(5, 6))
+    from_split = Weights(split=ws.split)
+    assert from_split == ws and hash(from_split) == hash(ws) == hash(tuple(ws))
+    assert list(from_split) == list(ws) and from_split[1:] == (F(5, 6), F(10, 3))
+    assert from_split != Weights(split=((2, 1, 4), F(1))) and from_split != (F(5, 3),)
+    assert ws.scaled(F(6, 5)) == (2, 1, 4)
+
+
+def test_rescale_shares_the_integer_direction(monkeypatch):
+    # a rescaled complex keeps each degree's ĉ object and scales s alone, so
+    # a warm search on it splits nothing
+    lp = importlib.import_module("stasys.lp")
+    K = flat_torus(3)
+    for q in range(3):
+        assert K.rescale(F(5, 2)).weights[q].split[0] is K.weights[q].split[0]
+    base = [stable_systole(K.rescale(F(2)), q).value / F(2) ** q for q in range(3)]
+    calls, real = [], lp.direction
+    monkeypatch.setattr(lp, "direction", lambda c: calls.append(c) or real(c))
+    for k in range(100):
+        t = F(2 * k + 3, 2)
+        assert stable_systole(K.rescale(t), k % 2 + 1).value == t ** (k % 2 + 1) * base[k % 2 + 1]
+    assert calls == []
 
 
 def test_product_complex_counts_and_weights():

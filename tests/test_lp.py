@@ -381,6 +381,18 @@ def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
     assert sorted(tab.optima) == [(0,) * 6, (1,) * 6]
 
 
+def test_only_the_newest_cost_directions_are_kept(monkeypatch):
+    # the oldest direction's records go when a new one would exceed the
+    # bound; a repeat of a kept direction adds nothing
+    monkeypatch.setattr(lp, "DIRECTIONS_KEPT", 3)
+    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    b = [0, 0, 1, 2]
+    costs = [[1, 1, 1, 1, 1, k] for k in range(2, 7)]
+    for c in costs[:3] + [costs[0]] + costs[3:]:
+        assert solve_lp(tab, b, c)[0] == bfs_optimum(THETA_ROWS, b, c)[0]
+    assert list(tab.optima) == [tuple(c) for c in costs[2:]]
+
+
 def test_right_hand_side_must_have_one_entry_per_row():
     with pytest.raises(ValueError, match="length 1, but the constraint matrix has 2 rows"):
         solve_lp(prepare([[1, 1], [1, -1]], [1, 1]), [1], [1, 1])

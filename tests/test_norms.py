@@ -4,6 +4,7 @@ import functools
 import importlib
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -401,6 +402,17 @@ def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     for duals in keys:
         assert norms._bounds_sphere(tableaux, list(duals), 2, F(1, 2))
     assert list(tableaux) == [1, *keys[2:]]
+
+
+def test_direction_records_of_a_norm_tableau_are_bounded():
+    # every random metric is a new cost direction on the one q = 1 tableau
+    lp = importlib.import_module("stasys.lp")
+    K = flat_torus(4)
+    rng = random.Random(300)
+    for _ in range(300):
+        ws = tuple(F(rng.randint(1, 9)) for _ in K.weights[1])
+        stable_systole(replace(K, weights=(K.weights[0], ws, K.weights[2])), 1)
+    assert 0 < len(homology(K).tableaux[1].optima) <= lp.DIRECTIONS_KEPT
 
 
 A = 10 ** 400
