@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction | int
 BoundaryColumn = tuple[tuple[int, int], ...]  # ((face_index, incidence), ...)
@@ -60,9 +60,8 @@ class Weights(Sequence):
 
     Indexing, iteration, ``==``, ``hash`` and ``repr`` are those of the
     tuple of values.  ``split`` is (ĉ, s) with values = s·ĉ, s > 0 and ĉ
-    the primitive integer direction (entries of gcd 1), as
-    `stasys.lp.direction` computes it.  A Weights is built from either
-    side, and the other is computed on first read.
+    the primitive integer direction (entries of gcd 1).  A Weights is built
+    from either side, and the other is computed on first read.
     """
 
     __slots__ = ("_values", "_split", "_hash")
@@ -81,8 +80,7 @@ class Weights(Sequence):
     @property
     def split(self) -> tuple[tuple[int, ...], Fraction]:
         if self._split is None:
-            from .lp import direction  # `stasys homology` loads no LP layer
-            self._split = direction(self._values)
+            self._split = _primitive_split(self._values)
         return self._split
 
     def scaled(self, t: Fraction) -> "Weights":
@@ -111,6 +109,14 @@ class Weights(Sequence):
 
     def __repr__(self) -> str:
         return repr(self.values)
+
+
+def _primitive_split(values) -> tuple[tuple[int, ...], Fraction]:
+    """(ĉ, s) with values = s·ĉ, s > 0 and ĉ integers of gcd 1; s = 1 when all are 0."""
+    d = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (d // v.denominator) for v in values]
+    g = gcd(*nums) or d
+    return tuple(v // g for v in nums), Fraction(g, d)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,11 @@ class HomologySummary:
     generators: tuple[tuple[Chain, ...], ...]
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    # prepared LP tableaux: norm LPs keyed by the degree q, the systole
-    # search's stop-test programs by their tuple of λ's (the newest
-    # norms.STOP_TESTS_KEPT of them)
+    # prepared LP tableaux of the norm LPs, keyed by the degree q
     tableaux: dict = field(default_factory=dict, compare=False, repr=False)
+    # prepared LP tableaux of the systole search's stop tests, keyed by
+    # their tuple of λ's (the newest norms.STOP_TESTS_KEPT of them)
+    stop_tests: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def integer_generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -86,11 +87,13 @@ class HomologySummary:
         return Chain(cls.degree, tuple(coeffs))
 
 
+SUMMARIES_KEPT = 64  # structures cached, so many structures stay bounded
 _cache: dict[tuple, HomologySummary] = {}
 
 
 def homology(K: WeightedCellComplex) -> HomologySummary:
-    """Homology summary of K; results are cached on the boundary structure."""
+    """Homology summary of K; results are cached on the boundary structure,
+    the newest SUMMARIES_KEPT of them."""
     key = (K.cell_ids, K.boundary_cols)
     hit = _cache.get(key)
     if hit is not None:
@@ -124,6 +127,8 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         torsion_generators=tuple(torsion_generators),
         coordinate_maps=tuple(coordinate_maps),
     )
+    if len(_cache) >= SUMMARIES_KEPT:  # the oldest goes first
+        del _cache[next(iter(_cache))]
     _cache[key] = summary
     return summary
 

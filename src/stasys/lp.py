@@ -13,24 +13,19 @@ side is 0 crashed onto a structural column (Bixby's crash basis), and
 Rows of A given to `solve_lp` are prepared into a throwaway tableau that
 takes the same path; its records are discarded with it.
 
-A `Tableau` also records the optimal bases it has found, per direction of
-the cost vector.  An optimal basis B stays optimal for every b with
-B⁻¹b >= 0, because dual feasibility depends on c alone; on that cone the
-optimum is y.b with the recorded dual y.  Dual feasibility is also blind
-to a positive factor: writing c = s·ĉ, with s > 0 and ĉ the primitive
-integer vector (entries of gcd 1) along c, a basis optimal for c is
-optimal for every positive multiple of c, with y and the reduced costs
-scaled alike.  So the records are keyed by ĉ, and a b inside the cone of
-a basis recorded for ĉ is answered without copying the tableau or
-pivoting, its y and reduced costs scaled to the s of the call; only a b
-outside every recorded cone runs the two phases, whose basis is then
-recorded too.  A new direction adds a key and leaves the others' records,
-but for the oldest once DIRECTIONS_KEPT are kept.
+A `Tableau` also records the optimal bases it has found, per cost
+vector.  An optimal basis B stays optimal for every b with B⁻¹b >= 0,
+because dual feasibility depends on c alone; on that cone the optimum is
+y.b with the recorded dual y.  So a b inside the cone of a basis recorded
+for the same c is answered without copying the tableau or pivoting; only
+a b outside every recorded cone runs the two phases, whose basis is then
+recorded too.  A new cost vector adds a key and leaves the others'
+records, but for the oldest once COSTS_KEPT are kept.
 A solve in which phase 1 drops a dependent row records nothing, since
 B⁻¹b >= 0 would not check that row's consistency for a later b.  The
 value is the optimum whatever was solved before, but where the optimum is
-degenerate the x and y returned may depend on which right-hand sides, and
-which positive multiples of c, the tableau has seen.
+degenerate the x and y returned may depend on which right-hand sides the
+tableau has seen.
 """
 
 from __future__ import annotations
@@ -52,20 +47,17 @@ class Unbounded(LPError):
     pass
 
 
-DIRECTIONS_KEPT = 64  # cost directions recorded per tableau, so many metrics stay bounded
+COSTS_KEPT = 64  # cost vectors recorded per tableau, so many metrics stay bounded
 
 
 class Tableau:
     """The integer tableau [A | I] that `prepare` builds and crashes, and the
-    optimal bases found on it: `optima` maps each primitive integer cost
-    direction ĉ solved on it to the bases recorded for ĉ, the newest
-    DIRECTIONS_KEPT of them.  `cost` is the last cost vector, `scale` its s
-    in c = s·ĉ and `current` its bases."""
+    optimal bases found on it: `optima` maps each cost vector solved on it,
+    as a tuple, to the bases recorded for it, the newest COSTS_KEPT of them."""
 
     def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
         self.rows, self.den, self.basis, self.m = rows, den, basis, m
-        self.optima: dict[tuple[int, ...], list[_Optimum]] = {}
-        self.cost, self.scale, self.current = None, None, []
+        self.optima: dict[tuple, list[_Optimum]] = {}
 
     def __len__(self) -> int:  # the row count of A, dropped rows included
         return self.m
@@ -103,8 +95,7 @@ def solve_lp(
     one.  y is an optimal dual, one entry per row of A, and reduced =
     c - A^T y holds the structural reduced costs, read off the final
     tableau.  Entries may be ints or Fractions; every result is a Fraction.
-    A tableau answers b from a basis it recorded for a positive multiple of
-    c when B⁻¹b >= 0.
+    A tableau answers b from a basis it recorded for c when B⁻¹b >= 0.
     """
     t = a if isinstance(a, Tableau) else prepare(a, b)
     m, n = len(t), len(c)
@@ -117,43 +108,29 @@ def solve_lp(
     if any(b[i] for i in set(range(len(b))).difference(opened)):
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
     c = tuple(c)
-    if t.cost != c:
-        chat, t.scale = direction(c)
-        t.cost, t.current = c, t.optima.get(chat)
-        if t.current is None:
-            if len(t.optima) >= DIRECTIONS_KEPT:  # the oldest goes first
-                del t.optima[next(iter(t.optima))]
-            t.current = t.optima[chat] = []
-    for optimum in t.current:
-        answer = optimum.answer(b, opened, n, t.scale)
+    records = t.optima.get(c)
+    if records is None:
+        if len(t.optima) >= COSTS_KEPT:  # the oldest goes first
+            del t.optima[next(iter(t.optima))]
+        records = t.optima[c] = []
+    for optimum in records:
+        answer = optimum.answer(b, opened, n)
         if answer is not None:
             return answer
-    return _two_phase(t, b, c, opened)
-
-
-def direction(c: tuple) -> tuple[tuple[int, ...], Fraction]:
-    """(ĉ, s) with c = s·ĉ, s > 0 and ĉ an integer vector of gcd 1; s = 1 for c = 0."""
-    nums, d = _integer_row(c)
-    g = gcd(*nums)
-    if g == 0:
-        return tuple(nums), Fraction(1)
-    return tuple(v // g for v in nums), Fraction(g, d)
+    return _two_phase(t, b, c, opened, records)
 
 
 class _Optimum:
     """An optimal basis of a tableau: for each basic column j, the row of
     B⁻¹ on the open rows as integers over one denominator; and y and the
-    reduced costs for the cost s·ĉ, s = `scale`, which hold for every b in
-    the basis's cone."""
+    reduced costs for the cost it was recorded for, which hold for every b
+    in the basis's cone."""
 
-    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced, scale: Fraction):
-        self.rows, self.y, self.reduced, self.scale = rows, y, reduced, scale
+    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced):
+        self.rows, self.y, self.reduced = rows, y, reduced
 
-    def answer(self, b, opened: list[int], n: int, scale: Fraction):
-        """(value, x, y, reduced) for the cost scale·ĉ when B⁻¹b >= 0, else None.
-
-        y and the reduced costs are kept at the scale of the last answer,
-        so repeats at one scale multiply nothing."""
+    def answer(self, b, opened: list[int], n: int):
+        """(value, x, y, reduced) when B⁻¹b >= 0, else None."""
         bn, d = _integer_row([b[i] for i in opened])
         x = [Fraction(0)] * n
         for j, inv, den in self.rows:
@@ -162,18 +139,13 @@ class _Optimum:
                 return None
             if v:
                 x[j] = Fraction(v, den * d)
-        if scale != self.scale:
-            r = scale / self.scale
-            self.y = tuple(v * r for v in self.y)
-            self.reduced = tuple(v * r for v in self.reduced)
-            self.scale = scale
         value = sum((self.y[i] * b[i] for i in opened), Fraction(0))
         return value, x, list(self.y), list(self.reduced)
 
 
-def _two_phase(t: Tableau, b, c, opened: list[int]):
+def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
     """The two-phase solve on a copy of t; returns (value, x, y, reduced) and
-    records the optimal basis in t.current unless phase 1 dropped a row."""
+    appends the optimal basis to c's records unless phase 1 dropped a row."""
     m, n = len(t), len(c)
     tab, den, basis = [row[:] for row in t.rows], t.den[:], t.basis[:]
 
@@ -204,9 +176,9 @@ def _two_phase(t: Tableau, b, c, opened: list[int]):
     if len(tab) == len(t.rows):
         # B⁻¹ times the open rows' unit columns is their artificial columns,
         # each read with the sign its row was stored under
-        t.current.append(_Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
-                                   for row, d, bj in zip(tab, den, basis)],
-                                  tuple(y), tuple(reduced), t.scale))
+        records.append(_Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
+                                 for row, d, bj in zip(tab, den, basis)],
+                                tuple(y), tuple(reduced)))
     return Fraction(-zrow[-1], zden), x, y, reduced
 
 

@@ -6,31 +6,31 @@ q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
 the usual sign split ``x = x+ - x-``.  The rows depend on the structure
 alone, so their tableau is crashed once per (structure, q); a class sets
-only its right-hand sides and costs, and the tableau answers a class
-inside the cone of an optimal basis it recorded for the same weights, or
-for any positive multiple of them such as a rescaled metric, without
-pivoting (see `stasys.lp`).  Norms and systoles do not depend on which
-classes or metrics were solved before; where the optimum is degenerate,
-the optimal cycle and λ returned may, and each is still a valid
-certificate.  In a degree with no (q+1)-cells a class holds exactly one
-cycle, whose mass is its norm without an LP.  Each
-norm carries a dual certificate (Federer's comass duality): a cocycle f
-with |f| <= w on every q-cell and f = λ on the generators, so
-``‖h‖ >= |λ.h|`` for every class h.  Stable systoles minimize the stable
-norm over nonzero integral classes: exactly for one-dimensional homology,
-and otherwise by a lattice search that these bounds prune and certify.
-A metric scaled by s scales every norm and λ by s, so the search runs in
-units of the weights' primitive integer direction ĉ (weights = s·ĉ, as
-the complex carries them): each class's LP is costed by the
-integers ĉ, only its value and λ are read (a unique cycle's in plain
-ints), and the least norm is multiplied by s once, at the end.  The search
-stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
-sphere, which b LPs of the same sign-split L1 shape decide: the least sum
-|μ_k| with sum μ_k λ_k = e_j, one per coordinate j, all solved on one
-tableau kept in summary.tableaux per λ set (the newest STOP_TESTS_KEPT),
-beside the norm tableaux kept per q.  A search repeated on the same structure and weight direction so
-finds every λ set's tableau with its bases recorded, and prepares nothing
-and runs no two-phase solve.
+only its right-hand sides and costs.  A metric scaled by s scales every
+norm and λ by s, so every norm LP is costed by the weights' primitive
+integer direction ĉ (weights = s·ĉ, as the complex carries them) and its
+answer scaled by s: the tableau then answers a class inside the cone of
+an optimal basis it recorded for ĉ without pivoting (see `stasys.lp`),
+for the weights themselves and for any positive multiple of them, such
+as a rescaled metric.  Norms and systoles do not depend on which classes
+or metrics were solved before; where the optimum is degenerate, the
+optimal cycle and λ returned may, and each is still a valid certificate.
+In a degree with no (q+1)-cells a class holds exactly one cycle, whose
+mass is its norm without an LP.  Each norm carries a dual certificate
+(Federer's comass duality): a cocycle f with |f| <= w on every q-cell and
+f = λ on the generators, so ``‖h‖ >= |λ.h|`` for every class h.  Stable
+systoles minimize the stable norm over nonzero integral classes: exactly
+for one-dimensional homology, and otherwise by a lattice search that
+these bounds prune and certify.  The search runs wholly in units of ĉ:
+it reads only each class's value and λ (a unique cycle's in plain ints),
+and multiplies the least norm by s once, at the end.  It stops once
+L(h) = max_k |λ_k.h| is large enough on the max-norm unit sphere, which
+b LPs of the same sign-split L1 shape decide: the least sum |μ_k| with
+sum μ_k λ_k = e_j, one per coordinate j, all solved on one tableau kept
+in summary.stop_tests per λ set (the newest STOP_TESTS_KEPT).  A search
+repeated on the same structure and weight direction so finds every λ
+set's tableau with its bases recorded, and prepares nothing and runs no
+two-phase solve.
 """
 
 from __future__ import annotations
@@ -132,20 +132,24 @@ def minimum_mass_cycle(
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
-    of the rational coordinate map, on the tableau kept in summary.tableaux,
-    which also keeps the optimal bases found for each direction of weights
-    solved on it, so the weights times any t > 0 reuse them.  Its feasible
-    set is exactly the cycles in the class, because a cycle with zero
-    coordinates bounds rationally.  λ is the dual of the
-    coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
+    of the rational coordinate map, on the tableau kept in summary.tableaux.
+    The LP is costed by ĉ, for weights w = s·ĉ, and its value, y and
+    reduced costs are scaled by s, so the weights times any t > 0 reuse the
+    bases recorded for ĉ.  Its feasible set is exactly the cycles in the
+    class, because a cycle with zero coordinates bounds rationally.  λ is
+    the dual of the coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
     """
     q = cls.degree
     nq = K.n_cells(q)
     ws = K.weights[q]
-    value, x, y, reduced = _norm_lp(K, summary, q, cls.coords, ws)
+    chat, s = ws.split
+    value, x, y, reduced = _norm_lp(K, summary, q, cls.coords, chat)
+    dual, reduced = y[-len(cls.coords):], reduced[:nq]
+    if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
+        value, dual, reduced = value * s, [v * s for v in dual], [v * s for v in reduced]
     cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
     f = tuple(w - d if d else w for w, d in zip(ws, reduced))
-    return value, cycle, tuple(y[-len(cls.coords):]), f
+    return value, cycle, tuple(dual), f
 
 
 def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
@@ -204,7 +208,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
                 witness = v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
-        if _bounds_sphere(summary.tableaux, duals, b, Fraction(best, r + 1)):
+        if _bounds_sphere(summary.stop_tests, duals, b, Fraction(best, r + 1)):
             return SystoleResult(best * s, witness, "certified")
     return SystoleResult(None if best is None else best * s, witness,
                          f"bounded-search({search_radius})")
@@ -217,7 +221,7 @@ def _dual_bound(duals, v) -> Fraction:
 STOP_TESTS_KEPT = 64  # stop-test tableaux kept per summary, so many directions stay bounded
 
 
-def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
+def _bounds_sphere(stop_tests: dict, duals, b: int, level: Fraction) -> bool:
     """Whether L(h) = max_k |λ_k.h| >= level on the max-norm unit sphere.
 
     The unit vectors e_j are tried first.  L is positively homogeneous, so
@@ -225,20 +229,19 @@ def _bounds_sphere(tableaux: dict, duals, b: int, level: Fraction) -> bool:
     By LP duality the largest h_j there is the least sum of |μ_k| over μ
     with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-,
     the b of them solved on one tableau prepared with every row open and
-    kept per λ set in ``tableaux`` (a summary's, keyed by the tuple of λ's,
-    the newest STOP_TESTS_KEPT of them), so a repeated stop test answers
-    each e_j from a basis recorded on it.
+    kept per λ set in ``stop_tests`` (a summary's, keyed by the tuple of
+    λ's, the newest STOP_TESTS_KEPT of them), so a repeated stop test
+    answers each e_j from a basis recorded on it.
     It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
     if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
         return False
     key = tuple(duals)
-    tab = tableaux.get(key)
+    tab = stop_tests.get(key)
     if tab is None:
-        kept = [k for k in tableaux if type(k) is tuple]
-        for k in kept[:len(kept) + 1 - STOP_TESTS_KEPT]:  # the oldest go first
-            del tableaux[k]
-        tab = tableaux[key] = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
+        if len(stop_tests) >= STOP_TESTS_KEPT:  # the oldest goes first
+            del stop_tests[next(iter(stop_tests))]
+        tab = stop_tests[key] = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
     ones = (1,) * (2 * len(duals))
     try:
         return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1

@@ -178,22 +178,28 @@ def test_weights_read_as_their_tuple_and_as_s_times_chat():
     assert list(from_split) == list(ws) and from_split[1:] == (F(5, 6), F(10, 3))
     assert from_split != Weights(split=((2, 1, 4), F(1))) and from_split != (F(5, 3),)
     assert ws.scaled(F(6, 5)) == (2, 1, 4)
+    # ints split too; all-zero and empty weights have s = 1
+    assert Weights((4, 6, F(10))).split == ((2, 3, 5), 2)
+    assert Weights((F(0), 0)).split == ((0, 0), 1) and Weights(()).split == ((), 1)
 
 
 def test_rescale_shares_the_integer_direction(monkeypatch):
     # a rescaled complex keeps each degree's ĉ object and scales s alone, so
     # a warm search on it splits nothing
-    lp = importlib.import_module("stasys.lp")
+    complexes = importlib.import_module("stasys.complexes")
     K = flat_torus(3)
     for q in range(3):
         assert K.rescale(F(5, 2)).weights[q].split[0] is K.weights[q].split[0]
     base = [stable_systole(K.rescale(F(2)), q).value / F(2) ** q for q in range(3)]
-    calls, real = [], lp.direction
-    monkeypatch.setattr(lp, "direction", lambda c: calls.append(c) or real(c))
+    calls, real = [], complexes._primitive_split
+    monkeypatch.setattr(complexes, "_primitive_split", lambda ws: calls.append(ws) or real(ws))
     for k in range(100):
         t = F(2 * k + 3, 2)
         assert stable_systole(K.rescale(t), k % 2 + 1).value == t ** (k % 2 + 1) * base[k % 2 + 1]
     assert calls == []
+    # while a split read from values does go through it
+    Weights(K.weights[1].values).split
+    assert len(calls) == 1
 
 
 def test_product_complex_counts_and_weights():

@@ -1,6 +1,7 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
 import hashlib
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,24 @@ def test_flat_torus_12_homology():
                 for j in range(K.n_cells(q + 1)):
                     assert _dot(row, K.boundary_of(K.unit_chain(q + 1, j))) == 0, (q, i, j)
             assert [_dot(row, g) for g in gens] == [int(i == j) for j in range(len(gens))]
+
+
+def test_only_the_newest_summaries_are_cached(monkeypatch):
+    # every distinct structure is a new cache entry, holding its summary and
+    # its LP tableaux; the oldest goes when a new one would exceed the bound
+    module = importlib.import_module("stasys.homology")
+    monkeypatch.setattr(module, "_cache", {})
+    kept = module.SUMMARIES_KEPT
+    complexes = [permuted(flat_torus(3), seed) for seed in range(200)]
+    summaries = [homology(K) for K in complexes]
+    assert len(module._cache) == kept
+    # a repeat within the newest `kept` is served from the cache
+    assert homology(complexes[-1]) is summaries[-1]
+    assert homology(complexes[-kept]) is summaries[-kept]
+    # an older one is computed afresh, the same summary in a new object
+    fresh = homology(complexes[0])
+    assert fresh is not summaries[0] and fresh == summaries[0]
+    assert len(module._cache) == kept and homology(complexes[-kept]) is not summaries[-kept]
 
 
 def test_class_coordinates_rejects_non_cycles():

@@ -335,22 +335,6 @@ def test_a_new_cost_vector_is_never_answered_from_the_old_bases():
     assert {d: len(bases) for d, bases in tab.optima.items()} == {(1, 2): 1, (2, 1): 1}
 
 
-def test_a_positive_multiple_of_a_recorded_cost_is_answered_from_its_bases(monkeypatch):
-    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
-    b, c = [0, 0, F(-3, 2), 2], [1, 2, 3, 4, 5, F(6, 5)]
-    value, x, y, reduced = solve_lp(tab, b, c)
-    monkeypatch.setattr(lp, "_optimize", no_simplex)
-    for k in (F(3, 2), 2, F(1, 7), 1):
-        kc = [k * v for v in c]
-        assert solve_lp(tab, b, kc) == (k * value, x, [k * v for v in y], [k * v for v in reduced])
-        assert dual_problems(THETA_ROWS, b, kc, k * value, prepared=tab) == []
-    assert list(tab.optima) == [(5, 10, 15, 20, 25, 6)]
-    # a negative multiple is another direction: its program is unbounded
-    monkeypatch.undo()
-    with pytest.raises(Unbounded):
-        solve_lp(tab, b, [-v for v in c])
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(rationals(0, 5, 6), min_size=6, max_size=6), min_size=1, max_size=2),
        st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=1, max_size=2),
@@ -358,7 +342,8 @@ def test_a_positive_multiple_of_a_recorded_cost_is_answered_from_its_bases(monke
                 min_size=1, max_size=8))
 def test_interleaved_costs_are_answered_as_a_fresh_tableau_does(costs, factors, solves):
     """Two to four cost vectors, at least one a positive multiple of
-    another, and right-hand sides in any order through one tableau."""
+    another (a cost vector of its own), and right-hand sides in any order
+    through one tableau."""
     costs = costs + [[k * v for v in costs[0]] for k in factors]
     tab = prepare(THETA_ROWS, [0, 0, 1, 1])
     for i, coords in solves:
@@ -374,7 +359,7 @@ def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
     b = [0, 0, 1, 2]
     assert solve_lp(tab, b, [0] * 6)[0] == 0
     assert solve_lp(tab, b, [1] * 6)[0] == bfs_optimum(THETA_ROWS, b, [1] * 6)[0]
-    # back to the zero direction: answered from its record
+    # back to the zero costs: answered from their record
     value, _, y, reduced = solve_lp(tab, b, [F(0)] * 6)
     assert value == 0 and y == [0] * 4 and reduced == [0] * 6
     assert dual_problems(THETA_ROWS, b, [0] * 6, value, prepared=tab) == []
@@ -382,9 +367,9 @@ def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
 
 
 def test_only_the_newest_cost_directions_are_kept(monkeypatch):
-    # the oldest direction's records go when a new one would exceed the
-    # bound; a repeat of a kept direction adds nothing
-    monkeypatch.setattr(lp, "DIRECTIONS_KEPT", 3)
+    # the oldest cost vector's records go when a new one would exceed the
+    # bound; a repeat of a kept cost vector adds nothing
+    monkeypatch.setattr(lp, "COSTS_KEPT", 3)
     tab = prepare(THETA_ROWS, [0, 0, 1, 1])
     b = [0, 0, 1, 2]
     costs = [[1, 1, 1, 1, 1, k] for k in range(2, 7)]

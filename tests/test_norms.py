@@ -39,6 +39,7 @@ from stasys import (
     verify_projection_equality,
     verify_rescaling,
 )
+from stasys.complexes import Weights
 from stasys.norms import minimum_mass_cycle
 
 from conftest import (
@@ -394,25 +395,33 @@ def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
 
 def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     # the oldest stop-test tableau goes when a new one would exceed the
-    # bound; the norm tableaux, keyed by q, stay
+    # bound; a repeat of a kept λ set adds nothing
     norms = importlib.import_module("stasys.norms")
     monkeypatch.setattr(norms, "STOP_TESTS_KEPT", 3)
-    tableaux = {1: "norm tableau"}
+    stop_tests = {}
     keys = [((F(k), F(0)), (F(0), F(1))) for k in range(1, 6)]
-    for duals in keys:
-        assert norms._bounds_sphere(tableaux, list(duals), 2, F(1, 2))
-    assert list(tableaux) == [1, *keys[2:]]
+    for duals in keys[:3] + [keys[0]] + keys[3:]:
+        assert norms._bounds_sphere(stop_tests, list(duals), 2, F(1, 2))
+    assert list(stop_tests) == keys[2:]
+    # a search keeps its stop tests apart from the norm tableaux, keyed by q
+    K = flat_torus(3)
+    summary = homology(K)
+    summary.tableaux.clear()
+    summary.stop_tests.clear()
+    stable_systole(K, 1)
+    assert list(summary.tableaux) == [1]
+    assert list(summary.stop_tests) == [((3, 3), (3, -3))]
 
 
 def test_direction_records_of_a_norm_tableau_are_bounded():
-    # every random metric is a new cost direction on the one q = 1 tableau
+    # every random metric is a new cost vector ĉ on the one q = 1 tableau
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
     rng = random.Random(300)
     for _ in range(300):
         ws = tuple(F(rng.randint(1, 9)) for _ in K.weights[1])
         stable_systole(replace(K, weights=(K.weights[0], ws, K.weights[2])), 1)
-    assert 0 < len(homology(K).tableaux[1].optima) <= lp.DIRECTIONS_KEPT
+    assert 0 < len(homology(K).tableaux[1].optima) <= lp.COSTS_KEPT
 
 
 A = 10 ** 400
@@ -476,20 +485,29 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
 
 
 def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
-    # rescaling multiplies every q=1 cost by t, so each basis recorded for
-    # flat_torus(4) stays optimal and no two-phase solve runs on its tableau
+    # rescaling multiplies every q=1 weight by t and leaves ĉ, the cost of
+    # every norm LP, as it was, so each basis recorded for flat_torus(4)
+    # answers again and no two-phase solve runs on its tableau; a norm's
+    # cycle stays and its value, λ and f scale by t
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
     summary = homology(K)
     summary.tableaux.clear()
     base = stable_systole(K, 1)
+    classes = [HomologyClass(1, coords) for coords in ((1, 0), (2, -1), (F(1, 2), 3))]
+    norms = [stable_norm(K, cls) for cls in classes]
     tab = summary.tableaux[1]
     solved = []
     real = lp._two_phase
     monkeypatch.setattr(lp, "_two_phase", lambda t, *rest: solved.append(t) or real(t, *rest))
-    for t in (F(3, 2), F(1, 2), F(2)):
+    for t in (F(3, 2), F(1, 2), F(1, 7), F(2)):
         res = stable_systole(K.rescale(t), 1)
         assert (res.value, res.search_status) == (t * base.value, base.search_status)
+        for cls, norm in zip(classes, norms):
+            res = stable_norm(K.rescale(t), cls)
+            assert res == StableNormResult(t * norm.value, norm.optimal_cycle, "optimal-LP",
+                                           tuple(t * v for v in norm.dual),
+                                           tuple(t * v for v in norm.cocycle))
     assert tab not in solved
 
 
@@ -497,30 +515,27 @@ def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
                                product_complex(circle(3, kind="cubical"), cubical_sphere(2))],
                          ids=["flat_torus(3)", "C3xC4", "S1xS2"])
 def test_the_search_solves_on_primitive_integer_costs(K, monkeypatch):
-    # the search runs in units of the weights' primitive integer direction,
-    # so on a rescaled or deformed metric it hands solve_lp only costs of
-    # gcd 1 and never answers from a recorded basis at another scale
+    # the search and stable_norm cost every LP by the weights' primitive
+    # integer direction, so on a rescaled or deformed metric they hand
+    # solve_lp only costs of gcd 1
     norms = importlib.import_module("stasys.norms")
-    lp = importlib.import_module("stasys.lp")
     homology(K).tableaux.clear()
-    costs, scales = [], []
-    real_solve, real_answer = norms.solve_lp, lp._Optimum.answer
+    costs = []
+    real_solve = norms.solve_lp
     monkeypatch.setattr(norms, "solve_lp", lambda a, b, c: costs.append(c) or real_solve(a, b, c))
-
-    def answer(self, b, opened, n, scale):
-        scales.append((self.scale, scale))
-        return real_answer(self, b, opened, n, scale)
-
-    monkeypatch.setattr(lp._Optimum, "answer", answer)
     metrics = [K.rescale(t) for t in (F(2), F(1, 3), F(5, 4))]
     metrics += [DeformationFamily(K).at(t) for t in (F(3, 2), F(4))]
+    betti = homology(K).betti
     for Kt in metrics:
         for q in range(K.top_dim + 1):
             stable_systole(Kt, q)
-    assert costs and scales
+            if betti[q] and K.n_cells(q + 1):
+                before = len(costs)
+                stable_norm(Kt, HomologyClass(q, (F(1, 2),) + (3,) * (betti[q] - 1)))
+                assert len(costs) == before + 1
+    assert costs
     for c in costs:
         assert type(c) is tuple and {type(v) for v in c} == {int} and math.gcd(*c) == 1
-    assert all(old == new for old, new in scales)
 
 
 EQUIVARIANCE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
@@ -580,7 +595,7 @@ def test_unique_cycle_norms_in_integers_match_stable_norm(name, coord, num, den,
     # in the top degree a class holds one cycle; the search's integer path
     # must give stable_norm's value and λ, on the weights themselves and on
     # their primitive direction ĉ (weights = s·ĉ) scaled back by s
-    norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
+    norms = importlib.import_module("stasys.norms")
     K = TOP_DEGREES[name]
     q = K.top_dim
     top = data.draw(st.lists(st.integers(1, 9), min_size=K.n_cells(q), max_size=K.n_cells(q)))
@@ -594,7 +609,8 @@ def test_unique_cycle_norms_in_integers_match_stable_norm(name, coord, num, den,
         res = stable_norm(L, HomologyClass(q, (coord,)))
         assert res.certificate == "unique-cycle"
         assert norms._class_norm(L, summary, q, (coord,), L.weights[q]) == (res.value, res.dual)
-        chat, s = lp.direction(L.weights[q])
+        chat, s = L.weights[q].split
+        assert (chat, s) == Weights(L.weights[q].values).split
         value, dual = norms._class_norm(L, summary, q, (coord,), chat)
         assert type(value) is int and {type(v) for v in dual} == {int}
         assert (value * s, tuple(v * s for v in dual)) == (res.value, res.dual)
