@@ -487,15 +487,12 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
 def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
     # rescaling multiplies every q=1 weight by t and leaves ĉ, the cost of
     # every norm LP, as it was, so each basis recorded for flat_torus(4)
-    # answers again and no two-phase solve runs on its tableau; a norm's
-    # cycle stays and its value, λ and f scale by t
+    # answers again and no two-phase solve runs on its tableau
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
     summary = homology(K)
     summary.tableaux.clear()
     base = stable_systole(K, 1)
-    classes = [HomologyClass(1, coords) for coords in ((1, 0), (2, -1), (F(1, 2), 3))]
-    norms = [stable_norm(K, cls) for cls in classes]
     tab = summary.tableaux[1]
     solved = []
     real = lp._two_phase
@@ -503,12 +500,32 @@ def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
     for t in (F(3, 2), F(1, 2), F(1, 7), F(2)):
         res = stable_systole(K.rescale(t), 1)
         assert (res.value, res.search_status) == (t * base.value, base.search_status)
+    assert tab not in solved
+
+
+def test_a_rescaled_stable_norm_is_answered_from_the_recorded_bases(monkeypatch):
+    # a positive multiple t of the weights is the same cost ĉ on the norm
+    # tableau: its records answer with no two-phase solve and no new cost
+    # vector, the cycle stays, and the value, λ and f scale by t
+    lp = importlib.import_module("stasys.lp")
+    K = flat_torus(4)
+    summary = homology(K)
+    summary.tableaux.clear()
+    classes = [HomologyClass(1, coords) for coords in ((1, 0), (2, -1), (F(1, 2), 3))]
+    norms = [stable_norm(K, cls) for cls in classes]
+    tab = summary.tableaux[1]
+    costs = list(tab.optima)
+    solved = []
+    real = lp._two_phase
+    monkeypatch.setattr(lp, "_two_phase", lambda t, *rest: solved.append(t) or real(t, *rest))
+    for t in (F(3, 2), F(1, 7), F(2)):
         for cls, norm in zip(classes, norms):
             res = stable_norm(K.rescale(t), cls)
             assert res == StableNormResult(t * norm.value, norm.optimal_cycle, "optimal-LP",
                                            tuple(t * v for v in norm.dual),
                                            tuple(t * v for v in norm.cocycle))
     assert tab not in solved
+    assert list(tab.optima) == costs
 
 
 @pytest.mark.parametrize("K", [flat_torus(3), product_complex(circle(3), circle(4)),
