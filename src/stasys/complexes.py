@@ -1,12 +1,13 @@
 """Finite weighted cell complexes with exact rational cell volumes.
 
 A complex stores, per degree, an ordered list of cells with positive
-rational weights and sparse integer boundary incidences.  Weights play the
-role of a piecewise-linear metric: the mass of a chain is the weighted L1
-size of its coefficient vector.  Each degree's weights are a `Weights`
-sequence, read as a tuple of Fractions and also as s·ĉ: ĉ the primitive
-integer direction of the weights and s > 0 one rational factor.  A
-rescaled or deformed metric is built as a new s (and, for a deformation,
+rational weights and its boundary as sparse (face, incidence) columns, the
+one matrix format: the Smith form and the LP read them as they stand.
+Weights play the role of a piecewise-linear metric: the mass of a chain is
+the weighted L1 size of its coefficient vector.  Each degree's weights are
+a `Weights` sequence, read as a tuple of Fractions and also as s·ĉ: ĉ the
+primitive integer direction of the weights and s > 0 one rational factor.
+A rescaled or deformed metric is built as a new s (and, for a deformation,
 a new integer ĉ), so it touches no cell weight as a Fraction.
 """
 
@@ -155,17 +156,6 @@ class WeightedCellComplex:
     @cached_property
     def total_cells(self) -> int:
         return sum(len(ids) for ids in self.cell_ids)
-
-    def boundary_matrix(self, q: int) -> list[list[int]]:
-        """Dense boundary matrix: rows are (q-1)-cells, columns q-cells."""
-        if not 1 <= q <= self.top_dim:
-            raise ValueError(f"degree {q} out of range 1..{self.top_dim}")
-        rows, cols = self.n_cells(q - 1), self.n_cells(q)
-        mat = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.boundary_cols[q]):
-            for face, inc in col:
-                mat[face][j] += inc
-        return mat
 
     def boundary_of(self, chain: Chain) -> Chain:
         if not 1 <= chain.degree <= self.top_dim:

@@ -3,9 +3,9 @@
 Homology needs only the integer Smith normal form with its inverses: the
 cycle lattice, Betti numbers, torsion, generators and coordinate rows all
 come from it.  Boundary matrices run to thousands of rows and are almost all
-zeros and unit pivots, so the Smith form takes sparse columns, works on
-sparse rows and returns sparse factors, and each elementary operation costs
-the nonzeros it touches.  The rational routines take and return plain lists
+zeros and unit pivots, so the Smith form reads sparse (row, value) columns
+with `column_rows`, as `stasys.lp` does, and returns sparse factors; each
+elementary operation costs the nonzeros it touches.  The rational routines take and return plain lists
 of lists holding ``fractions.Fraction``: they are dense Gaussian elimination
 on small matrices and serve rank tests (cup-product spans, degree-sandwich
 injectivity).  ``inverse`` has no caller in the library; it stays because
@@ -65,6 +65,19 @@ def inverse(a: Matrix) -> Matrix:
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
 
+def column_rows(columns, nrows: int) -> list[dict]:
+    """The nrows rows of the matrix with these (row, value) columns, as in
+    ``boundary_cols``: {column: value} dicts of the nonzeros, a row named twice
+    in a column summing.  A row outside [0, nrows) is a ValueError naming it."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            if not 0 <= i < nrows:
+                raise ValueError(f"column {j} names row {i}, outside [0, {nrows})")
+            rows[i][j] = rows[i].get(j, 0) + x
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
 def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     """Decompose an integer matrix as M = U D V; returns (U, D, V, U_inv, V_inv).
 
@@ -93,11 +106,7 @@ def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     each operation costs the nonzeros it touches.
     """
     ncols = len(columns)
-    rows = [{} for _ in range(nrows)]  # D by stored row
-    for j, col in enumerate(columns):
-        for i, x in col:
-            rows[i][j] = rows[i].get(j, 0) + x
-    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    rows = column_rows(columns, nrows)  # D by stored row
     cols = [set() for _ in range(ncols)]  # stored rows holding each stored column
     for i, row in enumerate(rows):
         for j in row:

@@ -1,17 +1,18 @@
 """Exact rational linear programming by the two-phase simplex method.
 
-Solves  min c.x  subject to  A x = b, x >= 0  on an integer tableau: each
-row is stored as Python-int numerators with one positive row denominator,
-so the true row is numerators / denominator and every pivot is exact
-integer (fraction-free) elimination.  Optima come back as exact
-``Fraction``s, together with an optimal dual y (A^T y <= c, b.y = c.x)
-and the reduced costs c - A^T y, both read off the final reduced-cost
-row.  Bland's pivot rule is used throughout, which rules out cycling.
-`prepare` builds the tableau [A | I] once, with each row whose right-hand
-side is 0 crashed onto a structural column (Bixby's crash basis), and
-`solve_lp` copies it for each (b, c): phase 1 then starts at that basis.
-Rows of A given to `solve_lp` are prepared into a throwaway tableau that
-takes the same path; its records are discarded with it.
+Solves  min c.x  subject to  A x = b, x >= 0, with A given by its sparse
+(row, value) columns: the format of a complex's ``boundary_cols``, read by
+the same `stasys.linalg.column_rows` as the Smith form.  `prepare` builds
+the integer tableau [A | I] once.  Each row is a {column: int} dict of its
+nonzeros over one positive row denominator, so every pivot is exact
+integer (fraction-free) elimination that costs the nonzeros it touches.
+Each row whose right-hand side is 0 is crashed onto a structural column
+(Bixby's crash basis), and `solve_lp` copies the tableau for each (b, c):
+phase 1 then starts at that basis.  Columns given to `solve_lp` are
+prepared into a throwaway tableau that takes the same path.  Optima come
+back as exact ``Fraction``s, with an optimal dual y (A^T y <= c, b.y =
+c.x) and the reduced costs c - A^T y, read off the final reduced-cost row.
+Bland's pivot rule is used throughout, which rules out cycling.
 
 A `Tableau` also records the optimal bases it has found, per cost
 vector.  An optimal basis B stays optimal for every b with B⁻¹b >= 0,
@@ -20,12 +21,11 @@ y.b with the recorded dual y.  So a b inside the cone of a basis recorded
 for the same c is answered without copying the tableau or pivoting; only
 a b outside every recorded cone runs the two phases, whose basis is then
 recorded too.  A new cost vector adds a key and leaves the others'
-records, but for the oldest once COSTS_KEPT are kept.
-A solve in which phase 1 drops a dependent row records nothing, since
-B⁻¹b >= 0 would not check that row's consistency for a later b.  The
-value is the optimum whatever was solved before, but where the optimum is
-degenerate the x and y returned may depend on which right-hand sides the
-tableau has seen.
+records, but for the oldest once COSTS_KEPT are kept.  A solve in which
+phase 1 drops a dependent row records nothing, since B⁻¹b >= 0 would not
+check that row's consistency for a later b.  The value is the optimum
+whatever was solved before, but where the optimum is degenerate the x and
+y returned may depend on which right-hand sides the tableau has seen.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from .linalg import column_rows
 
 
 class LPError(Exception):
@@ -51,59 +53,56 @@ COSTS_KEPT = 64  # cost vectors recorded per tableau, so many metrics stay bound
 
 
 class Tableau:
-    """The integer tableau [A | I] that `prepare` builds and crashes, and the
-    optimal bases found on it: `optima` maps each cost vector solved on it,
+    """The integer tableau [A | I] that `prepare` builds and crashes: rows of
+    nonzeros over ``den``, with A's n columns, row i's artificial n + i and
+    the right-hand side n + m.  `optima` maps each cost vector solved on it,
     as a tuple, to the bases recorded for it, the newest COSTS_KEPT of them."""
 
-    def __init__(self, rows: list[list[int]], den: list[int], basis: list[int], m: int):
-        self.rows, self.den, self.basis, self.m = rows, den, basis, m
+    def __init__(self, rows: list[dict[int, int]], den: list[int], basis: list[int], n: int, m: int):
+        self.rows, self.den, self.basis, self.n, self.m = rows, den, basis, n, m
         self.optima: dict[tuple, list[_Optimum]] = {}
 
     def __len__(self) -> int:  # the row count of A, dropped rows included
         return self.m
 
 
-def prepare(a: list[list[Fraction]], b: list[Fraction]) -> Tableau:
+def prepare(columns, b: list[Fraction]) -> Tableau:
     """The tableau [A | I], right-hand side 0, with each row where b is 0 crashed.
 
+    A's columns are sequences of (row, value) pairs, one row per entry of b.
     A crashed row takes its first nonzero structural column as its basic
     variable: with b_i = 0 that pivot moves no right-hand side.  A row left
-    zero on every structural column is dropped.  Only the zero pattern of
-    b matters; the tableau serves every b that vanishes on those rows.
+    zero on every structural column is dropped.  Only the zero pattern of b
+    matters; the tableau serves every b that vanishes on those rows.
     """
-    m, n = len(a), len(a[0]) if a else 0
-    if any(len(row) != n for row in a):
-        raise ValueError("rows of the constraint matrix differ in width")
+    m, n = len(b), len(columns)
     rows, den = [], []
-    for i, row in enumerate(a):
-        nums, d = _integer_row(row)
-        rows.append(nums + [0] * i + [d] + [0] * (m - 1 - i) + [0])
+    for i, row in enumerate(column_rows(columns, m)):
+        nums, d = _integer_row(row.values())
+        rows.append({**dict(zip(row, nums)), n + i: d})
         den.append(d)
     basis = list(range(n, n + m))
     _drive_out_artificials(rows, den, basis, n, {i for i, bi in enumerate(b) if bi})
-    return Tableau(rows, den, basis, m)
+    return Tableau(rows, den, basis, n, m)
 
 
-def solve_lp(
-    a: list[list[Fraction]] | Tableau,
-    b: list[Fraction],
-    c: list[Fraction],
-) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
+def solve_lp(a, b: list[Fraction],
+             c: list[Fraction]) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
     """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, reduced).
 
-    ``a`` is a `Tableau`, or the rows of A, prepared for b into a throwaway
-    one.  y is an optimal dual, one entry per row of A, and reduced =
-    c - A^T y holds the structural reduced costs, read off the final
-    tableau.  Entries may be ints or Fractions; every result is a Fraction.
-    A tableau answers b from a basis it recorded for c when B⁻¹b >= 0.
+    ``a`` is a `Tableau`, or the columns of A as `prepare` takes them,
+    prepared for b into a throwaway one.  y is an optimal dual, one entry
+    per row of A, and reduced = c - A^T y holds the structural reduced
+    costs, read off the final tableau.  Entries may be ints or Fractions;
+    every result is a Fraction.  A tableau answers b from a basis it
+    recorded for c when B⁻¹b >= 0.
     """
     t = a if isinstance(a, Tableau) else prepare(a, b)
-    m, n = len(t), len(c)
+    m, n = len(t), t.n
     if len(b) != m:
-        raise ValueError(f"right-hand side has length {len(b)}, "
-                         f"but the constraint matrix has {m} rows")
-    if any(len(row) != n + m + 1 for row in t.rows):
-        raise ValueError("constraint matrix width does not match cost vector")
+        raise ValueError(f"right-hand side has length {len(b)}, but the constraint matrix has {m} rows")
+    if len(c) != n:
+        raise ValueError(f"cost vector has length {len(c)}, but the constraint matrix has {n} columns")
     opened = [bj - n for bj in t.basis if bj >= n]
     if any(b[i] for i in set(range(len(b))).difference(opened)):
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
@@ -146,127 +145,125 @@ class _Optimum:
 def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
     """The two-phase solve on a copy of t; returns (value, x, y, reduced) and
     appends the optimal basis to c's records unless phase 1 dropped a row."""
-    m, n = len(t), len(c)
-    tab, den, basis = [row[:] for row in t.rows], t.den[:], t.basis[:]
+    m, n, rhs = len(t), t.n, len(t) + t.n
+    tab, den, basis = [row.copy() for row in t.rows], t.den[:], t.basis[:]
 
     # phase 1 over the rows whose artificial is still basic, at level |b_i|:
-    # a row with b_i < 0 is negated but for its artificial entry
+    # a row with b_i < 0 is negated but for its artificial entry (the
+    # prepared right-hand side is 0 on every row)
     sign, cost = [1] * m, [0] * (n + m)
     for r, bj in enumerate(basis):
         if bj >= n:
             v = Fraction(b[bj - n]) * den[r]
             cost[bj], sign[bj - n] = 1, -1 if v < 0 else 1
             den[r] *= v.denominator
-            tab[r] = [x * sign[bj - n] * v.denominator for x in tab[r][:-1]] + [abs(v.numerator)]
-            tab[r][bj] = den[r]
+            tab[r] = {**{j: x * sign[bj - n] * v.denominator for j, x in tab[r].items()}, bj: den[r]}
+            if v:
+                tab[r][rhs] = abs(v.numerator)
     zrow, zden = _optimize(tab, den, basis, cost, n)
-    if zrow[-1] != 0:
+    if zrow.get(rhs):
         raise Infeasible("phase-1 optimum is nonzero")
     _drive_out_artificials(tab, den, basis, n)
 
     # phase 2 on the original columns only.  Artificial column n+i has
     # reduced cost -y_i for row i as stored (negated or not, dropped or not)
-    zrow, zden = _optimize(tab, den, basis, list(c) + [0] * m, n)
+    zrow, zden = _optimize(tab, den, basis, [*c, *[0] * m], n)
     x = [Fraction(0)] * n
     for row, d, bj in zip(tab, den, basis):
         if bj < n:
-            x[bj] = Fraction(row[-1], d)
-    y = [Fraction(-s * zrow[n + i], zden) for i, s in enumerate(sign)]
-    reduced = [Fraction(z, zden) for z in zrow[:n]]
+            x[bj] = Fraction(row.get(rhs, 0), d)
+    y = [Fraction(-s * zrow.get(n + i, 0), zden) for i, s in enumerate(sign)]
+    reduced = [Fraction(zrow.get(j, 0), zden) for j in range(n)]
     if len(tab) == len(t.rows):
         # B⁻¹ times the open rows' unit columns is their artificial columns,
         # each read with the sign its row was stored under
-        records.append(_Optimum([(bj, [sign[i] * row[n + i] for i in opened], d)
+        records.append(_Optimum([(bj, [sign[i] * row.get(n + i, 0) for i in opened], d)
                                  for row, d, bj in zip(tab, den, basis)],
                                 tuple(y), tuple(reduced)))
-    return Fraction(-zrow[-1], zden), x, y, reduced
+    return Fraction(-zrow.get(rhs, 0), zden), x, y, reduced
 
 
 def _integer_row(values) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over the lcm of their denominators."""
-    if set(map(type, values)) == {int}:
-        return list(values), 1
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
     d = lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _optimize(tab, den, basis, cost, allowed: int) -> tuple[list[int], int]:
+def _optimize(tab, den, basis, cost, allowed: int) -> tuple[dict[int, int], int]:
     """Run simplex over columns [0, allowed); returns the final reduced-cost
-    row as (numerators, denominator), whose last entry is minus the optimum.
-
-    Maintains the reduced-cost row incrementally, as integer numerators over
-    one denominator like the tableau rows; entering variable is the
-    lowest-index negative column and ratio ties break by lowest basis index
-    (Bland's rule).
-    """
+    row, kept incrementally like a tableau row as its nonzero numerators by
+    column and one denominator: its right-hand-side entry is minus the
+    optimum.  The entering variable is the lowest-index negative column and
+    ratio ties break by lowest basis index (Bland's rule)."""
     # all rows may have been dropped as redundant; the loop below then
     # either certifies optimality at 0 or detects unboundedness
-    zrow, zden = _integer_row([*cost, 0])
+    nums, zden = _integer_row(cost)
+    zrow = {j: v for j, v in enumerate(nums) if v}
     for row, bj in zip(tab, basis):
-        if zrow[bj]:
-            zden = _eliminate(zrow, zden, row, range(len(row)), bj)
+        if bj in zrow:
+            zden = _eliminate(zrow, zden, row, bj)
+    rhs = len(cost)
     while True:
-        entering = next((j for j in range(allowed) if zrow[j] < 0), None)
+        entering = min((j for j, v in zrow.items() if v < 0 and j < allowed), default=None)
         if entering is None:
             return zrow, zden
         # least rhs_i / a_ic over a_ic > 0, then least basis index, compared
         # by cross-multiplication: the row denominators cancel
         leaving = None
         for i, row in enumerate(tab):
-            if row[entering] > 0 and (leaving is None or (
-                    (row[-1] * tab[leaving][entering], basis[i])
-                    < (tab[leaving][-1] * row[entering], basis[leaving]))):
+            if entering in row and row[entering] > 0 and (leaving is None or (
+                    (row.get(rhs, 0) * tab[leaving][entering], basis[i])
+                    < (tab[leaving].get(rhs, 0) * row[entering], basis[leaving]))):
                 leaving = i
         if leaving is None:
             raise Unbounded(f"column {entering} is unbounded")
-        nz = _pivot(tab, den, basis, leaving, entering)
-        zden = _eliminate(zrow, zden, tab[leaving], nz, entering)
+        _pivot(tab, den, basis, leaving, entering)
+        zden = _eliminate(zrow, zden, tab[leaving], entering)
 
 
-def _pivot(tab, den, basis, row: int, col: int) -> list[int]:
-    """Pivot on tab[row][col] in place; returns the pivot row's nonzero columns.
-
-    The pivot row's denominator becomes |pivot| (gcd-reduced), so its entry
-    in `col` equals its denominator, i.e. a true 1.  Other rows change only
-    in those columns unless the pivot does not divide their factor.
-    """
+def _pivot(tab, den, basis, row: int, col: int) -> None:
+    """Pivot on tab[row][col] in place.  The pivot row's denominator becomes
+    |pivot| (gcd-reduced), so its entry in `col` equals its denominator, i.e.
+    a true 1.  Other rows change only in the pivot row's nonzero columns
+    unless the pivot does not divide their factor."""
     prow = tab[row]
-    nz = [j for j, x in enumerate(prow) if x]
-    g = gcd(*(prow[j] for j in nz))
-    if prow[col] < 0:
-        g = -g
+    g = gcd(*prow.values()) if prow[col] > 0 else -gcd(*prow.values())
     if g != 1:
-        for j in nz:
+        for j in prow:
             prow[j] //= g
     den[row] = prow[col]
     for i, other in enumerate(tab):
-        if other[col] and i != row:
-            den[i] = _eliminate(other, den[i], prow, nz, col)
+        if col in other and i != row:
+            den[i] = _eliminate(other, den[i], prow, col)
     basis[row] = col
-    return nz
 
 
-def _eliminate(row: list[int], d: int, prow: list[int], nz, col: int) -> int:
+def _eliminate(row: dict[int, int], d: int, prow: dict[int, int], col: int) -> int:
     """Clear row[col] with the pivot row in place; returns row's new denominator.
 
     With pivot P = prow[col] (a true 1) and f = row[col], the true row
     becomes (row·P - f·prow) / (d·P); after dividing P and f by gcd(f, P)
     the multiplier of `row` is often 1, and then only the pivot row's
-    nonzero columns `nz` change.  A row whose denominator grew is
-    gcd-reduced.
-    """
+    nonzero columns change (an entry that cancels leaves the dict).  A row
+    whose denominator grew is gcd-reduced."""
     g = gcd(row[col], prow[col])
     f, p = row[col] // g, prow[col] // g
     if p != 1:
-        row[:] = [x * p for x in row]
-    for j in nz:
-        row[j] -= f * prow[j]
+        for j in row:
+            row[j] *= p
+    for j, x in prow.items():
+        v = row.pop(j, 0) - f * x
+        if v:
+            row[j] = v
     if p == 1:
         return d
-    g = gcd(d * p, *row)
-    if g > 1:
-        row[:] = [x // g for x in row]
+    g = gcd(d * p, *row.values())
+    for j in row:
+        row[j] //= g
     return d * p // g
 
 
@@ -275,11 +272,9 @@ def _drive_out_artificials(tab, den, basis, n: int, keep=()) -> None:
     i = 0
     while i < len(tab):
         if basis[i] >= n and basis[i] - n not in keep:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = min((j for j in tab[i] if j < n), default=None)
             if col is None:
-                del tab[i]
-                del den[i]
-                del basis[i]
+                del tab[i], den[i], basis[i]
                 continue
             _pivot(tab, den, basis, i, col)
         i += 1

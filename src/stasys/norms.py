@@ -4,9 +4,9 @@ The stable norm of a rational homology class is the minimum mass over the
 cellular cycles representing it.  Every such question is one LP over the
 q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
-the usual sign split ``x = x+ - x-``.  The rows depend on the structure
-alone, so their tableau is crashed once per (structure, q); a class sets
-only its right-hand sides and costs.  A metric scaled by s scales every
+the usual sign split ``x = x+ - x-``.  Its sparse tableau, built from the
+q-cells' ``boundary_cols``, depends on the structure alone and is crashed
+once per (structure, q); a class sets only its right-hand sides and costs.  A metric scaled by s scales every
 norm and λ by s, so every norm LP is costed by the weights' primitive
 integer direction ĉ (weights = s·ĉ, as the complex carries them) and its
 answer scaled by s: the tableau then answers a class inside the cone of
@@ -132,7 +132,7 @@ def minimum_mass_cycle(
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
-    of the rational coordinate map, on the tableau kept in summary.tableaux.
+    of the coordinate map, on summary.tableaux[q], built from boundary_cols[q].
     The LP is costed by ĉ, for weights w = s·ĉ, and its value, y and
     reduced costs are scaled by s, so the weights times any t > 0 reuse the
     bases recorded for ĉ.  Its feasible set is exactly the cycles in the
@@ -159,10 +159,16 @@ def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, w
     last b entries of y."""
     tab = summary.tableaux.get(q)
     if tab is None:
-        rows = [*(K.boundary_matrix(q) if q else []), *summary.coordinate_maps[q]]
-        b = [0] * (len(rows) - len(coords)) + [1] * len(coords)
-        tab = summary.tableaux[q] = prepare([[*row, *(-v for v in row)] for row in rows], b)
+        nb, cmap = K.n_cells(q - 1), summary.coordinate_maps[q]
+        cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
+                for j, col in enumerate(K.boundary_cols[q])]
+        tab = summary.tableaux[q] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
     return solve_lp(tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights))
+
+
+def _sign_split(cols):
+    """The columns of [A | -A] for A's columns: x = x+ - x- in an L1 program."""
+    return [*cols, *([(i, -x) for i, x in col] for col in cols)]
 
 
 def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
@@ -241,7 +247,7 @@ def _bounds_sphere(stop_tests: dict, duals, b: int, level: Fraction) -> bool:
     if tab is None:
         if len(stop_tests) >= STOP_TESTS_KEPT:  # the oldest goes first
             del stop_tests[next(iter(stop_tests))]
-        tab = stop_tests[key] = prepare([[*row, *(-v for v in row)] for row in zip(*duals)], [1] * b)
+        tab = stop_tests[key] = prepare(_sign_split([list(enumerate(lam)) for lam in duals]), [1] * b)
     ones = (1,) * (2 * len(duals))
     try:
         return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1

@@ -38,6 +38,8 @@ from stasys import (
 )
 from stasys.linalg import rref, smith_normal_form
 
+from snf_reference import dense_matrix
+
 
 # ---------------------------------------------------------------------------
 # Extra small complexes
@@ -199,8 +201,9 @@ def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
 def betti_oracle(K: WeightedCellComplex, q: int) -> int:
     """betti_q = dim ker(boundary_q) - rank(boundary_{q+1})."""
     nq = K.n_cells(q)
-    rank_down = rational_rank(K.boundary_matrix(q)) if 1 <= q <= K.top_dim else 0
-    rank_up = rational_rank(K.boundary_matrix(q + 1)) if q + 1 <= K.top_dim else 0
+    rank_down, rank_up = (
+        rational_rank(dense_matrix(K.boundary_cols[d], K.n_cells(d - 1))) if 1 <= d <= K.top_dim else 0
+        for d in (q, q + 1))
     return nq - rank_down - rank_up
 
 

@@ -11,6 +11,16 @@ an oracle for the tests.
 from __future__ import annotations
 
 
+def dense_matrix(columns, nrows: int) -> list[list[int]]:
+    """The nrows-row dense matrix of sparse (row, value) columns, such as a
+    complex's ``boundary_cols[q]``; a row named twice in a column sums."""
+    m = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            m[i][j] += x
+    return m
+
+
 def _transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,13 @@ def test_snf_sums_a_row_named_twice():
     assert smith_normal_form([[(0, 1), (0, -1)]], 1)[1] == [{}]
     # a matrix with no rows: every column is free and V = V_inv = I
     assert smith_normal_form([(), ()], 0) == ([], [], [{0: 1}, {1: 1}], [], [{0: 1}, {1: 1}])
+
+
+def test_snf_rejects_a_row_outside_the_matrix():
+    # row -1 must not be read as the last row, nor row 2 fail as a bare IndexError
+    for col in ([(-1, 2)], [(2, 2)]):
+        with pytest.raises(ValueError, match=rf"column 0 names row {col[0][0]}, outside \[0, 2\)"):
+            smith_normal_form([col, [(0, 3)]], 2)
 
 
 @settings(max_examples=60, deadline=None)

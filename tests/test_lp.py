@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from stasys.linalg import rank
 from stasys.lp import Infeasible, Unbounded, prepare, solve_lp
 
-from conftest import solve
+from conftest import solve, sparse_columns
 
 F = Fraction
 lp = importlib.import_module("stasys.lp")
 
 
 def frac(rows):
-    return [[F(x) for x in row] for row in rows]
+    """The columns of the matrix with these rows, its entries as Fractions."""
+    return sparse_columns([[F(x) for x in row] for row in rows])
 
 
 def test_simple_equality_program():
@@ -81,12 +82,12 @@ def test_cycle_space_program_with_redundant_zero_rows():
 
 def test_degenerate_program_terminates():
     # many tie-broken pivots; Bland's rule must not cycle
-    rows = frac([
+    a = frac([
         [1, 1, 1, 0],
         [1, 0, 0, 1],
         [0, 1, 0, -1],
     ])
-    value, x, _, _ = solve_lp(rows, [F(2), F(1), F(1)], [F(1)] * 4)
+    value, x, _, _ = solve_lp(a, [F(2), F(1), F(1)], [F(1)] * 4)
     assert value == 2
     assert all(v >= 0 for v in x)
 
@@ -116,9 +117,10 @@ def bfs_optimum(a, b, c):
 
 
 def dual_problems(a, b, c, value, prepared=None):
-    """Weak and strong duality for the y that solve_lp returns with (a, b, c),
-    or with (prepared, b, c) when a tableau prepared from a is given."""
-    _, _, y, reduced = solve_lp(a if prepared is None else prepared, b, c)
+    """Weak and strong duality for the y that solve_lp returns with the rows
+    a (as columns), b and c, or with (prepared, b, c) when a tableau
+    prepared from a is given."""
+    _, _, y, reduced = solve_lp(sparse_columns(a) if prepared is None else prepared, b, c)
     problems = []
     if len(y) != len(a):
         problems.append(f"{len(y)} duals for {len(a)} rows")
@@ -138,13 +140,13 @@ def test_dual_of_redundant_and_negated_rows():
     a = [[1, 1, 0], [2, 2, 0], [-1, 0, -1]]
     b = [4, 8, -3]
     c = [1, 2, 3]
-    value, x, y, _ = solve_lp(a, b, c)
+    value, x, y, _ = solve_lp(sparse_columns(a), b, c)
     assert value == 5 and x == [F(3), F(1), F(0)]
     assert dual_problems(a, b, c, value) == []
     # the same with Fraction entries on the negated row
     a[2] = [F(-1, 2), 0, F(-1, 2)]
     b[2] = F(-3, 2)
-    value, _, _, _ = solve_lp(a, b, c)
+    value, _, _, _ = solve_lp(sparse_columns(a), b, c)
     assert value == 5
     assert dual_problems(a, b, c, value) == []
 
@@ -155,7 +157,7 @@ def test_dual_of_the_cycle_program():
     rows = [row + [-v for v in row] for row in boundary] + [[2, 0, 0, -2, 0, 0]]
     b = [0, 0, 0, 2]
     c = [1, 2, 3] * 2
-    value, _, y, _ = solve_lp(rows, b, c)
+    value, _, y, _ = solve_lp(sparse_columns(rows), b, c)
     assert value == 6 and y[3] == 3  # the coordinate row's dual: mass 6 per unit of 2 x0
     assert dual_problems(rows, b, c, value) == []
 
@@ -184,9 +186,9 @@ def feasible_program(data):
 def test_random_feasible_programs(data):
     """The optimum is exact: it equals the least cost over all vertices."""
     a, b, c, x0 = feasible_program(data)
-    value, x, _, _ = answer = solve_lp(a, b, c)
-    # rows are prepared into a throwaway tableau and take the tableau's path
-    assert answer == solve_lp(prepare(a, b), b, c)
+    value, x, _, _ = answer = solve_lp(sparse_columns(a), b, c)
+    # columns are prepared into a throwaway tableau and take the tableau's path
+    assert answer == solve_lp(prepare(sparse_columns(a), b), b, c)
     feasible_cost = sum(ci * xi for ci, xi in zip(c, x0))
     assert value <= feasible_cost
     assert all(xi >= 0 for xi in x)
@@ -212,9 +214,9 @@ def test_row_scaling_leaves_the_answer_unchanged(data):
     a, b, c, _ = feasible_program(data)
     scales = [data.draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
               for _ in a]
-    value, x, _, _ = solve_lp(a, b, c)
+    value, x, _, _ = solve_lp(sparse_columns(a), b, c)
     scaled_value, scaled_x, _, _ = solve_lp(
-        [[s * v for v in row] for s, row in zip(scales, a)],
+        sparse_columns([[s * v for v in row] for s, row in zip(scales, a)]),
         [s * bi for s, bi in zip(scales, b)],
         c,
     )
@@ -234,7 +236,7 @@ def test_row_scaling_keeps_the_cycle_program_answer():
     scales = [F(3, 2), F(5), F(2, 7), F(4, 3)]
     scaled = [[s * v for v in row] for s, row in zip(scales, rows)]
     b = [F(0), F(0), F(0), F(2) * scales[3]]
-    value, x, _, _ = solve_lp(scaled, b, [F(c, 3) for c in (1, 2, 3) * 2])
+    value, x, _, _ = solve_lp(sparse_columns(scaled), b, [F(c, 3) for c in (1, 2, 3) * 2])
     assert value == 2
     assert x == [F(1), F(1), F(1), F(0), F(0), F(0)]
 
@@ -247,14 +249,14 @@ def test_phase_one_pivots_on_the_rows_as_given():
     # artificials: artificials of 1/3 and 1/6 would act as rows scaled by 3
     # and 6, enter x2 first and stop at (1, 0, 1)
     a = [[F(-1, 3), F(-1), F(0)], [F(-1, 2), F(-2, 3), F(2)]]
-    value, x, _, _ = solve_lp(a, [F(-1, 3), F(3, 2)], [F(0)] * 3)
+    value, x, _, _ = solve_lp(sparse_columns(a), [F(-1, 3), F(3, 2)], [F(0)] * 3)
     assert value == 0
     assert x == [F(0), F(1, 3), F(31, 36)]
 
 
 def test_negative_fractional_rhs_rows():
     # -x0/2 - x1/3 = -1 and x0 - x1 = 1/2 with mixed denominators
-    value, x, _, _ = solve_lp([[F(-1, 2), F(-1, 3)], [F(1), F(-1)]], [F(-1), F(1, 2)], [F(1), F(1)])
+    value, x, _, _ = solve_lp(frac([[F(-1, 2), F(-1, 3)], [1, -1]]), [F(-1), F(1, 2)], [F(1), F(1)])
     assert x == [F(7, 5), F(9, 10)]
     assert value == F(23, 10)
 
@@ -264,7 +266,7 @@ def test_negative_fractional_rhs_rows():
 # the loops e0 - e1 and e1 - e2, one of them over denominator 2
 THETA_ROWS = [row + [-v for v in row]
               for row in ([-1, -1, -1], [1, 1, 1], [1, 0, 0], [0, 0, F(-1, 2)])]
-THETA = prepare(THETA_ROWS, [0, 0, 1, 1])
+THETA = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,7 +277,7 @@ def test_prepared_tableau_serves_every_right_hand_side(coords, c):
     b = [0, 0, *coords]
     value, x, y, _ = solve_lp(THETA, b, c)
     assert len(THETA) == 4 and len(y) == 4
-    assert value == bfs_optimum(THETA_ROWS, b, c)[0] == solve_lp(THETA_ROWS, b, c)[0]
+    assert value == bfs_optimum(THETA_ROWS, b, c)[0] == solve_lp(sparse_columns(THETA_ROWS), b, c)[0]
     assert dual_problems(THETA_ROWS, b, c, value, prepared=THETA) == []
     assert all(v >= 0 for v in x)
     for row, bi in zip(THETA_ROWS, b):
@@ -284,7 +286,7 @@ def test_prepared_tableau_serves_every_right_hand_side(coords, c):
 
 def test_prepared_tableau_is_left_as_it_was(monkeypatch):
     b, c = [0, 0, F(-3, 2), 2], [1, 2, 3, 4, 5, 6]
-    before = [row[:] for row in THETA.rows], THETA.den[:], THETA.basis[:]
+    before = [dict(row) for row in THETA.rows], THETA.den[:], THETA.basis[:]
     first = solve_lp(THETA, b, c)
     assert (THETA.rows, THETA.den, THETA.basis) == before
     # the repeat is answered from the basis the first call recorded: no simplex runs
@@ -304,11 +306,11 @@ def no_simplex(*args):
 def test_recorded_bases_answer_as_a_fresh_tableau_does(coords, c):
     """Right-hand sides in any order through one tableau: each value, and the
     primal and dual feasibility of each answer, as a fresh tableau gives."""
-    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    tab = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
     for cs in coords:
         b = [0, 0, *cs]
         value, x, y, reduced = solve_lp(tab, b, c)
-        assert value == solve_lp(prepare(THETA_ROWS, [0, 0, 1, 1]), b, c)[0]
+        assert value == solve_lp(prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1]), b, c)[0]
         assert all(v >= 0 for v in x) and sum(map(operator.mul, c, x)) == value
         for row, bi in zip(THETA_ROWS, b):
             assert sum(rj * xj for rj, xj in zip(row, x)) == bi
@@ -318,7 +320,7 @@ def test_recorded_bases_answer_as_a_fresh_tableau_does(coords, c):
 def test_a_solve_that_drops_a_row_records_nothing():
     # both rows are open and the second is twice the first, so phase 1
     # drops one: a basis on the row left would call b = (4, 9) feasible
-    tab = prepare([[1, 1], [2, 2]], [1, 1])
+    tab = prepare(sparse_columns([[1, 1], [2, 2]]), [1, 1])
     assert solve_lp(tab, [4, 8], [1, 2])[:2] == (4, [4, 0])
     assert tab.optima == {(1, 2): []}
     with pytest.raises(Infeasible):
@@ -328,7 +330,7 @@ def test_a_solve_that_drops_a_row_records_nothing():
 
 def test_a_new_cost_vector_is_never_answered_from_the_old_bases():
     # x0 is basic for c = (1, 2), x1 for c = (2, 1); b = 3 lies in both cones
-    tab = prepare([[1, 1]], [1])
+    tab = prepare(sparse_columns([[1, 1]]), [1])
     assert solve_lp(tab, [4], [1, 2])[:2] == (4, [4, 0])
     assert solve_lp(tab, [3], [2, 1])[:2] == (3, [0, 3])
     assert solve_lp(tab, [3], [1, 2])[:2] == (3, [3, 0])
@@ -345,17 +347,17 @@ def test_interleaved_costs_are_answered_as_a_fresh_tableau_does(costs, factors, 
     another (a cost vector of its own), and right-hand sides in any order
     through one tableau."""
     costs = costs + [[k * v for v in costs[0]] for k in factors]
-    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    tab = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
     for i, coords in solves:
         b, c = [0, 0, *coords], costs[i % len(costs)]
         value, x, _, _ = solve_lp(tab, b, c)
-        assert value == solve_lp(prepare(THETA_ROWS, [0, 0, 1, 1]), b, c)[0]
+        assert value == solve_lp(prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1]), b, c)[0]
         assert all(v >= 0 for v in x) and sum(map(operator.mul, c, x)) == value
         assert dual_problems(THETA_ROWS, b, c, value, prepared=tab) == []
 
 
 def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
-    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    tab = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
     b = [0, 0, 1, 2]
     assert solve_lp(tab, b, [0] * 6)[0] == 0
     assert solve_lp(tab, b, [1] * 6)[0] == bfs_optimum(THETA_ROWS, b, [1] * 6)[0]
@@ -370,7 +372,7 @@ def test_only_the_newest_cost_directions_are_kept(monkeypatch):
     # the oldest cost vector's records go when a new one would exceed the
     # bound; a repeat of a kept cost vector adds nothing
     monkeypatch.setattr(lp, "COSTS_KEPT", 3)
-    tab = prepare(THETA_ROWS, [0, 0, 1, 1])
+    tab = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
     b = [0, 0, 1, 2]
     costs = [[1, 1, 1, 1, 1, k] for k in range(2, 7)]
     for c in costs[:3] + [costs[0]] + costs[3:]:
@@ -380,9 +382,23 @@ def test_only_the_newest_cost_directions_are_kept(monkeypatch):
 
 def test_right_hand_side_must_have_one_entry_per_row():
     with pytest.raises(ValueError, match="length 1, but the constraint matrix has 2 rows"):
-        solve_lp(prepare([[1, 1], [1, -1]], [1, 1]), [1], [1, 1])
+        solve_lp(prepare(sparse_columns([[1, 1], [1, -1]]), [1, 1]), [1], [1, 1])
     with pytest.raises(ValueError, match="length 2, but the constraint matrix has 1 rows"):
-        solve_lp([[1, 1]], [1, 2], [1, 1])
+        solve_lp(prepare(sparse_columns([[1, 1]]), [1]), [1, 2], [1, 1])
+    # columns prepared for b have one row per entry of b: a row past them is named
+    with pytest.raises(ValueError, match=r"column 0 names row 1, outside \[0, 1\)"):
+        solve_lp(sparse_columns([[1, 1], [1, -1]]), [1], [1, 1])
+
+
+def test_cost_vector_must_have_one_entry_per_column():
+    with pytest.raises(ValueError, match="length 3, but the constraint matrix has 2 columns"):
+        solve_lp(frac([[1, 1]]), [1], [1, 1, 1])
+
+
+def test_prepare_rejects_a_row_outside_the_right_hand_side():
+    for row in (-1, 2):
+        with pytest.raises(ValueError, match=f"column 1 names row {row}, outside \\[0, 2\\)"):
+            prepare([[(0, 1)], [(row, 1)]], [0, 1])
 
 
 def test_crash_leaves_only_the_nonzero_rows_open():

@@ -652,6 +652,18 @@ def test_torus_norms_take_few_pivots(monkeypatch):
     assert len(pivots) <= 400
 
 
+def test_the_norm_tableau_stores_only_nonzeros():
+    # built from boundary columns, the prepared tableau of flat_torus(16)'s
+    # q=1 norm LP holds its nonzeros alone: far fewer than its dense slots
+    K = flat_torus(16)
+    summary = replace(homology(K), tableaux={})
+    minimum_mass_cycle(K, summary, HomologyClass(1, (1, 0)))
+    tab = summary.tableaux[1]
+    stored = [x for row in tab.rows for x in row.values()]
+    assert 0 not in stored
+    assert 20 * len(stored) < len(tab.rows) * (tab.n + len(tab) + 1)
+
+
 def test_search_radius_is_only_a_cap():
     assert stable_systole(flat_torus(3), 1, search_radius=1).search_status == "certified"
     res = stable_systole(flat_torus(3), 1, search_radius=0)

@@ -15,7 +15,7 @@ from stasys.homology import _boundaries_in_kernel, _cycle_lattice
 from stasys.linalg import smith_normal_form
 
 from conftest import dense_factors, dense_snf, permuted
-from snf_reference import dense_smith_normal_form
+from snf_reference import dense_matrix, dense_smith_normal_form
 
 # Mostly units and zeros, like boundary matrices.  Only a few larger entries:
 # dense blocks of them make both eliminations' entries grow to hundreds of bits.
@@ -77,7 +77,7 @@ def test_snf_matches_the_dense_elimination_on_homology_inputs(name, seed):
         nq = K.n_cells(q)
         kernel, to_kernel = _cycle_lattice(K, q)
         if q:
-            factors = dense_smith_normal_form(K.boundary_matrix(q))
+            factors = dense_smith_normal_form(dense_matrix(K.boundary_cols[q], K.n_cells(q - 1)))
             sparse = smith_normal_form(K.boundary_cols[q], K.n_cells(q - 1))
             assert dense_factors(sparse, K.n_cells(q - 1), nq) == factors, (name, seed, q)
             d, v = factors[1], factors[2]
@@ -87,12 +87,8 @@ def test_snf_matches_the_dense_elimination_on_homology_inputs(name, seed):
             dense_to_kernel = [[int(i == j) for j in range(nq)] for i in range(nq)]
         assert [[row.get(j, 0) for j in range(nq)] for row in to_kernel] == dense_to_kernel, (name, seed, q)
         if q < K.top_dim:
-            in_kernel = _mat_mul(dense_to_kernel, K.boundary_matrix(q + 1))
+            in_kernel = _mat_mul(dense_to_kernel, dense_matrix(K.boundary_cols[q + 1], nq))
             cols = _boundaries_in_kernel(K, q, to_kernel)
-            summed = [[0] * len(cols) for _ in kernel]
-            for j, col in enumerate(cols):
-                for i, x in col:
-                    summed[i][j] += x
-            assert summed == in_kernel, (name, seed, q)
+            assert dense_matrix(cols, len(kernel)) == in_kernel, (name, seed, q)
             sparse = smith_normal_form(cols, len(kernel))
             assert dense_factors(sparse, len(kernel), len(cols)) == dense_smith_normal_form(in_kernel), (name, seed, q)
