@@ -385,9 +385,6 @@ def test_right_hand_side_must_have_one_entry_per_row():
         solve_lp(prepare(sparse_columns([[1, 1], [1, -1]]), [1, 1]), [1], [1, 1])
     with pytest.raises(ValueError, match="length 2, but the constraint matrix has 1 rows"):
         solve_lp(prepare(sparse_columns([[1, 1]]), [1]), [1, 2], [1, 1])
-    # columns prepared for b have one row per entry of b: a row past them is named
-    with pytest.raises(ValueError, match=r"column 0 names row 1, outside \[0, 1\)"):
-        solve_lp(sparse_columns([[1, 1], [1, -1]]), [1], [1, 1])
 
 
 def test_cost_vector_must_have_one_entry_per_column():
@@ -396,9 +393,12 @@ def test_cost_vector_must_have_one_entry_per_column():
 
 
 def test_prepare_rejects_a_row_outside_the_right_hand_side():
+    # columns are prepared with one row per entry of b; solve_lp prepares them too
     for row in (-1, 2):
         with pytest.raises(ValueError, match=f"column 1 names row {row}, outside \\[0, 2\\)"):
             prepare([[(0, 1)], [(row, 1)]], [0, 1])
+    with pytest.raises(ValueError, match=r"column 0 names row 1, outside \[0, 1\)"):
+        solve_lp(sparse_columns([[1, 1], [1, -1]]), [1], [1, 1])
 
 
 def test_crash_leaves_only_the_nonzero_rows_open():
