@@ -1,27 +1,43 @@
 """Integral and rational homology of a weighted cell complex.
 
-Everything comes from integer Smith normal forms that carry their own
-inverses (``M = U D V`` with ``U_inv`` and ``V_inv`` alongside), which take
-sparse columns and return sparse factors.  In degree q the SNF of the
-boundary map d_q, fed ``boundary_cols[q]`` as it stands (in degree 0 a
-matrix with no rows), gives the cycle lattice: its basis is the columns
-rk.. of ``V_inv`` and the rows rk.. of ``V`` read a cycle's coordinates in
-that basis, so d_{q+1} in kernel coordinates is an exact integer product.
-A second SNF of that matrix gives Betti numbers, torsion coefficients and
-integral generator chains (columns of its ``U``).  The coordinate map that
-evaluates the homology class of any cycle in the generator basis is read off
-the same factors: its rows are the free rows of the second SNF's ``U_inv``
-times the rows that read kernel coordinates, so they are integral cochains.
+A coreduction pass (Mrozek–Batko, DCG 2009) first shrinks the complex to
+its few critical cells.  Repeated faces are summed, then the cells are
+taken in cell order (degree, then index): when the queue is empty the first
+cell left becomes critical, and a queued cell τ whose one remaining face σ
+has incidence ±1 is paired with it; either way the removed cells' cofaces
+are queued.  In removal order each q-cell gets its flow π, an integer
+combination of critical q-cells: a critical cell maps to itself, the upper
+cell τ of a pair to 0, and the lower cell σ to −inc·Σ ⟨∂τ,ρ⟩·π(ρ) over
+τ's other faces ρ, with inc = ⟨∂τ,σ⟩.  The Morse boundary of a critical
+cell c is π(∂c), a chain complex with the homology of K (each pair is one
+Gaussian elimination, and π is the composed projection).
+
+Everything after that comes from integer Smith normal forms of the Morse
+boundary, which carry their own inverses (``M = U D V`` with ``U_inv`` and
+``V_inv`` alongside).  In degree q the SNF of the Morse d_q gives the cycle
+lattice: its basis is the columns rk.. of ``V_inv`` and the rows rk.. of
+``V`` read a cycle's coordinates in that basis, so d_{q+1} in kernel
+coordinates is an exact integer product.  A second SNF of that matrix gives
+Betti numbers, torsion coefficients and the generators (columns of its
+``U``), and the coordinate rows are its free rows of ``U_inv`` times the
+rows that read kernel coordinates.  A Morse cycle comes back to K through
+ι: each pair's upper cell τ is added, latest pair first, so the lifted
+chain's boundary vanishes on σ; that chain is a cycle of K.  A Morse row
+comes back as its pull-back through π.  So the generators are the Smith
+form of the Morse complex coreduced in cell order, integral cycles of K,
+and the coordinate rows are integral cochains that vanish on boundaries and
+read generator j as δ_ij.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .complexes import Chain, WeightedCellComplex
-from .linalg import smith_normal_form  # re-exported
+from .linalg import column_rows, smith_normal_form  # smith_normal_form re-exported
 
 __all__ = ["HomologySummary", "HomologyClass", "homology", "smith_normal_form", "class_coordinates"]
 
@@ -52,6 +68,8 @@ class HomologySummary:
     generators: tuple[tuple[Chain, ...], ...]
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    # the critical cells the coreduction left in each degree
+    critical: tuple[int, ...] = field(compare=False, repr=False)
     # prepared LP tableaux of the norm LPs, keyed by the degree q
     tableaux: dict = field(default_factory=dict, compare=False, repr=False)
     # prepared LP tableaux of the systole search's stop tests, keyed by
@@ -74,13 +92,12 @@ class HomologySummary:
             for row in cmap
         )
 
-    def representative(self, cls: HomologyClass) -> Chain:
-        """An explicit cycle with the given coordinates."""
+    def representative(self, K: WeightedCellComplex, cls: HomologyClass) -> Chain:
+        """An explicit cycle of K with the given coordinates."""
         gens = self.generators[cls.degree]
         if len(cls.coords) != len(gens):
             raise ValueError("coordinate vector has wrong length")
-        ncells = len(gens[0].coeffs) if gens else 0
-        coeffs = [Fraction(0)] * ncells
+        coeffs = list(K.zero_chain(cls.degree).coeffs)
         for c, g in zip(cls.coords, gens):
             for i, gi in enumerate(g.coeffs):
                 coeffs[i] += c * gi
@@ -99,26 +116,33 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
     if hit is not None:
         return hit
 
+    faces, critical, flow, pairs, cols = _coreduce(K)
     betti = []
     torsion = []
     generators = []
     torsion_generators = []
     coordinate_maps = []
     for q in range(K.top_dim + 1):
-        nq = K.n_cells(q)
-        kernel, to_kernel = _cycle_lattice(K, q)
+        kernel, to_kernel = _cycle_lattice(cols[q], len(critical[q - 1]) if q else 0)
+        above = cols[q + 1] if q < K.top_dim else ()
         # in the top degree the z x 0 matrix gives U = U_inv = I_z
-        u, d, _v, u_inv, _v_inv = smith_normal_form(_boundaries_in_kernel(K, q, to_kernel), len(kernel))
+        u, d, _v, u_inv, _v_inv = smith_normal_form(
+            _boundaries_in_kernel(above, len(critical[q]), to_kernel), len(kernel))
         diag = [row[i] for i, row in enumerate(d) if row]  # the positive pivots
         r = len(diag)
+
+        def lift(col):
+            return _lift(faces, critical, pairs, q, K.n_cells(q), _combine(kernel, col))
+
         betti.append(len(kernel) - r)
         torsion.append(tuple(x for x in diag if x > 1))
-        generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col in u[r:]))
-        torsion_generators.append(tuple(_lattice_chain(kernel, col, q, nq) for col, x in zip(u, diag) if x > 1))
-        # row i vanishes on boundaries (u_inv times their kernel coordinates is
-        # d v, zero in rows >= r) and reads generator j as delta_ij (to_kernel
-        # maps generator j to column r+j of u)
-        coordinate_maps.append(tuple(_lattice_chain(to_kernel, row, q, nq).coeffs for row in u_inv[r:]))
+        generators.append(tuple(lift(col) for col in u[r:]))
+        torsion_generators.append(tuple(lift(col) for col, x in zip(u, diag) if x > 1))
+        # row i vanishes on Morse boundaries (u_inv times their kernel
+        # coordinates is d v, zero in rows >= r) and reads generator j as
+        # delta_ij (to_kernel maps generator j to column r+j of u); pulled
+        # back through the chain map π it does the same on K
+        coordinate_maps.append(tuple(_pull_back(flow[q], _combine(to_kernel, row)) for row in u_inv[r:]))
 
     summary = HomologySummary(
         betti=tuple(betti),
@@ -126,6 +150,7 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         generators=tuple(generators),
         torsion_generators=tuple(torsion_generators),
         coordinate_maps=tuple(coordinate_maps),
+        critical=tuple(map(len, critical)),
     )
     if len(_cache) >= SUMMARIES_KEPT:  # the oldest goes first
         del _cache[next(iter(_cache))]
@@ -137,35 +162,113 @@ def class_coordinates(K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
     return homology(K).class_coordinates(K, z)
 
 
-def _cycle_lattice(K: WeightedCellComplex, q: int) -> tuple[list[Sparse], list[Sparse]]:
-    """Integral basis of the degree-q cycle lattice, and rows reading a cycle in it.
+def _coreduce(K: WeightedCellComplex):
+    """Coreduce K in cell order; per degree q returns the summed faces of each
+    q-cell, the critical q-cells, each q-cell's flow π as {critical index:
+    int}, the pairs (σ, τ, inc) with σ a q-cell in removal order, and the Morse
+    boundary columns π(∂c) of the critical q-cells as (row, value) pairs."""
+    n = [len(degree) for degree in K.boundary_cols]
+    # {coface: incidence} of each cell, a face named twice in a column summed
+    cofaces = [column_rows(K.boundary_cols[q + 1], n[q]) for q in range(len(n) - 1)] + [[{}] * n[-1]]
+    faces = [[{} for _ in range(m)] for m in n]
+    for q, rows in enumerate(cofaces[:-1]):
+        for s, row in enumerate(rows):
+            for t, x in row.items():
+                faces[q + 1][t][s] = x
+    left = [[len(fs) for fs in degree] for degree in faces]  # faces not yet removed
+    flow = [[None] * len(degree) for degree in faces]  # None until removed
+    critical = [[] for _ in faces]
+    pairs = [[] for _ in faces]
+    queue = deque()
+
+    def remove(q, j, pi):
+        flow[q][j] = pi
+        for t in cofaces[q][j]:
+            left[q + 1][t] -= 1
+            queue.append((q + 1, t))
+
+    for q, degree in enumerate(flow):
+        for j in range(len(degree)):
+            if degree[j] is not None:
+                continue
+            # every cell of a lower degree is gone, so j has no faces left
+            remove(q, j, {len(critical[q]): 1})
+            critical[q].append(j)
+            while queue:
+                p, t = queue.popleft()
+                if left[p][t] != 1 or flow[p][t] is not None:
+                    continue
+                fs = faces[p][t]
+                s = next(f for f in fs if flow[p - 1][f] is None)
+                inc = fs[s]
+                if inc not in (1, -1):
+                    continue
+                pi = {}
+                for f, x in fs.items():
+                    if f != s:
+                        for c, y in flow[p - 1][f].items():
+                            pi[c] = pi.get(c, 0) - inc * x * y
+                remove(p - 1, s, {c: y for c, y in pi.items() if y})
+                remove(p, t, {})
+                pairs[p - 1].append((s, t, inc))
+    cols = [[[(c, x * y) for f, x in faces[q][j].items() for c, y in flow[q - 1][f].items()]
+             for j in critical[q]] for q in range(len(faces))]
+    return faces, critical, flow, pairs, cols
+
+
+def _cycle_lattice(cols, nrows: int) -> tuple[list[Sparse], list[Sparse]]:
+    """Integral basis of the cycle lattice of the matrix with these columns,
+    and rows reading a cycle in it.
 
     Row i of the second list dotted with basis vector k_j is delta_ij.
     """
-    _u, d, v, _u_inv, v_inv = smith_normal_form(K.boundary_cols[q], K.n_cells(q - 1))
+    _u, d, v, _u_inv, v_inv = smith_normal_form(cols, nrows)
     rank = sum(1 for row in d if row)
     # M V_inv = U D vanishes on the zero columns of D, and V V_inv = I
     return v_inv[rank:], v[rank:]
 
 
-def _boundaries_in_kernel(K: WeightedCellComplex, q: int, to_kernel: list[Sparse]) -> list[list[tuple]]:
-    """Kernel coordinates of each (q+1)-cell's boundary, as sparse columns.
+def _boundaries_in_kernel(cols, n: int, to_kernel: list[Sparse]) -> list[list[tuple]]:
+    """Kernel coordinates of each column over n rows, as sparse columns.
 
     A column names a kernel row once for each face that row reads; the Smith
     form sums the repeats into exact integers.
     """
-    readers = [[] for _ in range(K.n_cells(q))]  # (kernel row, value) pairs reading each q-cell
+    readers = [[] for _ in range(n)]  # (kernel row, value) pairs reading each row
     for i, row in enumerate(to_kernel):
         for face, x in row.items():
             readers[face].append((i, x))
-    cols = K.boundary_cols[q + 1] if q < K.top_dim else ()
     return [[(i, x * inc) for face, inc in col for i, x in readers[face]] for col in cols]
 
 
-def _lattice_chain(vectors: list[Sparse], coeffs: Sparse, q: int, nq: int) -> Chain:
-    """The integer combination sum_j coeffs[j] * vectors[j] as a q-chain."""
-    out = [0] * nq
+def _combine(vectors: list[Sparse], coeffs: Sparse) -> Sparse:
+    """The integer combination sum_j coeffs[j] * vectors[j]."""
+    out = {}
     for j, c in coeffs.items():
         for i, x in vectors[j].items():
-            out[i] += c * x
-    return Chain(q, tuple(Fraction(c) for c in out))
+            out[i] = out.get(i, 0) + c * x
+    return out
+
+
+def _lift(faces, critical, pairs, q: int, nq: int, z: Sparse) -> Chain:
+    """ι(z) for a Morse q-chain z: z on K's critical cells plus, latest pair
+    first, the upper cell τ of each pair (σ, τ) that clears σ from the boundary."""
+    x = {critical[q][c]: a for c, a in z.items()}
+    if q:
+        bd = {}
+        for j, a in x.items():
+            for f, y in faces[q][j].items():
+                bd[f] = bd.get(f, 0) + a * y
+        for s, t, inc in reversed(pairs[q - 1]):
+            k = bd.get(s)
+            if k:
+                x[t] = k = -k * inc
+                for f, y in faces[q][t].items():
+                    bd[f] = bd.get(f, 0) + k * y
+    zero = Fraction(0)
+    return Chain(q, tuple(Fraction(x[j]) if x.get(j) else zero for j in range(nq)))
+
+
+def _pull_back(flow: list[Sparse], row: Sparse) -> tuple[Fraction, ...]:
+    """The cochain row∘π on the q-cells, for a Morse row over critical q-cells."""
+    return tuple(Fraction(sum(row.get(c, 0) * y for c, y in pi.items())) for pi in flow)

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals and the integers.
 
-Homology needs only the integer Smith normal form with its inverses: the
-cycle lattice, Betti numbers, torsion, generators and coordinate rows all
-come from it.  Boundary matrices run to thousands of rows and are almost all
-zeros and unit pivots, so the Smith form reads sparse (row, value) columns
-with `column_rows`, as `stasys.lp` does, and returns sparse factors; each
-elementary operation costs the nonzeros it touches.  The rational routines take and return plain lists
-of lists holding ``fractions.Fraction``: they are dense Gaussian elimination
-on small matrices and serve rank tests (cup-product spans, degree-sandwich
-injectivity).  ``inverse`` has no caller in the library; it stays because
+Homology needs only the integer Smith normal form with its inverses, run
+on the boundary of the Morse complex that its coreduction leaves: the cycle
+lattice, Betti numbers, torsion, generators and coordinate rows all come
+from it.  The Smith form reads sparse (row, value) columns with
+`column_rows`, as `stasys.lp` does, and returns sparse factors; each
+elementary operation costs the nonzeros it touches.  The rational routines
+take and return plain lists of lists holding ``fractions.Fraction``: they
+are dense Gaussian elimination on small matrices and serve rank tests
+(cup-product spans, degree-sandwich injectivity).  ``inverse`` has no caller in the library; it stays because
 ``perfbench/tracing.py`` wraps it by name.
 """
 
@@ -97,13 +97,14 @@ def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     after it: D keeps the shape of the other four, because
     ``perfbench/tracing.py`` walks every factor two levels deep.
 
-    The pivot rule is part of the contract, because homology generators (and
-    so the coordinates a user gives a class in) are read off these factors:
-    step t takes the first entry of least magnitude in row-major order of the
-    trailing block.  A unit ends that scan, and a unit pivot skips the
-    divisibility check.  D and the transforms are stored as sparse rows, and
-    swaps only permute the order in which D's rows and columns are read, so
-    each operation costs the nonzeros it touches.
+    The pivot rule is fixed, because homology generators (and so the
+    coordinates a user gives a class in) are read off these factors of the
+    Morse boundary that homology's coreduction leaves: step t takes the first
+    entry of least magnitude in row-major order of the trailing block.  A
+    unit ends that scan, and a unit pivot skips the divisibility check.  D
+    and the transforms are stored as sparse rows, and swaps only permute the
+    order in which D's rows and columns are read, so each operation costs the
+    nonzeros it touches.
     """
     ncols = len(columns)
     rows = column_rows(columns, nrows)  # D by stored row

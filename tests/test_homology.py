@@ -5,6 +5,8 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stasys import (
     Chain,
@@ -30,8 +32,18 @@ from conftest import (
     two_spheres_wedge,
     wedge_two_circles,
 )
+from snf_reference import dense_matrix, dense_smith_normal_form
 
 F = Fraction
+
+
+def _loop_with_faces(*face_boundaries):
+    """One vertex, one loop e, and a 2-cell glued along each given boundary."""
+    return build_complex("general", [
+        [("v", 1, [])],
+        [("e", 1, [("v", 1), ("v", -1)], None)],
+        [(f"f{i}", 1, bd, None) for i, bd in enumerate(face_boundaries)],
+    ])
 
 
 KNOWN = [
@@ -48,6 +60,12 @@ KNOWN = [
     (theta_graph(), (1, 2), ((), ())),
     (disjoint_two_circles(), (2, 2), ((), ())),
     (two_spheres_wedge(), (1, 0, 2), ((), (), ())),
+    # incidences other than ±1, which the coreduction never pairs
+    (_loop_with_faces([("e", 3)]), (1, 0, 0), ((), (3,), ())),
+    (_loop_with_faces([("e", 2)], [("e", 3)]), (1, 0, 1), ((), (), ())),
+    # the cellular RP^2 times a circle
+    (product_complex(_loop_with_faces([("e", 2)]), circle(3, kind="cubical")),
+     (1, 1, 0, 0), ((), (2,), (2,), ())),
 ]
 
 
@@ -89,10 +107,9 @@ def test_cells_without_boundaries_are_the_generators(name):
 
 
 def test_betti_matches_rank_oracle():
+    # and torsion, torsion generators and the Euler characteristic too
     for K, _, _ in KNOWN:
-        summary = homology(K)
-        for q in range(K.top_dim + 1):
-            assert summary.betti[q] == betti_oracle(K, q), (K.kind, q)
+        _check_against_the_oracles(K)
 
 
 def test_generators_are_integral_cycles_with_unit_coordinates():
@@ -199,7 +216,7 @@ def test_representative_round_trip():
     K = flat_torus(3)
     summary = homology(K)
     cls = HomologyClass(1, (F(2), F(-3)))
-    z = summary.representative(cls)
+    z = summary.representative(K, cls)
     assert K.is_cycle(z)
     assert tuple(summary.class_coordinates(K, z)) == (F(2), F(-3))
 
@@ -222,17 +239,19 @@ def test_kunneth_ranks_for_products():
 
 
 # Generators, torsion generators and coordinate rows are read off the Smith
-# factors, and users give classes in that basis, so the whole summary is
-# pinned: any change to the elimination's operations or their order shows here.
+# factors of the Morse complex that the coreduction leaves, and users give
+# classes in that basis, so the whole summary is pinned: any change to the
+# coreduction's order or to the elimination's operations shows here.
 PINNED_SUMMARIES = [
-    ("flat_torus(8)", lambda: flat_torus(8), "64b7b0f6789a5420", "d0aa509f34a002f5"),
+    ("flat_torus(8)", lambda: flat_torus(8), "3a679bcf8abfd555", "c0cd639f5ac4b578"),
     ("T2_9 x C3", lambda: product_complex(torus_triangulated(), circle(3)),
-     "0b0d1e4e45dde1a5", "416135b5649630e8"),
-    ("RP2", rp2, "fe25322173585228", "dca27fdd49f381c9"),
+     "07fe59211ab1751d", "c08ad85d11626df2"),
+    ("RP2", rp2, "f7029ecc55ddf7d9", "55b231e2a83bf3e5"),
 ]
 
 
-@pytest.mark.parametrize("name, build, digest, permuted_digest", PINNED_SUMMARIES)
+@pytest.mark.parametrize("name, build, digest, permuted_digest", PINNED_SUMMARIES,
+                         ids=[case[0] for case in PINNED_SUMMARIES])
 def test_homology_summary_is_pinned(name, build, digest, permuted_digest):
     K = build()
     for complex_, expected in ((K, digest), (permuted(K, 11), permuted_digest)):
@@ -240,20 +259,64 @@ def test_homology_summary_is_pinned(name, build, digest, permuted_digest):
         assert got == expected, name
 
 
-def _loop_with_a_face(face_boundary):
-    return build_complex("general", [
-        [("v", 1, [])],
-        [("e", 1, [("v", 1), ("v", -1)], None)],
-        [("f", 1, face_boundary, None)],
-    ])
-
-
 def test_a_face_named_twice_sums():
     # e + e: the disc glued twice along the loop, so H_1 = Z/2 (RP^2's cell structure)
-    summary = homology(_loop_with_a_face([("e", 1), ("e", 1)]))
+    summary = homology(_loop_with_faces([("e", 1), ("e", 1)]))
     assert summary.betti == (1, 0, 0)
     assert summary.torsion[1] == (2,)
     # e - e: the face's boundary cancels to zero, so it is a 2-cycle and e survives
-    summary = homology(_loop_with_a_face([("e", 1), ("e", -1)]))
+    summary = homology(_loop_with_faces([("e", 1), ("e", -1)]))
     assert summary.betti == (1, 1, 1)
     assert summary.torsion == ((), (), ())
+
+
+def _oracle_torsion(K, q):
+    """Torsion of H_q from the dense reference Smith form of the full d_{q+1}."""
+    if q == K.top_dim or not K.n_cells(q):
+        return ()
+    d = dense_smith_normal_form(dense_matrix(K.boundary_cols[q + 1], K.n_cells(q)))[1]
+    return tuple(d[i][i] for i in range(min(len(d), K.n_cells(q + 1))) if d[i][i] > 1)
+
+
+def _bounds_integrally(K, q, chain):
+    """Whether an integral q-chain is the boundary of an integral (q+1)-chain,
+    read off the dense reference Smith form U_inv d V_inv = D."""
+    if q == K.top_dim:
+        return all(c == 0 for c in chain)
+    _u, d, _v, u_inv, _v_inv = dense_smith_normal_form(dense_matrix(K.boundary_cols[q + 1], K.n_cells(q)))
+    y = [sum(a * int(c) for a, c in zip(row, chain)) for row in u_inv]
+    pivots = [d[i][i] for i in range(min(len(d), K.n_cells(q + 1))) if d[i][i]]
+    return all(yi % p == 0 for yi, p in zip(y, pivots)) and not any(y[len(pivots):])
+
+
+def _check_against_the_oracles(K):
+    summary = homology(K)
+    for q in range(K.top_dim + 1):
+        assert summary.betti[q] == betti_oracle(K, q), q
+        assert summary.torsion[q] == _oracle_torsion(K, q), q
+        # each torsion generator g of order d: d g bounds and no smaller multiple does
+        for g, order in zip(summary.torsion_generators[q], summary.torsion[q]):
+            assert K.is_cycle(g)
+            coeffs = [int(c) for c in g.coeffs]
+            assert _bounds_integrally(K, q, [order * c for c in coeffs]), q
+            assert not any(_bounds_integrally(K, q, [k * c for c in coeffs]) for k in range(1, order)), q
+    # the Morse complex has K's Euler characteristic
+    assert sum((-1) ** q * n for q, n in enumerate(summary.critical)) == \
+        sum((-1) ** q * K.n_cells(q) for q in range(K.top_dim + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(KNOWN) - 1), st.integers(0, 2 ** 16))
+def test_morse_homology_of_permuted_cells_matches_the_oracles(idx, seed):
+    _check_against_the_oracles(permuted(KNOWN[idx][0], seed))
+
+
+def test_critical_cells_per_degree():
+    assert homology(flat_torus(16)).critical == (1, 2, 1)
+    assert homology(sphere(5)).critical == (1, 0, 0, 0, 0, 1)
+
+
+def test_representative_of_an_empty_basis_is_a_zero_chain():
+    K = sphere(2)
+    z = homology(K).representative(K, HomologyClass(1, ()))
+    assert z == K.zero_chain(1) and len(z.coeffs) == K.n_cells(1) == 6

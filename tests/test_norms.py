@@ -479,7 +479,7 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
             assert homology(L) is summary
             for coords in ((1, 0), (0, 1), (2, -1), (-1, 3), (F(1, 2), 2)):
                 cls = HomologyClass(1, coords)
-                a, b = cut_pairing(K, summary.representative(cls))
+                a, b = cut_pairing(K, summary.representative(K, cls))
                 assert stable_norm(L, cls).value == abs(a) * lx + abs(b) * ly
     assert len(calls) == 1
 

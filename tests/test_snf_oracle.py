@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasys import circle, cubical_sphere, flat_torus, product_complex, rp2, torus_triangulated
-from stasys.homology import _boundaries_in_kernel, _cycle_lattice
+from stasys.homology import _boundaries_in_kernel, _coreduce, _cycle_lattice
 from stasys.linalg import smith_normal_form
 
 from conftest import dense_factors, dense_snf, permuted
@@ -68,27 +68,32 @@ def _mat_mul(a, b):
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_snf_matches_the_dense_elimination_on_homology_inputs(name, seed):
     # Every matrix homology() factors, in the sparse columns it passes: each
-    # boundary matrix, and each boundary matrix in the coordinates of the
-    # cycle lattice below it, whose columns name a row once per face read.
+    # Morse boundary matrix, and each Morse boundary matrix in the coordinates
+    # of the cycle lattice below it, whose columns name a row once per face
+    # read.  The full boundary matrices, far larger, are checked too.
     K = STRUCTURES[name]()
     if seed is not None:
         K = permuted(K, seed)
+    _faces, critical, _flow, _pairs, cols = _coreduce(K)
     for q in range(K.top_dim + 1):
-        nq = K.n_cells(q)
-        kernel, to_kernel = _cycle_lattice(K, q)
         if q:
             factors = dense_smith_normal_form(dense_matrix(K.boundary_cols[q], K.n_cells(q - 1)))
             sparse = smith_normal_form(K.boundary_cols[q], K.n_cells(q - 1))
-            assert dense_factors(sparse, K.n_cells(q - 1), nq) == factors, (name, seed, q)
+            assert dense_factors(sparse, K.n_cells(q - 1), K.n_cells(q)) == factors, (name, seed, q)
+        n, nb = len(critical[q]), len(critical[q - 1]) if q else 0
+        kernel, to_kernel = _cycle_lattice(cols[q], nb)
+        if nb:  # a matrix with no rows has no dense form
+            factors = dense_smith_normal_form(dense_matrix(cols[q], nb))
+            assert dense_factors(smith_normal_form(cols[q], nb), nb, n) == factors, (name, seed, q)
             d, v = factors[1], factors[2]
-            rank = sum(1 for i in range(min(len(d), nq)) if d[i][i])
+            rank = sum(1 for i in range(min(len(d), n)) if d[i][i])
             dense_to_kernel = v[rank:]
         else:
-            dense_to_kernel = [[int(i == j) for j in range(nq)] for i in range(nq)]
-        assert [[row.get(j, 0) for j in range(nq)] for row in to_kernel] == dense_to_kernel, (name, seed, q)
+            dense_to_kernel = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[row.get(j, 0) for j in range(n)] for row in to_kernel] == dense_to_kernel, (name, seed, q)
         if q < K.top_dim:
-            in_kernel = _mat_mul(dense_to_kernel, dense_matrix(K.boundary_cols[q + 1], nq))
-            cols = _boundaries_in_kernel(K, q, to_kernel)
-            assert dense_matrix(cols, len(kernel)) == in_kernel, (name, seed, q)
-            sparse = smith_normal_form(cols, len(kernel))
-            assert dense_factors(sparse, len(kernel), len(cols)) == dense_smith_normal_form(in_kernel), (name, seed, q)
+            in_kernel = _mat_mul(dense_to_kernel, dense_matrix(cols[q + 1], n))
+            above = _boundaries_in_kernel(cols[q + 1], n, to_kernel)
+            assert dense_matrix(above, len(kernel)) == in_kernel, (name, seed, q)
+            sparse = smith_normal_form(above, len(kernel))
+            assert dense_factors(sparse, len(kernel), len(above)) == dense_smith_normal_form(in_kernel), (name, seed, q)
