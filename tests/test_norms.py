@@ -781,6 +781,85 @@ def test_pullback_weights_along_a_reflection():
 
 
 # ---------------------------------------------------------------------------
+# Every field of every law's report, in each kind of case
+# ---------------------------------------------------------------------------
+
+def _fold():
+    return simplicial_map(circle(4), circle(4), {0: 0, 1: 1, 2: 0, 3: 1})
+
+
+LAWS = {
+    "rescaling": lambda: verify_rescaling(circle(4), 1, 3),
+    "product": lambda: verify_product_inequality(circle(3), circle(4), 1, 1),
+    "projection": lambda: verify_projection_equality(sphere(2), circle(3), 2),
+    "sandwich": lambda: verify_degree_sandwich(cover_map(3, 2), 1),
+    "projection-silent": lambda: verify_projection_equality(circle(3), circle(3), 1),
+    "sandwich-not-injective": lambda: verify_degree_sandwich(_fold(), 1),
+    "sandwich-degree-0": lambda: verify_degree_sandwich(_fold(), 0),
+}
+
+# The systoles in each law that "fail" raises by 1: those of the complex
+# whose q-cells weigh this much in total (the rescaled circle(4), the
+# product c3 x c4, the product S2 x c3, the pulled-back circle(6)).
+HEAVIEST = {"rescaling": 12, "product": 12, "projection": 30, "sandwich": 6}
+
+
+def lift_heaviest_systole(monkeypatch, mass):
+    norms = importlib.import_module("stasys.norms")
+    real = norms.stable_systole
+
+    def lifted(K, q, search_radius=5):
+        res = real(K, q, search_radius)
+        return replace(res, value=res.value + 1) if sum(K.weights[q]) == mass else res
+
+    monkeypatch.setattr(norms, "stable_systole", lifted)
+
+
+# (law, case): name, lhs, rhs, relation, status, details (keys in print order)
+REPORTS = {
+    ("rescaling", "pass"): ("rescaling-law", 12, 12, "==", "pass", {"t": 3, "q": 1, "base": 4}),
+    ("rescaling", "inconclusive"):
+        ("rescaling-law", 13, 15, "==", "inconclusive", {"t": 3, "q": 1, "base": 5}),
+    ("rescaling", "fail"): ("rescaling-law", 13, 12, "==", "fail", {"t": 3, "q": 1, "base": 4}),
+    ("product", "pass"): ("product-inequality", 12, 12, "<=", "pass", {"p": 1, "q": 1}),
+    ("product", "inconclusive"):
+        ("product-inequality", 13, 20, "<=", "inconclusive", {"p": 1, "q": 1}),
+    ("product", "fail"): ("product-inequality", 13, 12, "<=", "fail", {"p": 1, "q": 1}),
+    ("projection", "pass"): ("projection-equality", 4, 4, "==", "pass", {"q": 2}),
+    ("projection", "inconclusive"): ("projection-equality", 5, 5, "==", "inconclusive", {"q": 2}),
+    ("projection", "fail"): ("projection-equality", 5, 4, "==", "fail", {"q": 2}),
+    ("sandwich", "pass"): ("degree-sandwich", 6, 6, "sandwich", "pass",
+                           {"lower": 3, "pulled-back": 6, "degree-bound": 2}),
+    ("sandwich", "inconclusive"): ("degree-sandwich", 7, 8, "sandwich", "inconclusive",
+                                   {"lower": 4, "pulled-back": 7, "degree-bound": 2}),
+    ("sandwich", "fail"): ("degree-sandwich", 7, 6, "sandwich", "fail",
+                           {"lower": 3, "pulled-back": 7, "degree-bound": 2}),
+    ("projection-silent", "inapplicable"):
+        ("projection-equality", None, None, "==", "inapplicable",
+         {"reason": "Kunneth hypothesis violated in degree 1"}),
+    ("sandwich-not-injective", "inapplicable"):
+        ("degree-sandwich", None, None, "<=", "inapplicable",
+         {"reason": "map is not injective on degree-1 rational homology"}),
+    ("sandwich-degree-0", "inapplicable"):
+        ("degree-sandwich", None, None, "<=", "inapplicable", {"reason": "map has degree 0"}),
+}
+
+
+@pytest.mark.parametrize("law, case", sorted(REPORTS), ids=["-".join(k) for k in sorted(REPORTS)])
+def test_each_law_reports_every_field(monkeypatch, law, case):
+    if case == "inconclusive":
+        capped_systoles(monkeypatch, 1)
+    elif case == "fail":
+        lift_heaviest_systole(monkeypatch, HEAVIEST[law])
+    r = LAWS[law]()
+    name, lhs, rhs, relation, status, details = REPORTS[law, case]
+    assert (r.name, r.lhs, r.rhs, r.relation, r.status) == (name, lhs, rhs, relation, status)
+    assert list(r.details) == list(details)
+    assert r.details == details
+    assert r.passed == (status == "pass")
+
+
+# ---------------------------------------------------------------------------
 # Norm axioms (property-based)
 # ---------------------------------------------------------------------------
 
