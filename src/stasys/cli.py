@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-q", type=int, required=True)
     p.add_argument("--class", dest="coords", required=True,
-                   help="comma-separated rational coordinates in the generator basis")
+                   help="comma-separated rational coordinates in the generator basis, "
+                        "e.g. --class -1,1/2")
 
     p = sub.add_parser("cup-length", help="real cup-length of a simplicial complex")
     p.add_argument("file")
@@ -116,6 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--class" in argv[:-1]:  # its value may start with "-", as -1,0 does
+        i = argv.index("--class")
+        argv[i:i + 2] = [f"--class={argv[i + 1]}"]
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse reads an option value "--" as no value

@@ -268,11 +268,17 @@ def _primitive_vectors(dim: int, radius: int):
 # Verification reports for the scaling, product, projection and map bounds
 # ---------------------------------------------------------------------------
 
-def _law_status(holds: bool, searches) -> str:
-    """pass or fail; inconclusive when a systole in the law is only an upper bound."""
-    if any(res.upper_bound_only for res in searches):
-        return "inconclusive"
-    return "pass" if holds else "fail"
+def _report(name: str, lhs: Fraction, relation: str, rhs: Fraction, holds: bool,
+            searches, details: dict) -> VerificationReport:
+    """The report of a law that compared lhs with rhs: pass or fail, or
+    inconclusive when a systole it read is only an upper bound."""
+    status = ("inconclusive" if any(res.upper_bound_only for res in searches)
+              else "pass" if holds else "fail")
+    return VerificationReport(name, lhs, rhs, relation, status, details)
+
+
+def _inapplicable(name: str, relation: str, reason: str) -> VerificationReport:
+    return VerificationReport(name, None, None, relation, "inapplicable", {"reason": reason})
 
 
 def verify_rescaling(K: WeightedCellComplex, q: int, t: Rational) -> VerificationReport:
@@ -283,15 +289,8 @@ def verify_rescaling(K: WeightedCellComplex, q: int, t: Rational) -> Verificatio
     searches = stable_systole(K, q), stable_systole(K.rescale(t), q)
     base, scaled = (systole_value(res, q) for res in searches)
     expected = t ** q * base
-    status = _law_status(scaled == expected, searches)
-    return VerificationReport(
-        name="rescaling-law",
-        lhs=scaled,
-        rhs=expected,
-        relation="==",
-        status=status,
-        details={"t": t, "q": q, "base": base},
-    )
+    return _report("rescaling-law", scaled, "==", expected, scaled == expected, searches,
+                   {"t": t, "q": q, "base": base})
 
 
 def verify_product_inequality(
@@ -301,15 +300,8 @@ def verify_product_inequality(
     searches = (stable_systole(K, p), stable_systole(L, q),
                 stable_systole(product_complex(K, L), p + q))
     sk, sl, sp = (systole_value(res, d) for res, d in zip(searches, (p, q, p + q)))
-    status = _law_status(sp <= sk * sl, searches)
-    return VerificationReport(
-        name="product-inequality",
-        lhs=sp,
-        rhs=sk * sl,
-        relation="<=",
-        status=status,
-        details={"p": p, "q": q},
-    )
+    return _report("product-inequality", sp, "<=", sk * sl, sp <= sk * sl, searches,
+                   {"p": p, "q": q})
 
 
 def verify_projection_equality(
@@ -322,32 +314,16 @@ def verify_projection_equality(
     """
     if q < 0:
         raise ValueError(f"degree {q} out of range")
-    bk = homology(K).betti
-    bl = homology(L).betti
+    bk, bl = homology(K).betti, homology(L).betti
     def betti(bs, i):
         return bs[i] if 0 <= i < len(bs) else 0
     cross_terms = sum(betti(bk, q - j) * bl[j] for j in range(1, min(q + 1, len(bl))))
-    ok = betti(bl, 0) == 1 and betti(bk, q) > 0 and cross_terms == 0
-    if not ok:
-        return VerificationReport(
-            name="projection-equality",
-            lhs=None,
-            rhs=None,
-            relation="==",
-            status="inapplicable",
-            details={"reason": "Kunneth hypothesis violated in degree %d" % q},
-        )
+    if betti(bl, 0) != 1 or betti(bk, q) == 0 or cross_terms:
+        return _inapplicable("projection-equality", "==",
+                             f"Kunneth hypothesis violated in degree {q}")
     searches = stable_systole(product_complex(K, L), q), stable_systole(K, q)
     sp, sk = (systole_value(res, q) for res in searches)
-    status = _law_status(sp == sk, searches)
-    return VerificationReport(
-        name="projection-equality",
-        lhs=sp,
-        rhs=sk,
-        relation="==",
-        status=status,
-        details={"q": q},
-    )
+    return _report("projection-equality", sp, "==", sk, sp == sk, searches, {"q": q})
 
 
 # ---------------------------------------------------------------------------
@@ -447,25 +423,13 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
     if not 0 <= q <= L.top_dim or hk.betti[q] == 0 or hl.betti[q] == 0:
         raise ValueError(f"trivial homology in degree {q}")
     pushed = [hl.class_coordinates(L, push_chain(info, g)) for g in hk.generators[q]]
-    mono = rank(pushed) == hk.betti[q]
-    if not mono or info.degree_bound == 0:  # a degree-0 map bounds nothing above
-        return VerificationReport(
-            name="degree-sandwich",
-            lhs=None,
-            rhs=None,
-            relation="<=",
-            status="inapplicable",
-            details={"reason": "map is not injective on degree-%d rational homology" % q
-                     if not mono else "map has degree 0"},
-        )
+    if rank(pushed) != hk.betti[q]:
+        return _inapplicable("degree-sandwich", "sandwich",
+                             f"map is not injective on degree-{q} rational homology")
+    if info.degree_bound == 0:  # a degree-0 map bounds nothing above
+        return _inapplicable("degree-sandwich", "sandwich", "map has degree 0")
     searches = stable_systole(L, q), stable_systole(K, q)
     sl, sk = (systole_value(res, q) for res in searches)
     d = info.degree_bound
-    return VerificationReport(
-        name="degree-sandwich",
-        lhs=sk,
-        rhs=d * sl,
-        relation="sandwich",
-        status=_law_status(sl <= sk <= d * sl, searches),
-        details={"lower": sl, "pulled-back": sk, "degree-bound": d},
-    )
+    return _report("degree-sandwich", sk, "sandwich", d * sl, sl <= sk <= d * sl, searches,
+                   {"lower": sl, "pulled-back": sk, "degree-bound": d})

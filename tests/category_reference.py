@@ -1,17 +1,47 @@
-"""A subset-search reference for ``stasys.category.partition_verdicts``.
+"""References for ``stasys.category``, kept here, outside ``src/``, only as
+oracles for the tests.
 
-This is the categorical-partition test the library ran before it built the
-set of witnessed partitions: for each factor of a product it tries every
-subset of the partition's parts, so its cost grows exponentially with the
-number of parts.  Kept here, outside ``src/``, only as an oracle for the
-tests.
+``reference_partition_verdicts`` is the categorical-partition test the
+library ran before it built the set of witnessed partitions: for each factor
+of a product it tries every subset of the partition's parts, so its cost
+grows exponentially with the number of parts.
+
+``reference_product_profile`` is the product the library built before it
+folded the factors in one pass: a full, validated profile for each pairwise
+step, so its cost grows quadratically with the number of factors.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from stasys.category import DimensionProfile, Partition, catstsys_bounds, enumerate_partitions
+from stasys.category import (
+    DimensionProfile,
+    Partition,
+    _product_max_cup,
+    catstsys_bounds,
+    enumerate_partitions,
+)
+
+
+def reference_product_profile(profiles: list[DimensionProfile]) -> DimensionProfile:
+    if not profiles:
+        raise ValueError("need at least one factor")
+    out = profiles[0]
+    for nxt in profiles[1:]:
+        out = _reference_kunneth_product(out, nxt)
+    return out
+
+
+def _reference_kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfile:
+    n = p.n + q.n
+    betti = [0] * (n + 1)
+    for i, bi in enumerate(p.betti):
+        for j, bj in enumerate(q.betti):
+            betti[i + j] += bi * bj
+    factors = (p.factors or (p,)) + (q.factors or (q,))
+    return DimensionProfile(n=n, betti=tuple(betti), max_cup_flag=_product_max_cup(p, q),
+                            factors=factors, name=" x ".join(f.name or "?" for f in factors))
 
 
 def reference_partition_verdicts(profile: DimensionProfile) -> dict[Partition, str]:

@@ -38,7 +38,7 @@ from stasys import (
 )
 from stasys.linalg import rref, smith_normal_form
 
-from snf_reference import dense_matrix
+from snf_reference import dense_matrix, shape
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def rational_rank(mat: list[list[int]]) -> int:
 
 def sparse_columns(m: list[list[int]]) -> list[list[tuple[int, int]]]:
     """The columns of a dense matrix as (row, value) pairs, as the Smith form takes them."""
-    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m[0]) if m else 0)]
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(shape(m)[1])]
 
 
 def dense_factors(factors, nrows: int, ncols: int) -> tuple[list[list[int]], ...]:
@@ -180,7 +180,7 @@ def dense_factors(factors, nrows: int, ncols: int) -> tuple[list[list[int]], ...
 
 def dense_snf(m: list[list[int]]) -> tuple[list[list[int]], ...]:
     """``smith_normal_form`` of a dense matrix, its factors made dense."""
-    nrows, ncols = len(m), len(m[0]) if m else 0
+    nrows, ncols = shape(m)
     return dense_factors(smith_normal_form(sparse_columns(m), nrows), nrows, ncols)
 
 

@@ -11,10 +11,25 @@ an oracle for the tests.
 from __future__ import annotations
 
 
-def dense_matrix(columns, nrows: int) -> list[list[int]]:
+class Matrix(list):
+    """A dense matrix's rows, with its column count, which a matrix with
+    no rows cannot show by its rows."""
+
+    def __init__(self, rows, ncols: int):
+        super().__init__(rows)
+        self.ncols = ncols
+
+
+def shape(m: list[list[int]]) -> tuple[int, int]:
+    """The row and column counts of a dense matrix: a `Matrix` carries its
+    column count, plain rows show it, and plain [] has no columns."""
+    return len(m), m.ncols if isinstance(m, Matrix) else len(m[0]) if m else 0
+
+
+def dense_matrix(columns, nrows: int) -> Matrix:
     """The nrows-row dense matrix of sparse (row, value) columns, such as a
     complex's ``boundary_cols[q]``; a row named twice in a column sums."""
-    m = [[0] * len(columns) for _ in range(nrows)]
+    m = Matrix([[0] * len(columns) for _ in range(nrows)], len(columns))
     for j, col in enumerate(columns):
         for i, x in col:
             m[i][j] += x
@@ -36,10 +51,9 @@ def dense_smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], ...]:
     column operation on U, and a column operation on D is the same column
     operation on V_inv and the inverse row operation on V.  Then
     U_inv M V_inv = D, U U_inv = I and V V_inv = I.  All five factors are
-    returned even for empty shapes.
+    returned even for empty shapes, a 0 x n `Matrix` included.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows, ncols = shape(m)
     d = [list(map(int, row)) for row in m]
     u_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     u_t = [[int(i == j) for j in range(nrows)] for i in range(nrows)]  # columns of U

@@ -3,7 +3,8 @@
 import importlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stasys import (
     CategoryVerdict,
@@ -22,8 +23,8 @@ from stasys import (
 )
 from stasys.category import _max_admissible_size
 
-from category_reference import reference_partition_verdicts
-from conftest import profile_products
+from category_reference import reference_partition_verdicts, reference_product_profile
+from conftest import RING_FLAGS, profile_leaves, profile_products
 
 T2 = DimensionProfile(n=2, betti=(1, 2, 1), max_cup_flag=True, name="T2")
 P = DimensionProfile(n=5, betti=(1, 0, 1, 1, 0, 1), max_cup_flag=True, name="P")
@@ -300,3 +301,33 @@ def test_ring_flag_beyond_the_betti_numbers_is_an_input_error():
     # no admissible partition of 5 into floor(5 / 2) = 2 parts
     with pytest.raises(ValueError, match="inconsistent profile X: lower bound 2"):
         catstsys_bounds(DimensionProfile(n=5, betti=(1, 0, 1, 0, 0, 1), max_cup_flag=True, name="X"))
+
+
+POINT = DimensionProfile(n=0, betti=(1,), name="pt")
+S2 = sphere_profile(2)
+
+
+@st.composite
+def nonorientable_leaves(draw) -> DimensionProfile:
+    n = draw(st.integers(1, 3))
+    middle = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    return DimensionProfile(n=n, betti=(1, *middle, 0), max_cup_flag=draw(st.sampled_from(RING_FLAGS)))
+
+
+FACTORS = st.one_of(st.just(POINT), profile_leaves(3), nonorientable_leaves())
+# a factor may itself be a product, built by the pairwise reference
+FACTOR_LISTS = st.lists(st.one_of(FACTORS, st.lists(FACTORS, min_size=2, max_size=3)
+                                  .map(reference_product_profile)), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACTOR_LISTS)
+@example([POINT, S2, S2])  # the prefix pt x S2 is a homology sphere, flagged True
+@example([S2, POINT, S2])
+@example([POINT, DimensionProfile(n=2, betti=(1, 1, 0))])  # two Betti numbers, no sphere
+@example([POINT, POINT])
+@example([sphere_profile(3), S2, S2])  # S3 x S2 has lpd 2, so its floors agree with S2's
+def test_one_pass_product_matches_the_pairwise_products(factors):
+    assert product_profile(factors) == reference_product_profile(factors)
+    if len(factors) == 2:
+        assert kunneth_product(*factors) == reference_product_profile(factors)

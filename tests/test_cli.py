@@ -229,6 +229,17 @@ def test_stable_norm_command(files, capsys):
     assert out.splitlines() == ["stable norm = 0  [trivial-zero-class]"]
 
 
+def test_a_class_may_start_with_a_minus_sign(files, capsys):
+    # the token after --class is its value, though argparse would read -1,0 as an option
+    for spelling in (["--class", "-1,0"], ["--class=-1,0"]):
+        code, out, err = run(capsys, "stable-norm", files["torus9"], "-q", "1", *spelling)
+        assert (code, err) == (0, ""), spelling
+        first, second = out.splitlines()
+        assert first == "stable norm = 3  [optimal-LP]", spelling
+        # λ depends on the bases recorded before, but λ.h is always the norm
+        assert -int(second.removeprefix("dual: lambda = [").split(",")[0]) == 3, spelling
+
+
 def test_cup_length_command(files, capsys):
     code, out, _ = run(capsys, "cup-length", files["torus9"])
     assert code == 0
@@ -504,7 +515,9 @@ def command_lines(draw):
     if kind == "systole":
         return ["systole", draw(ANY_FILE), "-q", draw(DEGREES), "-R", draw(RADII)]
     if kind == "stable-norm":
-        return ["stable-norm", draw(ANY_FILE), "-q", draw(DEGREES), "--class=" + draw(LISTS)]
+        coords = draw(LISTS)
+        spelling = draw(st.sampled_from((["--class=" + coords], ["--class", coords])))
+        return ["stable-norm", draw(ANY_FILE), "-q", draw(DEGREES), *spelling]
     if kind == "rescale":
         return ["verify", "rescale", draw(ANY_FILE), "-q", draw(DEGREES), "--t=" + draw(FRACTIONS)]
     if kind == "product":
@@ -521,6 +534,7 @@ def command_lines(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_lines())
 @example(["stable-norm", "circle3", "-q", "1", "--class=--"])  # argparse gives a list
+@example(["stable-norm", "circle3", "-q", "1", "--class", "--"])
 @example(["verify", "projection", "circle3", "circle4", "-q", "99999999999999999999"])
 @example(["verify", "degree-sandwich", "circle4", "circle3", "--vertex-map=1,2,1,2", "-q", "2"])
 @example(["verify", "degree-sandwich", "circle4", "circle3", "--vertex-map=1,2,1,2", "-q", "0"])

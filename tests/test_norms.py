@@ -838,10 +838,10 @@ REPORTS = {
         ("projection-equality", None, None, "==", "inapplicable",
          {"reason": "Kunneth hypothesis violated in degree 1"}),
     ("sandwich-not-injective", "inapplicable"):
-        ("degree-sandwich", None, None, "<=", "inapplicable",
+        ("degree-sandwich", None, None, "sandwich", "inapplicable",
          {"reason": "map is not injective on degree-1 rational homology"}),
     ("sandwich-degree-0", "inapplicable"):
-        ("degree-sandwich", None, None, "<=", "inapplicable", {"reason": "map has degree 0"}),
+        ("degree-sandwich", None, None, "sandwich", "inapplicable", {"reason": "map has degree 0"}),
 }
 
 
@@ -857,6 +857,13 @@ def test_each_law_reports_every_field(monkeypatch, law, case):
     assert list(r.details) == list(details)
     assert r.details == details
     assert r.passed == (status == "pass")
+
+
+def test_an_inapplicable_sandwich_names_the_relation_of_an_applied_one():
+    reports = [verify_degree_sandwich(_fold(), 1), verify_degree_sandwich(_fold(), 0),
+               verify_degree_sandwich(cover_map(3, 2), 1)]
+    assert [r.status for r in reports] == ["inapplicable", "inapplicable", "pass"]
+    assert {r.relation for r in reports} == {"sandwich"}
 
 
 # ---------------------------------------------------------------------------

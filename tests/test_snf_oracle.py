@@ -15,7 +15,7 @@ from stasys.homology import _boundaries_in_kernel, _coreduce, _cycle_lattice
 from stasys.linalg import smith_normal_form
 
 from conftest import dense_factors, dense_snf, permuted
-from snf_reference import dense_matrix, dense_smith_normal_form
+from snf_reference import Matrix, dense_matrix, dense_smith_normal_form
 
 # Mostly units and zeros, like boundary matrices.  Only a few larger entries:
 # dense blocks of them make both eliminations' entries grow to hundreds of bits.
@@ -25,7 +25,7 @@ UNIT_ENTRIES = st.sampled_from((0, 0, 1, -1))
 @st.composite
 def integer_matrices(draw):
     nrows = draw(st.integers(0, 8))
-    ncols = draw(st.integers(0, 8)) if nrows else 0
+    ncols = draw(st.integers(0, 8))
     m = [[draw(UNIT_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
     if nrows and ncols:
         for _ in range(draw(st.integers(0, 4))):
@@ -36,7 +36,7 @@ def integer_matrices(draw):
             zero_rows = set(range(nrows))  # the all-zero matrix
         m = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
              for i, row in enumerate(m)]
-    return m
+    return Matrix(m, ncols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -44,6 +44,7 @@ def integer_matrices(draw):
 @example([[2, 0], [0, 3]])  # divisibility fix-up after a pivot of 2
 @example([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
 @example([[0, 0], [0, 0], [0, 0]])
+@example(Matrix([], 3))  # no rows: U is 0 x 0, V and V_inv are I_3
 @example([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])  # ties between unit entries
 def test_snf_matches_the_dense_elimination(m):
     assert dense_snf(m) == dense_smith_normal_form(m)
@@ -60,8 +61,8 @@ STRUCTURES = {
 }
 
 
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _mat_mul(a, b: Matrix) -> Matrix:
+    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a], b.ncols)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
@@ -82,14 +83,11 @@ def test_snf_matches_the_dense_elimination_on_homology_inputs(name, seed):
             assert dense_factors(sparse, K.n_cells(q - 1), K.n_cells(q)) == factors, (name, seed, q)
         n, nb = len(critical[q]), len(critical[q - 1]) if q else 0
         kernel, to_kernel = _cycle_lattice(cols[q], nb)
-        if nb:  # a matrix with no rows has no dense form
-            factors = dense_smith_normal_form(dense_matrix(cols[q], nb))
-            assert dense_factors(smith_normal_form(cols[q], nb), nb, n) == factors, (name, seed, q)
-            d, v = factors[1], factors[2]
-            rank = sum(1 for i in range(min(len(d), n)) if d[i][i])
-            dense_to_kernel = v[rank:]
-        else:
-            dense_to_kernel = [[int(i == j) for j in range(n)] for i in range(n)]
+        factors = dense_smith_normal_form(dense_matrix(cols[q], nb))
+        assert dense_factors(smith_normal_form(cols[q], nb), nb, n) == factors, (name, seed, q)
+        d, v = factors[1], factors[2]
+        rank = sum(1 for i in range(min(len(d), n)) if d[i][i])
+        dense_to_kernel = v[rank:]
         assert [[row.get(j, 0) for j in range(n)] for row in to_kernel] == dense_to_kernel, (name, seed, q)
         if q < K.top_dim:
             in_kernel = _mat_mul(dense_to_kernel, dense_matrix(cols[q + 1], n))
