@@ -157,6 +157,16 @@ class WeightedCellComplex:
     def total_cells(self) -> int:
         return sum(len(ids) for ids in self.cell_ids)
 
+    @cached_property
+    def _structure_hash(self) -> int:  # homology's cache key, kept by a reweighting
+        return hash((self.cell_ids, self.boundary_cols))
+
+    def _reweighted(self, weights) -> "WeightedCellComplex":
+        """The same cells and boundaries under new weights, hashed as self is."""
+        out = replace(self, weights=tuple(weights))
+        out.__dict__["_structure_hash"] = self._structure_hash
+        return out
+
     def boundary_of(self, chain: Chain) -> Chain:
         if not 1 <= chain.degree <= self.top_dim:
             raise ValueError(f"degree {chain.degree} out of range")
@@ -194,8 +204,7 @@ class WeightedCellComplex:
             return self
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        return replace(self, weights=tuple(
-            ws.scaled(t ** q) if q else ws for q, ws in enumerate(self.weights)))
+        return self._reweighted(ws.scaled(t ** q) if q else ws for q, ws in enumerate(self.weights))
 
     @cached_property
     def _vertex_index(self) -> tuple[dict[tuple[int, ...], int], ...] | None:
@@ -451,7 +460,7 @@ class DeformationFamily:
             m = [c * powers[a] for c, (a, _) in zip(chat, self.base.factor_degrees[q])]
             g = gcd(*m)
             weights.append(Weights(split=(tuple(v // g for v in m), s * g / r ** q)))
-        return replace(self.base, weights=tuple(weights))
+        return self.base._reweighted(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,7 @@ def deformation_sweep(
                     for p in set(partition.parts)}
         upper_bound_only |= any(res.upper_bound_only for res in searches.values())
         part_vals = tuple(systole_value(searches[p], p) for p in partition.parts)
-        product = Fraction(1)
-        for v in part_vals:
-            product *= v
+        product = math.prod(part_vals, start=Fraction(1))
         volume = fundamental_class_mass(kt)
         samples.append(SweepSample(t, part_vals, product, volume, product / volume))
     exponent = _tail_exponent(samples)

@@ -105,16 +105,16 @@ class HomologySummary:
 
 
 SUMMARIES_KEPT = 64  # structures cached, so many structures stay bounded
-_cache: dict[tuple, HomologySummary] = {}
+_cache: dict[int, tuple[tuple, HomologySummary]] = {}
 
 
 def homology(K: WeightedCellComplex) -> HomologySummary:
-    """Homology summary of K; results are cached on the boundary structure,
-    the newest SUMMARIES_KEPT of them."""
-    key = (K.cell_ids, K.boundary_cols)
+    """Homology summary of K; results are cached on the boundary structure
+    and its hash, which a reweighting keeps, the newest SUMMARIES_KEPT of them."""
+    structure, key = (K.cell_ids, K.boundary_cols), K._structure_hash
     hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit[0] == structure:
+        return hit[1]
 
     faces, critical, flow, pairs, cols = _coreduce(K)
     betti = []
@@ -154,7 +154,7 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
     )
     if len(_cache) >= SUMMARIES_KEPT:  # the oldest goes first
         del _cache[next(iter(_cache))]
-    _cache[key] = summary
+    _cache[key] = structure, summary
     return summary
 
 

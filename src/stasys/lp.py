@@ -11,21 +11,22 @@ Each row whose right-hand side is 0 is crashed onto a structural column
 phase 1 then starts at that basis.  Columns given to `solve_lp` are
 prepared into a throwaway tableau that takes the same path.  Optima come
 back as exact ``Fraction``s, with an optimal dual y (A^T y <= c, b.y =
-c.x) and the reduced costs c - A^T y, read off the final reduced-cost row.
+c.x) and the column loads A^T y, read off the final reduced-cost row.
 Bland's pivot rule is used throughout, which rules out cycling.
 
 A `Tableau` also records the optimal bases it has found, per cost
 vector.  An optimal basis B stays optimal for every b with B⁻¹b >= 0,
 because dual feasibility depends on c alone; on that cone the optimum is
 y.b with the recorded dual y.  So a b inside the cone of a basis recorded
-for the same c is answered without copying the tableau or pivoting; only
-a b outside every recorded cone runs the two phases, whose basis is then
-recorded too.  A new cost vector adds a key and leaves the others'
-records, but for the oldest once COSTS_KEPT are kept.  A solve in which
-phase 1 drops a dependent row records nothing, since B⁻¹b >= 0 would not
-check that row's consistency for a later b.  The value is the optimum
-whatever was solved before, but where the optimum is degenerate the x and
-y returned may depend on which right-hand sides the tableau has seen.
+for the same c is answered without copying the tableau or pivoting, by
+a cone test in integers and the record's y and A^T y; only a b outside
+every recorded cone runs the two phases, whose basis is then recorded
+too.  A new cost vector adds a key and leaves the others' records, but
+for the oldest once COSTS_KEPT are kept.  A solve in which phase 1 drops
+a dependent row records nothing, since B⁻¹b >= 0 would not check that
+row's consistency for a later b.  The value is the optimum whatever was
+solved before, but where the optimum is degenerate the x and y returned
+may depend on which right-hand sides the tableau has seen.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class Unbounded(LPError):
 
 
 COSTS_KEPT = 64  # cost vectors recorded per tableau, so many metrics stay bounded
+_ZERO = Fraction(0)  # every zero entry of an answer's x
 
 
 class Tableau:
@@ -88,12 +90,12 @@ def prepare(columns, b: list[Fraction]) -> Tableau:
 
 def solve_lp(a, b: list[Fraction],
              c: list[Fraction]) -> tuple[Fraction, list[Fraction], list[Fraction], list[Fraction]]:
-    """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, reduced).
+    """Minimize c.x over {A x = b, x >= 0}; returns (value, x, y, load).
 
     ``a`` is a `Tableau`, or the columns of A as `prepare` takes them,
     prepared for b into a throwaway one.  y is an optimal dual, one entry
-    per row of A, and reduced = c - A^T y holds the structural reduced
-    costs, read off the final tableau.  Entries may be ints or Fractions;
+    per row of A, and load = A^T y, one entry per column, is at most c
+    (c - load holds the reduced costs).  Entries may be ints or Fractions;
     every result is a Fraction.  A tableau answers b from a basis it
     recorded for c when B⁻¹b >= 0.
     """
@@ -112,38 +114,42 @@ def solve_lp(a, b: list[Fraction],
         if len(t.optima) >= COSTS_KEPT:  # the oldest goes first
             del t.optima[next(iter(t.optima))]
         records = t.optima[c] = []
+    bn, d = _integer_row([b[i] for i in opened])
     for optimum in records:
-        answer = optimum.answer(b, opened, n)
+        answer = optimum.answer(bn, d, n)
         if answer is not None:
             return answer
     return _two_phase(t, b, c, opened, records)
 
 
 class _Optimum:
-    """An optimal basis of a tableau: for each basic column j, the row of
-    B⁻¹ on the open rows as integers over one denominator; and y and the
-    reduced costs for the cost it was recorded for, which hold for every b
-    in the basis's cone."""
+    """An optimal basis of a tableau: each basic column j with its row of
+    B⁻¹ on the open rows, if not 0, as integers over one denominator; and
+    for the cost it was recorded for, y, the loads A^T y and y on the open
+    rows over one denominator, all fixed by the basis for b in its cone."""
 
-    def __init__(self, rows: list[tuple[int, list[int], int]], y, reduced):
-        self.rows, self.y, self.reduced = rows, y, reduced
+    def __init__(self, rows: list[tuple[int, list[int], int]], y: tuple, load: tuple, opened):
+        self.rows, self.y, self.load = rows, y, load
+        self.ynum, self.yden = _integer_row([y[i] for i in opened])
 
-    def answer(self, b, opened: list[int], n: int):
-        """(value, x, y, reduced) when B⁻¹b >= 0, else None."""
-        bn, d = _integer_row([b[i] for i in opened])
-        x = [Fraction(0)] * n
-        for j, inv, den in self.rows:
+    def answer(self, bn: list[int], d: int, n: int):
+        """(value, x, y, load) for b = bn / d on the open rows if B⁻¹b >= 0, else None."""
+        levels = []
+        for _, inv, _ in self.rows:
             v = sum(map(mul, inv, bn))
             if v < 0:
                 return None
+            levels.append(v)
+        x = [_ZERO] * n
+        for (j, _, den), v in zip(self.rows, levels):
             if v:
-                x[j] = Fraction(v, den * d)
-        value = sum((self.y[i] * b[i] for i in opened), Fraction(0))
-        return value, x, list(self.y), list(self.reduced)
+                x[j] = Fraction(v) if den * d == 1 else Fraction(v, den * d)
+        value = Fraction(sum(map(mul, self.ynum, bn)), self.yden * d)
+        return value, x, list(self.y), list(self.load)
 
 
 def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
-    """The two-phase solve on a copy of t; returns (value, x, y, reduced) and
+    """The two-phase solve on a copy of t; returns (value, x, y, load) and
     appends the optimal basis to c's records unless phase 1 dropped a row."""
     m, n, rhs = len(t), t.n, len(t) + t.n
     tab, den, basis = [row.copy() for row in t.rows], t.den[:], t.basis[:]
@@ -168,19 +174,19 @@ def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
     # phase 2 on the original columns only.  Artificial column n+i has
     # reduced cost -y_i for row i as stored (negated or not, dropped or not)
     zrow, zden = _optimize(tab, den, basis, [*c, *[0] * m], n)
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for row, d, bj in zip(tab, den, basis):
         if bj < n:
             x[bj] = Fraction(row.get(rhs, 0), d)
     y = [Fraction(-s * zrow.get(n + i, 0), zden) for i, s in enumerate(sign)]
-    reduced = [Fraction(zrow.get(j, 0), zden) for j in range(n)]
+    load = [cj - Fraction(zrow.get(j, 0), zden) for j, cj in enumerate(c)]
     if len(tab) == len(t.rows):
         # B⁻¹ times the open rows' unit columns is their artificial columns,
-        # each read with the sign its row was stored under
-        records.append(_Optimum([(bj, [sign[i] * row.get(n + i, 0) for i in opened], d)
-                                 for row, d, bj in zip(tab, den, basis)],
-                                tuple(y), tuple(reduced)))
-    return Fraction(-zrow.get(rhs, 0), zden), x, y, reduced
+        # each read with the sign its row was stored under; rows of 0 are left out
+        records.append(_Optimum([(bj, inv, d) for row, d, bj in zip(tab, den, basis)
+                                 if any(inv := [sign[i] * row.get(n + i, 0) for i in opened])],
+                                tuple(y), tuple(load), opened))
+    return Fraction(-zrow.get(rhs, 0), zden), x, y, load
 
 
 def _integer_row(values) -> tuple[list[int], int]:

@@ -133,27 +133,28 @@ def minimum_mass_cycle(
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
     of the coordinate map, on summary.tableaux[q], built from boundary_cols[q].
-    The LP is costed by ĉ, for weights w = s·ĉ, and its value, y and
-    reduced costs are scaled by s, so the weights times any t > 0 reuse the
-    bases recorded for ĉ.  Its feasible set is exactly the cycles in the
-    class, because a cycle with zero coordinates bounds rationally.  λ is
-    the dual of the coordinate rows, and f(σ) = w(σ) - (reduced cost of σ+).
+    The LP is costed by ĉ, for weights w = s·ĉ, and its value, λ and f are
+    scaled by s, so the weights times any t > 0 reuse the bases recorded
+    for ĉ.  Its feasible set is exactly the cycles in the class, because a
+    cycle with zero coordinates bounds rationally.  With ŷ its dual, λ =
+    s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns.
     """
     q = cls.degree
     nq = K.n_cells(q)
-    ws = K.weights[q]
-    chat, s = ws.split
-    value, x, y, reduced = _norm_lp(K, summary, q, cls.coords, chat)
-    dual, reduced = y[-len(cls.coords):], reduced[:nq]
+    chat, s = K.weights[q].split
+    value, x, y, load = _norm_lp(K, summary, q, cls.coords, chat)
+    dual, f = y[-len(cls.coords):], load[:nq]
     if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
-        value, dual, reduced = value * s, [v * s for v in dual], [v * s for v in reduced]
-    cycle = Chain(q, tuple(xp - xm if xm else xp for xp, xm in zip(x, x[nq:])))
-    f = tuple(w - d if d else w for w, d in zip(ws, reduced))
-    return value, cycle, tuple(dual), f
+        value, dual, f = value * s, [v * s for v in dual], [v * s for v in f]
+    cycle = x[:nq]
+    for j, xm in enumerate(x[nq:]):
+        if xm:  # x+ and x- of a cell are opposite columns: a basis holds one at most
+            cycle[j] = -xm
+    return value, Chain(q, tuple(cycle)), tuple(dual), tuple(f)
 
 
 def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
-    """`solve_lp`'s (value, x, y, reduced) for the norm LP of the degree-q
+    """`solve_lp`'s (value, x, y, load) for the norm LP of the degree-q
     class with the given coordinates, costed by the given q-cell weights, on
     the tableau of summary.tableaux[q], prepared here on first use; λ is the
     last b entries of y."""
@@ -398,13 +399,7 @@ def _degree_bound(info: SimplicialMapInfo) -> int:
 
 
 def _permutation_sign(seq: list[int]) -> int:
-    sign = 1
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
 
 
 def pullback_weights(info: SimplicialMapInfo) -> WeightedCellComplex:

@@ -1,5 +1,6 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
+import builtins
 import hashlib
 import importlib
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from stasys import (
     Chain,
+    DeformationFamily,
     HomologyClass,
     build_complex,
     circle,
@@ -203,6 +205,28 @@ def test_only_the_newest_summaries_are_cached(monkeypatch):
     fresh = homology(complexes[0])
     assert fresh is not summaries[0] and fresh == summaries[0]
     assert len(module._cache) == kept and homology(complexes[-kept]) is not summaries[-kept]
+
+
+def test_a_reweighted_complex_is_not_hashed_again(monkeypatch):
+    # the cache key's hash is taken once per structure and carried by every
+    # rescaling and deformation, so a warm homology call on one of them
+    # hashes no cell; a structure built afresh is hashed once and finds the
+    # summary of its equal
+    complexes = importlib.import_module("stasys.complexes")
+    K = product_complex(circle(3), circle(4))
+    summary = homology(K)
+    hashed = []
+    monkeypatch.setattr(complexes, "hash", lambda v: hashed.append(v) or builtins.hash(v),
+                        raising=False)
+    family = DeformationFamily(K)
+    for t in (F(3, 2), F(1, 3), F(5)):
+        for L in (K.rescale(t), family.at(t), K.rescale(t).rescale(t),
+                  DeformationFamily(K.rescale(t)).at(t)):
+            assert homology(L) is summary
+    assert hashed == []
+    fresh = product_complex(circle(3), circle(4))
+    assert homology(fresh) is summary and homology(fresh.rescale(2)) is summary
+    assert hashed == [(fresh.cell_ids, fresh.boundary_cols)]
 
 
 def test_class_coordinates_rejects_non_cycles():

@@ -119,18 +119,18 @@ def bfs_optimum(a, b, c):
 def dual_problems(a, b, c, value, prepared=None):
     """Weak and strong duality for the y that solve_lp returns with the rows
     a (as columns), b and c, or with (prepared, b, c) when a tableau
-    prepared from a is given."""
-    _, _, y, reduced = solve_lp(sparse_columns(a) if prepared is None else prepared, b, c)
+    prepared from a is given; and its fourth output, the loads A^T y."""
+    _, _, y, load = solve_lp(sparse_columns(a) if prepared is None else prepared, b, c)
     problems = []
     if len(y) != len(a):
         problems.append(f"{len(y)} duals for {len(a)} rows")
     at_y = [sum(row[j] * yi for row, yi in zip(a, y)) for j in range(len(c))]
-    if any(aj > cj for aj, cj in zip(at_y, c)):
-        problems.append(f"A^T y = {at_y} exceeds c = {c}")
+    if load != at_y or any(type(v) is not F for v in load):
+        problems.append(f"loads {load} are not the Fractions A^T y = {at_y}")
+    if any(cj - aj < 0 for aj, cj in zip(at_y, c)):
+        problems.append(f"reduced costs c - A^T y = c - {at_y} go below 0 with c = {c}")
     if sum(bi * yi for bi, yi in zip(b, y)) != value:
         problems.append(f"b.y differs from the optimum {value}")
-    if reduced != [cj - aj for cj, aj in zip(c, at_y)]:
-        problems.append(f"reduced costs {reduced} are not c - A^T y")
     return problems
 
 
@@ -317,6 +317,26 @@ def test_recorded_bases_answer_as_a_fresh_tableau_does(coords, c):
         assert dual_problems(THETA_ROWS, b, c, value, prepared=tab) == []
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(rationals(-3, 3, 4), min_size=2, max_size=2),
+       st.lists(rationals(0, 5, 6), min_size=6, max_size=6),
+       st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=2, max_size=3))
+def test_answers_from_one_record_share_its_dual_and_loads(coords, c, factors):
+    """Positive multiples of b stay in the cone of the basis b was solved
+    on: each is answered from that one record, with the y and the loads
+    A^T y of the solve that recorded it, and the value scaled with b."""
+    tab = prepare(sparse_columns(THETA_ROWS), [0, 0, 1, 1])
+    b = [0, 0, *coords]
+    value, _, y, load = solve_lp(tab, b, c)
+    assert len(tab.optima[tuple(c)]) == 1
+    for k in factors:
+        kb = [k * v for v in b]
+        answer = solve_lp(tab, kb, c)
+        assert answer[0] == k * value and answer[2:] == (y, load)
+        assert dual_problems(THETA_ROWS, kb, c, answer[0], prepared=tab) == []
+    assert len(tab.optima[tuple(c)]) == 1
+
+
 def test_a_solve_that_drops_a_row_records_nothing():
     # both rows are open and the second is twice the first, so phase 1
     # drops one: a basis on the row left would call b = (4, 9) feasible
@@ -362,8 +382,8 @@ def test_an_all_zero_cost_vector_is_a_direction_of_its_own():
     assert solve_lp(tab, b, [0] * 6)[0] == 0
     assert solve_lp(tab, b, [1] * 6)[0] == bfs_optimum(THETA_ROWS, b, [1] * 6)[0]
     # back to the zero costs: answered from their record
-    value, _, y, reduced = solve_lp(tab, b, [F(0)] * 6)
-    assert value == 0 and y == [0] * 4 and reduced == [0] * 6
+    value, _, y, load = solve_lp(tab, b, [F(0)] * 6)
+    assert value == 0 and y == [0] * 4 and load == [0] * 6
     assert dual_problems(THETA_ROWS, b, [0] * 6, value, prepared=tab) == []
     assert sorted(tab.optima) == [(0,) * 6, (1,) * 6]
 

@@ -652,6 +652,44 @@ def test_torus_norms_take_few_pivots(monkeypatch):
     assert len(pivots) <= 400
 
 
+@pytest.mark.parametrize("k", [4, 8])
+def test_a_warm_norm_builds_fractions_for_its_basis_alone(k, monkeypatch):
+    # an answer from a recorded basis takes λ and the cocycle f from the
+    # record's y and loads A^T y, and builds Fractions only for the value
+    # and the optimal cycle's nonzeros: at most the tableau's row count,
+    # however many q-cells there are
+    K = flat_torus(k)
+    classes = [HomologyClass(1, v) for v in itertools.product(range(-2, 3), repeat=2) if any(v)]
+    cold = [stable_norm(K, cls) for cls in classes]
+    rows = len(homology(K).tableaux[1])
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *args, **kw: built.append(1) or real(cls, *args, **kw)))
+    warm = []
+    for cls in classes:
+        built.clear()
+        warm.append(stable_norm(K, cls))
+        assert len(built) <= rows < K.n_cells(1), (cls.coords, len(built))
+    monkeypatch.undo()
+    assert warm == cold and repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_warm_norms_carry_certificates_at_every_scale(k):
+    # every class in [-2, 2]^2, answered from recorded bases on the weights
+    # themselves and on the metric scaled by 3/2, passes the O(cells) check
+    K = flat_torus(k)
+    generators = homology(K).generators[1]
+    classes = [HomologyClass(1, v) for v in itertools.product(range(-2, 3), repeat=2) if any(v)]
+    for L in (K, K.rescale(F(3, 2))):
+        cold = [stable_norm(L, cls) for cls in classes]
+        for cls, res in zip(classes, cold):
+            warm = stable_norm(L, cls)
+            assert repr(warm) == repr(res)
+            assert certificate_problems(L, generators, warm) == [], cls.coords
+
+
 def test_the_norm_tableau_stores_only_nonzeros():
     # built from boundary columns, the prepared tableau of flat_torus(16)'s
     # q=1 norm LP holds its nonzeros alone: far fewer than its dense slots
