@@ -9,8 +9,10 @@ Where no rule closes the gap the verdict stays honest: lower < upper.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 
@@ -176,11 +178,12 @@ def kunneth_product(p: DimensionProfile, q: DimensionProfile) -> DimensionProfil
 # A profile holds one Betti number per degree and every rule reads them all,
 # so the ten characters "S100000000" would ask for a 10**8-entry tuple and
 # run out of memory.  Ten thousand dimensions is far beyond any complex this
-# package can triangulate.  A product of a few spheres that size takes
-# milliseconds, but the Betti convolution convolves each factor into the
-# whole product so far, whose Betti numbers grow to thousands of bits: on a
-# 2-core Xeon, 2000 circles take 1 s, 4000 take 4.4 s and 10,000 take 70 s.
+# package can triangulate.  The Betti numbers of many factors grow to
+# hundreds of bits, so the cost grows with the factor count too: 10,000
+# circles took 70 s on a 2-core Xeon, and under both bounds the slowest
+# product found there takes under half a second.
 MAX_EXPRESSION_DIMENSION = 10_000
+MAX_EXPRESSION_FACTORS = 500
 
 
 def parse_product_expression(expr: str) -> DimensionProfile:
@@ -193,36 +196,55 @@ def parse_product_expression(expr: str) -> DimensionProfile:
         if not (tok[0] in "Ss" and tok[1:].isdigit()):
             raise ValueError(f"cannot parse factor {tok!r}; expected e.g. S3")
         dims.append(int(tok[1:]))
+    if len(dims) > MAX_EXPRESSION_FACTORS:
+        raise ValueError(f"product of {len(dims)} factors exceeds {MAX_EXPRESSION_FACTORS}")
     if (n := sum(dims)) > MAX_EXPRESSION_DIMENSION:
         raise ValueError(f"product dimension {n} exceeds {MAX_EXPRESSION_DIMENSION}")
     return product_profile([sphere_profile(m) for m in dims])
 
 
 def product_profile(profiles: list[DimensionProfile]) -> DimensionProfile:
-    """Profile of a direct product, built once: the Betti numbers are
-    convolved and the flag folded as a `_Shape` one factor at a time, as the
-    pairwise products would give them, and the factors and name joined."""
+    """Profile of a direct product, built once: the flag folded as a `_Shape`
+    one factor at a time, as the pairwise products would give it, the Betti
+    numbers convolved power by power of each distinct factor, and the
+    factors and name joined."""
     if not profiles:
         raise ValueError("need at least one factor")
     if len(profiles) == 1:
         return profiles[0]
     first = profiles[0]
-    betti = first.betti
     acc = _Shape(first.n, first.lpd, first.max_cup_flag)
+    point, sphere = first.betti == (1,), first.homology_sphere  # the product so far
     for q in profiles[1:]:
-        n = acc.n + q.n
-        out = [0] * (n + 1)
-        nonzero = [(j, bj) for j, bj in enumerate(q.betti) if bj]  # a sphere has two
-        for i, bi in enumerate(betti):
-            for j, bj in nonzero:
-                out[i + j] += bi * bj
-        betti, flag = out, _product_max_cup(acc, q)
-        if (acc.n == 0 or q.n == 0) and n and betti == [1, *[0] * (n - 1), 1]:
-            flag = True  # a point times a homology sphere is one, whose flag is True
-        acc = _Shape(n, min((l for l in (acc.lpd, q.lpd) if l), default=None), flag)
+        flag = _product_max_cup(acc, q)
+        # Betti numbers are >= 0, so only a point times a homology sphere is one
+        point, sphere = (point and q.betti == (1,),
+                         point and q.homology_sphere or sphere and q.betti == (1,))
+        acc = _Shape(acc.n + q.n, min((l for l in (acc.lpd, q.lpd) if l), default=None),
+                     True if sphere else flag)  # a homology sphere's flag is True
+    powers, betti = [], [1]
+    for factor, k in Counter(p.betti for p in profiles).items():
+        g = gcd(*(j for j, bj in enumerate(factor) if bj)) or 1  # a polynomial in x^g
+        power, spread = [1], [0] * (k * (len(factor) - 1) + 1)
+        for _ in range(k):
+            power = _convolve(power, factor[::g])
+        spread[:g * len(power):g] = power
+        powers.append(spread)
+    for power in sorted(powers, key=lambda p: len(p) / sum(map(bool, p))):  # the densest first
+        betti = _convolve(betti, power)
     factors = tuple(f for p in profiles for f in (p.factors or (p,)))
     return DimensionProfile(n=acc.n, betti=tuple(betti), max_cup_flag=acc.max_cup_flag,
                             factors=factors, name=" x ".join(f.name or "?" for f in factors))
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two polynomials by their coefficients, in one pass over
+    a per nonzero coefficient of b, the sparser."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + len(a)] = [o + y * x for o, x in zip(out[j:j + len(a)], a)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,17 +265,24 @@ class CategoryVerdict:
 
 
 def _max_admissible_size(profile: DimensionProfile) -> int:
-    """Most parts of an admissible partition of n (0 if there is none)."""
+    """Most parts of an admissible partition of n (0 if there is none): the
+    largest c with n - c·lpd a sum of at most c excesses d - lpd > 0 of
+    admissible d, so the table of fewest excesses stops at the answer's."""
     if profile.n < 1:
         raise ValueError("n must be positive")
-    if profile.lpd is not None and profile.n % profile.lpd == 0:
-        return profile.n // profile.lpd  # no part is below lpd
-    degrees = sorted(profile.admissible_degrees)
-    most: list[int | None] = [0]  # most[m]: most admissible parts summing to m
-    for m in range(1, profile.n + 1):
-        counts = [most[m - d] for d in degrees if d <= m and most[m - d] is not None]
-        most.append(max(counts) + 1 if counts else None)
-    return most[profile.n] or 0
+    if profile.lpd is None:
+        return 0
+    lpd = profile.lpd
+    excesses = [d - lpd for d in profile.admissible_degrees if d > lpd]
+    fewest: list[int | None] = [0]  # fewest[x]: fewest positive excesses summing to x
+    for c in range(profile.n // lpd, 0, -1):
+        x = profile.n - c * lpd
+        for m in range(len(fewest), x + 1):
+            counts = [fewest[m - e] for e in excesses if e <= m and fewest[m - e] is not None]
+            fewest.append(min(counts) + 1 if counts else None)
+        if fewest[x] is not None and fewest[x] <= c:
+            return c
+    return 0
 
 
 def _sum_rule_applies(p: DimensionProfile | _Shape, q: DimensionProfile) -> tuple[bool, str]:

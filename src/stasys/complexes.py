@@ -40,6 +40,12 @@ class Chain:
         object.__setattr__(self, "coeffs", tuple(
             c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
 
+    @classmethod
+    def _of_fractions(cls, degree: int, coeffs: tuple[Fraction, ...]) -> "Chain":
+        """The chain of coefficients that are all Fractions already, unchecked."""
+        vars(chain := object.__new__(cls)).update(degree=degree, coeffs=coeffs)
+        return chain
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -162,9 +168,12 @@ class WeightedCellComplex:
         return hash((self.cell_ids, self.boundary_cols))
 
     def _reweighted(self, weights) -> "WeightedCellComplex":
-        """The same cells and boundaries under new weights, hashed as self is."""
-        out = replace(self, weights=tuple(weights))
-        out.__dict__["_structure_hash"] = self._structure_hash
+        """The same structure, field by field and hashed as self is, under new
+        `Weights`; nothing cached from self's weights is carried over."""
+        out = object.__new__(type(self))
+        vars(out).update(kind=self.kind, cell_ids=self.cell_ids, weights=tuple(weights),
+                         boundary_cols=self.boundary_cols, vertex_lists=self.vertex_lists,
+                         factor_degrees=self.factor_degrees, _structure_hash=self._structure_hash)
         return out
 
     def boundary_of(self, chain: Chain) -> Chain:

@@ -21,12 +21,15 @@ y.b with the recorded dual y.  So a b inside the cone of a basis recorded
 for the same c is answered without copying the tableau or pivoting, by
 a cone test in integers and the record's y and A^T y; only a b outside
 every recorded cone runs the two phases, whose basis is then recorded
-too.  A new cost vector adds a key and leaves the others' records, but
-for the oldest once COSTS_KEPT are kept.  A solve in which phase 1 drops
-a dependent row records nothing, since B⁻¹b >= 0 would not check that
-row's consistency for a later b.  The value is the optimum whatever was
-solved before, but where the optimum is degenerate the x and y returned
-may depend on which right-hand sides the tableau has seen.
+too.  `_lookup` finds the basis and `solve_lp` builds its answer: a caller
+that reads only the value and y takes them from the record, as integers
+over one denominator, and builds no x.  A new cost vector adds a key and
+leaves the others' records, but for the oldest once COSTS_KEPT are kept.
+A solve in which phase 1 drops a dependent row records nothing, since
+B⁻¹b >= 0 would not check that row's consistency for a later b; its
+basis answers that b alone.  The value is the optimum whatever was solved
+before, but where the optimum is degenerate the x and y returned may
+depend on which right-hand sides the tableau has seen.
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ _ZERO = Fraction(0)  # every zero entry of an answer's x
 class Tableau:
     """The integer tableau [A | I] that `prepare` builds and crashes: rows of
     nonzeros over ``den``, with A's n columns, row i's artificial n + i and
-    the right-hand side n + m.  `optima` maps each cost vector solved on it,
+    the right-hand side n + m; ``opened`` lists the rows left open, the
+    others crashed or dropped.  `optima` maps each cost vector solved on it,
     as a tuple, to the bases recorded for it, the newest COSTS_KEPT of them."""
 
     def __init__(self, rows: list[dict[int, int]], den: list[int], basis: list[int], n: int, m: int):
         self.rows, self.den, self.basis, self.n, self.m = rows, den, basis, n, m
+        self.opened = [bj - n for bj in basis if bj >= n]
         self.optima: dict[tuple, list[_Optimum]] = {}
 
     def __len__(self) -> int:  # the row count of A, dropped rows included
@@ -99,14 +104,22 @@ def solve_lp(a, b: list[Fraction],
     every result is a Fraction.  A tableau answers b from a basis it
     recorded for c when B⁻¹b >= 0.
     """
+    optimum, levels, bn, d = _lookup(a, b, c)
+    return optimum.answer(levels, bn, d)
+
+
+def _lookup(a, b, c) -> tuple[_Optimum, list[int], tuple[int, ...], int]:
+    """(optimum, levels, bn, d) for `solve_lp`'s (a, b, c): the first basis
+    recorded for c whose cone holds b = bn / d (on the open rows), else the
+    two phases' one, and its `levels`.  The value is optimum.ynum . bn over
+    optimum.yden·d, so a caller that reads only it and y builds no x."""
     t = a if isinstance(a, Tableau) else prepare(a, b)
-    m, n = len(t), t.n
-    if len(b) != m:
-        raise ValueError(f"right-hand side has length {len(b)}, but the constraint matrix has {m} rows")
-    if len(c) != n:
-        raise ValueError(f"cost vector has length {len(c)}, but the constraint matrix has {n} columns")
-    opened = [bj - n for bj in t.basis if bj >= n]
-    if any(b[i] for i in set(range(len(b))).difference(opened)):
+    if len(b) != t.m:
+        raise ValueError(f"right-hand side has length {len(b)}, but the constraint matrix has {t.m} rows")
+    if len(c) != t.n:
+        raise ValueError(f"cost vector has length {len(c)}, but the constraint matrix has {t.n} columns")
+    bn, d = _integer_row([b[i] for i in t.opened])
+    if sum(map(bool, b)) != sum(map(bool, bn)):  # b is not 0 off the open rows
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
     c = tuple(c)
     records = t.optima.get(c)
@@ -114,33 +127,37 @@ def solve_lp(a, b: list[Fraction],
         if len(t.optima) >= COSTS_KEPT:  # the oldest goes first
             del t.optima[next(iter(t.optima))]
         records = t.optima[c] = []
-    bn, d = _integer_row([b[i] for i in opened])
     for optimum in records:
-        answer = optimum.answer(bn, d, n)
-        if answer is not None:
-            return answer
-    return _two_phase(t, b, c, opened, records)
+        levels = optimum.levels(bn)
+        if levels is not None:
+            return optimum, levels, bn, d
+    optimum = _two_phase(t, b, c, records)
+    return optimum, optimum.levels(bn), bn, d
 
 
 class _Optimum:
     """An optimal basis of a tableau: each basic column j with its row of
     B⁻¹ on the open rows, if not 0, as integers over one denominator; and
     for the cost it was recorded for, y, the loads A^T y and y on the open
-    rows over one denominator, all fixed by the basis for b in its cone."""
+    rows (``ynum`` over ``yden``), all fixed by the basis for b in its cone."""
 
     def __init__(self, rows: list[tuple[int, list[int], int]], y: tuple, load: tuple, opened):
         self.rows, self.y, self.load = rows, y, load
         self.ynum, self.yden = _integer_row([y[i] for i in opened])
 
-    def answer(self, bn: list[int], d: int, n: int):
-        """(value, x, y, load) for b = bn / d on the open rows if B⁻¹b >= 0, else None."""
+    def levels(self, bn: tuple[int, ...]) -> list[int] | None:
+        """B⁻¹b times d and each row's denominator if b = bn / d is in the cone, else None."""
         levels = []
         for _, inv, _ in self.rows:
             v = sum(map(mul, inv, bn))
             if v < 0:
                 return None
             levels.append(v)
-        x = [_ZERO] * n
+        return levels
+
+    def answer(self, levels: list[int], bn: tuple[int, ...], d: int):
+        """(value, x, y, load) for b = bn / d on the open rows, in the cone."""
+        x = [_ZERO] * len(self.load)
         for (j, _, den), v in zip(self.rows, levels):
             if v:
                 x[j] = Fraction(v) if den * d == 1 else Fraction(v, den * d)
@@ -148,10 +165,10 @@ class _Optimum:
         return value, x, list(self.y), list(self.load)
 
 
-def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
-    """The two-phase solve on a copy of t; returns (value, x, y, load) and
-    appends the optimal basis to c's records unless phase 1 dropped a row."""
-    m, n, rhs = len(t), t.n, len(t) + t.n
+def _two_phase(t: Tableau, b, c, records: list[_Optimum]) -> _Optimum:
+    """The two-phase solve on a copy of t; returns its optimal basis and
+    appends it to c's records unless phase 1 dropped a row."""
+    m, n, rhs, opened = len(t), t.n, len(t) + t.n, t.opened
     tab, den, basis = [row.copy() for row in t.rows], t.den[:], t.basis[:]
 
     # phase 1 over the rows whose artificial is still basic, at level |b_i|:
@@ -172,31 +189,27 @@ def _two_phase(t: Tableau, b, c, opened: list[int], records: list[_Optimum]):
     _drive_out_artificials(tab, den, basis, n)
 
     # phase 2 on the original columns only.  Artificial column n+i has
-    # reduced cost -y_i for row i as stored (negated or not, dropped or not)
+    # reduced cost -y_i for row i as stored (negated or not, dropped or not).
+    # B⁻¹ times the open rows' unit columns is their artificial columns, each
+    # read with the sign its row was stored under; rows of 0 are left out
     zrow, zden = _optimize(tab, den, basis, [*c, *[0] * m], n)
-    x = [_ZERO] * n
-    for row, d, bj in zip(tab, den, basis):
-        if bj < n:
-            x[bj] = Fraction(row.get(rhs, 0), d)
-    y = [Fraction(-s * zrow.get(n + i, 0), zden) for i, s in enumerate(sign)]
-    load = [cj - Fraction(zrow.get(j, 0), zden) for j, cj in enumerate(c)]
+    optimum = _Optimum([(bj, inv, d) for row, d, bj in zip(tab, den, basis)
+                        if any(inv := [sign[i] * row.get(n + i, 0) for i in opened])],
+                       tuple(Fraction(-s * zrow.get(n + i, 0), zden) for i, s in enumerate(sign)),
+                       tuple(cj - Fraction(zrow.get(j, 0), zden) for j, cj in enumerate(c)), opened)
     if len(tab) == len(t.rows):
-        # B⁻¹ times the open rows' unit columns is their artificial columns,
-        # each read with the sign its row was stored under; rows of 0 are left out
-        records.append(_Optimum([(bj, inv, d) for row, d, bj in zip(tab, den, basis)
-                                 if any(inv := [sign[i] * row.get(n + i, 0) for i in opened])],
-                                tuple(y), tuple(load), opened))
-    return Fraction(-zrow.get(rhs, 0), zden), x, y, load
+        records.append(optimum)
+    return optimum
 
 
-def _integer_row(values) -> tuple[list[int], int]:
+def _integer_row(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators of ``values`` over the lcm of their denominators."""
-    values = list(values)
+    values = tuple(values)
     if set(map(type, values)) <= {int}:
         return values, 1
     values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
     d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def _optimize(tab, den, basis, cost, allowed: int) -> tuple[dict[int, int], int]:

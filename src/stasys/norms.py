@@ -21,13 +21,15 @@ mass is its norm without an LP.  Each norm carries a dual certificate
 f = λ on the generators, so ``‖h‖ >= |λ.h|`` for every class h.  Stable
 systoles minimize the stable norm over nonzero integral classes: exactly
 for one-dimensional homology, and otherwise by a lattice search that
-these bounds prune and certify.  The search runs wholly in units of ĉ:
-it reads only each class's value and λ (a unique cycle's in plain ints),
-and multiplies the least norm by s once, at the end.  It stops once
-L(h) = max_k |λ_k.h| is large enough on the max-norm unit sphere, which
-b LPs of the same sign-split L1 shape decide: the least sum |μ_k| with
-sum μ_k λ_k = e_j, one per coordinate j, all solved on one tableau kept
-in summary.stop_tests per λ set (the newest STOP_TESTS_KEPT).  A search
+these bounds prune and certify.  The search runs wholly in units of ĉ
+and in integers: it reads each class's value and λ as numerators over one
+denominator, straight off a recorded LP basis (a unique cycle's over 1),
+compares by cross-multiplication, and builds one Fraction, the least norm
+times s, at the end.  It stops once L(h) = max_k |λ_k.h| is large enough
+on the max-norm unit sphere, which b LPs of the same sign-split L1 shape
+decide: the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate
+j, all solved on one tableau kept in summary.stop_tests per λ set (the
+newest STOP_TESTS_KEPT) and read the same way.  A search
 repeated on the same structure and weight direction so finds every λ
 set's tableau with its bases recorded, and prepares nothing and runs no
 two-phase solve.
@@ -44,7 +46,7 @@ from fractions import Fraction
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
 from .linalg import rank
-from .lp import Infeasible, prepare, solve_lp
+from .lp import _ZERO, Infeasible, _lookup, prepare, solve_lp
 
 Rational = Fraction | int
 
@@ -142,29 +144,29 @@ def minimum_mass_cycle(
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    value, x, y, load = _norm_lp(K, summary, q, cls.coords, chat)
+    value, x, y, load = solve_lp(*_norm_lp(K, summary, q, cls.coords, chat))
     dual, f = y[-len(cls.coords):], load[:nq]
     if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
         value, dual, f = value * s, [v * s for v in dual], [v * s for v in f]
     cycle = x[:nq]
     for j, xm in enumerate(x[nq:]):
-        if xm:  # x+ and x- of a cell are opposite columns: a basis holds one at most
+        if xm is not _ZERO:  # x+ and x- of a cell are opposite columns: a basis holds one at most
             cycle[j] = -xm
-    return value, Chain(q, tuple(cycle)), tuple(dual), tuple(f)
+    return value, Chain._of_fractions(q, tuple(cycle)), tuple(dual), tuple(f)
 
 
 def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
-    """`solve_lp`'s (value, x, y, load) for the norm LP of the degree-q
-    class with the given coordinates, costed by the given q-cell weights, on
-    the tableau of summary.tableaux[q], prepared here on first use; λ is the
-    last b entries of y."""
+    """The norm LP of the degree-q class with these coordinates, costed by
+    these q-cell weights, as `solve_lp`'s (tableau, b, c): the tableau of
+    summary.tableaux[q], prepared here on first use, whose open rows are
+    the coordinate rows, so y on them is λ."""
     tab = summary.tableaux.get(q)
     if tab is None:
         nb, cmap = K.n_cells(q - 1), summary.coordinate_maps[q]
         cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
                 for j, col in enumerate(K.boundary_cols[q])]
         tab = summary.tableaux[q] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
-    return solve_lp(tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights))
+    return tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights)
 
 
 def _sign_split(cols):
@@ -173,18 +175,22 @@ def _sign_split(cols):
 
 
 def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
-                coords: tuple[int, ...], weights) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """The norm and λ of the nonzero integral class with these coordinates
-    under the given q-cell weights, without the optimal cycle or the cocycle."""
+                coords: tuple[int, ...], weights) -> tuple[int, tuple[int, ...], int]:
+    """(num, λ̂, d): the norm num / d and λ = λ̂ / d of the nonzero integral
+    class with these coordinates under the given q-cell weights, without the
+    optimal cycle or the cocycle; integers when the weights are.  Integral
+    coordinates put b over 1, so the LP's value ŷ.b shares ŷ's denominator."""
     if K.n_cells(q + 1) == 0:
         z, f, dual = _unique_cycle(summary, q, coords, weights)
-        return sum(map(operator.mul, f, z)), dual
-    value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
-    return value, tuple(y[-len(coords):])
+        return sum(map(operator.mul, f, z)), dual, 1
+    optimum, _, bn, _ = _lookup(*_norm_lp(K, summary, q, coords, weights))
+    return sum(map(operator.mul, optimum.ynum, bn)), optimum.ynum, optimum.yden
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
-    """Least stable norm among integral classes with nonzero rational image."""
+    """Least stable norm among integral classes with nonzero rational image:
+    a search in integers, norms num / d and λ's λ̂ / d compared by
+    cross-multiplication, that builds a Fraction only for the least norm."""
     if search_radius < 0:
         raise ValueError(f"search radius must be at least 0, not {search_radius}")
     if q < 0:
@@ -197,64 +203,65 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     # search's levels all scale by s, so the search runs in units of ĉ
     chat, s = K.weights[q].split
     if b == 1:
-        value, _ = _class_norm(K, summary, q, (1,), chat)
-        return SystoleResult(value * s, (1,), "exact")
+        num, _, d = _class_norm(K, summary, q, (1,), chat)
+        return SystoleResult(Fraction(num, d) * s, (1,), "exact")
 
-    duals = []  # every distinct λ found; ‖h‖ >= L(h) = max_k |λ_k.h| for all h
-    best: Fraction | None = None
+    duals = []  # every distinct (λ̂, d) found; ‖h‖ >= L(h) = max_k |λ̂_k.h| / d_k for all h
+    best: tuple[int, int] | None = None  # the least norm found, as (num, den)
     witness: tuple[int, ...] | None = None
     for r in range(1, search_radius + 1):
         for v in _primitive_vectors(b, r):
-            if best is not None and _dual_bound(duals, v) >= best:
+            if best is not None and any(abs(sum(map(operator.mul, lam, v))) * best[1] >= best[0] * d
+                                        for lam, d in duals):
                 continue  # cannot improve on best
-            value, dual = _class_norm(K, summary, q, v, chat)
-            if dual not in duals:  # a recorded basis gives its λ again
-                duals.append(dual)
-            if best is None or value < best:
-                best = value
-                witness = v
+            num, lam, d = _class_norm(K, summary, q, v, chat)
+            if (lam, d) not in duals:  # a recorded basis gives its λ again
+                duals.append((lam, d))
+            if best is None or num * best[1] < best[0] * d:
+                best, witness = (num, d), v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
-        if _bounds_sphere(summary.stop_tests, duals, b, Fraction(best, r + 1)):
-            return SystoleResult(best * s, witness, "certified")
-    return SystoleResult(None if best is None else best * s, witness,
+        if _bounds_sphere(summary.stop_tests, duals, b, best[0], best[1] * (r + 1)):
+            return SystoleResult(Fraction(*best) * s, witness, "certified")
+    return SystoleResult(None if best is None else Fraction(*best) * s, witness,
                          f"bounded-search({search_radius})")
-
-
-def _dual_bound(duals, v) -> Fraction:
-    return max((abs(sum(map(operator.mul, lam, v))) for lam in duals), default=Fraction(0))
 
 
 STOP_TESTS_KEPT = 64  # stop-test tableaux kept per summary, so many directions stay bounded
 
 
-def _bounds_sphere(stop_tests: dict, duals, b: int, level: Fraction) -> bool:
-    """Whether L(h) = max_k |λ_k.h| >= level on the max-norm unit sphere.
+def _bounds_sphere(stop_tests: dict, duals, b: int, num: int, den: int) -> bool:
+    """Whether L(h) = max_k |λ_k.h| >= num / den (den > 0) on the max-norm
+    unit sphere, each λ_k = λ̂_k / d_k given as the integers (λ̂_k, d_k).
 
     The unit vectors e_j are tried first.  L is positively homogeneous, so
-    the claim holds exactly when every h with L(h) <= 1 has |h_j| <= 1/level.
-    By LP duality the largest h_j there is the least sum of |μ_k| over μ
-    with sum μ_k λ_k = e_j: a b-row program in the sign split μ = μ+ - μ-,
-    the b of them solved on one tableau prepared with every row open and
-    kept per λ set in ``stop_tests`` (a summary's, keyed by the tuple of
-    λ's, the newest STOP_TESTS_KEPT of them), so a repeated stop test
-    answers each e_j from a basis recorded on it.
+    the claim holds exactly when every h with L(h) <= 1 has |h_j| <= den/num.
+    By LP duality the largest h_j there is the least sum of d_k |ν_k| over ν
+    with sum ν_k λ̂_k = e_j (μ_k = d_k ν_k): a b-row program in the sign
+    split ν = ν+ - ν-, the b of them solved on one tableau prepared with
+    every row open and kept per λ set in ``stop_tests`` (a summary's, keyed
+    by the tuple of pairs, the newest STOP_TESTS_KEPT of them), so a
+    repeated stop test answers each e_j from a basis recorded on it.  All
+    of it runs in integers, each value compared by cross-multiplication.
     It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
     """
-    if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
+    if any(all(abs(lam[j]) * den < num * d for lam, d in duals) for j in range(b)):
         return False
     key = tuple(duals)
     tab = stop_tests.get(key)
     if tab is None:
         if len(stop_tests) >= STOP_TESTS_KEPT:  # the oldest goes first
             del stop_tests[next(iter(stop_tests))]
-        tab = stop_tests[key] = prepare(_sign_split([list(enumerate(lam)) for lam in duals]), [1] * b)
-    ones = (1,) * (2 * len(duals))
+        tab = stop_tests[key] = prepare(_sign_split([list(enumerate(lam)) for lam, _ in duals]), [1] * b)
+    costs = tuple(d for _, d in duals) * 2
     try:
-        return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1
-                   for j in range(b))
+        for j in range(b):  # every row is open, so e_j's value is ynum[j] / yden
+            optimum = _lookup(tab, [int(i == j) for i in range(b)], costs)[0]
+            if optimum.ynum[j] * num > optimum.yden * den:
+                return False
     except Infeasible:
-        return level <= 0
+        return num <= 0
+    return True
 
 
 def _primitive_vectors(dim: int, radius: int):

@@ -9,6 +9,11 @@ grows exponentially with the number of parts.
 ``reference_product_profile`` is the product the library built before it
 folded the factors in one pass: a full, validated profile for each pairwise
 step, so its cost grows quadratically with the number of factors.
+
+``reference_max_admissible_size`` is the most parts of an admissible
+partition as the library found it before it searched down from n // lpd: a
+table of the most parts summing to every m up to n, each entry read over
+every admissible degree, so its cost is n times their number.
 """
 
 from __future__ import annotations
@@ -92,3 +97,14 @@ def _splits_into_factor_partitions(parts: list[int], factors: list[DimensionProf
             if _splits_into_factor_partitions(remaining, rest):
                 return True
     return False
+
+
+def reference_max_admissible_size(profile: DimensionProfile) -> int:
+    if profile.lpd is not None and profile.n % profile.lpd == 0:
+        return profile.n // profile.lpd
+    degrees = sorted(profile.admissible_degrees)
+    most: list[int | None] = [0]  # most[m]: most admissible parts summing to m
+    for m in range(1, profile.n + 1):
+        counts = [most[m - d] for d in degrees if d <= m and most[m - d] is not None]
+        most.append(max(counts) + 1 if counts else None)
+    return most[profile.n] or 0

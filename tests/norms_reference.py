@@ -1,0 +1,83 @@
+"""A reference for ``stasys.norms.stable_systole``, kept here, outside ``src/``,
+only as an oracle for the tests.
+
+``reference_stable_systole`` is the lattice search the library ran before it
+went over to integers: every class's norm and λ come back from ``solve_lp``
+as Fractions, with its x and loads, and the search compares, prunes and
+stops on Fractions.  It visits the classes in the same order, on the same
+norm tableau, so on the same history of solves it must give the same
+value, witness and status.
+"""
+
+from __future__ import annotations
+
+import operator
+from fractions import Fraction
+
+from stasys.homology import homology
+from stasys.lp import Infeasible, prepare, solve_lp
+from stasys.norms import SystoleResult, _primitive_vectors, _sign_split, _unique_cycle
+
+
+def reference_stable_systole(K, q: int, search_radius: int = 5) -> SystoleResult:
+    summary = homology(K)
+    if q > K.top_dim or summary.betti[q] == 0:
+        return SystoleResult(None, None, "trivial")
+    b = summary.betti[q]
+    chat, s = K.weights[q].split
+    if b == 1:
+        value, _ = _class_norm(K, summary, q, (1,), chat)
+        return SystoleResult(value * s, (1,), "exact")
+    duals = []
+    best = None
+    witness = None
+    for r in range(1, search_radius + 1):
+        for v in _primitive_vectors(b, r):
+            if best is not None and _dual_bound(duals, v) >= best:
+                continue
+            value, dual = _class_norm(K, summary, q, v, chat)
+            if dual not in duals:
+                duals.append(dual)
+            if best is None or value < best:
+                best = value
+                witness = v
+        if _bounds_sphere(duals, b, Fraction(best, r + 1)):
+            return SystoleResult(best * s, witness, "certified")
+    return SystoleResult(None if best is None else best * s, witness,
+                         f"bounded-search({search_radius})")
+
+
+def _norm_lp(K, summary, q: int, coords, weights):
+    tab = summary.tableaux.get(q)
+    if tab is None:
+        nb, cmap = K.n_cells(q - 1), summary.coordinate_maps[q]
+        cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
+                for j, col in enumerate(K.boundary_cols[q])]
+        tab = summary.tableaux[q] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
+    return solve_lp(tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights))
+
+
+def _class_norm(K, summary, q: int, coords, weights):
+    if K.n_cells(q + 1) == 0:
+        z, f, dual = _unique_cycle(summary, q, coords, weights)
+        return sum(map(operator.mul, f, z)), dual
+    value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
+    return value, tuple(y[-len(coords):])
+
+
+def _dual_bound(duals, v) -> Fraction:
+    return max((abs(sum(map(operator.mul, lam, v))) for lam in duals), default=Fraction(0))
+
+
+def _bounds_sphere(duals, b: int, level: Fraction) -> bool:
+    """Whether max_k |λ_k.h| >= level on the max-norm unit sphere, by b LPs
+    on a tableau of the λ's as Fractions, prepared afresh for each test."""
+    if any(max(abs(lam[j]) for lam in duals) < level for j in range(b)):
+        return False
+    tab = prepare(_sign_split([list(enumerate(lam)) for lam in duals]), [1] * b)
+    ones = (1,) * (2 * len(duals))
+    try:
+        return all(solve_lp(tab, [int(i == j) for i in range(b)], ones)[0] * level <= 1
+                   for j in range(b))
+    except Infeasible:
+        return level <= 0

@@ -23,7 +23,11 @@ from stasys import (
 )
 from stasys.category import _max_admissible_size
 
-from category_reference import reference_partition_verdicts, reference_product_profile
+from category_reference import (
+    reference_max_admissible_size,
+    reference_partition_verdicts,
+    reference_product_profile,
+)
 from conftest import RING_FLAGS, profile_leaves, profile_products
 
 T2 = DimensionProfile(n=2, betti=(1, 2, 1), max_cup_flag=True, name="T2")
@@ -198,6 +202,24 @@ def test_max_admissible_size_matches_enumeration():
         assert _max_admissible_size(p) == enumerate_partitions(p.n, p.admissible_degrees)[0].size
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1), st.integers(0, 1))))
+@example(([0] * 40 + [1] + [0] * 10, 1))  # lpd 41: one part, of excess 11
+@example(([0] * 59, 0))                   # nothing admissible
+def test_max_admissible_size_matches_the_full_table(betti):
+    middle, top = betti
+    p = DimensionProfile(n=len(middle) + 1, betti=(1, *middle, top))
+    assert _max_admissible_size(p) == reference_max_admissible_size(p)
+
+
+@pytest.mark.parametrize("expr", ["S3 x S4", "S2 x S3 x S5", " x ".join(f"S{m}" for m in range(7, 40, 4)),
+                                  " x ".join(["S5"] * 30 + ["S7"] * 3)])
+def test_max_admissible_size_of_sphere_products_matches_the_full_table(expr):
+    p = parse_product_expression(expr)
+    assert _max_admissible_size(p) == reference_max_admissible_size(p)
+
+
 def test_two_hundred_circles():
     p = product_profile([sphere_profile(1)] * 200)
     assert _max_admissible_size(p) == 200
@@ -327,6 +349,8 @@ FACTOR_LISTS = st.lists(st.one_of(FACTORS, st.lists(FACTORS, min_size=2, max_siz
 @example([POINT, DimensionProfile(n=2, betti=(1, 1, 0))])  # two Betti numbers, no sphere
 @example([POINT, POINT])
 @example([sphere_profile(3), S2, S2])  # S3 x S2 has lpd 2, so its floors agree with S2's
+@example([Q, S2, Q, Q])  # Q's Betti numbers are a polynomial in x^2, cubed
+@example([DimensionProfile(n=3, betti=(1, 0, 1, 0))] * 3 + [POINT])  # so are these, short of n
 def test_one_pass_product_matches_the_pairwise_products(factors):
     assert product_profile(factors) == reference_product_profile(factors)
     if len(factors) == 2:

@@ -259,6 +259,21 @@ def test_product_expression_past_the_dimension_bound_exits_two(command, expr, di
     assert run(capsys, command, expr) == (2, "", f"error: product dimension {dimension} exceeds 10000\n")
 
 
+@pytest.mark.parametrize("command", ["lpd", "catstsys"])
+def test_product_expression_past_the_factor_bound_exits_two(command, capsys):
+    assert run(capsys, command, " x ".join(["S1"] * 501)) == (
+        2, "", "error: product of 501 factors exceeds 500\n")
+
+
+def test_product_expression_at_the_factor_bound_is_answered(capsys):
+    # the convolution takes each distinct factor to its power first, so 250
+    # copies each of S1 and S39, either way round, take no longer than the
+    # circles alone
+    for dims in ([1] * 250 + [39] * 250, [39] * 250 + [1] * 250):
+        code, out, _ = run(capsys, "lpd", " x ".join(f"S{m}" for m in dims))
+        assert (code, out) == (0, "lpd = 1\n")
+
+
 def test_product_expression_at_the_dimension_bound_is_answered(capsys):
     assert run(capsys, "lpd", "S5000 x S5000") == (0, "lpd = 5000\n", "")
     code, out, _ = run(capsys, "catstsys", "S5000 x S5000")

@@ -121,6 +121,39 @@ def test_mass_and_chain_arithmetic():
     assert K.mass(3 * ch) == 3 * K.mass(ch)
 
 
+def test_chains_hold_fractions():
+    # ints are converted; a chain of Fractions built unchecked is equal to
+    # the checked one
+    ch = Chain(1, (2, -1, F(1, 2)))
+    assert ch.coeffs == (2, -1, F(1, 2)) and {type(c) for c in ch.coeffs} == {Fraction}
+    assert Chain._of_fractions(1, ch.coeffs) == ch
+
+
+@pytest.mark.parametrize("K", [torus_triangulated(), product_complex(torus_triangulated(), circle(3))],
+                         ids=["T2_9", "T2_9xC3"])
+def test_a_reweighted_complex_shares_its_structure(K, monkeypatch):
+    # rescale and DeformationFamily.at run no __init__ or __post_init__ and
+    # rebuild no field: every structural one is the parent's object, the
+    # weights alone are new, and nothing cached from the parent but the
+    # structure's hash is carried over
+    structure = ("kind", "cell_ids", "boundary_cols", "vertex_lists", "factor_degrees")
+    K.total_cells, K._vertex_index  # cached on the parent
+    checks = []
+    real = WeightedCellComplex.__post_init__
+    monkeypatch.setattr(WeightedCellComplex, "__post_init__", lambda self: checks.append(1) or real(self))
+    metrics = [K.rescale(F(3, 2)), K.rescale(F(3, 2)).rescale(F(1, 7))]
+    if K.factor_degrees is not None:
+        metrics += [DeformationFamily(K).at(F(5, 2)), DeformationFamily(K.rescale(2)).at(F(1, 3))]
+    assert checks == []
+    for L in metrics:
+        assert all(getattr(L, name) is getattr(K, name) for name in structure)
+        assert set(vars(L)) == {*structure, "weights", "_structure_hash"}
+        assert L._structure_hash == K._structure_hash
+        assert L.weights != K.weights
+        L.validate()
+        assert homology(L) is homology(K)
+
+
 def test_rescale_scales_weights_by_degree():
     K = circle(3)
     K2 = K.rescale(F(3, 2))

@@ -4,6 +4,7 @@ import functools
 import importlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -42,6 +43,7 @@ from stasys import (
 from stasys.complexes import Weights
 from stasys.norms import minimum_mass_cycle
 
+from norms_reference import reference_stable_systole
 from conftest import (
     brute_force_class_norms,
     brute_force_systole,
@@ -275,12 +277,33 @@ def skewed_norm(forms):
 
 
 def patch_norm_lp(mp, norm):
-    """Make the class LP the search runs answer with norm's value and λ (the
-    last b entries of y); a search on unit weights reads no other field."""
-    def norm_lp(K, summary, q, coords, weights):
+    """Make each class the search tries answer with norm's value and λ, as
+    `_class_norm` gives them: λ as its numerators λ̂ over one denominator d,
+    and the value over the same d, which a subgradient λ of norm allows."""
+    def class_norm(K, summary, q, coords, weights):
         res = norm(K, HomologyClass(q, coords))
-        return res.value, [], list(res.dual), []
-    mp.setattr(importlib.import_module("stasys.norms"), "_norm_lp", norm_lp)
+        (lam, d), = integer_duals([res.dual])
+        assert res.value * d == sum(map(operator.mul, lam, coords))
+        return sum(map(operator.mul, lam, coords)), lam, d
+    mp.setattr(importlib.import_module("stasys.norms"), "_class_norm", class_norm)
+
+
+def integer_duals(duals):
+    """Each λ as the search keeps it: its numerators over their least
+    common denominator d, paired with d."""
+    out = []
+    for lam in duals:
+        d = math.lcm(*(F(v).denominator for v in lam))
+        out.append((tuple(int(F(v) * d) for v in lam), d))
+    return out
+
+
+def bounds_sphere(duals, level):
+    """`_bounds_sphere` on a fresh store, for λ's and a level as Fractions."""
+    norms = importlib.import_module("stasys.norms")
+    level = F(level)
+    return norms._bounds_sphere({}, integer_duals(duals), len(duals[0]),
+                                level.numerator, level.denominator)
 
 
 @settings(max_examples=80, deadline=None)
@@ -335,10 +358,9 @@ INSIDE_A_FACE = [(1, -2, 0), (0, 2, 0), (1, 0, -2), (0, 0, 2)]
     (INSIDE_A_FACE, F(1, 2)),
 ])
 def test_least_dual_bound_on_the_unit_sphere(duals, least):
-    from stasys.norms import _bounds_sphere
     duals = [tuple(map(F, lam)) for lam in duals]
-    assert _bounds_sphere({}, duals, len(duals[0]), least)
-    assert not _bounds_sphere({}, duals, len(duals[0]), least + F(1, 1000))
+    assert bounds_sphere(duals, least)
+    assert not bounds_sphere(duals, least + F(1, 1000))
 
 
 def least_on_square(duals):
@@ -371,23 +393,22 @@ small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=4))
 def test_stop_test_against_the_edges_of_the_square(duals):
-    from stasys.norms import _bounds_sphere
     least = least_on_square(duals)
-    assert _bounds_sphere({}, duals, 2, least)
-    assert not _bounds_sphere({}, duals, 2, least + F(1, 10 ** 6))
+    assert bounds_sphere(duals, least)
+    assert not bounds_sphere(duals, least + F(1, 10 ** 6))
 
 
 def test_stop_test_programs_have_one_row_per_coordinate(monkeypatch):
     # and all b programs of one stop test run on the one tableau it prepared
     norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
     tableaux = []
-    real = norms.solve_lp
-    monkeypatch.setattr(norms, "solve_lp", lambda a, *rest: tableaux.append(a) or real(a, *rest))
+    real = norms._lookup
+    monkeypatch.setattr(norms, "_lookup", lambda a, *rest: tableaux.append(a) or real(a, *rest))
     for duals, level in (([(2, 1), (0, 1)], 1), ([(4, 4), (4, -4), (4, 0)], 4),
                          (INSIDE_A_FACE, F(1, 2))):
         b = len(duals[0])
         tableaux.clear()
-        assert norms._bounds_sphere({}, [tuple(map(F, lam)) for lam in duals], b, level)
+        assert bounds_sphere([tuple(map(F, lam)) for lam in duals], level)
         assert [len(a) for a in tableaux] == [b] * b
         assert isinstance(tableaux[0], lp.Tableau)
         assert all(a is tableaux[0] for a in tableaux)
@@ -399,9 +420,9 @@ def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     norms = importlib.import_module("stasys.norms")
     monkeypatch.setattr(norms, "STOP_TESTS_KEPT", 3)
     stop_tests = {}
-    keys = [((F(k), F(0)), (F(0), F(1))) for k in range(1, 6)]
+    keys = [(((k, 0), 1), ((0, 1), 1)) for k in range(1, 6)]
     for duals in keys[:3] + [keys[0]] + keys[3:]:
-        assert norms._bounds_sphere(stop_tests, list(duals), 2, F(1, 2))
+        assert norms._bounds_sphere(stop_tests, list(duals), 2, 1, 2)
     assert list(stop_tests) == keys[2:]
     # a search keeps its stop tests apart from the norm tableaux, keyed by q
     K = flat_torus(3)
@@ -410,7 +431,7 @@ def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     summary.stop_tests.clear()
     stable_systole(K, 1)
     assert list(summary.tableaux) == [1]
-    assert list(summary.stop_tests) == [((3, 3), (3, -3))]
+    assert list(summary.stop_tests) == [(((3, 3), 1), ((3, -3), 1))]
 
 
 def test_direction_records_of_a_norm_tableau_are_bounded():
@@ -434,16 +455,16 @@ A = 10 ** 400
 def test_graph_systoles_stay_exact_on_huge_weights(monkeypatch, K, top, least):
     # a graph's edges bound nothing, so its classes take the integer
     # unique-cycle path; the weights are their own primitive direction and
-    # every stop-test level must stay an exact Fraction
+    # every stop-test level must stay exact, as integers over integers
     norms = importlib.import_module("stasys.norms")
     levels = []
     real = norms._bounds_sphere
     monkeypatch.setattr(norms, "_bounds_sphere",
-                        lambda tableaux, duals, b, level: levels.append(level) or real(tableaux, duals, b, level))
+                        lambda tableaux, duals, b, *level: levels.append(level) or real(tableaux, duals, b, *level))
     res = stable_systole(replace(K, weights=(K.weights[0], tuple(map(F, top)))), 1)
     assert (res.value, res.search_status) == (least, "certified")
     assert type(res.value) is Fraction
-    assert levels and all(type(level) is Fraction for level in levels)
+    assert levels and all(type(num) is int and type(den) is int for num, den in levels)
 
 
 def cut_pairing(K, z):
@@ -534,12 +555,13 @@ def test_a_rescaled_stable_norm_is_answered_from_the_recorded_bases(monkeypatch)
 def test_the_search_solves_on_primitive_integer_costs(K, monkeypatch):
     # the search and stable_norm cost every LP by the weights' primitive
     # integer direction, so on a rescaled or deformed metric they hand
-    # solve_lp only costs of gcd 1
-    norms = importlib.import_module("stasys.norms")
+    # the LP only costs of gcd 1
+    norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
     homology(K).tableaux.clear()
     costs = []
-    real_solve = norms.solve_lp
-    monkeypatch.setattr(norms, "solve_lp", lambda a, b, c: costs.append(c) or real_solve(a, b, c))
+    real_lookup = lp._lookup
+    for module in (norms, lp):  # the search's binding and solve_lp's
+        monkeypatch.setattr(module, "_lookup", lambda a, b, c: costs.append(c) or real_lookup(a, b, c))
     metrics = [K.rescale(t) for t in (F(2), F(1, 3), F(5, 4))]
     metrics += [DeformationFamily(K).at(t) for t in (F(3, 2), F(4))]
     betti = homology(K).betti
@@ -600,6 +622,59 @@ def test_a_warm_repeat_runs_no_two_phase_solve(monkeypatch):
     assert calls == []
 
 
+ORACLE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
+          "C3xC4": product_complex(circle(3), circle(4)),
+          "T2_9xC3": product_complex(torus_triangulated(), circle(3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE)), st.integers(0, 3), st.integers(1, 5), st.integers(0, 2 ** 32))
+def test_the_integer_search_matches_the_fraction_search(name, q, radius, seed):
+    # under seeded rational weights, the Fraction search and the integer
+    # search, each cold on an empty norm tableau, then the integer search
+    # warm, give the same value, witness and status
+    rng = random.Random(seed)
+    K = ORACLE[name]
+    K = replace(K, weights=tuple(tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in ws)
+                                 for ws in K.weights))
+    q = min(q, K.top_dim)
+    summary = homology(K)
+    results = []
+    for search, cold in ((reference_stable_systole, True), (stable_systole, True),
+                         (stable_systole, False)):
+        if cold:
+            summary.tableaux.clear()
+            summary.stop_tests.clear()
+        res = search(K, q, radius)
+        results.append(repr((res.value, res.witness_class, res.search_status)))
+    assert results[0] == results[1] == results[2]
+
+
+WARM_SEARCHES = {"flat_torus(4)": flat_torus(4), "T2_9": torus_triangulated(),
+                 "C3xC4": product_complex(circle(3), circle(4)),
+                 "T2_9xC3": product_complex(torus_triangulated(), circle(3))}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_SEARCHES))
+def test_a_warm_search_builds_at_most_two_fractions(name, monkeypatch):
+    # a warm search in a degree with b >= 2 (b = 3 on T2_9xC3) reads each
+    # value and λ off a recorded basis as integers, and builds Fractions for
+    # its result alone: the least norm and its product with s
+    K = WARM_SEARCHES[name]
+    assert homology(K).betti[1] >= 2
+    real = Fraction.__new__
+    for L in (K, K.rescale(F(3, 2))):
+        for radius in (1, 5):
+            cold = stable_systole(L, 1, radius)
+            built = []
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(
+                lambda cls, *args, **kw: built.append(1) or real(cls, *args, **kw)))
+            warm = stable_systole(L, 1, radius)
+            monkeypatch.undo()
+            assert len(built) <= 2, (L.weights[1].split[1], radius, len(built))
+            assert repr(warm) == repr(cold)
+
+
 TOP_DEGREES = {"sphere(2)": sphere(2), "T2_9": torus_triangulated(),
                "C3xC4": product_complex(circle(3), circle(4)),
                "S1xS2": product_complex(circle(3, kind="cubical"), cubical_sphere(2))}
@@ -625,11 +700,11 @@ def test_unique_cycle_norms_in_integers_match_stable_norm(name, coord, num, den,
     for L in metrics:
         res = stable_norm(L, HomologyClass(q, (coord,)))
         assert res.certificate == "unique-cycle"
-        assert norms._class_norm(L, summary, q, (coord,), L.weights[q]) == (res.value, res.dual)
+        assert norms._class_norm(L, summary, q, (coord,), L.weights[q]) == (res.value, res.dual, 1)
         chat, s = L.weights[q].split
         assert (chat, s) == Weights(L.weights[q].values).split
-        value, dual = norms._class_norm(L, summary, q, (coord,), chat)
-        assert type(value) is int and {type(v) for v in dual} == {int}
+        value, dual, d = norms._class_norm(L, summary, q, (coord,), chat)
+        assert type(value) is int and {type(v) for v in dual} == {int} and d == 1
         assert (value * s, tuple(v * s for v in dual)) == (res.value, res.dual)
 
 
