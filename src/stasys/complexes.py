@@ -90,10 +90,10 @@ class Weights(Sequence):
             self._split = _primitive_split(self._values)
         return self._split
 
-    def scaled(self, t: Fraction) -> "Weights":
-        """These weights times t > 0, sharing ĉ."""
+    def scaled(self, p: int, r: int) -> "Weights":
+        """These weights times p/r > 0, sharing ĉ; s is one Fraction of integers."""
         chat, s = self.split
-        return Weights(split=(chat, s * t))
+        return Weights(split=(chat, Fraction(s.numerator * p, s.denominator * r)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -116,6 +116,14 @@ class Weights(Sequence):
 
     def __repr__(self) -> str:
         return repr(self.values)
+
+
+def _ratio(t: Rational) -> tuple[int, int]:
+    """t > 0 as p/r in lowest terms, read off an int or a Fraction as it stands."""
+    p, r = (t if type(t) is int or type(t) is Fraction else Fraction(t)).as_integer_ratio()
+    if p <= 0:
+        raise ValueError("scale factor must be positive")
+    return p, r
 
 
 def _primitive_split(values) -> tuple[tuple[int, ...], Fraction]:
@@ -207,13 +215,12 @@ class WeightedCellComplex:
         return sum((abs(c) * w for c, w in zip(chain.coeffs, ws) if c), Fraction(0))
 
     def rescale(self, t: Rational) -> "WeightedCellComplex":
-        """Scale the weights of degree q by t^q; t = 1 gives self."""
-        t = Fraction(t)
-        if t == 1:
+        """Scale the weights of degree q by t^q; t = 1 gives self.  t = p/r is
+        read once, and each degree's new s is one Fraction of integers."""
+        p, r = _ratio(t)
+        if p == r:
             return self
-        if t <= 0:
-            raise ValueError("scale factor must be positive")
-        return self._reweighted(ws.scaled(t ** q) if q else ws for q, ws in enumerate(self.weights))
+        return self._reweighted(ws.scaled(p ** q, r ** q) if q else ws for q, ws in enumerate(self.weights))
 
     @cached_property
     def _vertex_index(self) -> tuple[dict[tuple[int, ...], int], ...] | None:
@@ -454,21 +461,19 @@ class DeformationFamily:
 
         With t = p/r and weights s·ĉ, a q-cell of first-factor degree a
         weighs (s/r^q)·ĉ·p^a·r^(q-a): the integers m = ĉ·p^a·r^(q-a) over
-        their gcd g are the new ĉ, and s·g/r^q the new s.
+        their gcd g are the new ĉ, and s·g/r^q the new s, one Fraction.
         """
-        t = Fraction(t)
-        if t == 1:
+        p, r = _ratio(t)
+        if p == r:
             return self.base
-        if t <= 0:
-            raise ValueError("scale factor must be positive")
-        p, r = t.numerator, t.denominator
         weights = [self.base.weights[0]]
         for q in range(1, self.base.top_dim + 1):
             chat, s = self.base.weights[q].split
             powers = [p ** a * r ** (q - a) for a in range(q + 1)]
             m = [c * powers[a] for c, (a, _) in zip(chat, self.base.factor_degrees[q])]
             g = gcd(*m)
-            weights.append(Weights(split=(tuple(v // g for v in m), s * g / r ** q)))
+            s = Fraction(s.numerator * g, s.denominator * r ** q)
+            weights.append(Weights(split=(tuple(v // g for v in m), s)))
         return self.base._reweighted(weights)
 
 

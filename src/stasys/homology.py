@@ -72,7 +72,7 @@ class HomologySummary:
     critical: tuple[int, ...] = field(compare=False, repr=False)
     # prepared LP tableaux of the norm LPs, keyed by the degree q
     tableaux: dict = field(default_factory=dict, compare=False, repr=False)
-    # prepared LP tableaux of the systole search's stop tests, keyed by
+    # the systole search's stop-test bounds M as integer pairs, keyed by
     # their tuple of λ's (the newest norms.STOP_TESTS_KEPT of them)
     stop_tests: dict = field(default_factory=dict, compare=False, repr=False)
 

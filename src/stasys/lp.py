@@ -208,7 +208,10 @@ def _integer_row(values) -> tuple[tuple[int, ...], int]:
     if set(map(type, values)) <= {int}:
         return values, 1
     values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    d = lcm(*(v.denominator for v in values))
+    dens = [v.denominator for v in values]
+    if dens.count(1) == len(dens):  # Fractions of denominator 1 read as ints, with no lcm
+        return tuple(v.numerator for v in values), 1
+    d = lcm(*dens)
     return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 

@@ -25,14 +25,15 @@ these bounds prune and certify.  The search runs wholly in units of ĉ
 and in integers: it reads each class's value and λ as numerators over one
 denominator, straight off a recorded LP basis (a unique cycle's over 1),
 compares by cross-multiplication, and builds one Fraction, the least norm
-times s, at the end.  It stops once L(h) = max_k |λ_k.h| is large enough
-on the max-norm unit sphere, which b LPs of the same sign-split L1 shape
-decide: the least sum |μ_k| with sum μ_k λ_k = e_j, one per coordinate
-j, all solved on one tableau kept in summary.stop_tests per λ set (the
-newest STOP_TESTS_KEPT) and read the same way.  A search
-repeated on the same structure and weight direction so finds every λ
-set's tableau with its bases recorded, and prepares nothing and runs no
-two-phase solve.
+times s, at the end.  It resolves the norm LP's tableau, cost and recorded
+bases once, and runs `_lookup` only for a class no recorded cone holds.
+It stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
+sphere, which M, the largest h_j with L(h) <= 1, decides: b LPs of the
+same sign-split L1 shape, the least sum |μ_k| with sum μ_k λ_k = e_j, one
+per coordinate j, solved once per λ set on one throwaway tableau.
+summary.stop_tests keeps M per λ set (the newest STOP_TESTS_KEPT), so a
+kept stop test is one cross-multiplication.  A search repeated on the
+same structure and weight direction so runs no LP lookup at all.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from .complexes import Chain, WeightedCellComplex, product_complex
 from .homology import HomologyClass, HomologySummary, homology
 from .linalg import rank
-from .lp import _ZERO, Infeasible, _lookup, prepare, solve_lp
+from .lp import _ZERO, Infeasible, _lookup, prepare
 
 Rational = Fraction | int
 
@@ -139,20 +140,23 @@ def minimum_mass_cycle(
     scaled by s, so the weights times any t > 0 reuse the bases recorded
     for ĉ.  Its feasible set is exactly the cycles in the class, because a
     cycle with zero coordinates bounds rationally.  With ŷ its dual, λ =
-    s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns.
+    s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns, read
+    off `_lookup`'s basis with the cycle's nonzeros (-v on an x- column).
     """
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    value, x, y, load = solve_lp(*_norm_lp(K, summary, q, cls.coords, chat))
-    dual, f = y[-len(cls.coords):], load[:nq]
+    optimum, levels, bn, d = _lookup(*_norm_lp(K, summary, q, cls.coords, chat))
+    value = Fraction(sum(map(operator.mul, optimum.ynum, bn)), optimum.yden * d)
+    dual, f = optimum.y[-len(cls.coords):], optimum.load[:nq]
     if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
-        value, dual, f = value * s, [v * s for v in dual], [v * s for v in f]
-    cycle = x[:nq]
-    for j, xm in enumerate(x[nq:]):
-        if xm is not _ZERO:  # x+ and x- of a cell are opposite columns: a basis holds one at most
-            cycle[j] = -xm
-    return value, Chain._of_fractions(q, tuple(cycle)), tuple(dual), tuple(f)
+        value, dual, f = value * s, tuple(v * s for v in dual), tuple(v * s for v in f)
+    cycle = [_ZERO] * nq
+    for (j, _, den), v in zip(optimum.rows, levels):
+        if v:  # x+ and x- of a cell are opposite columns: a basis holds one at most
+            v = v if j < nq else -v
+            cycle[j % nq] = Fraction(v) if den * d == 1 else Fraction(v, den * d)
+    return value, Chain._of_fractions(q, tuple(cycle)), dual, f
 
 
 def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
@@ -175,22 +179,26 @@ def _sign_split(cols):
 
 
 def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
-                coords: tuple[int, ...], weights) -> tuple[int, tuple[int, ...], int]:
+                coords: tuple[int, ...], chat, records) -> tuple[int, tuple[int, ...], int]:
     """(num, λ̂, d): the norm num / d and λ = λ̂ / d of the nonzero integral
-    class with these coordinates under the given q-cell weights, without the
-    optimal cycle or the cocycle; integers when the weights are.  Integral
-    coordinates put b over 1, so the LP's value ŷ.b shares ŷ's denominator."""
-    if K.n_cells(q + 1) == 0:
-        z, f, dual = _unique_cycle(summary, q, coords, weights)
+    class with these coordinates in units of ĉ = chat; records are the bases
+    recorded for the norm LP's cost, or None with no (q+1)-cells.  The open
+    rows are the coordinate rows, so `_lookup` runs only if no recorded cone
+    holds the coordinates."""
+    if records is None:
+        z, f, dual = _unique_cycle(summary, q, coords, chat)
         return sum(map(operator.mul, f, z)), dual, 1
-    optimum, _, bn, _ = _lookup(*_norm_lp(K, summary, q, coords, weights))
-    return sum(map(operator.mul, optimum.ynum, bn)), optimum.ynum, optimum.yden
+    optimum = next((optimum for optimum in records if optimum.levels(coords) is not None), None)
+    if optimum is None:
+        optimum = _lookup(*_norm_lp(K, summary, q, coords, chat))[0]
+    return sum(map(operator.mul, optimum.ynum, coords)), optimum.ynum, optimum.yden
 
 
 def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> SystoleResult:
     """Least stable norm among integral classes with nonzero rational image:
     a search in integers, norms num / d and λ's λ̂ / d compared by
-    cross-multiplication, that builds a Fraction only for the least norm."""
+    cross-multiplication, that builds a Fraction only for the least norm and
+    reads each class off the norm LP's records, fetched once for the search."""
     if search_radius < 0:
         raise ValueError(f"search radius must be at least 0, not {search_radius}")
     if q < 0:
@@ -202,9 +210,14 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     # the weights are s·ĉ with ĉ integral and primitive; norms, λ's and the
     # search's levels all scale by s, so the search runs in units of ĉ
     chat, s = K.weights[q].split
+    sn, sd = s.numerator, s.denominator  # a norm num / d is num·sn / (d·sd), one Fraction
+    records = None  # the bases recorded for the norm LP's cost, fetched once
+    if K.n_cells(q + 1):
+        tab, _, c = _norm_lp(K, summary, q, (), chat)
+        records = tab.optima.get(c, ())
     if b == 1:
-        num, _, d = _class_norm(K, summary, q, (1,), chat)
-        return SystoleResult(Fraction(num, d) * s, (1,), "exact")
+        num, _, d = _class_norm(K, summary, q, (1,), chat, records)
+        return SystoleResult(Fraction(num * sn, d * sd), (1,), "exact")
 
     duals = []  # every distinct (λ̂, d) found; ‖h‖ >= L(h) = max_k |λ̂_k.h| / d_k for all h
     best: tuple[int, int] | None = None  # the least norm found, as (num, den)
@@ -214,7 +227,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
             if best is not None and any(abs(sum(map(operator.mul, lam, v))) * best[1] >= best[0] * d
                                         for lam, d in duals):
                 continue  # cannot improve on best
-            num, lam, d = _class_norm(K, summary, q, v, chat)
+            num, lam, d = _class_norm(K, summary, q, v, chat, records)
             if (lam, d) not in duals:  # a recorded basis gives its λ again
                 duals.append((lam, d))
             if best is None or num * best[1] < best[0] * d:
@@ -222,12 +235,12 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
         if _bounds_sphere(summary.stop_tests, duals, b, best[0], best[1] * (r + 1)):
-            return SystoleResult(Fraction(*best) * s, witness, "certified")
-    return SystoleResult(None if best is None else Fraction(*best) * s, witness,
+            return SystoleResult(Fraction(best[0] * sn, best[1] * sd), witness, "certified")
+    return SystoleResult(None if best is None else Fraction(best[0] * sn, best[1] * sd), witness,
                          f"bounded-search({search_radius})")
 
 
-STOP_TESTS_KEPT = 64  # stop-test tableaux kept per summary, so many directions stay bounded
+STOP_TESTS_KEPT = 64  # stop-test bounds kept per summary, so many directions stay bounded
 
 
 def _bounds_sphere(stop_tests: dict, duals, b: int, num: int, den: int) -> bool:
@@ -235,33 +248,36 @@ def _bounds_sphere(stop_tests: dict, duals, b: int, num: int, den: int) -> bool:
     unit sphere, each λ_k = λ̂_k / d_k given as the integers (λ̂_k, d_k).
 
     The unit vectors e_j are tried first.  L is positively homogeneous, so
-    the claim holds exactly when every h with L(h) <= 1 has |h_j| <= den/num.
-    By LP duality the largest h_j there is the least sum of d_k |ν_k| over ν
-    with sum ν_k λ̂_k = e_j (μ_k = d_k ν_k): a b-row program in the sign
-    split ν = ν+ - ν-, the b of them solved on one tableau prepared with
-    every row open and kept per λ set in ``stop_tests`` (a summary's, keyed
-    by the tuple of pairs, the newest STOP_TESTS_KEPT of them), so a
-    repeated stop test answers each e_j from a basis recorded on it.  All
-    of it runs in integers, each value compared by cross-multiplication.
-    It is infeasible when the λ's do not span, i.e. when L vanishes somewhere.
+    the claim holds exactly when every h with L(h) <= 1 has |h_j| <= den/num,
+    i.e. when M = max_j max{h_j : L(h) <= 1} is at most den/num.  M depends
+    on the λ set alone, and ``stop_tests`` (a summary's) keeps it per λ set,
+    keyed by the tuple of pairs, the newest STOP_TESTS_KEPT of them, as an
+    integer pair (M's numerator, denominator), or (1, 0) when the λ's do
+    not span and M is infinite; a kept test is one cross-multiplication.
+    By LP duality the largest h_j is the least sum of d_k |ν_k| over ν with
+    sum ν_k λ̂_k = e_j (μ_k = d_k ν_k): a b-row program in the sign split
+    ν = ν+ - ν-, infeasible when the λ's do not span.  A λ set seen for the
+    first time solves its b programs on one tableau prepared with every row
+    open, in integers, and drops that tableau once M is kept.
     """
     if any(all(abs(lam[j]) * den < num * d for lam, d in duals) for j in range(b)):
         return False
     key = tuple(duals)
-    tab = stop_tests.get(key)
-    if tab is None:
+    bound = stop_tests.get(key)
+    if bound is None:
         if len(stop_tests) >= STOP_TESTS_KEPT:  # the oldest goes first
             del stop_tests[next(iter(stop_tests))]
-        tab = stop_tests[key] = prepare(_sign_split([list(enumerate(lam)) for lam, _ in duals]), [1] * b)
-    costs = tuple(d for _, d in duals) * 2
-    try:
-        for j in range(b):  # every row is open, so e_j's value is ynum[j] / yden
-            optimum = _lookup(tab, [int(i == j) for i in range(b)], costs)[0]
-            if optimum.ynum[j] * num > optimum.yden * den:
-                return False
-    except Infeasible:
-        return num <= 0
-    return True
+        tab = prepare(_sign_split([list(enumerate(lam)) for lam, _ in duals]), [1] * b)
+        costs, bound = tuple(d for _, d in duals) * 2, (0, 1)
+        try:
+            for j in range(b):  # every row is open, so e_j's value is ynum[j] / yden
+                optimum = _lookup(tab, [int(i == j) for i in range(b)], costs)[0]
+                if optimum.ynum[j] * bound[1] > bound[0] * optimum.yden:
+                    bound = optimum.ynum[j], optimum.yden
+        except Infeasible:
+            bound = 1, 0
+        stop_tests[key] = bound
+    return bound[0] * num <= bound[1] * den
 
 
 def _primitive_vectors(dim: int, radius: int):

@@ -1,5 +1,5 @@
-"""A reference for ``stasys.norms.stable_systole``, kept here, outside ``src/``,
-only as an oracle for the tests.
+"""References for ``stasys.norms``, kept here, outside ``src/``, only as
+oracles for the tests.
 
 ``reference_stable_systole`` is the lattice search the library ran before it
 went over to integers: every class's norm and λ come back from ``solve_lp``
@@ -7,6 +7,12 @@ as Fractions, with its x and loads, and the search compares, prunes and
 stops on Fractions.  It visits the classes in the same order, on the same
 norm tableau, so on the same history of solves it must give the same
 value, witness and status.
+
+``reference_minimum_mass_cycle`` reads a class's norm, optimal cycle, λ and
+cocycle f off ``solve_lp``'s full answer, as the library once did: x as one
+Fraction per column, the cycle as x+ - x-, λ and f sliced from lists of y
+and the loads, all scaled by s.  On the same tableau it must give
+``minimum_mass_cycle``'s answer.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+from stasys.complexes import Chain
 from stasys.homology import homology
 from stasys.lp import Infeasible, prepare, solve_lp
 from stasys.norms import SystoleResult, _primitive_vectors, _sign_split, _unique_cycle
@@ -45,6 +52,16 @@ def reference_stable_systole(K, q: int, search_radius: int = 5) -> SystoleResult
             return SystoleResult(best * s, witness, "certified")
     return SystoleResult(None if best is None else best * s, witness,
                          f"bounded-search({search_radius})")
+
+
+def reference_minimum_mass_cycle(K, summary, cls):
+    q = cls.degree
+    nq = K.n_cells(q)
+    chat, s = K.weights[q].split
+    value, x, y, load = _norm_lp(K, summary, q, cls.coords, chat)
+    cycle = [xp - xm for xp, xm in zip(x[:nq], x[nq:])]
+    return (value * s, Chain(q, tuple(cycle)), tuple(v * s for v in y[-len(cls.coords):]),
+            tuple(v * s for v in load[:nq]))
 
 
 def _norm_lp(K, summary, q: int, coords, weights):

@@ -210,10 +210,33 @@ def test_weights_read_as_their_tuple_and_as_s_times_chat():
     assert from_split == ws and hash(from_split) == hash(ws) == hash(tuple(ws))
     assert list(from_split) == list(ws) and from_split[1:] == (F(5, 6), F(10, 3))
     assert from_split != Weights(split=((2, 1, 4), F(1))) and from_split != (F(5, 3),)
-    assert ws.scaled(F(6, 5)) == (2, 1, 4)
+    assert ws.scaled(6, 5) == (2, 1, 4)
     # ints split too; all-zero and empty weights have s = 1
     assert Weights((4, 6, F(10))).split == ((2, 3, 5), 2)
     assert Weights((F(0), 0)).split == ((0, 0), 1) and Weights(()).split == ((), 1)
+
+
+@pytest.mark.parametrize("K", [flat_torus(4), product_complex(torus_triangulated(), circle(3))],
+                         ids=["flat_torus(4)", "T2_9xC3"])
+@pytest.mark.parametrize("t", [F(3, 2), F(1, 7), F(6), 3], ids=str)
+def test_a_reweighting_builds_one_fraction_per_degree(K, t, monkeypatch):
+    # rescale and DeformationFamily.at read t as p/r once and build each
+    # degree's s as one Fraction of integers: none for degree 0 or for t
+    # (the parent's own split, read once and kept, is read before counting)
+    family = DeformationFamily(K)
+    [ws.split for ws in K.weights]
+    expected = (tuple(tuple(w * F(t) ** q for w in ws) for q, ws in enumerate(K.weights)),
+                tuple(tuple(w * F(t) ** a for w, (a, _) in zip(ws, tags))
+                      for ws, tags in zip(K.weights, K.factor_degrees)))
+    real = Fraction.__new__
+    for build, want in zip((K.rescale, family.at), expected):
+        built = []
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(
+            lambda cls, *args, **kw: built.append(1) or real(cls, *args, **kw)))
+        L = build(t)
+        monkeypatch.undo()
+        assert len(built) <= K.top_dim, (build, len(built))
+        assert L.weights == want
 
 
 def test_rescale_shares_the_integer_direction(monkeypatch):

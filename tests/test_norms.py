@@ -41,9 +41,11 @@ from stasys import (
     verify_rescaling,
 )
 from stasys.complexes import Weights
+from stasys.lp import Infeasible, prepare, solve_lp
 from stasys.norms import minimum_mass_cycle
 
-from norms_reference import reference_stable_systole
+import norms_reference
+from norms_reference import reference_minimum_mass_cycle, reference_stable_systole
 from conftest import (
     brute_force_class_norms,
     brute_force_systole,
@@ -255,8 +257,8 @@ def test_pruned_search_matches_the_whole_box(K, q):
 def test_rank_two_systole_takes_two_cycle_lps(K, monkeypatch):
     norms = importlib.import_module("stasys.norms")
     calls = []
-    real = norms._norm_lp
-    monkeypatch.setattr(norms, "_norm_lp", lambda *args: calls.append(args) or real(*args))
+    real = norms._class_norm
+    monkeypatch.setattr(norms, "_class_norm", lambda *args: calls.append(args) or real(*args))
     res = stable_systole(K, 1)
     assert res.search_status == "certified"
     assert len(calls) <= 2
@@ -280,7 +282,7 @@ def patch_norm_lp(mp, norm):
     """Make each class the search tries answer with norm's value and λ, as
     `_class_norm` gives them: λ as its numerators λ̂ over one denominator d,
     and the value over the same d, which a subgradient λ of norm allows."""
-    def class_norm(K, summary, q, coords, weights):
+    def class_norm(K, summary, q, coords, chat, records):
         res = norm(K, HomologyClass(q, coords))
         (lam, d), = integer_duals([res.dual])
         assert res.value * d == sum(map(operator.mul, lam, coords))
@@ -432,6 +434,53 @@ def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     stable_systole(K, 1)
     assert list(summary.tableaux) == [1]
     assert list(summary.stop_tests) == [(((3, 3), 1), ((3, -3), 1))]
+
+
+def sphere_threshold(duals):
+    """1/M for M the largest h_j with max_k |λ_k.h| <= 1, from a fresh
+    tableau of the λ's as Fractions; 0 when the λ's do not span."""
+    b = len(duals[0])
+    tab = prepare(norms_reference._sign_split([list(enumerate(lam)) for lam in duals]), [1] * b)
+    try:
+        return 1 / max(solve_lp(tab, [int(i == j) for i in range(b)], (1,) * (2 * len(duals)))[0]
+                       for j in range(b))
+    except Infeasible:
+        return F(0)
+
+
+@st.composite
+def lambda_sets(draw):
+    """A λ set in b = 2 or 3 coordinates: free, or drawn from a span of
+    fewer than b vectors so that the λ's do not span."""
+    b = draw(st.sampled_from((2, 3)))
+    vector = st.tuples(*[small_fractions] * b)
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(vector, min_size=1, max_size=4)))
+    base = draw(st.lists(vector, min_size=1, max_size=b - 1))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(base)), min_size=1, max_size=4))
+    return tuple(tuple(sum(a * u[i] for a, u in zip(cs, base)) for i in range(b)) for cs in coefficients)
+
+
+KEPT_STOP_TESTS: dict = {}  # one store for every example, as a summary keeps it
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(lambda_sets(), min_size=1, max_size=4), st.data())
+def test_kept_stop_test_bounds_match_a_fresh_tableau(sets, data):
+    # λ sets met again and again, in a drawn order, each at several levels
+    # (its threshold, just either side of it, and drawn ones), answer from
+    # the one shared store as a fresh tableau of Fractions does
+    norms = importlib.import_module("stasys.norms")
+    order = data.draw(st.lists(st.sampled_from(sets), min_size=len(sets), max_size=3 * len(sets)))
+    for duals in sets + order:
+        least = sphere_threshold(duals)
+        levels = [least, least + F(1, 10 ** 6), least - F(1, 10 ** 6), F(0), F(-1)]
+        levels += data.draw(st.lists(small_fractions, max_size=3))
+        for level in levels:
+            expected = norms_reference._bounds_sphere(duals, len(duals[0]), level)
+            assert norms._bounds_sphere(KEPT_STOP_TESTS, integer_duals(duals), len(duals[0]),
+                                        level.numerator, level.denominator) == expected, (duals, level)
+        assert len(KEPT_STOP_TESTS) <= norms.STOP_TESTS_KEPT
 
 
 def test_direction_records_of_a_norm_tableau_are_bounded():
@@ -622,6 +671,61 @@ def test_a_warm_repeat_runs_no_two_phase_solve(monkeypatch):
     assert calls == []
 
 
+WARM_STRUCTURES = {"flat_torus(4)": (flat_torus(4), (1,)), "T2_9": (torus_triangulated(), (1,)),
+                   "C3xC4": (product_complex(circle(3), circle(4)), (1,)),
+                   "T2_9xC3": (product_complex(torus_triangulated(), circle(3)), (1, 2))}
+
+
+def lp_calls(monkeypatch):
+    """Patch the bindings of `lp._lookup` and `lp.prepare` that `stasys.norms`
+    and `stasys.lp` call; returns the list their calls are named in."""
+    norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
+    calls = []
+    for name in ("_lookup", "prepare"):
+        real = getattr(lp, name)
+        for module in (norms, lp):
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(WARM_STRUCTURES))
+def test_a_warm_search_runs_no_lp_lookup(name, monkeypatch):
+    # a warm search answers every class from the norm records it resolved
+    # once, and every stop test from a kept bound: it looks up and prepares
+    # nothing, on the weights and on a rescaled metric, b = 3 included
+    K, degrees = WARM_STRUCTURES[name]
+    for q in degrees:
+        for L in (K, K.rescale(F(3, 2))):
+            cold = stable_systole(L, q)
+            calls = lp_calls(monkeypatch)
+            warm = stable_systole(L, q)
+            monkeypatch.undo()
+            assert calls == [] and repr(warm) == repr(cold), (q, calls)
+
+
+def test_a_warm_sweep_runs_no_lp_lookup(monkeypatch):
+    family = DeformationFamily(product_complex(circle(3), circle(4)))
+    ts = (F(1), F(3, 2), F(3), F(8))
+    cold = deformation_sweep(family, Partition((1, 1)), t_samples=ts)
+    calls = lp_calls(monkeypatch)
+    warm = deformation_sweep(family, Partition((1, 1)), t_samples=ts)
+    monkeypatch.undo()
+    assert calls == [] and warm == cold
+
+
+@pytest.mark.parametrize("name", sorted(WARM_STRUCTURES))
+def test_the_open_rows_of_a_norm_tableau_are_its_coordinate_rows(name):
+    # the search reads a class's coordinates as the levels' right-hand side
+    K, _ = WARM_STRUCTURES[name]
+    summary = homology(K)
+    for q, b in enumerate(summary.betti):
+        if b and K.n_cells(q + 1):
+            stable_norm(K, HomologyClass(q, (1,) * b))
+            tab = summary.tableaux[q]
+            assert tab.opened == list(range(len(tab) - b, len(tab)))
+
+
 ORACLE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
           "C3xC4": product_complex(circle(3), circle(4)),
           "T2_9xC3": product_complex(torus_triangulated(), circle(3))}
@@ -700,10 +804,10 @@ def test_unique_cycle_norms_in_integers_match_stable_norm(name, coord, num, den,
     for L in metrics:
         res = stable_norm(L, HomologyClass(q, (coord,)))
         assert res.certificate == "unique-cycle"
-        assert norms._class_norm(L, summary, q, (coord,), L.weights[q]) == (res.value, res.dual, 1)
+        assert norms._class_norm(L, summary, q, (coord,), L.weights[q], None) == (res.value, res.dual, 1)
         chat, s = L.weights[q].split
         assert (chat, s) == Weights(L.weights[q].values).split
-        value, dual, d = norms._class_norm(L, summary, q, (coord,), chat)
+        value, dual, d = norms._class_norm(L, summary, q, (coord,), chat, None)
         assert type(value) is int and {type(v) for v in dual} == {int} and d == 1
         assert (value * s, tuple(v * s for v in dual)) == (res.value, res.dual)
 
@@ -748,6 +852,38 @@ def test_a_warm_norm_builds_fractions_for_its_basis_alone(k, monkeypatch):
         assert len(built) <= rows < K.n_cells(1), (cls.coords, len(built))
     monkeypatch.undo()
     assert warm == cold and repr(warm) == repr(cold)
+
+
+NORM_ORACLE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
+               "C3xC4": product_complex(circle(3), circle(4)),
+               "T2_9xC3": product_complex(torus_triangulated(), circle(3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NORM_ORACLE)), st.integers(1, 2), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+                          st.booleans()), min_size=1, max_size=6))
+def test_warm_norms_match_solve_lp(name, q, seed, draws):
+    # under seeded rational weights, a warm stable_norm, read off its basis,
+    # gives what solve_lp gives on the same tableau, b and cost, read as x,
+    # y and loads; every answer carries a certificate
+    rng = random.Random(seed)
+    K = NORM_ORACLE[name]
+    K = replace(K, weights=tuple(tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in ws)
+                                 for ws in K.weights))
+    summary = homology(K)
+    b = summary.betti[q]
+    assume(b and K.n_cells(q + 1))
+    for *coords, half in draws:
+        coords = (F(coords[0], 2 if half else 1), *coords[1:b])
+        assume(any(coords))
+        cls = HomologyClass(q, coords)
+        stable_norm(K, cls)
+        res = stable_norm(K, cls)
+        assert res.certificate == "optimal-LP"
+        assert repr((res.value, res.optimal_cycle, res.dual, res.cocycle)) == repr(
+            reference_minimum_mass_cycle(K, summary, cls))
+        assert certificate_problems(K, summary.generators[q], res) == [], coords
 
 
 @pytest.mark.parametrize("k", [4, 8])
