@@ -181,14 +181,23 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "lpd":
-        value = _lpd(args.source)
+        source = _read_source(args.source)
+        if isinstance(source, dict):
+            from .cohomology import lpd
+
+            value = lpd(sio.complex_from_dict(source))
+        else:
+            value = source.lpd
         print(f"lpd = {value if value is not None else 'none'}")
         return EXIT_OK
 
     if cmd == "catstsys":
         from .category import catstsys_bounds
 
-        profile = _load_profile_or_expr(args.source)
+        profile = _read_source(args.source)
+        if isinstance(profile, dict):
+            raise ValueError(f"{args.source} is a complex file; catstsys reads a profile file "
+                             f"or a product expression")
         verdict = catstsys_bounds(profile)
         name = profile.name or "profile"
         if verdict.exact:
@@ -261,26 +270,17 @@ def _verify(args) -> int:
     raise ValueError(f"unknown lemma {args.lemma!r}")
 
 
-def _load_profile_or_expr(source: str) -> DimensionProfile:
-    from .category import parse_product_expression
-
-    if os.path.exists(source):
-        return sio.load_profile(source)
-    return parse_product_expression(source)
-
-
-def _lpd(source: str) -> int | None:
-    """lpd of a complex file (a JSON object with "cells"), a profile file or an expression."""
+def _read_source(source: str) -> dict | DimensionProfile:
+    """A complex file's JSON object (one with "cells"), or the profile of a
+    profile file or a product expression."""
     if not os.path.exists(source):
         from .category import parse_product_expression
 
-        return parse_product_expression(source).lpd
+        return parse_product_expression(source)
     data = sio.load_json(source)
     if isinstance(data, dict) and "cells" in data:
-        from .cohomology import lpd as complex_lpd
-
-        return complex_lpd(sio.complex_from_dict(data))
-    return sio.profile_from_dict(data).lpd
+        return data
+    return sio.profile_from_dict(data)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,12 @@
 """Exact linear algebra over the rationals and the integers.
 
-Homology needs only the integer Smith normal form with its inverses, run
-on the boundary of the Morse complex that its coreduction leaves: the cycle
-lattice, Betti numbers, torsion, generators and coordinate rows all come
-from it.  The Smith form reads sparse (row, value) columns with
-`column_rows`, as `stasys.lp` does, and returns sparse factors; each
-elementary operation costs the nonzeros it touches.  The rational routines
-take and return plain lists of lists holding ``fractions.Fraction``: they
-are dense Gaussian elimination on small matrices and serve rank tests
-(cup-product spans, degree-sandwich injectivity).  ``inverse`` has no caller in the library; it stays because
-``perfbench/tracing.py`` wraps it by name.
+Homology needs only the integer Smith normal form with its inverses, run on
+the boundary of the Morse complex that its coreduction leaves, a few critical
+cells square: it reads sparse (row, value) columns with `column_rows`, as
+`stasys.lp` does, and returns sparse factors.  The rational routines are dense
+Gaussian elimination on small lists of lists of ``fractions.Fraction``, for
+rank tests (cup-product spans, degree-sandwich injectivity).  ``inverse`` has
+no caller in the library; it stays because ``perfbench/tracing.py`` wraps it.
 """
 
 from __future__ import annotations
@@ -84,12 +81,9 @@ def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     M is given by its columns, each a sequence of (row, value) pairs as in a
     complex's ``boundary_cols``, with ``nrows`` rows; a row named twice in a
     column sums.  U and V are unimodular, D is diagonal with each diagonal
-    entry dividing the next.  Every elementary operation is applied to D and
-    mirrored on the four transforms, so all five are int matrices with no
-    inversion at the end: a row operation on D is the same row operation on
-    U_inv and the inverse column operation on U, and a column operation on D
-    is the same column operation on V_inv and the inverse row operation on V.
-    Then U_inv M V_inv = D, U U_inv = I and V V_inv = I.
+    entry dividing the next, and U_inv M V_inv = D.  A row (column) operation
+    on D is made on U_inv (V_inv) too, and its inverse on the columns of U
+    (rows of V), so all five are int matrices and none is inverted.
 
     The factors come back sparse, as lists of {index: value} dicts holding
     the nonzeros: U and V_inv by column, D, V and U_inv by row, which is how
@@ -98,71 +92,53 @@ def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
     ``perfbench/tracing.py`` walks every factor two levels deep.
 
     The pivot rule is fixed, because homology generators (and so the
-    coordinates a user gives a class in) are read off these factors of the
-    Morse boundary that homology's coreduction leaves: step t takes the first
-    entry of least magnitude in row-major order of the trailing block.  A
-    unit ends that scan, and a unit pivot skips the divisibility check.  D
-    and the transforms are stored as sparse rows, and swaps only permute the
-    order in which D's rows and columns are read, so each operation costs the
-    nonzeros it touches.
+    coordinates a user gives a class in) are read off these factors: step t
+    takes the first entry of least magnitude in row-major order of the
+    trailing block.  A unit ends that scan, and a unit pivot skips the
+    divisibility check.  Rows and columns swap in place, so a column swap or
+    operation visits every row of D.  That suits homology's Morse boundaries,
+    at most 5 x 5 on the products of RP^2 and 1 x 2 on flat tori, but a direct
+    call on a full boundary matrix pays for it: flat_torus(16)'s 256 x 512 and
+    512 x 256 take about 30 ms each on a 2-core Xeon.
     """
     ncols = len(columns)
-    rows = column_rows(columns, nrows)  # D by stored row
-    cols = [set() for _ in range(ncols)]  # stored rows holding each stored column
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    rp, cp = list(range(nrows)), list(range(ncols))  # position -> stored row / column
-    rpos, cpos = list(range(nrows)), list(range(ncols))  # stored row / column -> position
-    u_inv = [{i: 1} for i in range(nrows)]  # rows of U_inv, by stored row of D
-    u_t = [{i: 1} for i in range(nrows)]  # columns of U
-    v = [{j: 1} for j in range(ncols)]  # rows of V, by stored column of D
-    v_inv_t = [{j: 1} for j in range(ncols)]  # columns of V_inv
+    d = column_rows(columns, nrows)  # rows of D
+    u_inv, u = ([{i: 1} for i in range(nrows)] for _ in range(2))  # rows of U_inv, columns of U
+    v, v_inv = ([{j: 1} for j in range(ncols)] for _ in range(2))  # rows of V, columns of V_inv
 
     def axpy(dst, src, k):
         # dst += k * src on sparse rows
         for c, x in src.items():
-            y = dst.get(c, 0) + k * x
-            if y:
-                dst[c] = y
-            else:
+            dst[c] = dst.get(c, 0) + k * x
+            if not dst[c]:
                 del dst[c]
-
-    def swap_rows(i, j):
-        rp[i], rp[j] = rp[j], rp[i]
-        rpos[rp[i]], rpos[rp[j]] = i, j
-
-    def swap_cols(i, j):
-        cp[i], cp[j] = cp[j], cp[i]
-        cpos[cp[i]], cpos[cp[j]] = i, j
 
     def add_row(dst, src, k):
         # row_dst += k * row_src; in U, column src -= k * column dst
         if k:
-            pd, ps = rp[dst], rp[src]
-            axpy(rows[pd], rows[ps], k)
-            for c in rows[ps]:
-                (cols[c].add if c in rows[pd] else cols[c].discard)(pd)
-            axpy(u_inv[pd], u_inv[ps], k)
-            axpy(u_t[ps], u_t[pd], -k)
+            axpy(d[dst], d[src], k)
+            axpy(u_inv[dst], u_inv[src], k)
+            axpy(u[src], u[dst], -k)
 
     def add_col(dst, src, k):
         # col_dst += k * col_src; in V, row src -= k * row dst
         if k:
-            pd, ps = cp[dst], cp[src]
-            for r in cols[ps]:
-                row = rows[r]
-                row[pd] = row.get(pd, 0) + k * row[ps]
-                if row[pd]:
-                    cols[pd].add(r)
-                else:
-                    del row[pd]
-                    cols[pd].discard(r)
-            axpy(v_inv_t[pd], v_inv_t[ps], k)
-            axpy(v[ps], v[pd], -k)
+            axpy(v_inv[dst], v_inv[src], k)
+            axpy(v[src], v[dst], -k)
+            for row in d:
+                if src in row:
+                    axpy(row, {dst: row[src]}, k)
 
-    def entry(i, j):
-        return rows[rp[i]].get(cp[j], 0)
+    def swap(mats, i, j):
+        for mat in mats:
+            mat[i], mat[j] = mat[j], mat[i]
+
+    def swap_cols(i, j):
+        to = {i: j, j: i}
+        for r, row in enumerate(d):
+            if i in row or j in row:
+                d[r] = {to.get(c, c): x for c, x in row.items()}
+        swap((v, v_inv), i, j)
 
     t = 0
     while t < min(nrows, ncols):
@@ -170,51 +146,45 @@ def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:
         # their nonzeros; the strict < keeps the first of equal magnitudes
         best = None
         for i in range(t, nrows):
-            row = rows[rp[i]]
-            if row:
-                a, j = min((abs(x), cpos[c]) for c, x in row.items())
+            if d[i]:
+                a, j = min((abs(x), c) for c, x in d[i].items())
                 if best is None or a < best[0]:
                     best = (a, i, j)
                     if a == 1:
                         break
         if best is None:
             break
-        swap_rows(t, best[1])
+        swap((d, u_inv, u), t, best[1])
         swap_cols(t, best[2])
-        if entry(t, t) < 0:  # negate row t of D and U_inv, and column t of U
-            p = rp[t]
-            for mat in (rows, u_inv, u_t):
-                mat[p] = {c: -x for c, x in mat[p].items()}
+        if d[t][t] < 0:  # negate row t of D and U_inv, and column t of U
+            for mat in (d, u_inv, u):
+                mat[t] = {c: -x for c, x in mat[t].items()}
         # clear row and column t; pivot may shrink, so iterate.  An operation
         # on row (column) i leaves the later rows (columns) as they were, so
-        # the nonzeros found at the start of a pass are the ones it visits.
-        while True:
+        # each pass may test the entries as it reaches them.
+        dirty = True
+        while dirty:
             dirty = False
-            for i in sorted(rpos[r] for r in cols[cp[t]]):
-                if i > t:
-                    add_row(i, t, -(entry(i, t) // entry(t, t)))
-                    if entry(i, t) != 0:  # a remainder mod the pivot: positive
-                        swap_rows(t, i)
+            for i in range(t + 1, nrows):
+                if t in d[i]:
+                    add_row(i, t, -(d[i][t] // d[t][t]))
+                    if t in d[i]:  # a remainder mod the pivot: positive
+                        swap((d, u_inv, u), t, i)
                         dirty = True
-            for j in sorted(cpos[c] for c in rows[rp[t]]):
-                if j > t:
-                    add_col(j, t, -(entry(t, j) // entry(t, t)))
-                    if entry(t, j) != 0:
+            for j in range(t + 1, ncols):
+                if j in d[t]:
+                    add_col(j, t, -(d[t][j] // d[t][t]))
+                    if j in d[t]:
                         swap_cols(t, j)
                         dirty = True
-            if not dirty:
-                break
         # enforce divisibility: pivot must divide every later entry (a unit does)
-        pivot = entry(t, t)
-        if pivot != 1:
-            offender = next((i for i in range(t + 1, nrows)
-                             if any(x % pivot for x in rows[rp[i]].values())), None)
-            if offender is not None:
-                add_row(t, offender, 1)
-                continue
+        pivot = d[t][t]
+        offender = next((i for i in range(t + 1, nrows)
+                         if pivot != 1 and any(x % pivot for x in d[i].values())), None)
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
         t += 1
 
     # rows and columns from t on are zero, so D is its first t pivots
-    d = [{i: entry(i, i)} if i < t else {} for i in range(nrows)]
-    return ([u_t[p] for p in rp], d, [v[p] for p in cp],
-            [u_inv[p] for p in rp], [v_inv_t[p] for p in cp])
+    return u, [{i: d[i][i]} if i < t else {} for i in range(nrows)], v, u_inv, v_inv

@@ -21,6 +21,7 @@ from stasys import (
     Chain,
     DimensionProfile,
     WeightedCellComplex,
+    build_complex,
     circle,
     class_coordinates,
     cubical_sphere,
@@ -80,6 +81,23 @@ def two_spheres_wedge() -> WeightedCellComplex:
     tops += [tuple(sorted(0 if v == 4 else v + 3 for v in t))
              for t in itertools.combinations(range(1, 5), 3)]
     return simplicial_from_top(tops)
+
+
+def loop_with_faces(*face_boundaries) -> WeightedCellComplex:
+    """One vertex, one loop e, and a 2-cell glued along each given boundary."""
+    return build_complex("general", [
+        [("v", 1, [])],
+        [("e", 1, [("v", 1), ("v", -1)], None)],
+        [(f"f{i}", 1, bd, None) for i, bd in enumerate(face_boundaries)],
+    ])
+
+
+def rp2_cells_squared() -> WeightedCellComplex:
+    """The cell-wise square of the one-vertex RP^2.  Its coreduction meets a
+    cell whose one remaining face has incidence 2, and its Morse boundaries
+    have pivots of 2."""
+    rp2_cells = loop_with_faces([("e", 2)])
+    return product_complex(rp2_cells, rp2_cells)
 
 
 def circle_wedge_sphere() -> WeightedCellComplex:

@@ -125,15 +125,22 @@ def test_top_level_json_list_exits_two(payload, tmp_path, capsys):
 
 
 def test_missing_field_is_named(files, tmp_path, capsys):
-    # a complex where a profile is expected, and a profile where a complex is
+    # a profile without its dimension, and a profile where a complex is expected
     profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps({"name": "X", "dimension": 2, "betti": [1, 0, 1]}))
-    code, _, err = run(capsys, "catstsys", files["torus9"])
+    profile.write_text(json.dumps({"name": "X", "betti": [1, 0, 1]}))
+    code, _, err = run(capsys, "catstsys", str(profile))
     assert code == 2
     assert "profile JSON is missing field 'dimension'" in err
+    profile.write_text(json.dumps({"name": "X", "dimension": 2, "betti": [1, 0, 1]}))
     code, _, err = run(capsys, "homology", str(profile))
     assert code == 2
     assert "complex JSON is missing field 'kind'" in err
+
+
+def test_catstsys_names_a_complex_file_as_one(files, capsys):
+    assert run(capsys, "catstsys", files["torus9"]) == (
+        2, "", f"error: {files['torus9']} is a complex file; catstsys reads a profile file "
+               f"or a product expression\n")
 
 
 def test_string_profile_flag_exits_two_naming_the_field(tmp_path, capsys):
@@ -283,7 +290,9 @@ def test_product_expression_at_the_dimension_bound_is_answered(capsys):
 @pytest.mark.parametrize("fields, message", [
     ({"weight": "one"}, "Invalid literal for Fraction: 'one'"),
     ({"boundary": [["s0", 1], ["s1", 1]]}, "boundary of s0.1 does not sum to zero"),
-], ids=["weight-one", "unbalanced-edge"])
+    ({"vertices": [1, 0]}, "cell s0.1 vertices not sorted"),
+    ({"vertices": [0, 7]}, "missing face (7,)"),
+], ids=["weight-one", "unbalanced-edge", "unsorted-vertices", "missing-face"])
 def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
     # a file with "cells" is read as a complex only, never retried as a profile
     path = tmp_path / "bad.json"
@@ -291,6 +300,44 @@ def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
     code, _, err = run(capsys, "lpd", str(path))
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def _vertex_with_boundary():
+    data = complex_to_dict(circle(3))
+    data["cells"]["0"][0]["boundary"] = [["s1", 1]]
+    return data
+
+
+# Files that the input checks below read, by the name an argument gives them.
+INPUT_FILES = {
+    "negative-dimension.json": {"dimension": -1, "betti": []},
+    "dimension-zero.json": {"dimension": 0, "betti": [1]},
+    "vertex-boundary.json": _vertex_with_boundary(),
+    "s2.json": complex_to_dict(sphere(2)),
+    "c3.json": complex_to_dict(circle(3)),
+    "c3-cubical.json": complex_to_dict(circle(3, kind="cubical")),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lpd", "S0"], "sphere dimension must be >= 1"),
+    (["catstsys", ""], "empty product expression"),
+    (["catstsys", "negative-dimension.json"], "dimension must be at least 0, not -1"),
+    (["catstsys", "dimension-zero.json"], "n must be positive"),
+    (["homology", "vertex-boundary.json"], "vertices cannot have boundary"),
+    (["deform", "s2.json", "s2.json", "--partition", "1,3"],
+     "partition part 1 has trivial homology on the product"),
+    (["verify", "degree-sandwich", "c3-cubical.json", "c3-cubical.json", "--vertex-map", "0,1,2",
+      "-q", "1"], "both complexes must be simplicial"),
+    (["verify", "degree-sandwich", "s2.json", "c3.json", "--vertex-map", "0,1,2,0", "-q", "1"],
+     "source and target must share the top dimension"),
+], ids=["sphere-zero", "empty-expression", "negative-dimension", "dimension-zero",
+        "vertex-boundary", "trivial-part", "cubical-map", "dimension-mismatch"])
+def test_input_check_exits_two_with_its_message(argv, message, tmp_path, capsys):
+    for name in set(argv) & set(INPUT_FILES):
+        (tmp_path / name).write_text(json.dumps(INPUT_FILES[name]))
+    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_zero_denominator_weight_exits_two(tmp_path, capsys):

@@ -29,7 +29,9 @@ from stasys import (
 from conftest import (
     betti_oracle,
     disjoint_two_circles,
+    loop_with_faces,
     permuted,
+    rp2_cells_squared,
     theta_graph,
     two_spheres_wedge,
     wedge_two_circles,
@@ -37,15 +39,6 @@ from conftest import (
 from snf_reference import dense_matrix, dense_smith_normal_form
 
 F = Fraction
-
-
-def _loop_with_faces(*face_boundaries):
-    """One vertex, one loop e, and a 2-cell glued along each given boundary."""
-    return build_complex("general", [
-        [("v", 1, [])],
-        [("e", 1, [("v", 1), ("v", -1)], None)],
-        [(f"f{i}", 1, bd, None) for i, bd in enumerate(face_boundaries)],
-    ])
 
 
 KNOWN = [
@@ -63,11 +56,13 @@ KNOWN = [
     (disjoint_two_circles(), (2, 2), ((), ())),
     (two_spheres_wedge(), (1, 0, 2), ((), (), ())),
     # incidences other than ±1, which the coreduction never pairs
-    (_loop_with_faces([("e", 3)]), (1, 0, 0), ((), (3,), ())),
-    (_loop_with_faces([("e", 2)], [("e", 3)]), (1, 0, 1), ((), (), ())),
+    (loop_with_faces([("e", 3)]), (1, 0, 0), ((), (3,), ())),
+    (loop_with_faces([("e", 2)], [("e", 3)]), (1, 0, 1), ((), (), ())),
     # the cellular RP^2 times a circle
-    (product_complex(_loop_with_faces([("e", 2)]), circle(3, kind="cubical")),
+    (product_complex(loop_with_faces([("e", 2)]), circle(3, kind="cubical")),
      (1, 1, 0, 0), ((), (2,), (2,), ())),
+    # its square: H_1 = Z/2 + Z/2, and the Tor term of Kunneth gives H_3 = Z/2
+    (rp2_cells_squared(), (1, 0, 0, 0, 0), ((), (2, 2), (2,), (2,), ())),
 ]
 
 
@@ -285,11 +280,11 @@ def test_homology_summary_is_pinned(name, build, digest, permuted_digest):
 
 def test_a_face_named_twice_sums():
     # e + e: the disc glued twice along the loop, so H_1 = Z/2 (RP^2's cell structure)
-    summary = homology(_loop_with_faces([("e", 1), ("e", 1)]))
+    summary = homology(loop_with_faces([("e", 1), ("e", 1)]))
     assert summary.betti == (1, 0, 0)
     assert summary.torsion[1] == (2,)
     # e - e: the face's boundary cancels to zero, so it is a 2-cycle and e survives
-    summary = homology(_loop_with_faces([("e", 1), ("e", -1)]))
+    summary = homology(loop_with_faces([("e", 1), ("e", -1)]))
     assert summary.betti == (1, 1, 1)
     assert summary.torsion == ((), (), ())
 
@@ -338,6 +333,7 @@ def test_morse_homology_of_permuted_cells_matches_the_oracles(idx, seed):
 def test_critical_cells_per_degree():
     assert homology(flat_torus(16)).critical == (1, 2, 1)
     assert homology(sphere(5)).critical == (1, 0, 0, 0, 0, 1)
+    assert homology(rp2_cells_squared()).critical == (1, 2, 3, 2, 1)
 
 
 def test_representative_of_an_empty_basis_is_a_zero_chain():

@@ -30,6 +30,7 @@ from stasys import (
     pullback_weights,
     push_chain,
     rp2,
+    simplicial_from_top,
     simplicial_map,
     sphere,
     stable_norm,
@@ -1022,6 +1023,18 @@ def test_push_chain_carries_the_orientation_sign(source, target, vertex_map, bou
     n = source.top_dim
     pushed = push_chain(info, homology(source).generators[n][0])
     assert pushed.coeffs == tuple(factor * c for c in homology(target).generators[n][0].coeffs)
+
+
+def test_degree_bound_skips_a_top_cell_the_fundamental_cycle_misses():
+    # the target is the boundary of the tetrahedron with a fin (0, 1, 4) on
+    # edge (0, 1): its fundamental cycle is 0 on the fin, which nothing maps onto
+    target = simplicial_from_top(list(itertools.combinations(range(4), 3)) + [(0, 1, 4)])
+    fin = target.cell_by_vertices((0, 1, 4))
+    assert homology(target).generators[2][0].coeffs[fin] == 0
+    info = simplicial_map(sphere(2), target, {v: v for v in range(4)})
+    assert info.degree_bound == 1
+    r = verify_degree_sandwich(info, 2)
+    assert (r.status, r.lhs, r.relation, r.rhs) == ("pass", 4, "sandwich", 4)
 
 
 def test_pullback_weights_along_a_reflection():

@@ -1,9 +1,13 @@
-"""The sparse Smith normal form against the dense elimination it replaced.
+"""The Smith normal form against an independent dense elimination.
 
-Both must perform the same elementary operations in the same order, so the
-five factors (U, D, V, U_inv, V_inv) are compared entry for entry: homology
+The library's Smith form keeps its factors as sparse rows and swaps rows and
+columns in place; ``snf_reference`` holds dense lists of lists.  Both must
+perform the same elementary operations in the same order, so the five
+factors (U, D, V, U_inv, V_inv) are compared entry for entry: homology
 generators are read off them, and users give classes in that basis.  The
-sparse factors are made dense for the comparison.
+sparse factors are made dense for the comparison.  The inputs are random
+matrices, the Morse boundaries homology factors, and the full boundary
+matrices, which are far larger than any Morse boundary.
 """
 
 import pytest
@@ -14,7 +18,7 @@ from stasys import circle, cubical_sphere, flat_torus, product_complex, rp2, tor
 from stasys.homology import _boundaries_in_kernel, _coreduce, _cycle_lattice
 from stasys.linalg import smith_normal_form
 
-from conftest import dense_factors, dense_snf, permuted
+from conftest import dense_factors, dense_snf, permuted, rp2_cells_squared
 from snf_reference import Matrix, dense_matrix, dense_smith_normal_form
 
 # Mostly units and zeros, like boundary matrices.  Only a few larger entries:
@@ -58,6 +62,7 @@ STRUCTURES = {
     "T2_9": torus_triangulated,
     "RP2": rp2,
     "C3xC4": lambda: product_complex(circle(3), circle(4)),
+    "RP2xRP2-cells": rp2_cells_squared,
 }
 
 
