@@ -193,7 +193,7 @@ def parse_product_expression(expr: str) -> DimensionProfile:
         raise ValueError("empty product expression")
     dims = []
     for tok in tokens:
-        if not (tok[0] in "Ss" and tok[1:].isdigit()):
+        if not (tok[0] in "Ss" and tok[1:].isascii() and tok[1:].isdigit()):
             raise ValueError(f"cannot parse factor {tok!r}; expected e.g. S3")
         dims.append(int(tok[1:]))
     if len(dims) > MAX_EXPRESSION_FACTORS:

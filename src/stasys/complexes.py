@@ -157,6 +157,9 @@ class WeightedCellComplex:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(
             ws if type(ws) is Weights else Weights(ws) for ws in self.weights))
+        # what is computed from the structure alone (homology's summary),
+        # shared with every reweighting
+        object.__setattr__(self, "_shared", {})
 
     @property
     def top_dim(self) -> int:
@@ -171,17 +174,13 @@ class WeightedCellComplex:
     def total_cells(self) -> int:
         return sum(len(ids) for ids in self.cell_ids)
 
-    @cached_property
-    def _structure_hash(self) -> int:  # homology's cache key, kept by a reweighting
-        return hash((self.cell_ids, self.boundary_cols))
-
     def _reweighted(self, weights) -> "WeightedCellComplex":
-        """The same structure, field by field and hashed as self is, under new
-        `Weights`; nothing cached from self's weights is carried over."""
+        """The same complex under new `Weights`: every other attribute is
+        self's object, ``_shared`` included, so self and all its reweightings
+        read one homology summary, whichever computes it first.  That holds
+        because everything a complex caches depends on its structure alone."""
         out = object.__new__(type(self))
-        vars(out).update(kind=self.kind, cell_ids=self.cell_ids, weights=tuple(weights),
-                         boundary_cols=self.boundary_cols, vertex_lists=self.vertex_lists,
-                         factor_degrees=self.factor_degrees, _structure_hash=self._structure_hash)
+        vars(out).update(vars(self), weights=tuple(weights))
         return out
 
     def boundary_of(self, chain: Chain) -> Chain:
@@ -240,6 +239,8 @@ class WeightedCellComplex:
 
     def validate(self) -> None:
         """Check every structural invariant; raise ComplexInvariantError."""
+        if not self.cell_ids:
+            raise ComplexInvariantError("complex has no degree 0")
         for q, ws in enumerate(self.weights):
             if len(ws) != len(self.cell_ids[q]):
                 raise ComplexInvariantError(f"weight count mismatch in degree {q}")

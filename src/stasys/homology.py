@@ -104,17 +104,14 @@ class HomologySummary:
         return Chain(cls.degree, tuple(coeffs))
 
 
-SUMMARIES_KEPT = 64  # structures cached, so many structures stay bounded
-_cache: dict[int, tuple[tuple, HomologySummary]] = {}
-
-
 def homology(K: WeightedCellComplex) -> HomologySummary:
-    """Homology summary of K; results are cached on the boundary structure
-    and its hash, which a reweighting keeps, the newest SUMMARIES_KEPT of them."""
-    structure, key = (K.cell_ids, K.boundary_cols), K._structure_hash
-    hit = _cache.get(key)
-    if hit is not None and hit[0] == structure:
-        return hit[1]
+    """Homology summary of K, computed once and kept with K: K's rescalings
+    and deformations share it (see `WeightedCellComplex._reweighted`), and it
+    lives as long as they do.  A complex built any other way, an equal one
+    rebuilt or one made by `dataclasses.replace`, computes its own."""
+    summary = K._shared.get("homology")
+    if summary is not None:
+        return summary
 
     faces, critical, flow, pairs, cols = _coreduce(K)
     betti = []
@@ -152,9 +149,7 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
         coordinate_maps=tuple(coordinate_maps),
         critical=tuple(map(len, critical)),
     )
-    if len(_cache) >= SUMMARIES_KEPT:  # the oldest goes first
-        del _cache[next(iter(_cache))]
-    _cache[key] = structure, summary
+    K._shared["homology"] = summary
     return summary
 
 

@@ -6,34 +6,36 @@ q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
 the usual sign split ``x = x+ - x-``.  Its sparse tableau, built from the
 q-cells' ``boundary_cols``, depends on the structure alone and is crashed
-once per (structure, q); a class sets only its right-hand sides and costs.  A metric scaled by s scales every
-norm and λ by s, so every norm LP is costed by the weights' primitive
-integer direction ĉ (weights = s·ĉ, as the complex carries them) and its
-answer scaled by s: the tableau then answers a class inside the cone of
-an optimal basis it recorded for ĉ without pivoting (see `stasys.lp`),
-for the weights themselves and for any positive multiple of them, such
-as a rescaled metric.  Norms and systoles do not depend on which classes
-or metrics were solved before; where the optimum is degenerate, the
-optimal cycle and λ returned may, and each is still a valid certificate.
-In a degree with no (q+1)-cells a class holds exactly one cycle, whose
-mass is its norm without an LP.  Each norm carries a dual certificate
-(Federer's comass duality): a cocycle f with |f| <= w on every q-cell and
-f = λ on the generators, so ``‖h‖ >= |λ.h|`` for every class h.  Stable
-systoles minimize the stable norm over nonzero integral classes: exactly
-for one-dimensional homology, and otherwise by a lattice search that
-these bounds prune and certify.  The search runs wholly in units of ĉ
+once per degree q on the homology summary that a complex shares with its
+reweightings; a class sets only its right-hand sides and costs.  A metric
+scaled by s scales every norm and λ by s, so every norm LP is costed by
+the weights' primitive integer direction ĉ (weights = s·ĉ, as the complex
+carries them) and its answer scaled by s: the tableau then answers a class
+inside the cone of an optimal basis it recorded for ĉ without pivoting
+(see `stasys.lp`), for the weights themselves and for any positive
+multiple of them, such as a rescaled metric.  Norms and systoles do not
+depend on which classes or metrics were solved before; where the optimum
+is degenerate, the optimal cycle and λ returned may, and each is still a
+valid certificate.  In a degree with no (q+1)-cells a class holds exactly
+one cycle, whose mass is its norm without an LP.  Each norm carries a dual
+certificate (Federer's comass duality): a cocycle f with |f| <= w on every
+q-cell and f = λ on the generators, so ``‖h‖ >= |λ.h|`` for every class h.
+Stable systoles minimize the stable norm over nonzero integral classes:
+exactly for one-dimensional homology, and otherwise by a lattice search
+that these bounds prune and certify.  The search runs wholly in units of ĉ
 and in integers: it reads each class's value and λ as numerators over one
 denominator, straight off a recorded LP basis (a unique cycle's over 1),
 compares by cross-multiplication, and builds one Fraction, the least norm
 times s, at the end.  It resolves the norm LP's tableau, cost and recorded
-bases once, and runs `_lookup` only for a class no recorded cone holds.
-It stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
+bases once, and runs `_lookup` only for a class no recorded cone holds. It
+stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
 sphere, which M, the largest h_j with L(h) <= 1, decides: b LPs of the
 same sign-split L1 shape, the least sum |μ_k| with sum μ_k λ_k = e_j, one
 per coordinate j, solved once per λ set on one throwaway tableau.
 summary.stop_tests keeps M per λ set (the newest STOP_TESTS_KEPT), so a
-kept stop test is one cross-multiplication.  A search repeated on the
-same structure and weight direction so runs no LP lookup at all.
+kept stop test is one cross-multiplication.  A search repeated on the same
+complex, or on a reweighting of it (`rescale`, `DeformationFamily.at`,
+`pullback_weights`) in the same weight direction, so runs no LP lookup.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .complexes import Chain, WeightedCellComplex, product_complex
+from .complexes import Chain, WeightedCellComplex, Weights, product_complex
 from .homology import HomologyClass, HomologySummary, homology
 from .linalg import rank
 from .lp import _ZERO, Infeasible, _lookup, prepare
@@ -428,8 +430,8 @@ def _permutation_sign(seq: list[int]) -> int:
 def pullback_weights(info: SimplicialMapInfo) -> WeightedCellComplex:
     """Give each source cell the weight of its image cell in the target."""
     ws = info.target.weights
-    return replace(info.source, weights=tuple(
-        tuple(ws[q][target] for target, _ in per_deg) for q, per_deg in enumerate(info.cells)))
+    return info.source._reweighted(
+        Weights(ws[q][target] for target, _ in per_deg) for q, per_deg in enumerate(info.cells))
 
 
 def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationReport:

@@ -59,6 +59,8 @@ def test_enumerate_partitions_restricted_degrees():
     parts = enumerate_partitions(5, {2, 3})
     assert [p.parts for p in parts] == [(2, 3)]
     assert enumerate_partitions(3, {2}) == []
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_partitions(0, {1})
 
 
 def test_mod_condition():
@@ -66,6 +68,8 @@ def test_mod_condition():
     assert mod_condition(2, 2, 2, 2)          # 0 + 0 < 2
     assert not mod_condition(3, 2, 3, 2)      # 1 + 1 = 2
     assert mod_condition(1, 1, 2, 2)          # 0 + 0 < 2 (literal test only)
+    with pytest.raises(ValueError, match="least positive dimensions must be >= 1"):
+        mod_condition(2, 0, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +101,8 @@ def test_negative_betti_number_is_rejected():
 
 
 def test_kunneth_product_betti_convolution():
+    with pytest.raises(ValueError, match="need at least one factor"):
+        product_profile([])
     p = kunneth_product(sphere_profile(2), sphere_profile(2))
     assert p.betti == (1, 0, 2, 0, 1)
     assert p.n == 4 and len(p.factors) == 2
@@ -112,8 +118,10 @@ def test_parse_product_expression():
     p = parse_product_expression("S2 x S3")
     assert p.n == 5 and [f.name for f in p.factors] == ["S2", "S3"]
     assert parse_product_expression("s1 * s1").n == 2
-    with pytest.raises(ValueError):
-        parse_product_expression("K3 x S1")
+    for expr, factor in (("K3 x S1", "K3"), ("S\u00b2 x S3", "S\u00b2"), ("S\u0661 x S3", "S\u0661")):
+        # a superscript two or an Arabic-Indic one is not an ASCII digit
+        with pytest.raises(ValueError, match=f"cannot parse factor '{factor}'; expected e.g. S3"):
+            parse_product_expression(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from stasys import (
 )
 from stasys.cli import fmt, main
 
-from conftest import capped_systoles
+from conftest import capped_systoles, disjoint_two_circles
 
 
 @pytest.fixture()
@@ -316,6 +316,7 @@ INPUT_FILES = {
     "s2.json": complex_to_dict(sphere(2)),
     "c3.json": complex_to_dict(circle(3)),
     "c3-cubical.json": complex_to_dict(circle(3, kind="cubical")),
+    "two-circles.json": complex_to_dict(disjoint_two_circles()),
 }
 
 
@@ -331,8 +332,12 @@ INPUT_FILES = {
       "-q", "1"], "both complexes must be simplicial"),
     (["verify", "degree-sandwich", "s2.json", "c3.json", "--vertex-map", "0,1,2,0", "-q", "1"],
      "source and target must share the top dimension"),
+    (["verify", "degree-sandwich", "two-circles.json", "c3.json", "--vertex-map", "0,1,2,0,1,2",
+      "-q", "1"], "degree needs one-dimensional top homology on both sides"),
+    (["catstsys", "S\u00b2 x S3"], "cannot parse factor 'S\u00b2'; expected e.g. S3"),
 ], ids=["sphere-zero", "empty-expression", "negative-dimension", "dimension-zero",
-        "vertex-boundary", "trivial-part", "cubical-map", "dimension-mismatch"])
+        "vertex-boundary", "trivial-part", "cubical-map", "dimension-mismatch", "two-top-classes",
+        "superscript-digit"])
 def test_input_check_exits_two_with_its_message(argv, message, tmp_path, capsys):
     for name in set(argv) & set(INPUT_FILES):
         (tmp_path / name).write_text(json.dumps(INPUT_FILES[name]))

@@ -59,6 +59,8 @@ def test_cohomology_basis_is_dual_to_generators():
                 assert is_cocycle(K, alpha)
                 for j, g in enumerate(gens):
                     assert pairing(K, alpha, g) == F(int(i == j))
+    with pytest.raises(ValueError, match="degree mismatch in pairing"):
+        pairing(K, basis[1][0], K.zero_chain(0))
 
 
 def test_cup_length_values():

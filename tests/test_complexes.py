@@ -111,6 +111,40 @@ def test_build_complex_rejects_nonpositive_weight():
         simplicial_from_top([(0, 1)], weights={(0, 1): 0})
 
 
+def _two_cells(weights, edge):
+    """A vertex and a loop edge, built directly, so that nothing is checked."""
+    return WeightedCellComplex("general", (("v",), ("e",)), weights, ((), (edge,)))
+
+
+def _factor_tags_off_by_one():
+    P = flat_torus(3)
+    tags = list(P.factor_degrees)
+    tags[1] = ((1, 1),) + tags[1][1:]
+    return DeformationFamily(replace(P, factor_degrees=tuple(tags)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_complex("general", []), ComplexInvariantError, "complex has no degree 0"),
+    (lambda: simplicial_from_top([]), ComplexInvariantError, "complex has no degree 0"),
+    (lambda: simplicial_from_top([(0, 1), (2, 2)]), ComplexInvariantError, r"degenerate simplex \(2, 2\)"),
+    (_factor_tags_off_by_one, ComplexInvariantError, "factor tags must split the cell degree"),
+    (lambda: flat_torus(3).cell_by_vertices((0, 1)), ValueError, "complex is not simplicial"),
+    (lambda: _two_cells(((1,), ()), ((0, 1), (0, -1))).validate(), ComplexInvariantError,
+     "weight count mismatch in degree 1"),
+    (lambda: _two_cells(((1,), (1,)), ((0, 1), (1, -1))).validate(), ComplexInvariantError,
+     "face index out of range in degree 1"),
+    (lambda: circle(3).boundary_of(circle(3).zero_chain(0)), ValueError, "degree 0 out of range"),
+    (lambda: circle(3).mass(Chain(2, ())), ValueError, "degree 2 out of range"),
+    (lambda: sphere(0), ValueError, "dimension must be >= 1"),
+    (lambda: cubical_sphere(0), ValueError, "dimension must be >= 1"),
+], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "cubical-lookup",
+        "weight-missing", "face-out-of-range", "boundary-of-vertices", "mass-out-of-range",
+        "sphere-zero", "cubical-sphere-zero"])
+def test_input_check_raises_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_mass_and_chain_arithmetic():
     K = weighted_circle()
     # edge order is by sorted vertex tuple: (0,1) w=1, (0,2) w=2, (1,2) w=1/2
@@ -133,9 +167,9 @@ def test_chains_hold_fractions():
                          ids=["T2_9", "T2_9xC3"])
 def test_a_reweighted_complex_shares_its_structure(K, monkeypatch):
     # rescale and DeformationFamily.at run no __init__ or __post_init__ and
-    # rebuild no field: every structural one is the parent's object, the
-    # weights alone are new, and nothing cached from the parent but the
-    # structure's hash is carried over
+    # rebuild no field: the weights alone are new, and every other attribute
+    # is the parent's object, what the parent cached from its structure and
+    # the slot that keeps its homology summary included
     structure = ("kind", "cell_ids", "boundary_cols", "vertex_lists", "factor_degrees")
     K.total_cells, K._vertex_index  # cached on the parent
     checks = []
@@ -147,8 +181,8 @@ def test_a_reweighted_complex_shares_its_structure(K, monkeypatch):
     assert checks == []
     for L in metrics:
         assert all(getattr(L, name) is getattr(K, name) for name in structure)
-        assert set(vars(L)) == {*structure, "weights", "_structure_hash"}
-        assert L._structure_hash == K._structure_hash
+        assert set(vars(L)) == {*structure, "weights", "_shared", "total_cells", "_vertex_index"}
+        assert all(vars(L)[name] is vars(K)[name] for name in vars(L) if name != "weights")
         assert L.weights != K.weights
         L.validate()
         assert homology(L) is homology(K)
@@ -305,6 +339,7 @@ def test_cell_by_vertices_lookup():
     idx = K.cell_by_vertices((0, 1, 2))
     assert idx is not None and K.vertex_lists[2][idx] == (0, 1, 2)
     assert K.cell_by_vertices((0, 1, 9)) is None
+    assert K.cell_by_vertices((0, 1, 2, 3)) is None  # longer than top_dim + 1
 
 
 def test_circle_requires_three_vertices():

@@ -1,8 +1,9 @@
 """Homology summaries against independent rank oracles and known spaces."""
 
-import builtins
+import gc
 import hashlib
-import importlib
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,11 @@ from stasys import (
     homology,
     point,
     product_complex,
+    pullback_weights,
     rp2,
+    simplicial_map,
     sphere,
+    stable_systole,
     torus_triangulated,
 )
 
@@ -184,44 +188,77 @@ def test_flat_torus_12_homology():
             assert [_dot(row, g) for g in gens] == [int(i == j) for j in range(len(gens))]
 
 
-def test_only_the_newest_summaries_are_cached(monkeypatch):
-    # every distinct structure is a new cache entry, holding its summary and
-    # its LP tableaux; the oldest goes when a new one would exceed the bound
-    module = importlib.import_module("stasys.homology")
-    monkeypatch.setattr(module, "_cache", {})
-    kept = module.SUMMARIES_KEPT
-    complexes = [permuted(flat_torus(3), seed) for seed in range(200)]
-    summaries = [homology(K) for K in complexes]
-    assert len(module._cache) == kept
-    # a repeat within the newest `kept` is served from the cache
-    assert homology(complexes[-1]) is summaries[-1]
-    assert homology(complexes[-kept]) is summaries[-kept]
-    # an older one is computed afresh, the same summary in a new object
-    fresh = homology(complexes[0])
-    assert fresh is not summaries[0] and fresh == summaries[0]
-    assert len(module._cache) == kept and homology(complexes[-kept]) is not summaries[-kept]
+def reweighting_pairs():
+    """(complex, a reweighting of it) pairs, each complex built afresh."""
+    def wrap(c6):  # c6 twice round a circle of edges 2, checked on another circle(6)
+        info = simplicial_map(circle(6), circle(3, edge_weight=2), {i: i % 3 for i in range(6)})
+        return replace(info, source=c6)
+
+    yield (K := product_complex(circle(3), circle(4))), K.rescale(F(3, 2))
+    yield (K := product_complex(circle(3), circle(4))), DeformationFamily(K).at(F(5, 2))
+    yield (K := product_complex(circle(3), circle(4))), DeformationFamily(K.rescale(2)).at(F(1, 3))
+    yield (K := circle(6)), K.rescale(7)
+    yield (K := circle(6)), pullback_weights(wrap(K))
 
 
-def test_a_reweighted_complex_is_not_hashed_again(monkeypatch):
-    # the cache key's hash is taken once per structure and carried by every
-    # rescaling and deformation, so a warm homology call on one of them
-    # hashes no cell; a structure built afresh is hashed once and finds the
-    # summary of its equal
-    complexes = importlib.import_module("stasys.complexes")
-    K = product_complex(circle(3), circle(4))
+@pytest.mark.parametrize("base_first", [True, False], ids=["base-first", "reweighting-first"])
+def test_a_complex_and_its_reweightings_share_one_summary(base_first):
+    # the summary is kept with the complex and handed to every rescaling,
+    # deformation and pulled-back metric of it, whichever computes it first;
+    # an equal complex built afresh computes its own
+    for K, L in reweighting_pairs():
+        first, second = (K, L) if base_first else (L, K)
+        summary = homology(first)
+        assert homology(second) is summary
+        assert L.weights != K.weights
+        rebuilt = replace(K)
+        assert homology(rebuilt) is not summary and homology(rebuilt) == summary
+
+
+def test_a_summary_lives_as_long_as_its_complex_and_its_reweightings():
+    # nothing outside the complex keeps its summary, the LP tableaux and
+    # stop tests a search leaves on it included
+    K = flat_torus(3)
+    L = DeformationFamily(K).at(2)
+    assert stable_systole(L, 1).search_status == "certified"
+    summary = weakref.ref(homology(K))
+    assert summary().tableaux and summary().stop_tests
+    del K
+    gc.collect()
+    assert summary() is homology(L)
+    del L
+    gc.collect()
+    assert summary() is None
+
+
+class Watched(tuple):
+    """A tuple that records every hash and equality test taken of it."""
+
+    seen = []
+
+    def __hash__(self):
+        Watched.seen.append("hash")
+        return super().__hash__()
+
+    def __eq__(self, other):
+        Watched.seen.append("eq")
+        return super().__eq__(other)
+
+
+def test_a_reweighted_complex_is_not_hashed_again():
+    # a warm homology call on a rescaling or deformation reads the summary
+    # the complex keeps: it hashes and compares no cell
+    P = product_complex(circle(3), circle(4))
+    K = replace(P, cell_ids=Watched(P.cell_ids), boundary_cols=Watched(P.boundary_cols))
     summary = homology(K)
-    hashed = []
-    monkeypatch.setattr(complexes, "hash", lambda v: hashed.append(v) or builtins.hash(v),
-                        raising=False)
+    Watched.seen.clear()
     family = DeformationFamily(K)
     for t in (F(3, 2), F(1, 3), F(5)):
         for L in (K.rescale(t), family.at(t), K.rescale(t).rescale(t),
                   DeformationFamily(K.rescale(t)).at(t)):
             assert homology(L) is summary
-    assert hashed == []
-    fresh = product_complex(circle(3), circle(4))
-    assert homology(fresh) is summary and homology(fresh.rescale(2)) is summary
-    assert hashed == [(fresh.cell_ids, fresh.boundary_cols)]
+    assert Watched.seen == []
+    assert summary == homology(P)
 
 
 def test_class_coordinates_rejects_non_cycles():
@@ -238,6 +275,8 @@ def test_representative_round_trip():
     z = summary.representative(K, cls)
     assert K.is_cycle(z)
     assert tuple(summary.class_coordinates(K, z)) == (F(2), F(-3))
+    with pytest.raises(ValueError, match="coordinate vector has wrong length"):
+        summary.representative(K, HomologyClass(1, (F(2),)))
 
 
 def test_torsion_generator_of_rp2():

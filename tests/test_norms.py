@@ -165,13 +165,13 @@ def test_norms_do_not_depend_on_the_classes_solved_before(name, order):
 
 
 def test_a_reweighted_structure_is_not_answered_from_the_old_weights():
-    # the same cells as flat_torus(3) with one factor circle's edges twice
-    # as heavy: a basis optimal for the old weights need not be optimal now
+    # flat_torus(3) with the first factor circle's edges twice as heavy: a
+    # basis optimal for the old weights need not be optimal now
     K = flat_torus(3)
     summary = homology(K)
-    heavy = replace(K, weights=(K.weights[0], tuple(
-        w * (2 if tag == (1, 0) else 1) for w, tag in zip(K.weights[1], K.factor_degrees[1])),
-        K.weights[2]))
+    heavy = DeformationFamily(K).at(2)
+    assert [w2 / w for w, w2 in zip(K.weights[1], heavy.weights[1])] == [
+        2 if tag == (1, 0) else 1 for tag in K.factor_degrees[1]]
     assert homology(heavy) is summary
     old = {coords: stable_norm(K, HomologyClass(1, coords)).value for coords in BOX}
     for coords in BOX:
@@ -485,13 +485,13 @@ def test_kept_stop_test_bounds_match_a_fresh_tableau(sets, data):
 
 
 def test_direction_records_of_a_norm_tableau_are_bounded():
-    # every random metric is a new cost vector ĉ on the one q = 1 tableau
+    # every deformation t is a new cost vector ĉ on the one q = 1 tableau:
+    # the first factor's edges weigh t, the second's 1
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
-    rng = random.Random(300)
-    for _ in range(300):
-        ws = tuple(F(rng.randint(1, 9)) for _ in K.weights[1])
-        stable_systole(replace(K, weights=(K.weights[0], ws, K.weights[2])), 1)
+    family = DeformationFamily(K)
+    for t in range(2, 302):
+        stable_systole(family.at(t), 1)
     assert 0 < len(homology(K).tableaux[1].optima) <= lp.COSTS_KEPT
 
 
@@ -651,15 +651,17 @@ def test_systoles_are_equivariant_under_rescaling(name, q, num, den):
 def test_a_warm_repeat_runs_no_two_phase_solve(monkeypatch):
     # norm tableaux are kept per degree and stop-test tableaux per λ set,
     # each with the optimal bases recorded on it, so a search repeated on
-    # the same structure and weight direction prepares and pivots nothing
+    # the same complex, or a reweighting of it with the same weight
+    # direction, prepares and pivots nothing
     norms, lp, deform = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp", "deform"))
     family = DeformationFamily(product_complex(circle(3), circle(4)))
     searches = []
     real_systole = deform.stable_systole
     monkeypatch.setattr(deform, "stable_systole",
                         lambda *args, **kw: searches.append(real_systole(*args, **kw)) or searches[-1])
-    runs = (lambda: stable_systole(torus_triangulated(), 1),
-            lambda: stable_systole(flat_torus(3), 1),
+    T2_9, FT3 = torus_triangulated(), flat_torus(3)
+    runs = (lambda: stable_systole(T2_9, 1),
+            lambda: stable_systole(FT3, 1),
             lambda: deformation_sweep(family, Partition((1, 1))))
     first = [run() for run in runs], list(searches)
     assert len(searches) == 4 and all(res.search_status == "certified" for res in searches)
