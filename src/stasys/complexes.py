@@ -7,18 +7,19 @@ Weights play the role of a piecewise-linear metric: the mass of a chain is
 the weighted L1 size of its coefficient vector.  Each degree's weights are
 a `Weights` sequence, read as a tuple of Fractions and also as s·ĉ: ĉ the
 primitive integer direction of the weights and s > 0 one rational factor.
-A rescaled or deformed metric is built as a new s (and, for a deformation,
-a new integer ĉ), so it touches no cell weight as a Fraction.
+A product, a rescaled and a deformed metric are built as s·ĉ in integers
+(a new s and, for a product or a deformation, a new integer ĉ), so they
+touch no cell weight as a Fraction; the Fractions are made on first read,
+one shared object per integer value when s is an integer.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 Rational = Fraction | int
@@ -27,6 +28,10 @@ BoundaryColumn = tuple[tuple[int, int], ...]  # ((face_index, incidence), ...)
 
 class ComplexInvariantError(ValueError):
     """A would-be complex violates a structural invariant."""
+
+
+# Fraction(n) for an int n, one shared object per n among the last 1024 read
+_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,8 @@ class Weights(Sequence):
     def values(self) -> tuple[Fraction, ...]:
         if self._values is None:
             chat, s = self._split
-            self._values = tuple(s * c for c in chat)
+            self._values = (tuple(_fraction(s.numerator * c) for c in chat) if s.denominator == 1
+                            else tuple(s * c for c in chat))
         return self._values
 
     @property
@@ -241,17 +247,22 @@ class WeightedCellComplex:
         """Check every structural invariant; raise ComplexInvariantError."""
         if not self.cell_ids:
             raise ComplexInvariantError("complex has no degree 0")
+        for name in ("weights", "boundary_cols"):
+            if (n := len(getattr(self, name))) != len(self.cell_ids):
+                raise ComplexInvariantError(f"cell_ids has {len(self.cell_ids)} degree(s) but {name} has {n}")
         for q, ws in enumerate(self.weights):
-            if len(ws) != len(self.cell_ids[q]):
+            # values = s·ĉ, so where (ĉ, s) is known its ints are checked
+            chat, s = ws._split or (ws.values, 1)
+            if len(chat) != len(self.cell_ids[q]):
                 raise ComplexInvariantError(f"weight count mismatch in degree {q}")
-            if any(w <= 0 for w in ws):
+            if s <= 0 or min(chat, default=1) <= 0:
                 raise ComplexInvariantError(f"non-positive weight in degree {q}")
         for q in range(1, self.top_dim + 1):
             nfaces = self.n_cells(q - 1)
             for j, col in enumerate(self.boundary_cols[q]):
-                for face, _ in col:
-                    if not 0 <= face < nfaces:
-                        raise ComplexInvariantError(f"face index out of range in degree {q}")
+                # (face, incidence) pairs order by face first
+                if col and not (0 <= min(col)[0] and max(col)[0] < nfaces):
+                    raise ComplexInvariantError(f"face index out of range in degree {q}")
                 # augmentation: the boundary of a 1-cell has total incidence 0
                 if q == 1 and sum(inc for _, inc in col) != 0:
                     raise ComplexInvariantError(
@@ -259,15 +270,16 @@ class WeightedCellComplex:
         for q in range(2, self.top_dim + 1):
             lower = self.boundary_cols[q - 1]
             for col in self.boundary_cols[q]:
-                total = Counter()
+                total = {}
                 for face, inc in col:
                     for ridge, inc2 in lower[face]:
-                        total[ridge] += inc * inc2
+                        total[ridge] = total.get(ridge, 0) + inc * inc2
                 if any(total.values()):
                     raise ComplexInvariantError(f"boundary of boundary nonzero at degree {q}")
         if self.kind == "simplicial":
             if self.vertex_lists is None:
                 raise ComplexInvariantError("simplicial complex needs vertex lists")
+            index = self._vertex_index
             for q, per_deg in enumerate(self.vertex_lists):
                 for j, vs in enumerate(per_deg):
                     if len(vs) != q + 1 or len(set(vs)) != q + 1:
@@ -275,17 +287,13 @@ class WeightedCellComplex:
                     if list(vs) != sorted(vs):
                         raise ComplexInvariantError(f"cell {self.cell_ids[q][j]} vertices not sorted")
                     if q >= 1:
-                        expected = {}
-                        for k in range(q + 1):
-                            face = vs[:k] + vs[k + 1:]
-                            fi = self.cell_by_vertices(face)
-                            if fi is None:
-                                raise ComplexInvariantError(f"missing face {face}")
-                            expected[fi] = expected.get(fi, 0) + (-1) ** k
-                        actual = {}
-                        for face, inc in self.boundary_cols[q][j]:
-                            actual[face] = actual.get(face, 0) + inc
-                        if {k: v for k, v in expected.items() if v} != {k: v for k, v in actual.items() if v}:
+                        try:
+                            expected = _alternating_faces(vs, index[q - 1])
+                        except KeyError as missing:
+                            raise ComplexInvariantError(f"missing face {missing.args[0]}") from None
+                        # the vertices are distinct, so the faces are: no sign sums away
+                        col = self.boundary_cols[q][j]
+                        if expected != col and dict(expected) != _summed(col):
                             raise ComplexInvariantError(
                                 f"boundary of {self.cell_ids[q][j]} is not the alternating face sum")
 
@@ -352,7 +360,9 @@ def simplicial_from_top(
 
     Vertices are integers; every simplex is stored with increasing vertex
     order and the alternating-sign boundary.  ``weights`` overrides the
-    weight 1 per sorted vertex tuple.
+    weight 1 per sorted vertex tuple.  Each boundary column is read off the
+    vertex tuples through one {vertex tuple: index} dict per degree, and the
+    complex is validated as `build_complex` validates.
     """
     weights = weights or {}
     by_degree: list[set[tuple[int, ...]]] = []
@@ -364,25 +374,25 @@ def simplicial_from_top(
         while len(by_degree) <= q:
             by_degree.append(set())
         for k in range(1, q + 2):
-            for face in itertools.combinations(s, k):
-                by_degree[k - 1].add(face)
-    cells: list[list[tuple]] = []
+            by_degree[k - 1].update(itertools.combinations(s, k))
+    cell_ids, ws, boundary_cols, vertex_lists = [], [], [], []
+    index: dict[tuple[int, ...], int] = {}  # the cells of the degree below
     for q, simplices in enumerate(by_degree):
         ordered = sorted(simplices)
-        specs = []
-        for vs in ordered:
-            w = Fraction(weights.get(vs, 1))
-            bdry = []
-            for k in range(q + 1):
-                face = vs[:k] + vs[k + 1:]
-                bdry.append((_simplex_id(face), (-1) ** k))
-            specs.append((_simplex_id(vs), w, bdry if q else [], vs))
-        cells.append(specs)
-    return build_complex("simplicial", cells)
-
-
-def _simplex_id(vertices: tuple[int, ...]) -> str:
-    return "s" + ".".join(str(v) for v in vertices)
+        ids = tuple("s" + ".".join(map(str, vs)) for vs in ordered)
+        if len(set(ids)) != len(ids):
+            raise ComplexInvariantError(f"duplicate cell ids in degree {q}")
+        boundary_cols.append(tuple(_alternating_faces(vs, index) for vs in ordered) if q
+                             else ((),) * len(ordered))
+        ws.append(Weights(tuple(Fraction(weights[vs]) if vs in weights else _fraction(1) for vs in ordered))
+                  if weights else Weights(split=((1,) * len(ordered), _fraction(1))))
+        cell_ids.append(ids)
+        vertex_lists.append(tuple(ordered))
+        index = {vs: i for i, vs in enumerate(ordered)}
+    out = WeightedCellComplex("simplicial", tuple(cell_ids), tuple(ws), tuple(boundary_cols),
+                              tuple(vertex_lists))
+    out.validate()
+    return out
 
 
 def product_complex(K: WeightedCellComplex, L: WeightedCellComplex) -> WeightedCellComplex:
@@ -390,45 +400,41 @@ def product_complex(K: WeightedCellComplex, L: WeightedCellComplex) -> WeightedC
 
     Product cells keep factor-degree tags, so the result can seed a
     deformation family.  The product is not triangulated: weights multiply
-    exactly, cell for cell.
+    exactly, cell for cell.  Degree q holds one block per split a + b = q,
+    the cells (K's a-cell i, L's b-cell j) with j running fastest, so a face
+    is placed by block-offset arithmetic.  Each degree's weights are built
+    as s·ĉ in integers: the factors' ĉ's multiply, and the block scales
+    s_K·s_L go over one common denominator.
     """
     top = K.top_dim + L.top_dim
     kind = "cubical" if (K.kind == "cubical" and L.kind == "cubical") else "general"
-    position: list[dict[tuple[int, int, int], int]] = [dict() for _ in range(top + 1)]
-    layout: list[list[tuple[int, int, int]]] = [[] for _ in range(top + 1)]
+    cell_ids, weights, boundary_cols, factor_tags = [], [], [], []
+    below: dict[int, int] = {}  # the offset of block a in degree q - 1
     for q in range(top + 1):
-        for a in range(min(q, K.top_dim) + 1):
-            b = q - a
-            if b > L.top_dim:
-                continue
-            for i in range(K.n_cells(a)):
-                for j in range(L.n_cells(b)):
-                    position[q][(a, i, j)] = len(layout[q])
-                    layout[q].append((a, i, j))
-    cell_ids = []
-    weights = []
-    boundary_cols = []
-    factor_tags = []
-    for q in range(top + 1):
-        ids, ws, cols, tags = [], [], [], []
-        for (a, i, j) in layout[q]:
-            b = q - a
-            ids.append(f"({K.cell_ids[a][i]}|{L.cell_ids[b][j]})")
-            ws.append(K.weights[a][i] * L.weights[b][j])
-            tags.append((a, b))
-            col = []
-            if a >= 1:
-                for face, inc in K.boundary_cols[a][i]:
-                    col.append((position[q - 1][(a - 1, face, j)], inc))
-            if b >= 1:
-                sign = (-1) ** a
-                for face, inc in L.boundary_cols[b][j]:
-                    col.append((position[q - 1][(a, i, face)], sign * inc))
-            cols.append(tuple(col))
+        ids, chat, cols, tags, offset = [], [], [], [], {}
+        blocks = [(a, q - a) for a in range(max(0, q - L.top_dim), min(q, K.top_dim) + 1)]
+        scales = [K.weights[a].split[1] * L.weights[b].split[1] for a, b in blocks]
+        den = lcm(*(s.denominator for s in scales))
+        for (a, b), s in zip(blocks, scales):
+            offset[a] = len(ids)
+            na, nb, nb1 = K.n_cells(a), L.n_cells(b), L.n_cells(b - 1)
+            ids += [f"({x}|{y})" for x in K.cell_ids[a] for y in L.cell_ids[b]]
+            tags += [(a, b)] * (na * nb)
+            k, lchat = s.numerator * (den // s.denominator), L.weights[b].split[0]
+            chat += [k * x * y for x in K.weights[a].split[0] for y in lchat]
+            sign = -1 if a % 2 else 1
+            lfaces = [[(f, sign * inc) for f, inc in L.boundary_cols[b][j]] if b else [] for j in range(nb)]
+            for i in range(na):
+                kfaces = [(below[a - 1] + f * nb, inc) for f, inc in K.boundary_cols[a][i]] if a else []
+                lbase = below[a] + i * nb1 if b else 0
+                cols += [tuple([(f + j, inc) for f, inc in kfaces] + [(lbase + f, inc) for f, inc in lcol])
+                         for j, lcol in enumerate(lfaces)]
+        g = gcd(*chat) or den
         cell_ids.append(tuple(ids))
-        weights.append(tuple(ws))
+        weights.append(Weights(split=(tuple(x // g for x in chat), Fraction(g, den))))
         boundary_cols.append(tuple(cols))
         factor_tags.append(tuple(tags))
+        below = offset
     return WeightedCellComplex(
         kind=kind,
         cell_ids=tuple(cell_ids),
@@ -437,6 +443,23 @@ def product_complex(K: WeightedCellComplex, L: WeightedCellComplex) -> WeightedC
         vertex_lists=None,
         factor_degrees=tuple(factor_tags),
     )
+
+
+def _alternating_faces(vs: tuple[int, ...], index: dict[tuple[int, ...], int]) -> BoundaryColumn:
+    """The boundary column of the simplex vs: its k-th face, vs without vertex
+    k, found in ``index``, with sign (-1)^k; a missing face is a KeyError."""
+    return tuple((index[vs[:k] + vs[k + 1:]], -1 if k % 2 else 1) for k in range(len(vs)))
+
+
+def _summed(col) -> dict[int, int]:
+    """A sparse column as {index: value}, an index named twice summed and zeros dropped."""
+    out = dict(col)
+    if len(out) < len(col) or 0 in out.values():
+        out = {}
+        for i, x in col:
+            out[i] = out.get(i, 0) + x
+        out = {i: x for i, x in out.items() if x}
+    return out
 
 
 @dataclass(frozen=True)

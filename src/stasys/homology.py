@@ -35,9 +35,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
-from .complexes import Chain, WeightedCellComplex
-from .linalg import column_rows, smith_normal_form  # smith_normal_form re-exported
+from .complexes import Chain, WeightedCellComplex, _fraction, _summed
+from .linalg import smith_normal_form  # smith_normal_form re-exported
 
 __all__ = ["HomologySummary", "HomologyClass", "homology", "smith_normal_form", "class_coordinates"]
 
@@ -163,14 +164,15 @@ def _coreduce(K: WeightedCellComplex):
     int}, the pairs (σ, τ, inc) with σ a q-cell in removal order, and the Morse
     boundary columns π(∂c) of the critical q-cells as (row, value) pairs."""
     n = [len(degree) for degree in K.boundary_cols]
-    # {coface: incidence} of each cell, a face named twice in a column summed
-    cofaces = [column_rows(K.boundary_cols[q + 1], n[q]) for q in range(len(n) - 1)] + [[{}] * n[-1]]
-    faces = [[{} for _ in range(m)] for m in n]
-    for q, rows in enumerate(cofaces[:-1]):
-        for s, row in enumerate(rows):
-            for t, x in row.items():
-                faces[q + 1][t][s] = x
-    left = [[len(fs) for fs in degree] for degree in faces]  # faces not yet removed
+    # {face: incidence} of each cell, a face named twice in a column summed,
+    # and the (degree, index) of each cell's cofaces, in cell order
+    faces = [[{}] * n[0]] + [_faces(K.boundary_cols[q], n[q - 1]) for q in range(1, len(n))]
+    cofaces = [[[] for _ in range(m)] for m in n]
+    for q in range(1, len(n)):
+        for t, fs in enumerate(faces[q]):
+            for s in fs:
+                cofaces[q - 1][s].append((q, t))
+    left = [list(map(len, degree)) for degree in faces]  # faces not yet removed
     flow = [[None] * len(degree) for degree in faces]  # None until removed
     critical = [[] for _ in faces]
     pairs = [[] for _ in faces]
@@ -178,9 +180,9 @@ def _coreduce(K: WeightedCellComplex):
 
     def remove(q, j, pi):
         flow[q][j] = pi
-        for t in cofaces[q][j]:
-            left[q + 1][t] -= 1
-            queue.append((q + 1, t))
+        for p, t in cofaces[q][j]:
+            left[p][t] -= 1
+        queue.extend(cofaces[q][j])
 
     for q, degree in enumerate(flow):
         for j in range(len(degree)):
@@ -193,15 +195,17 @@ def _coreduce(K: WeightedCellComplex):
                 p, t = queue.popleft()
                 if left[p][t] != 1 or flow[p][t] is not None:
                     continue
-                fs = faces[p][t]
-                s = next(f for f in fs if flow[p - 1][f] is None)
+                fs, below = faces[p][t], flow[p - 1]
+                for s in fs:
+                    if below[s] is None:
+                        break
                 inc = fs[s]
                 if inc not in (1, -1):
                     continue
                 pi = {}
                 for f, x in fs.items():
                     if f != s:
-                        for c, y in flow[p - 1][f].items():
+                        for c, y in below[f].items():
                             pi[c] = pi.get(c, 0) - inc * x * y
                 remove(p - 1, s, {c: y for c, y in pi.items() if y})
                 remove(p, t, {})
@@ -209,6 +213,15 @@ def _coreduce(K: WeightedCellComplex):
     cols = [[[(c, x * y) for f, x in faces[q][j].items() for c, y in flow[q - 1][f].items()]
              for j in critical[q]] for q in range(len(faces))]
     return faces, critical, flow, pairs, cols
+
+
+def _faces(columns, nrows: int) -> list[Sparse]:
+    """Each column as {row: value}, a row named twice summed and zeros dropped.
+    A row outside [0, nrows) is a ValueError naming it, as in `column_rows`."""
+    if any(columns) and not (0 <= min(chain(*columns))[0] and max(chain(*columns))[0] < nrows):
+        j, i = next((j, i) for j, col in enumerate(columns) for i, _ in col if not 0 <= i < nrows)
+        raise ValueError(f"column {j} names row {i}, outside [0, {nrows})")
+    return [_summed(col) for col in columns]
 
 
 def _cycle_lattice(cols, nrows: int) -> tuple[list[Sparse], list[Sparse]]:
@@ -247,7 +260,9 @@ def _combine(vectors: list[Sparse], coeffs: Sparse) -> Sparse:
 
 def _lift(faces, critical, pairs, q: int, nq: int, z: Sparse) -> Chain:
     """ι(z) for a Morse q-chain z: z on K's critical cells plus, latest pair
-    first, the upper cell τ of each pair (σ, τ) that clears σ from the boundary."""
+    first, the upper cell τ of each pair (σ, τ) that clears σ from the boundary.
+    The chain is summed in ints, and its coefficients are the shared
+    Fractions of `complexes._fraction`."""
     x = {critical[q][c]: a for c, a in z.items()}
     if q:
         bd = {}
@@ -260,10 +275,21 @@ def _lift(faces, critical, pairs, q: int, nq: int, z: Sparse) -> Chain:
                 x[t] = k = -k * inc
                 for f, y in faces[q][t].items():
                     bd[f] = bd.get(f, 0) + k * y
-    zero = Fraction(0)
-    return Chain(q, tuple(Fraction(x[j]) if x.get(j) else zero for j in range(nq)))
+    coeffs = [_fraction(0)] * nq
+    for j, a in x.items():
+        coeffs[j] = _fraction(a)
+    return Chain._of_fractions(q, tuple(coeffs))
 
 
 def _pull_back(flow: list[Sparse], row: Sparse) -> tuple[Fraction, ...]:
-    """The cochain row∘π on the q-cells, for a Morse row over critical q-cells."""
-    return tuple(Fraction(sum(row.get(c, 0) * y for c, y in pi.items())) for pi in flow)
+    """The cochain row∘π on the q-cells, for a Morse row over critical q-cells,
+    summed in ints, each value a shared Fraction of `complexes._fraction`."""
+    out = [_fraction(0)] * len(flow)
+    for j, pi in enumerate(flow):
+        if pi:
+            x = 0
+            for c, y in pi.items():
+                if c in row:
+                    x += row[c] * y
+            out[j] = _fraction(x)
+    return tuple(out)

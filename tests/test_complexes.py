@@ -133,12 +133,17 @@ def _factor_tags_off_by_one():
      "weight count mismatch in degree 1"),
     (lambda: _two_cells(((1,), (1,)), ((0, 1), (1, -1))).validate(), ComplexInvariantError,
      "face index out of range in degree 1"),
+    (lambda: WeightedCellComplex("general", (("v",),), ((1,), (1,)), ((),)).validate(),
+     ComplexInvariantError, r"cell_ids has 1 degree\(s\) but weights has 2"),
+    (lambda: WeightedCellComplex("general", (("v",), ("e",)), ((1,), (1,)), ((),)).validate(),
+     ComplexInvariantError, r"cell_ids has 2 degree\(s\) but boundary_cols has 1"),
     (lambda: circle(3).boundary_of(circle(3).zero_chain(0)), ValueError, "degree 0 out of range"),
     (lambda: circle(3).mass(Chain(2, ())), ValueError, "degree 2 out of range"),
     (lambda: sphere(0), ValueError, "dimension must be >= 1"),
     (lambda: cubical_sphere(0), ValueError, "dimension must be >= 1"),
 ], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "cubical-lookup",
-        "weight-missing", "face-out-of-range", "boundary-of-vertices", "mass-out-of-range",
+        "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
+        "boundary-of-vertices", "mass-out-of-range",
         "sphere-zero", "cubical-sphere-zero"])
 def test_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):

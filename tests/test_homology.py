@@ -14,6 +14,7 @@ from stasys import (
     Chain,
     DeformationFamily,
     HomologyClass,
+    WeightedCellComplex,
     build_complex,
     circle,
     class_coordinates,
@@ -24,6 +25,7 @@ from stasys import (
     product_complex,
     pullback_weights,
     rp2,
+    simplicial_from_top,
     simplicial_map,
     sphere,
     stable_systole,
@@ -296,6 +298,21 @@ def test_kunneth_ranks_for_products():
     assert homology(L).betti == (1, 3, 3, 1)
 
 
+small_simplicial = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True).map(tuple),
+                            min_size=1, max_size=4).map(simplicial_from_top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_simplicial, small_simplicial)
+def test_product_betti_numbers_are_the_convolution(K, L):
+    # Künneth over the rationals: b_q(K x L) = sum over a + b = q of b_a(K) b_b(L)
+    P = product_complex(K, L)
+    P.validate()
+    bk, bl = homology(K).betti, homology(L).betti
+    assert homology(P).betti == tuple(sum(bk[a] * bl[q - a] for a in range(len(bk)) if 0 <= q - a < len(bl))
+                                      for q in range(P.top_dim + 1))
+
+
 # Generators, torsion generators and coordinate rows are read off the Smith
 # factors of the Morse complex that the coreduction leaves, and users give
 # classes in that basis, so the whole summary is pinned: any change to the
@@ -326,6 +343,23 @@ def test_a_face_named_twice_sums():
     summary = homology(loop_with_faces([("e", 1), ("e", -1)]))
     assert summary.betti == (1, 1, 1)
     assert summary.torsion == ((), (), ())
+
+
+def _one_vertex_and_edges(*columns):
+    """A vertex and one edge per boundary column, built directly, so that nothing is checked."""
+    return WeightedCellComplex("general", (("v",), tuple(f"e{j}" for j in range(len(columns)))),
+                               ((1,), (1,) * len(columns)), (((),), columns))
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((((0, 1), (1, -1)),), r"column 0 names row 1, outside \[0, 1\)"),
+    ((((0, 1), (0, -1)), ((-1, 1), (0, -1))), r"column 1 names row -1, outside \[0, 1\)"),
+    # a row outside the range is named even where its incidences cancel
+    ((((0, 1), (0, -1)), ((0, 0), (3, 1), (3, -1))), r"column 1 names row 3, outside \[0, 1\)"),
+], ids=["past-the-end", "negative", "cancelling"])
+def test_a_face_outside_the_degree_below_is_named(columns, message):
+    with pytest.raises(ValueError, match=message):
+        homology(_one_vertex_and_edges(*columns))
 
 
 def _oracle_torsion(K, q):
