@@ -2,15 +2,19 @@
 
 A complex stores, per degree, an ordered list of cells with positive
 rational weights and its boundary as sparse (face, incidence) columns, the
-one matrix format: the Smith form and the LP read them as they stand.
-Weights play the role of a piecewise-linear metric: the mass of a chain is
-the weighted L1 size of its coefficient vector.  Each degree's weights are
-a `Weights` sequence, read as a tuple of Fractions and also as s·ĉ: ĉ the
-primitive integer direction of the weights and s > 0 one rational factor.
-A product, a rescaled and a deformed metric are built as s·ĉ in integers
-(a new s and, for a product or a deformation, a new integer ĉ), so they
-touch no cell weight as a Fraction; the Fractions are made on first read,
-one shared object per integer value when s is an integer.
+one matrix format, which `_faces` alone reads for `validate`, homology, the
+Smith form and the LP.  Weights play the role of a piecewise-linear metric:
+the mass of a chain is the weighted L1 size of its coefficient vector.  Each
+degree's weights are a `Weights` sequence, read as a tuple of Fractions and
+also as s·ĉ: ĉ the primitive integer direction of the weights and s > 0 one
+rational factor.  A product, a rescaled and a deformed metric are built as
+s·ĉ in integers (a new s and, for a product or a deformation, a new integer
+ĉ), so they touch no cell weight as a Fraction; the Fractions are made on
+first read, one shared object per integer value when s is an integer.
+
+`build_complex`, and so `load_complex` and the CLI, validates a complex once;
+the constructors build theirs correct by construction and check only their
+arguments.
 """
 
 from __future__ import annotations
@@ -250,29 +254,31 @@ class WeightedCellComplex:
         for name in ("weights", "boundary_cols"):
             if (n := len(getattr(self, name))) != len(self.cell_ids):
                 raise ComplexInvariantError(f"cell_ids has {len(self.cell_ids)} degree(s) but {name} has {n}")
-        for q, ws in enumerate(self.weights):
-            # values = s·ĉ, so where (ĉ, s) is known its ints are checked
-            chat, s = ws._split or (ws.values, 1)
-            if len(chat) != len(self.cell_ids[q]):
-                raise ComplexInvariantError(f"weight count mismatch in degree {q}")
-            if s <= 0 or min(chat, default=1) <= 0:
+        for q, (ids, ws, cols) in enumerate(zip(self.cell_ids, self.weights, self.boundary_cols)):
+            for name, per_cell in (("weight", ws), ("boundary column", cols)):
+                if len(per_cell) != len(ids):
+                    raise ComplexInvariantError(f"{name} count mismatch in degree {q}")
+            if any(type(w) not in (int, Fraction) for w in ws):
+                raise ComplexInvariantError(f"weight in degree {q} is not an int or a Fraction")
+            if min(ws, default=1) <= 0:
                 raise ComplexInvariantError(f"non-positive weight in degree {q}")
+        if any(self.boundary_cols[0]):
+            raise ComplexInvariantError("vertices cannot have boundary")
+        faces = [()]  # {face: incidence} of each q-cell, for q >= 1
         for q in range(1, self.top_dim + 1):
-            nfaces = self.n_cells(q - 1)
-            for j, col in enumerate(self.boundary_cols[q]):
-                # (face, incidence) pairs order by face first
-                if col and not (0 <= min(col)[0] and max(col)[0] < nfaces):
-                    raise ComplexInvariantError(f"face index out of range in degree {q}")
-                # augmentation: the boundary of a 1-cell has total incidence 0
-                if q == 1 and sum(inc for _, inc in col) != 0:
-                    raise ComplexInvariantError(
-                        f"boundary of {self.cell_ids[1][j]} does not sum to zero")
+            try:
+                faces.append(_faces(self.boundary_cols[q], len(self.cell_ids[q - 1])))
+            except ValueError:
+                raise ComplexInvariantError(f"face index out of range in degree {q}") from None
+        # augmentation: the boundary of a 1-cell has total incidence 0
+        for j, fs in enumerate(faces[1] if self.top_dim else ()):
+            if sum(fs.values()):
+                raise ComplexInvariantError(f"boundary of {self.cell_ids[1][j]} does not sum to zero")
         for q in range(2, self.top_dim + 1):
-            lower = self.boundary_cols[q - 1]
-            for col in self.boundary_cols[q]:
+            for fs in faces[q]:
                 total = {}
-                for face, inc in col:
-                    for ridge, inc2 in lower[face]:
+                for face, inc in fs.items():
+                    for ridge, inc2 in faces[q - 1][face].items():
                         total[ridge] = total.get(ridge, 0) + inc * inc2
                 if any(total.values()):
                     raise ComplexInvariantError(f"boundary of boundary nonzero at degree {q}")
@@ -292,8 +298,7 @@ class WeightedCellComplex:
                         except KeyError as missing:
                             raise ComplexInvariantError(f"missing face {missing.args[0]}") from None
                         # the vertices are distinct, so the faces are: no sign sums away
-                        col = self.boundary_cols[q][j]
-                        if expected != col and dict(expected) != _summed(col):
+                        if dict(expected) != faces[q][j]:
                             raise ComplexInvariantError(
                                 f"boundary of {self.cell_ids[q][j]} is not the alternating face sum")
 
@@ -361,8 +366,8 @@ def simplicial_from_top(
     Vertices are integers; every simplex is stored with increasing vertex
     order and the alternating-sign boundary.  ``weights`` overrides the
     weight 1 per sorted vertex tuple.  Each boundary column is read off the
-    vertex tuples through one {vertex tuple: index} dict per degree, and the
-    complex is validated as `build_complex` validates.
+    vertex tuples through one {vertex tuple: index} dict per degree, so the
+    complex is correct by construction and only the arguments are checked.
     """
     weights = weights or {}
     by_degree: list[set[tuple[int, ...]]] = []
@@ -375,6 +380,8 @@ def simplicial_from_top(
             by_degree.append(set())
         for k in range(1, q + 2):
             by_degree[k - 1].update(itertools.combinations(s, k))
+    if not by_degree:
+        raise ComplexInvariantError("complex has no degree 0")
     cell_ids, ws, boundary_cols, vertex_lists = [], [], [], []
     index: dict[tuple[int, ...], int] = {}  # the cells of the degree below
     for q, simplices in enumerate(by_degree):
@@ -389,10 +396,11 @@ def simplicial_from_top(
         cell_ids.append(ids)
         vertex_lists.append(tuple(ordered))
         index = {vs: i for i, vs in enumerate(ordered)}
-    out = WeightedCellComplex("simplicial", tuple(cell_ids), tuple(ws), tuple(boundary_cols),
-                              tuple(vertex_lists))
-    out.validate()
-    return out
+    for q, w in enumerate(ws if weights else ()):
+        if min(w) <= 0:
+            raise ComplexInvariantError(f"non-positive weight in degree {q}")
+    return WeightedCellComplex("simplicial", tuple(cell_ids), tuple(ws), tuple(boundary_cols),
+                               tuple(vertex_lists))
 
 
 def product_complex(K: WeightedCellComplex, L: WeightedCellComplex) -> WeightedCellComplex:
@@ -451,14 +459,23 @@ def _alternating_faces(vs: tuple[int, ...], index: dict[tuple[int, ...], int]) -
     return tuple((index[vs[:k] + vs[k + 1:]], -1 if k % 2 else 1) for k in range(len(vs)))
 
 
-def _summed(col) -> dict[int, int]:
-    """A sparse column as {index: value}, an index named twice summed and zeros dropped."""
-    out = dict(col)
-    if len(out) < len(col) or 0 in out.values():
-        out = {}
-        for i, x in col:
-            out[i] = out.get(i, 0) + x
-        out = {i: x for i, x in out.items() if x}
+def _faces(columns, nrows: int) -> list[dict[int, int]]:
+    """Each (row, value) column as {row: value}, a row named twice summed and
+    zeros dropped: the one reader of the boundary format.  A row outside
+    [0, nrows) is a ValueError naming the column and the row."""
+    if any(columns) and not (0 <= min(itertools.chain(*columns))[0]
+                             and max(itertools.chain(*columns))[0] < nrows):
+        j, i = next((j, i) for j, col in enumerate(columns) for i, _ in col if not 0 <= i < nrows)
+        raise ValueError(f"column {j} names row {i}, outside [0, {nrows})")
+    out = []
+    for col in columns:
+        summed = dict(col)
+        if len(summed) < len(col) or 0 in summed.values():
+            summed = {}
+            for i, x in col:
+                summed[i] = summed.get(i, 0) + x
+            summed = {i: x for i, x in summed.items() if x}
+        out.append(summed)
     return out
 
 
@@ -533,37 +550,28 @@ def sphere(n: int) -> WeightedCellComplex:
 def cubical_sphere(n: int) -> WeightedCellComplex:
     """n-sphere as the boundary of the (n+1)-cube, unit weights.
 
-    Faces are encoded over n+1 coordinates, each fixed to 0/1 or free; the
-    boundary alternates signs over the free coordinates.
+    Faces are encoded over n+1 coordinates, each fixed to 0/1 or free (None);
+    the boundary alternates signs over the free coordinates, and each column
+    is read off the masks through one {mask: index} dict per degree.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    dim = n + 1
-    faces_by_degree: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for fixed_mask in itertools.product((0, 1, None), repeat=dim):
-        free = [i for i, v in enumerate(fixed_mask) if v is None]
-        if len(free) > n:
-            continue  # the solid cube itself is not part of its boundary
-        faces_by_degree[len(free)].append(fixed_mask)
-    def face_id(mask):
-        return "c" + "".join("*" if v is None else str(v) for v in mask)
-    cells: list[list[tuple]] = []
-    for q, masks in enumerate(faces_by_degree):
-        masks.sort(key=lambda m: tuple(-1 if v is None else v for v in m))
-        specs = []
-        for mask in masks:
-            bdry = []
-            if q >= 1:
-                free = [i for i, v in enumerate(mask) if v is None]
-                for pos, coord in enumerate(free):
-                    sign = (-1) ** pos
-                    hi = list(mask); hi[coord] = 1
-                    lo = list(mask); lo[coord] = 0
-                    bdry.append((face_id(tuple(hi)), sign))
-                    bdry.append((face_id(tuple(lo)), -sign))
-            specs.append((face_id(mask), Fraction(1), bdry, None))
-        cells.append(specs)
-    return build_complex("cubical", cells)
+    by_degree: list[list[tuple]] = [[] for _ in range(n + 2)]
+    for mask in sorted(itertools.product((0, 1, None), repeat=n + 1),
+                       key=lambda m: tuple(-1 if v is None else v for v in m)):
+        by_degree[mask.count(None)].append(mask)
+    cell_ids, boundary_cols = [], []
+    index: dict[tuple, int] = {}  # the cells of the degree below
+    for masks in by_degree[:-1]:  # the solid cube itself is not part of its boundary
+        # free coordinate number pos: the face at 1 with sign (-1)^pos, at 0 with the opposite
+        boundary_cols.append(tuple(
+            tuple((index[m[:c] + (x,) + m[c + 1:]], (-1) ** (pos + x + 1))
+                  for pos, c in enumerate(c for c, v in enumerate(m) if v is None) for x in (1, 0))
+            for m in masks))
+        cell_ids.append(tuple("c" + "".join("*" if v is None else str(v) for v in m) for m in masks))
+        index = {m: i for i, m in enumerate(masks)}
+    weights = tuple(Weights(split=((1,) * len(ids), _fraction(1))) for ids in cell_ids)
+    return WeightedCellComplex("cubical", tuple(cell_ids), weights, tuple(boundary_cols))
 
 
 def flat_torus(k: int) -> WeightedCellComplex:

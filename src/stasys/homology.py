@@ -1,16 +1,17 @@
 """Integral and rational homology of a weighted cell complex.
 
 A coreduction pass (Mrozek–Batko, DCG 2009) first shrinks the complex to
-its few critical cells.  Repeated faces are summed, then the cells are
-taken in cell order (degree, then index): when the queue is empty the first
-cell left becomes critical, and a queued cell τ whose one remaining face σ
-has incidence ±1 is paired with it; either way the removed cells' cofaces
-are queued.  In removal order each q-cell gets its flow π, an integer
-combination of critical q-cells: a critical cell maps to itself, the upper
-cell τ of a pair to 0, and the lower cell σ to −inc·Σ ⟨∂τ,ρ⟩·π(ρ) over
-τ's other faces ρ, with inc = ⟨∂τ,σ⟩.  The Morse boundary of a critical
-cell c is π(∂c), a chain complex with the homology of K (each pair is one
-Gaussian elimination, and π is the composed projection).
+its few critical cells.  The columns are read by `stasys.complexes._faces`,
+which sums a face named twice and rejects one outside the degree below.
+Then the cells are taken in cell order (degree, then index): when the queue
+is empty the first cell left becomes critical, and a queued cell τ whose one
+remaining face σ has incidence ±1 is paired with it; either way the removed
+cells' cofaces are queued.  In removal order each q-cell gets its flow π, an
+integer combination of critical q-cells: a critical cell maps to itself, the
+upper cell τ of a pair to 0, and the lower cell σ to −inc·Σ ⟨∂τ,ρ⟩·π(ρ)
+over τ's other faces ρ, with inc = ⟨∂τ,σ⟩.  The Morse boundary of a
+critical cell c is π(∂c), a chain complex with the homology of K (each pair
+is one Gaussian elimination, and π is the composed projection).
 
 Everything after that comes from integer Smith normal forms of the Morse
 boundary, which carry their own inverses (``M = U D V`` with ``U_inv`` and
@@ -35,9 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
-from .complexes import Chain, WeightedCellComplex, _fraction, _summed
+from .complexes import Chain, WeightedCellComplex, _faces, _fraction
 from .linalg import smith_normal_form  # smith_normal_form re-exported
 
 __all__ = ["HomologySummary", "HomologyClass", "homology", "smith_normal_form", "class_coordinates"]
@@ -213,15 +213,6 @@ def _coreduce(K: WeightedCellComplex):
     cols = [[[(c, x * y) for f, x in faces[q][j].items() for c, y in flow[q - 1][f].items()]
              for j in critical[q]] for q in range(len(faces))]
     return faces, critical, flow, pairs, cols
-
-
-def _faces(columns, nrows: int) -> list[Sparse]:
-    """Each column as {row: value}, a row named twice summed and zeros dropped.
-    A row outside [0, nrows) is a ValueError naming it, as in `column_rows`."""
-    if any(columns) and not (0 <= min(chain(*columns))[0] and max(chain(*columns))[0] < nrows):
-        j, i = next((j, i) for j, col in enumerate(columns) for i, _ in col if not 0 <= i < nrows)
-        raise ValueError(f"column {j} names row {i}, outside [0, {nrows})")
-    return [_summed(col) for col in columns]
 
 
 def _cycle_lattice(cols, nrows: int) -> tuple[list[Sparse], list[Sparse]]:

@@ -2,7 +2,7 @@
 
 Homology needs only the integer Smith normal form with its inverses, run on
 the boundary of the Morse complex that its coreduction leaves, a few critical
-cells square: it reads sparse (row, value) columns with `column_rows`, as
+cells square: it reads sparse (row, value) columns by `complexes._faces`, as
 `stasys.lp` does, and returns sparse factors.  The rational routines are dense
 Gaussian elimination on small lists of lists of ``fractions.Fraction``, for
 rank tests (cup-product spans, degree-sandwich injectivity).  ``inverse`` has
@@ -12,6 +12,8 @@ no caller in the library; it stays because ``perfbench/tracing.py`` wraps it.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .complexes import _faces
 
 Matrix = list[list[Fraction]]
 
@@ -63,16 +65,14 @@ def inverse(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def column_rows(columns, nrows: int) -> list[dict]:
-    """The nrows rows of the matrix with these (row, value) columns, as in
-    ``boundary_cols``: {column: value} dicts of the nonzeros, a row named twice
-    in a column summing.  A row outside [0, nrows) is a ValueError naming it."""
+    """The nrows rows of the matrix with these (row, value) columns: the
+    transpose of `stasys.complexes._faces`, {column: value} dicts of the
+    nonzeros, with its summing and its row-range ValueError."""
     rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, x in col:
-            if not 0 <= i < nrows:
-                raise ValueError(f"column {j} names row {i}, outside [0, {nrows})")
-            rows[i][j] = rows[i].get(j, 0) + x
-    return [{j: x for j, x in row.items() if x} for row in rows]
+    for j, col in enumerate(_faces(columns, nrows)):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
 def smith_normal_form(columns, nrows: int) -> tuple[list[dict[int, int]], ...]:

@@ -2,7 +2,7 @@
 
 Solves  min c.x  subject to  A x = b, x >= 0, with A given by its sparse
 (row, value) columns: the format of a complex's ``boundary_cols``, read by
-the same `stasys.linalg.column_rows` as the Smith form.  `prepare` builds
+`stasys.complexes._faces`, as the Smith form reads it.  `prepare` builds
 the integer tableau [A | I] once.  Each row is a {column: int} dict of its
 nonzeros over one positive row denominator, so every pivot is exact
 integer (fraction-free) elimination that costs the nonzeros it touches.

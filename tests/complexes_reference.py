@@ -1,12 +1,13 @@
-"""Reference builders for ``stasys.complexes.simplicial_from_top`` and
-``stasys.complexes.product_complex``.
+"""Reference builders for ``stasys.complexes.simplicial_from_top``,
+``stasys.complexes.product_complex`` and ``stasys.complexes.cubical_sphere``.
 
 These are the builders the library ran before it built complexes from
-integers: `simplicial_from_top` formats each face's string id and resolves it
-again in `build_complex`, and `product_complex` places each face through an
-``(a, i, j)`` position dict and multiplies the factors' weights as Fractions,
-cell by cell.  The library must build the very same complex, field for
-field.  Kept here, outside ``src/``, only as an oracle for the tests.
+integers: `simplicial_from_top` and `cubical_sphere` format each face's
+string id and resolve it again in `build_complex`, which validates the
+result, and `product_complex` places each face through an ``(a, i, j)``
+position dict and multiplies the factors' weights as Fractions, cell by
+cell.  The library must build the very same complex, field for field.  Kept
+here, outside ``src/``, only as an oracle for the tests.
 """
 
 from __future__ import annotations
@@ -111,3 +112,39 @@ def product_complex(K: WeightedCellComplex, L: WeightedCellComplex) -> WeightedC
         factor_degrees=tuple(factor_tags),
     )
 
+
+
+def cubical_sphere(n: int) -> WeightedCellComplex:
+    """n-sphere as the boundary of the (n+1)-cube, unit weights.
+
+    Faces are encoded over n+1 coordinates, each fixed to 0/1 or free; the
+    boundary alternates signs over the free coordinates.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    dim = n + 1
+    faces_by_degree: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for fixed_mask in itertools.product((0, 1, None), repeat=dim):
+        free = [i for i, v in enumerate(fixed_mask) if v is None]
+        if len(free) > n:
+            continue  # the solid cube itself is not part of its boundary
+        faces_by_degree[len(free)].append(fixed_mask)
+    def face_id(mask):
+        return "c" + "".join("*" if v is None else str(v) for v in mask)
+    cells: list[list[tuple]] = []
+    for q, masks in enumerate(faces_by_degree):
+        masks.sort(key=lambda m: tuple(-1 if v is None else v for v in m))
+        specs = []
+        for mask in masks:
+            bdry = []
+            if q >= 1:
+                free = [i for i, v in enumerate(mask) if v is None]
+                for pos, coord in enumerate(free):
+                    sign = (-1) ** pos
+                    hi = list(mask); hi[coord] = 1
+                    lo = list(mask); lo[coord] = 0
+                    bdry.append((face_id(tuple(hi)), sign))
+                    bdry.append((face_id(tuple(lo)), -sign))
+            specs.append((face_id(mask), Fraction(1), bdry, None))
+        cells.append(specs)
+    return build_complex("cubical", cells)

@@ -302,9 +302,9 @@ def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
-def _vertex_with_boundary():
+def _vertex_with_boundary(boundary):
     data = complex_to_dict(circle(3))
-    data["cells"]["0"][0]["boundary"] = [["s1", 1]]
+    data["cells"]["0"][0]["boundary"] = boundary
     return data
 
 
@@ -312,7 +312,9 @@ def _vertex_with_boundary():
 INPUT_FILES = {
     "negative-dimension.json": {"dimension": -1, "betti": []},
     "dimension-zero.json": {"dimension": 0, "betti": [1]},
-    "vertex-boundary.json": _vertex_with_boundary(),
+    "vertex-boundary.json": _vertex_with_boundary([["s1", 1]]),
+    # read as it stands, vertex 0's boundary 5·v0 would give stsys_0 = 1/6
+    "vertex-five.json": _vertex_with_boundary([["s0", 5]]),
     "s2.json": complex_to_dict(sphere(2)),
     "c3.json": complex_to_dict(circle(3)),
     "c3-cubical.json": complex_to_dict(circle(3, kind="cubical")),
@@ -326,6 +328,7 @@ INPUT_FILES = {
     (["catstsys", "negative-dimension.json"], "dimension must be at least 0, not -1"),
     (["catstsys", "dimension-zero.json"], "n must be positive"),
     (["homology", "vertex-boundary.json"], "vertices cannot have boundary"),
+    (["systole", "vertex-five.json", "-q", "0"], "vertices cannot have boundary"),
     (["deform", "s2.json", "s2.json", "--partition", "1,3"],
      "partition part 1 has trivial homology on the product"),
     (["verify", "degree-sandwich", "c3-cubical.json", "c3-cubical.json", "--vertex-map", "0,1,2",
@@ -336,8 +339,8 @@ INPUT_FILES = {
       "-q", "1"], "degree needs one-dimensional top homology on both sides"),
     (["catstsys", "S\u00b2 x S3"], "cannot parse factor 'S\u00b2'; expected e.g. S3"),
 ], ids=["sphere-zero", "empty-expression", "negative-dimension", "dimension-zero",
-        "vertex-boundary", "trivial-part", "cubical-map", "dimension-mismatch", "two-top-classes",
-        "superscript-digit"])
+        "vertex-boundary", "vertex-boundary-systole", "trivial-part", "cubical-map", "dimension-mismatch",
+        "two-top-classes", "superscript-digit"])
 def test_input_check_exits_two_with_its_message(argv, message, tmp_path, capsys):
     for name in set(argv) & set(INPUT_FILES):
         (tmp_path / name).write_text(json.dumps(INPUT_FILES[name]))

@@ -20,9 +20,11 @@ from stasys import (
     flat_torus,
     fundamental_class_mass,
     homology,
+    load_complex,
     point,
     product_complex,
     rp2,
+    save_complex,
     simplicial_from_top,
     sphere,
     stable_systole,
@@ -113,7 +115,14 @@ def test_build_complex_rejects_nonpositive_weight():
 
 def _two_cells(weights, edge):
     """A vertex and a loop edge, built directly, so that nothing is checked."""
-    return WeightedCellComplex("general", (("v",), ("e",)), weights, ((), (edge,)))
+    return WeightedCellComplex("general", (("v",), ("e",)), weights, (((),), (edge,)))
+
+
+def _vertex_with_boundary():
+    """circle(3) with vertex 0's boundary 5·v0: unchecked, stable_systole(K, 0)
+    would read it as 1/6 where the circle's degree-0 systole is 1."""
+    K = circle(3)
+    return replace(K, boundary_cols=((((0, 5),), (), ()),) + K.boundary_cols[1:])
 
 
 def _factor_tags_off_by_one():
@@ -137,17 +146,47 @@ def _factor_tags_off_by_one():
      ComplexInvariantError, r"cell_ids has 1 degree\(s\) but weights has 2"),
     (lambda: WeightedCellComplex("general", (("v",), ("e",)), ((1,), (1,)), ((),)).validate(),
      ComplexInvariantError, r"cell_ids has 2 degree\(s\) but boundary_cols has 1"),
+    (lambda: WeightedCellComplex("general", (("v",), ("e", "f")), ((1,), (1, 1)),
+                                 (((),), (((0, 1), (0, -1)),))).validate(),
+     ComplexInvariantError, "boundary column count mismatch in degree 1"),
+    (lambda: _vertex_with_boundary().validate(), ComplexInvariantError, "vertices cannot have boundary"),
+    (lambda: _two_cells(((1,), (1.5,)), ((0, 1), (0, -1))).validate(), ComplexInvariantError,
+     "weight in degree 1 is not an int or a Fraction"),
+    (lambda: _two_cells(((True,), (1,)), ((0, 1), (0, -1))).validate(), ComplexInvariantError,
+     "weight in degree 0 is not an int or a Fraction"),
     (lambda: circle(3).boundary_of(circle(3).zero_chain(0)), ValueError, "degree 0 out of range"),
     (lambda: circle(3).mass(Chain(2, ())), ValueError, "degree 2 out of range"),
     (lambda: sphere(0), ValueError, "dimension must be >= 1"),
     (lambda: cubical_sphere(0), ValueError, "dimension must be >= 1"),
 ], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "cubical-lookup",
         "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
+        "boundary-column-missing", "vertex-with-boundary", "float-weight", "bool-weight",
         "boundary-of-vertices", "mass-out-of-range",
         "sphere-zero", "cubical-sphere-zero"])
 def test_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_validate_runs_where_a_complex_comes_in(monkeypatch, tmp_path):
+    # a constructor's output is correct by construction and is not checked
+    # again; build_complex, and so load_complex, checks its complex once
+    calls = []
+    real = WeightedCellComplex.validate
+    monkeypatch.setattr(WeightedCellComplex, "validate", lambda self: calls.append(self) or real(self))
+    for build in (point, lambda: circle(4), lambda: circle(4, F(2, 3), "cubical"), lambda: sphere(3),
+                  lambda: cubical_sphere(3), lambda: flat_torus(3), torus_triangulated, rp2,
+                  lambda: simplicial_from_top([(0, 1, 2), (2, 3)], {(0, 1): F(1, 2)}),
+                  lambda: product_complex(rp2(), cubical_sphere(2)),
+                  lambda: circle(3).rescale(F(3, 2)), lambda: DeformationFamily(flat_torus(3)).at(2)):
+        build()
+    assert calls == []
+    K = build_complex("general", [[("v", 1, [])], [("e", 1, [("v", 1), ("v", -1)])]])
+    assert len(calls) == 1 and calls[0] is K
+    save_complex(torus_triangulated(), tmp_path / "t9.json")
+    calls.clear()
+    L = load_complex(tmp_path / "t9.json")
+    assert len(calls) == 1 and calls[0] is L
 
 
 def test_mass_and_chain_arithmetic():

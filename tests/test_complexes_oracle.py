@@ -1,9 +1,10 @@
 """The integer builders against the reference builders in complexes_reference.
 
-`simplicial_from_top` and `product_complex` must build, field for field, the
-complex that the string-id and position-dict builders built: the same cell
-ids, boundary columns, weight values and s·ĉ split, vertex lists and factor
-tags, and so the same homology summary in every cell order.
+`simplicial_from_top`, `product_complex` and `cubical_sphere` must build,
+field for field, the complex that the string-id and position-dict builders
+built: the same cell ids, boundary columns, weight values and s·ĉ split,
+vertex lists and factor tags, and so the same homology summary in every cell
+order.
 """
 
 import importlib
@@ -25,13 +26,13 @@ F = Fraction
 
 
 def built_both_ways(build, monkeypatch):
-    """build() as it stands, and again with both builders swapped for the
-    references wherever a constructor or a fixture looks them up."""
+    """build() as it stands, and again with the three builders swapped for
+    the references wherever a constructor or a fixture looks them up."""
     new = build()
     with monkeypatch.context() as m:
         for module in (C, conftest):
-            m.setattr(module, "simplicial_from_top", reference.simplicial_from_top)
-            m.setattr(module, "product_complex", reference.product_complex)
+            for name in ("simplicial_from_top", "product_complex", "cubical_sphere"):
+                m.setattr(module, name, getattr(reference, name))
         old = build()
     return new, old
 
@@ -52,7 +53,7 @@ CONSTRUCTORS = {
     "circle(5, 2/3)": lambda: C.circle(5, edge_weight=F(2, 3)),
     "cubical circle(4, 3)": lambda: C.circle(4, edge_weight=3, kind="cubical"),
     **{f"sphere({n})": (lambda n=n: C.sphere(n)) for n in range(1, 5)},
-    **{f"cubical_sphere({n})": (lambda n=n: C.cubical_sphere(n)) for n in range(1, 4)},
+    **{f"cubical_sphere({n})": (lambda n=n: C.cubical_sphere(n)) for n in range(1, 5)},
     "flat_torus(3)": lambda: C.flat_torus(3),
     "flat_torus(5)": lambda: C.flat_torus(5),
     "torus_triangulated": C.torus_triangulated,
@@ -116,3 +117,27 @@ def test_simplicial_from_top_builds_the_reference_complex(drawn):
         return
     assert_same_complex(new, old)
     assert_same_complex(C.product_complex(new, new), reference.product_complex(old, old))
+
+
+def constructor_outputs():
+    """The output of a constructor: a drawn top-simplex list with positive
+    rational weights, a circle, a sphere, a cubical sphere, a flat torus, a
+    fixed triangulation, or the cell-wise product of two of those."""
+    base = st.one_of(
+        tops_and_weights().map(lambda drawn: C.simplicial_from_top(
+            drawn[0], {face: w for face, w in drawn[1].items() if w > 0})),
+        st.builds(C.circle, st.integers(3, 7), st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                  st.sampled_from(["simplicial", "cubical"])),
+        st.builds(C.sphere, st.integers(1, 4)),
+        st.builds(C.cubical_sphere, st.integers(1, 3)),
+        st.builds(C.flat_torus, st.integers(3, 5)),
+        st.sampled_from([C.point, C.torus_triangulated, C.rp2]).map(lambda build: build()),
+    )
+    return st.one_of(base, st.builds(C.product_complex, base, base))
+
+
+@settings(max_examples=80, deadline=None)
+@given(constructor_outputs())
+def test_every_constructor_builds_a_valid_complex(K):
+    # the constructors do not validate their output: validate() must pass on it
+    K.validate()
