@@ -167,8 +167,8 @@ class WeightedCellComplex:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(
             ws if type(ws) is Weights else Weights(ws) for ws in self.weights))
-        # what is computed from the structure alone (homology's summary),
-        # shared with every reweighting
+        # what is computed from the structure alone, shared with every
+        # reweighting: homology's summary and the norm LPs' tableaux and stop tests
         object.__setattr__(self, "_shared", {})
 
     @property
@@ -187,8 +187,8 @@ class WeightedCellComplex:
     def _reweighted(self, weights) -> "WeightedCellComplex":
         """The same complex under new `Weights`: every other attribute is
         self's object, ``_shared`` included, so self and all its reweightings
-        read one homology summary, whichever computes it first.  That holds
-        because everything a complex caches depends on its structure alone."""
+        read one homology summary and norm-LP state, whichever builds them
+        first; both depend on the structure alone (LP bases are kept per cost)."""
         out = object.__new__(type(self))
         vars(out).update(vars(self), weights=tuple(weights))
         return out
@@ -251,13 +251,16 @@ class WeightedCellComplex:
         """Check every structural invariant; raise ComplexInvariantError."""
         if not self.cell_ids:
             raise ComplexInvariantError("complex has no degree 0")
-        for name in ("weights", "boundary_cols"):
-            if (n := len(getattr(self, name))) != len(self.cell_ids):
-                raise ComplexInvariantError(f"cell_ids has {len(self.cell_ids)} degree(s) but {name} has {n}")
-        for q, (ids, ws, cols) in enumerate(zip(self.cell_ids, self.weights, self.boundary_cols)):
-            for name, per_cell in (("weight", ws), ("boundary column", cols)):
+        for name, entry in (("weights", "weight"), ("boundary_cols", "boundary column"),
+                            ("vertex_lists", "vertex list"), ("factor_degrees", "factor tag")):
+            if (table := getattr(self, name)) is None:
+                continue
+            if len(table) != len(self.cell_ids):
+                raise ComplexInvariantError(f"cell_ids has {len(self.cell_ids)} degree(s) but {name} has {len(table)}")
+            for q, (ids, per_cell) in enumerate(zip(self.cell_ids, table)):
                 if len(per_cell) != len(ids):
-                    raise ComplexInvariantError(f"{name} count mismatch in degree {q}")
+                    raise ComplexInvariantError(f"{entry} count mismatch in degree {q}")
+        for q, ws in enumerate(self.weights):
             if any(type(w) not in (int, Fraction) for w in ws):
                 raise ComplexInvariantError(f"weight in degree {q} is not an int or a Fraction")
             if min(ws, default=1) <= 0:
@@ -490,12 +493,14 @@ class DeformationFamily:
     base: WeightedCellComplex
 
     def __post_init__(self):
-        if self.base.factor_degrees is None:
+        base = self.base
+        if base.factor_degrees is None:
             raise ValueError("deformation family needs a factor-tagged product complex")
-        for q, tags in enumerate(self.base.factor_degrees):
-            for (a, b) in tags:
-                if a < 0 or b < 0 or a + b != q:
-                    raise ComplexInvariantError("factor tags must split the cell degree")
+        for q, (ids, tags) in enumerate(itertools.zip_longest(base.cell_ids, base.factor_degrees, fillvalue=())):
+            if len(tags) != len(ids):
+                raise ComplexInvariantError(f"factor tag count mismatch in degree {q}")
+            if any(a < 0 or b < 0 or a + b != q for a, b in tags):
+                raise ComplexInvariantError("factor tags must split the cell degree")
 
     def at(self, t: Rational) -> WeightedCellComplex:
         """The base with each cell's weight times t^a, built in integers.

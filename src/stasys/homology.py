@@ -62,20 +62,15 @@ class HomologyClass:
 
 @dataclass(frozen=True)
 class HomologySummary:
-    """Per-degree homology data of one complex (weight-independent)."""
+    """Per-degree homology of one complex: weight-independent, immutable, no LP state."""
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[Chain, ...], ...]
     torsion_generators: tuple[tuple[Chain, ...], ...]
     coordinate_maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    # the critical cells the coreduction left in each degree
+    # the number of critical cells the coreduction left in each degree
     critical: tuple[int, ...] = field(compare=False, repr=False)
-    # prepared LP tableaux of the norm LPs, keyed by the degree q
-    tableaux: dict = field(default_factory=dict, compare=False, repr=False)
-    # the systole search's stop-test bounds M as integer pairs, keyed by
-    # their tuple of λ's (the newest norms.STOP_TESTS_KEPT of them)
-    stop_tests: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def integer_generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:

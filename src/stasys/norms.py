@@ -6,7 +6,7 @@ q-cells alone (`minimum_mass_cycle`): the cycle rows ``∂x = 0`` plus one
 row per rational coordinate of the class, with the L1 mass linearized by
 the usual sign split ``x = x+ - x-``.  Its sparse tableau, built from the
 q-cells' ``boundary_cols``, depends on the structure alone and is crashed
-once per degree q on the homology summary that a complex shares with its
+once per degree q into ``K._shared``, the slot a complex shares with its
 reweightings; a class sets only its right-hand sides and costs.  A metric
 scaled by s scales every norm and λ by s, so every norm LP is costed by
 the weights' primitive integer direction ĉ (weights = s·ĉ, as the complex
@@ -32,8 +32,8 @@ stops once L(h) = max_k |λ_k.h| is large enough on the max-norm unit
 sphere, which M, the largest h_j with L(h) <= 1, decides: b LPs of the
 same sign-split L1 shape, the least sum |μ_k| with sum μ_k λ_k = e_j, one
 per coordinate j, solved once per λ set on one throwaway tableau.
-summary.stop_tests keeps M per λ set (the newest STOP_TESTS_KEPT), so a
-kept stop test is one cross-multiplication.  A search repeated on the same
+The same slot keeps M per λ set (the newest STOP_TESTS_KEPT), so a kept
+stop test is one cross-multiplication.  A search repeated on the same
 complex, or on a reweighting of it (`rescale`, `DeformationFamily.at`,
 `pullback_weights`) in the same weight direction, so runs no LP lookup.
 """
@@ -115,7 +115,7 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         z, f, dual = _unique_cycle(summary, q, cls.coords, K.weights[q])
         z = Chain(q, tuple(z))
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
-    value, cycle, dual, f = minimum_mass_cycle(K, summary, cls)
+    value, cycle, dual, f = minimum_mass_cycle(K, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
 
 
@@ -130,14 +130,13 @@ def _unique_cycle(summary: HomologySummary, q: int, coords, weights):
     return z, f, tuple(sum(map(operator.mul, f, g)) for g in gens)
 
 
-def minimum_mass_cycle(
-    K: WeightedCellComplex, summary: HomologySummary, cls: HomologyClass
-) -> tuple[Fraction, Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Least mass in cls, a cycle attaining it, λ and f; summary is homology(K).
+def minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass
+                       ) -> tuple[Fraction, Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Least mass in cls, a cycle attaining it, λ and f.
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
-    of the coordinate map, on summary.tableaux[q], built from boundary_cols[q].
+    of homology(K)'s coordinate map, on K's tableau (see `_norm_lp`).
     The LP is costed by ĉ, for weights w = s·ĉ, and its value, λ and f are
     scaled by s, so the weights times any t > 0 reuse the bases recorded
     for ĉ.  Its feasible set is exactly the cycles in the class, because a
@@ -148,7 +147,7 @@ def minimum_mass_cycle(
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    optimum, levels, bn, d = _lookup(*_norm_lp(K, summary, q, cls.coords, chat))
+    optimum, levels, bn, d = _lookup(*_norm_lp(K, q, cls.coords, chat))
     value = Fraction(sum(map(operator.mul, optimum.ynum, bn)), optimum.yden * d)
     dual, f = optimum.y[-len(cls.coords):], optimum.load[:nq]
     if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
@@ -161,17 +160,17 @@ def minimum_mass_cycle(
     return value, Chain._of_fractions(q, tuple(cycle)), dual, f
 
 
-def _norm_lp(K: WeightedCellComplex, summary: HomologySummary, q: int, coords, weights):
-    """The norm LP of the degree-q class with these coordinates, costed by
-    these q-cell weights, as `solve_lp`'s (tableau, b, c): the tableau of
-    summary.tableaux[q], prepared here on first use, whose open rows are
-    the coordinate rows, so y on them is λ."""
-    tab = summary.tableaux.get(q)
+def _norm_lp(K: WeightedCellComplex, q: int, coords, weights):
+    """The norm LP of K's degree-q class with these coordinates, costed by
+    these q-cell weights, as `solve_lp`'s (tableau, b, c): the tableau kept in
+    K._shared under ("norm tableau", q), prepared here on first use from
+    homology(K), whose open rows are the coordinate rows, so y on them is λ."""
+    tab = K._shared.get(("norm tableau", q))
     if tab is None:
-        nb, cmap = K.n_cells(q - 1), summary.coordinate_maps[q]
+        nb, cmap = K.n_cells(q - 1), homology(K).coordinate_maps[q]
         cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
                 for j, col in enumerate(K.boundary_cols[q])]
-        tab = summary.tableaux[q] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
+        tab = K._shared[("norm tableau", q)] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
     return tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights)
 
 
@@ -192,7 +191,7 @@ def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
         return sum(map(operator.mul, f, z)), dual, 1
     optimum = next((optimum for optimum in records if optimum.levels(coords) is not None), None)
     if optimum is None:
-        optimum = _lookup(*_norm_lp(K, summary, q, coords, chat))[0]
+        optimum = _lookup(*_norm_lp(K, q, coords, chat))[0]
     return sum(map(operator.mul, optimum.ynum, coords)), optimum.ynum, optimum.yden
 
 
@@ -215,7 +214,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     sn, sd = s.numerator, s.denominator  # a norm num / d is num·sn / (d·sd), one Fraction
     records = None  # the bases recorded for the norm LP's cost, fetched once
     if K.n_cells(q + 1):
-        tab, _, c = _norm_lp(K, summary, q, (), chat)
+        tab, _, c = _norm_lp(K, q, (), chat)
         records = tab.optima.get(c, ())
     if b == 1:
         num, _, d = _class_norm(K, summary, q, (1,), chat, records)
@@ -236,13 +235,13 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
                 best, witness = (num, d), v
         # every class left has max-norm >= r+1, so its norm is at least
         # (r+1) times the least L on the max-norm unit sphere
-        if _bounds_sphere(summary.stop_tests, duals, b, best[0], best[1] * (r + 1)):
+        if _bounds_sphere(K._shared.setdefault("stop tests", {}), duals, b, best[0], best[1] * (r + 1)):
             return SystoleResult(Fraction(best[0] * sn, best[1] * sd), witness, "certified")
     return SystoleResult(None if best is None else Fraction(best[0] * sn, best[1] * sd), witness,
                          f"bounded-search({search_radius})")
 
 
-STOP_TESTS_KEPT = 64  # stop-test bounds kept per summary, so many directions stay bounded
+STOP_TESTS_KEPT = 64  # stop-test bounds kept per complex, so many directions stay bounded
 
 
 def _bounds_sphere(stop_tests: dict, duals, b: int, num: int, den: int) -> bool:
@@ -252,7 +251,7 @@ def _bounds_sphere(stop_tests: dict, duals, b: int, num: int, den: int) -> bool:
     The unit vectors e_j are tried first.  L is positively homogeneous, so
     the claim holds exactly when every h with L(h) <= 1 has |h_j| <= den/num,
     i.e. when M = max_j max{h_j : L(h) <= 1} is at most den/num.  M depends
-    on the λ set alone, and ``stop_tests`` (a summary's) keeps it per λ set,
+    on the λ set alone, and ``stop_tests`` (a complex's) keeps it per λ set,
     keyed by the tuple of pairs, the newest STOP_TESTS_KEPT of them, as an
     integer pair (M's numerator, denominator), or (1, 0) when the λ's do
     not span and M is infinite; a kept test is one cross-multiplication.

@@ -5,8 +5,9 @@ oracles for the tests.
 went over to integers: every class's norm and λ come back from ``solve_lp``
 as Fractions, with its x and loads, and the search compares, prunes and
 stops on Fractions.  It visits the classes in the same order, on the same
-norm tableau, so on the same history of solves it must give the same
-value, witness and status.
+norm tableau, the one the library keeps on the complex, read through
+``stasys.norms._norm_lp``, so on the same history of solves it must give
+the same value, witness and status.
 
 ``reference_minimum_mass_cycle`` reads a class's norm, optimal cycle, λ and
 cocycle f off ``solve_lp``'s full answer, as the library once did: x as one
@@ -23,7 +24,7 @@ from fractions import Fraction
 from stasys.complexes import Chain
 from stasys.homology import homology
 from stasys.lp import Infeasible, prepare, solve_lp
-from stasys.norms import SystoleResult, _primitive_vectors, _sign_split, _unique_cycle
+from stasys.norms import SystoleResult, _norm_lp, _primitive_vectors, _sign_split, _unique_cycle
 
 
 def reference_stable_systole(K, q: int, search_radius: int = 5) -> SystoleResult:
@@ -54,31 +55,21 @@ def reference_stable_systole(K, q: int, search_radius: int = 5) -> SystoleResult
                          f"bounded-search({search_radius})")
 
 
-def reference_minimum_mass_cycle(K, summary, cls):
+def reference_minimum_mass_cycle(K, cls):
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    value, x, y, load = _norm_lp(K, summary, q, cls.coords, chat)
+    value, x, y, load = solve_lp(*_norm_lp(K, q, cls.coords, chat))
     cycle = [xp - xm for xp, xm in zip(x[:nq], x[nq:])]
     return (value * s, Chain(q, tuple(cycle)), tuple(v * s for v in y[-len(cls.coords):]),
             tuple(v * s for v in load[:nq]))
-
-
-def _norm_lp(K, summary, q: int, coords, weights):
-    tab = summary.tableaux.get(q)
-    if tab is None:
-        nb, cmap = K.n_cells(q - 1), summary.coordinate_maps[q]
-        cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
-                for j, col in enumerate(K.boundary_cols[q])]
-        tab = summary.tableaux[q] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
-    return solve_lp(tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights))
 
 
 def _class_norm(K, summary, q: int, coords, weights):
     if K.n_cells(q + 1) == 0:
         z, f, dual = _unique_cycle(summary, q, coords, weights)
         return sum(map(operator.mul, f, z)), dual
-    value, _, y, _ = _norm_lp(K, summary, q, coords, weights)
+    value, _, y, _ = solve_lp(*_norm_lp(K, q, coords, weights))
     return value, tuple(y[-len(coords):])
 
 

@@ -132,6 +132,21 @@ def _factor_tags_off_by_one():
     return DeformationFamily(replace(P, factor_degrees=tuple(tags)))
 
 
+def _extra_vertex():
+    """circle(3) with a vertex list for a fourth vertex: unchecked,
+    cell_by_vertices((7,)) would return 3 on a circle of three vertices."""
+    K = circle(3)
+    return replace(K, vertex_lists=(K.vertex_lists[0] + ((7,),), K.vertex_lists[1]))
+
+
+def _short_factor_tags(degrees=False):
+    """C3 x C4 with its last edge's tag dropped, or with no degree-2 tags:
+    unchecked, DeformationFamily(K).at(2) builds 23 weights for 24 edges."""
+    K = product_complex(circle(3), circle(4))
+    f0, f1, f2 = K.factor_degrees
+    return replace(K, factor_degrees=(f0, f1) if degrees else (f0, f1[:-1], f2))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: build_complex("general", []), ComplexInvariantError, "complex has no degree 0"),
     (lambda: simplicial_from_top([]), ComplexInvariantError, "complex has no degree 0"),
@@ -158,11 +173,23 @@ def _factor_tags_off_by_one():
     (lambda: circle(3).mass(Chain(2, ())), ValueError, "degree 2 out of range"),
     (lambda: sphere(0), ValueError, "dimension must be >= 1"),
     (lambda: cubical_sphere(0), ValueError, "dimension must be >= 1"),
+    (lambda: _extra_vertex().validate(), ComplexInvariantError, "vertex list count mismatch in degree 0"),
+    (lambda: replace(circle(3), vertex_lists=circle(3).vertex_lists + ((),)).validate(),
+     ComplexInvariantError, r"cell_ids has 2 degree\(s\) but vertex_lists has 3"),
+    (lambda: _short_factor_tags().validate(), ComplexInvariantError, "factor tag count mismatch in degree 1"),
+    (lambda: DeformationFamily(_short_factor_tags()), ComplexInvariantError,
+     "factor tag count mismatch in degree 1"),
+    (lambda: _short_factor_tags(degrees=True).validate(), ComplexInvariantError,
+     r"cell_ids has 3 degree\(s\) but factor_degrees has 2"),
+    (lambda: DeformationFamily(_short_factor_tags(degrees=True)), ComplexInvariantError,
+     "factor tag count mismatch in degree 2"),
 ], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "cubical-lookup",
         "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
         "boundary-column-missing", "vertex-with-boundary", "float-weight", "bool-weight",
         "boundary-of-vertices", "mass-out-of-range",
-        "sphere-zero", "cubical-sphere-zero"])
+        "sphere-zero", "cubical-sphere-zero", "extra-vertex", "extra-vertex-degree",
+        "short-factor-tags", "short-factor-tags-family", "missing-factor-tag-degree",
+        "missing-factor-tag-degree-family"])
 def test_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()

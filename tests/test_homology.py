@@ -217,20 +217,29 @@ def test_a_complex_and_its_reweightings_share_one_summary(base_first):
         assert homology(rebuilt) is not summary and homology(rebuilt) == summary
 
 
+class Marker:
+    """A value a weakref can follow, put into a dict to see when the dict is
+    freed: a dict itself takes no weakref."""
+
+
 def test_a_summary_lives_as_long_as_its_complex_and_its_reweightings():
-    # nothing outside the complex keeps its summary, the LP tableaux and
-    # stop tests a search leaves on it included
+    # nothing outside the complex keeps its summary, nor the norm tableau
+    # and stop tests that a search leaves beside it
     K = flat_torus(3)
     L = DeformationFamily(K).at(2)
     assert stable_systole(L, 1).search_status == "certified"
-    summary = weakref.ref(homology(K))
-    assert summary().tableaux and summary().stop_tests
+    stop_tests = K._shared["stop tests"]
+    assert stop_tests
+    stop_tests["marker"] = marker = Marker()
+    refs = [weakref.ref(x) for x in (homology(K), K._shared["norm tableau", 1], marker)]
+    del stop_tests, marker
     del K
     gc.collect()
-    assert summary() is homology(L)
+    assert refs[0]() is homology(L) and refs[1]() is L._shared["norm tableau", 1]
+    assert refs[2]() is L._shared["stop tests"]["marker"]
     del L
     gc.collect()
-    assert summary() is None
+    assert [ref() for ref in refs] == [None] * 3
 
 
 class Watched(tuple):

@@ -20,6 +20,8 @@ from stasys import (
     Partition,
     StableNormResult,
     circle,
+    complex_from_dict,
+    complex_to_dict,
     cubical_sphere,
     deformation_sweep,
     flat_torus,
@@ -51,6 +53,7 @@ from conftest import (
     brute_force_class_norms,
     brute_force_systole,
     capped_systoles,
+    permuted,
     theta_graph,
     wedge_two_circles,
     weighted_circle,
@@ -148,17 +151,16 @@ BOX = [c for c in itertools.product(range(-2, 3), repeat=2) if any(c)]
 
 @functools.cache
 def fresh_norm(name, coords):
-    K = ORDER_CASES[name]
-    return minimum_mass_cycle(K, replace(homology(K), tableaux={}), HomologyClass(1, coords))[0]
+    return minimum_mass_cycle(replace(ORDER_CASES[name]), HomologyClass(1, coords))[0]
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(ORDER_CASES)), st.permutations(BOX))
 def test_norms_do_not_depend_on_the_classes_solved_before(name, order):
-    K = ORDER_CASES[name]
-    summary = replace(homology(K), tableaux={})
+    K = replace(ORDER_CASES[name])  # an equal complex with no norm tableau yet
+    summary = homology(K)
     for coords in order:
-        value, cycle, dual, f = minimum_mass_cycle(K, summary, HomologyClass(1, coords))
+        value, cycle, dual, f = minimum_mass_cycle(K, HomologyClass(1, coords))
         assert value == fresh_norm(name, coords)
         res = StableNormResult(value, cycle, "optimal-LP", dual, f)
         assert certificate_problems(K, summary.generators[1], res) == [], coords
@@ -176,11 +178,44 @@ def test_a_reweighted_structure_is_not_answered_from_the_old_weights():
     old = {coords: stable_norm(K, HomologyClass(1, coords)).value for coords in BOX}
     for coords in BOX:
         res = stable_norm(heavy, HomologyClass(1, coords))
-        fresh = minimum_mass_cycle(heavy, replace(summary, tableaux={}), HomologyClass(1, coords))
+        fresh = minimum_mass_cycle(replace(heavy), HomologyClass(1, coords))
         assert res.value == fresh[0]
         assert certificate_problems(heavy, summary.generators[1], res) == []
     assert sorted(stable_norm(heavy, HomologyClass(1, c)).value for c in ((1, 0), (0, 1))) == [3, 6]
     assert old[1, 0] == old[0, 1] == 3
+
+
+def reversed_torus():
+    """flat_torus(3) with its edges and squares in reverse order, by a JSON round trip."""
+    data = complex_to_dict(flat_torus(3))
+    for q in ("1", "2"):
+        data["cells"][q].reverse()
+    return complex_from_dict(data)
+
+
+CELL_ORDERS = {**{f"seed-{seed}": functools.partial(permuted, flat_torus(3), seed) for seed in (0, 2, 5)},
+               "reversed": reversed_torus}
+
+
+def torus_answers(K):
+    """K's norms over the [-2, 2]^2 box and its degree-1 systole."""
+    res = stable_systole(K, 1)
+    return ([stable_norm(K, HomologyClass(1, c)).value for c in itertools.product(range(-2, 3), repeat=2)],
+            (res.value, res.witness_class, res.search_status))
+
+
+@pytest.mark.parametrize("order", sorted(CELL_ORDERS))
+def test_queries_on_one_cell_order_leave_another_alone(order):
+    # flat_torus(3) in two cell orders: the norm LP state of each is its
+    # own, so queries on one, in any order, leave the other's answers those
+    # of a freshly built complex
+    build = {"built": lambda: flat_torus(3), order: CELL_ORDERS[order]}
+    for queried, other in itertools.permutations(build):
+        K, L = build[queried](), build[other]()
+        for cls in (HomologyClass(1, (1, 0)), HomologyClass(1, (0, 1)), HomologyClass(1, (2, -1))):
+            assert minimum_mass_cycle(K, cls)[0] == stable_norm(K, cls).value
+        assert stable_systole(K, 1).value == 3
+        assert torus_answers(L) == torus_answers(build[other]())
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +462,12 @@ def test_stop_tests_kept_per_summary_are_bounded(monkeypatch):
     for duals in keys[:3] + [keys[0]] + keys[3:]:
         assert norms._bounds_sphere(stop_tests, list(duals), 2, 1, 2)
     assert list(stop_tests) == keys[2:]
-    # a search keeps its stop tests apart from the norm tableaux, keyed by q
+    # a search keeps its stop tests on the complex apart from the norm
+    # tableaux, which are keyed by q
     K = flat_torus(3)
-    summary = homology(K)
-    summary.tableaux.clear()
-    summary.stop_tests.clear()
     stable_systole(K, 1)
-    assert list(summary.tableaux) == [1]
-    assert list(summary.stop_tests) == [(((3, 3), 1), ((3, -3), 1))]
+    assert list(K._shared) == ["homology", ("norm tableau", 1), "stop tests"]
+    assert list(K._shared["stop tests"]) == [(((3, 3), 1), ((3, -3), 1))]
 
 
 def sphere_threshold(duals):
@@ -462,7 +495,7 @@ def lambda_sets(draw):
     return tuple(tuple(sum(a * u[i] for a, u in zip(cs, base)) for i in range(b)) for cs in coefficients)
 
 
-KEPT_STOP_TESTS: dict = {}  # one store for every example, as a summary keeps it
+KEPT_STOP_TESTS: dict = {}  # one store for every example, as a complex keeps it
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,7 +525,7 @@ def test_direction_records_of_a_norm_tableau_are_bounded():
     family = DeformationFamily(K)
     for t in range(2, 302):
         stable_systole(family.at(t), 1)
-    assert 0 < len(homology(K).tableaux[1].optima) <= lp.COSTS_KEPT
+    assert 0 < len(K._shared["norm tableau", 1].optima) <= lp.COSTS_KEPT
 
 
 A = 10 ** 400
@@ -540,7 +573,6 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
     norms = importlib.import_module("stasys.norms")
     K = flat_torus(4)
     summary = homology(K)
-    summary.tableaux.clear()
     calls = []
     real = norms.prepare
     monkeypatch.setattr(norms, "prepare", lambda *args: calls.append(args) or real(*args))
@@ -561,10 +593,8 @@ def test_a_rescaled_systole_reuses_the_recorded_bases(monkeypatch):
     # answers again and no two-phase solve runs on its tableau
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
-    summary = homology(K)
-    summary.tableaux.clear()
     base = stable_systole(K, 1)
-    tab = summary.tableaux[1]
+    tab = K._shared["norm tableau", 1]
     solved = []
     real = lp._two_phase
     monkeypatch.setattr(lp, "_two_phase", lambda t, *rest: solved.append(t) or real(t, *rest))
@@ -580,11 +610,9 @@ def test_a_rescaled_stable_norm_is_answered_from_the_recorded_bases(monkeypatch)
     # vector, the cycle stays, and the value, λ and f scale by t
     lp = importlib.import_module("stasys.lp")
     K = flat_torus(4)
-    summary = homology(K)
-    summary.tableaux.clear()
     classes = [HomologyClass(1, coords) for coords in ((1, 0), (2, -1), (F(1, 2), 3))]
     norms = [stable_norm(K, cls) for cls in classes]
-    tab = summary.tableaux[1]
+    tab = K._shared["norm tableau", 1]
     costs = list(tab.optima)
     solved = []
     real = lp._two_phase
@@ -607,7 +635,7 @@ def test_the_search_solves_on_primitive_integer_costs(K, monkeypatch):
     # integer direction, so on a rescaled or deformed metric they hand
     # the LP only costs of gcd 1
     norms, lp = (importlib.import_module(f"stasys.{m}") for m in ("norms", "lp"))
-    homology(K).tableaux.clear()
+    K = replace(K)  # an equal complex with no norm tableau yet
     costs = []
     real_lookup = lp._lookup
     for module in (norms, lp):  # the search's binding and solve_lp's
@@ -725,7 +753,7 @@ def test_the_open_rows_of_a_norm_tableau_are_its_coordinate_rows(name):
     for q, b in enumerate(summary.betti):
         if b and K.n_cells(q + 1):
             stable_norm(K, HomologyClass(q, (1,) * b))
-            tab = summary.tableaux[q]
+            tab = K._shared["norm tableau", q]
             assert tab.opened == list(range(len(tab) - b, len(tab)))
 
 
@@ -745,14 +773,12 @@ def test_the_integer_search_matches_the_fraction_search(name, q, radius, seed):
     K = replace(K, weights=tuple(tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in ws)
                                  for ws in K.weights))
     q = min(q, K.top_dim)
-    summary = homology(K)
     results = []
     for search, cold in ((reference_stable_systole, True), (stable_systole, True),
                          (stable_systole, False)):
         if cold:
-            summary.tableaux.clear()
-            summary.stop_tests.clear()
-        res = search(K, q, radius)
+            L = replace(K)  # an equal complex with no norm tableau or stop test yet
+        res = search(L, q, radius)
         results.append(repr((res.value, res.witness_class, res.search_status)))
     assert results[0] == results[1] == results[2]
 
@@ -843,7 +869,7 @@ def test_a_warm_norm_builds_fractions_for_its_basis_alone(k, monkeypatch):
     K = flat_torus(k)
     classes = [HomologyClass(1, v) for v in itertools.product(range(-2, 3), repeat=2) if any(v)]
     cold = [stable_norm(K, cls) for cls in classes]
-    rows = len(homology(K).tableaux[1])
+    rows = len(K._shared["norm tableau", 1])
     built = []
     real = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
@@ -885,7 +911,7 @@ def test_warm_norms_match_solve_lp(name, q, seed, draws):
         res = stable_norm(K, cls)
         assert res.certificate == "optimal-LP"
         assert repr((res.value, res.optimal_cycle, res.dual, res.cocycle)) == repr(
-            reference_minimum_mass_cycle(K, summary, cls))
+            reference_minimum_mass_cycle(K, cls))
         assert certificate_problems(K, summary.generators[q], res) == [], coords
 
 
@@ -908,9 +934,8 @@ def test_the_norm_tableau_stores_only_nonzeros():
     # built from boundary columns, the prepared tableau of flat_torus(16)'s
     # q=1 norm LP holds its nonzeros alone: far fewer than its dense slots
     K = flat_torus(16)
-    summary = replace(homology(K), tableaux={})
-    minimum_mass_cycle(K, summary, HomologyClass(1, (1, 0)))
-    tab = summary.tableaux[1]
+    minimum_mass_cycle(K, HomologyClass(1, (1, 0)))
+    tab = K._shared["norm tableau", 1]
     stored = [x for row in tab.rows for x in row.values()]
     assert 0 not in stored
     assert 20 * len(stored) < len(tab.rows) * (tab.n + len(tab) + 1)
