@@ -81,9 +81,10 @@ def cup_product(K: WeightedCellComplex, alpha: Cochain, beta: Cochain) -> Cochai
 def pairing(K: WeightedCellComplex, alpha: Cochain, chain) -> Fraction:
     if alpha.degree != chain.degree:
         raise ValueError("degree mismatch in pairing")
-    return sum(
-        (a * c for a, c in zip(alpha.values, chain.coeffs) if a and c), Fraction(0)
-    )
+    if len(alpha.values) != len(chain.coeffs):
+        raise ValueError(f"length mismatch in pairing: cochain of length {len(alpha.values)}, "
+                         f"chain of length {len(chain.coeffs)}")
+    return sum((a * c for a, c in zip(alpha.values, chain.coeffs) if a and c), Fraction(0))
 
 
 def cohomology_coordinates(K: WeightedCellComplex, alpha: Cochain) -> tuple[Fraction, ...]:

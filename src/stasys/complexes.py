@@ -260,6 +260,8 @@ class WeightedCellComplex:
             for q, (ids, per_cell) in enumerate(zip(self.cell_ids, table)):
                 if len(per_cell) != len(ids):
                     raise ComplexInvariantError(f"{entry} count mismatch in degree {q}")
+        if self.factor_degrees is not None:
+            _check_factor_tags(self)
         for q, ws in enumerate(self.weights):
             if any(type(w) not in (int, Fraction) for w in ws):
                 raise ComplexInvariantError(f"weight in degree {q} is not an int or a Fraction")
@@ -482,6 +484,15 @@ def _faces(columns, nrows: int) -> list[dict[int, int]]:
     return out
 
 
+def _check_factor_tags(K: WeightedCellComplex) -> None:
+    """One factor tag (a, b) per cell of K, with a, b >= 0 and a + b = q on a q-cell."""
+    for q, (ids, tags) in enumerate(itertools.zip_longest(K.cell_ids, K.factor_degrees, fillvalue=())):
+        if len(tags) != len(ids):
+            raise ComplexInvariantError(f"factor tag count mismatch in degree {q}")
+        if any(a < 0 or b < 0 or a + b != q for a, b in tags):
+            raise ComplexInvariantError("factor tags must split the cell degree")
+
+
 @dataclass(frozen=True)
 class DeformationFamily:
     """One-parameter family over a product complex: weight(cell; t) = t^a * weight.
@@ -493,14 +504,9 @@ class DeformationFamily:
     base: WeightedCellComplex
 
     def __post_init__(self):
-        base = self.base
-        if base.factor_degrees is None:
+        if self.base.factor_degrees is None:
             raise ValueError("deformation family needs a factor-tagged product complex")
-        for q, (ids, tags) in enumerate(itertools.zip_longest(base.cell_ids, base.factor_degrees, fillvalue=())):
-            if len(tags) != len(ids):
-                raise ComplexInvariantError(f"factor tag count mismatch in degree {q}")
-            if any(a < 0 or b < 0 or a + b != q for a, b in tags):
-                raise ComplexInvariantError("factor tags must split the cell degree")
+        _check_factor_tags(self.base)
 
     def at(self, t: Rational) -> WeightedCellComplex:
         """The base with each cell's weight times t^a, built in integers.

@@ -62,7 +62,8 @@ class HomologyClass:
 
 @dataclass(frozen=True)
 class HomologySummary:
-    """Per-degree homology of one complex: weight-independent, immutable, no LP state."""
+    """Per-degree homology of one complex: plain data, weight-independent, immutable,
+    no LP state; a cycle's coordinates are read with `class_coordinates(K, z)`."""
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
@@ -77,27 +78,6 @@ class HomologySummary:
         """Each degree's generators as int coefficient vectors (they are integral)."""
         return tuple(tuple(tuple(c.numerator for c in g.coeffs) for g in gens)
                      for gens in self.generators)
-
-    def class_coordinates(self, K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
-        """Rational homology coordinates of a cycle; zero iff z bounds."""
-        if not K.is_cycle(z):
-            raise ValueError("chain is not a cycle")
-        cmap = self.coordinate_maps[z.degree]
-        return tuple(
-            sum((r * c for r, c in zip(row, z.coeffs) if r and c), Fraction(0))
-            for row in cmap
-        )
-
-    def representative(self, K: WeightedCellComplex, cls: HomologyClass) -> Chain:
-        """An explicit cycle of K with the given coordinates."""
-        gens = self.generators[cls.degree]
-        if len(cls.coords) != len(gens):
-            raise ValueError("coordinate vector has wrong length")
-        coeffs = list(K.zero_chain(cls.degree).coeffs)
-        for c, g in zip(cls.coords, gens):
-            for i, gi in enumerate(g.coeffs):
-                coeffs[i] += c * gi
-        return Chain(cls.degree, tuple(coeffs))
 
 
 def homology(K: WeightedCellComplex) -> HomologySummary:
@@ -150,7 +130,12 @@ def homology(K: WeightedCellComplex) -> HomologySummary:
 
 
 def class_coordinates(K: WeightedCellComplex, z: Chain) -> tuple[Fraction, ...]:
-    return homology(K).class_coordinates(K, z)
+    """Rational homology coordinates of a cycle of K, read by homology(K)'s
+    coordinate map; zero iff z bounds.  The one reader of a class's coordinates."""
+    if not K.is_cycle(z):
+        raise ValueError("chain is not a cycle")
+    return tuple(sum((r * c for r, c in zip(row, z.coeffs) if r and c), Fraction(0))
+                 for row in homology(K).coordinate_maps[z.degree])
 
 
 def _coreduce(K: WeightedCellComplex):

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .complexes import Chain, WeightedCellComplex, Weights, product_complex
-from .homology import HomologyClass, HomologySummary, homology
+from .homology import HomologyClass, HomologySummary, class_coordinates, homology
 from .linalg import rank
 from .lp import _ZERO, Infeasible, _lookup, prepare
 
@@ -103,12 +103,8 @@ class VerificationReport:
 
 def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
     """Minimum mass over rational cycles in the class (exact LP optimum)."""
-    summary = homology(K)
+    summary = _checked(K, cls)
     q = cls.degree
-    if not 0 <= q <= K.top_dim:
-        raise ValueError(f"degree {q} out of range")
-    if len(cls.coords) != summary.betti[q]:
-        raise ValueError("coordinate vector has wrong length")
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
     if K.n_cells(q + 1) == 0:
@@ -117,6 +113,16 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
     value, cycle, dual, f = minimum_mass_cycle(K, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
+
+
+def _checked(K: WeightedCellComplex, cls: HomologyClass) -> HomologySummary:
+    """homology(K), once cls has a degree of K and one coordinate per Betti number."""
+    if not 0 <= cls.degree <= K.top_dim:
+        raise ValueError(f"degree {cls.degree} out of range")
+    summary = homology(K)
+    if len(cls.coords) != summary.betti[cls.degree]:
+        raise ValueError("coordinate vector has wrong length")
+    return summary
 
 
 def _unique_cycle(summary: HomologySummary, q: int, coords, weights):
@@ -132,7 +138,7 @@ def _unique_cycle(summary: HomologySummary, q: int, coords, weights):
 
 def minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass
                        ) -> tuple[Fraction, Chain, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Least mass in cls, a cycle attaining it, λ and f.
+    """Least mass in cls, a cycle attaining it, λ and f; cls is checked as in `stable_norm`.
 
     One LP over the q-cells alone: x = x+ - x- with x+, x- >= 0 and cost
     w.(x+ + x-), constrained by ``∂_q x = 0`` and by one row per coordinate
@@ -144,6 +150,7 @@ def minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass
     s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns, read
     off `_lookup`'s basis with the cycle's nonzeros (-v on an x- column).
     """
+    _checked(K, cls)
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
@@ -441,7 +448,7 @@ def verify_degree_sandwich(info: SimplicialMapInfo, q: int) -> VerificationRepor
     hk, hl = homology(K), homology(L)
     if not 0 <= q <= L.top_dim or hk.betti[q] == 0 or hl.betti[q] == 0:
         raise ValueError(f"trivial homology in degree {q}")
-    pushed = [hl.class_coordinates(L, push_chain(info, g)) for g in hk.generators[q]]
+    pushed = [class_coordinates(L, push_chain(info, g)) for g in hk.generators[q]]
     if rank(pushed) != hk.betti[q]:
         return _inapplicable("degree-sandwich", "sandwich",
                              f"map is not injective on degree-{q} rational homology")

@@ -14,6 +14,7 @@ from stasys import (
     cohomology_coordinates,
     cup_length,
     cup_product,
+    flat_torus,
     has_maximal_real_cup_length,
     homology,
     is_cocycle,
@@ -61,6 +62,25 @@ def test_cohomology_basis_is_dual_to_generators():
                     assert pairing(K, alpha, g) == F(int(i == j))
     with pytest.raises(ValueError, match="degree mismatch in pairing"):
         pairing(K, basis[1][0], K.zero_chain(0))
+
+
+def _torus_generator():
+    return homology(flat_torus(3)).generators[1][0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pairing(flat_torus(3), Cochain(1, (1,)), _torus_generator()),
+     "length mismatch in pairing: cochain of length 1, chain of length 18"),
+    (lambda: pairing(flat_torus(3), Cochain(1, (1,) * 19), _torus_generator()),
+     "length mismatch in pairing: cochain of length 19, chain of length 18"),
+    (lambda: cohomology_coordinates(torus_triangulated(), Cochain(1, (1,))),
+     "length mismatch in pairing: cochain of length 1, chain of length 27"),
+], ids=["short-cochain", "long-cochain", "short-cocycle-coordinates"])
+def test_pairing_refuses_a_length_mismatch(call, message):
+    # zip would cut the longer one: unchecked, the short cochain would read
+    # 1 on the torus generator, whatever its other 17 values were
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_cup_length_values():

@@ -126,10 +126,11 @@ def _vertex_with_boundary():
 
 
 def _factor_tags_off_by_one():
+    """flat_torus(3) with its first edge tagged (1, 1), which does not split degree 1."""
     P = flat_torus(3)
     tags = list(P.factor_degrees)
     tags[1] = ((1, 1),) + tags[1][1:]
-    return DeformationFamily(replace(P, factor_degrees=tuple(tags)))
+    return replace(P, factor_degrees=tuple(tags))
 
 
 def _extra_vertex():
@@ -151,7 +152,9 @@ def _short_factor_tags(degrees=False):
     (lambda: build_complex("general", []), ComplexInvariantError, "complex has no degree 0"),
     (lambda: simplicial_from_top([]), ComplexInvariantError, "complex has no degree 0"),
     (lambda: simplicial_from_top([(0, 1), (2, 2)]), ComplexInvariantError, r"degenerate simplex \(2, 2\)"),
-    (_factor_tags_off_by_one, ComplexInvariantError, "factor tags must split the cell degree"),
+    (lambda: DeformationFamily(_factor_tags_off_by_one()), ComplexInvariantError,
+     "factor tags must split the cell degree"),
+    (lambda: _factor_tags_off_by_one().validate(), ComplexInvariantError, "factor tags must split the cell degree"),
     (lambda: flat_torus(3).cell_by_vertices((0, 1)), ValueError, "complex is not simplicial"),
     (lambda: _two_cells(((1,), ()), ((0, 1), (0, -1))).validate(), ComplexInvariantError,
      "weight count mismatch in degree 1"),
@@ -183,7 +186,8 @@ def _short_factor_tags(degrees=False):
      r"cell_ids has 3 degree\(s\) but factor_degrees has 2"),
     (lambda: DeformationFamily(_short_factor_tags(degrees=True)), ComplexInvariantError,
      "factor tag count mismatch in degree 2"),
-], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "cubical-lookup",
+], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "factor-tags-validate",
+        "cubical-lookup",
         "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
         "boundary-column-missing", "vertex-with-boundary", "float-weight", "bool-weight",
         "boundary-of-vertices", "mass-out-of-range",

@@ -20,6 +20,7 @@ from stasys import (
     Partition,
     StableNormResult,
     circle,
+    class_coordinates,
     complex_from_dict,
     complex_to_dict,
     cubical_sphere,
@@ -88,9 +89,8 @@ def test_weighted_circle_norm():
 
 def test_optimal_cycle_is_in_the_right_class():
     K = flat_torus(3)
-    summary = homology(K)
     res = stable_norm(K, HomologyClass(1, (F(2), F(-1))))
-    assert tuple(summary.class_coordinates(K, res.optimal_cycle)) == (F(2), F(-1))
+    assert tuple(class_coordinates(K, res.optimal_cycle)) == (F(2), F(-1))
     assert K.mass(res.optimal_cycle) == res.value
 
 
@@ -101,7 +101,7 @@ def test_top_degree_norm_is_the_unique_cycle():
         assert res.certificate == "unique-cycle"
         assert res.value == 2 * fundamental_class_mass(K)
         assert K.mass(res.optimal_cycle) == res.value
-        assert homology(K).class_coordinates(K, res.optimal_cycle) == (F(-2),)
+        assert class_coordinates(K, res.optimal_cycle) == (F(-2),)
 
 
 def test_s1_x_s2_degree_two_norm():
@@ -111,7 +111,7 @@ def test_s1_x_s2_degree_two_norm():
     assert res.certificate == "optimal-LP"
     assert res.value == F(3, 2) * 6
     assert K.mass(res.optimal_cycle) == res.value
-    assert homology(K).class_coordinates(K, res.optimal_cycle) == (F(3, 2),)
+    assert class_coordinates(K, res.optimal_cycle) == (F(3, 2),)
 
 
 @pytest.mark.parametrize("coords", [(1, 0), (0, 1), (2, -1), (-1, 3)])
@@ -125,7 +125,22 @@ def test_fraction_weights_scale_the_norm_and_keep_the_cycle(coords):
     assert base.value == 4 * sum(abs(x) for x in coords)
     assert scaled.value == F(5, 3) * base.value
     assert scaled.optimal_cycle == base.optimal_cycle
-    assert homology(K).class_coordinates(K, scaled.optimal_cycle) == cls.coords
+    assert class_coordinates(K, scaled.optimal_cycle) == cls.coords
+
+
+@pytest.mark.parametrize("solve", [stable_norm, minimum_mass_cycle], ids=["stable_norm", "minimum_mass_cycle"])
+@pytest.mark.parametrize("K, cls, message", [
+    (flat_torus(3), HomologyClass(1, (1,)), "coordinate vector has wrong length"),
+    (flat_torus(3), HomologyClass(1, (1, 0, 0)), "coordinate vector has wrong length"),
+    (flat_torus(3), HomologyClass(-1, (1,)), "degree -1 out of range"),
+    (flat_torus(3), HomologyClass(3, (1,)), "degree 3 out of range"),
+    # unchecked, the LP pads the right-hand side from the front and answers
+    # (0, 1), of norm 3, where (1, 0) has norm 4
+    (product_complex(circle(3), circle(4)), HomologyClass(1, (1,)), "coordinate vector has wrong length"),
+], ids=["short", "long", "degree-below", "degree-above", "c3xc4-short"])
+def test_a_class_is_checked_against_its_complex(solve, K, cls, message):
+    with pytest.raises(ValueError, match=message):
+        solve(K, cls)
 
 
 def test_norm_can_beat_the_given_representative():
@@ -582,7 +597,9 @@ def test_norm_tableau_is_prepared_once_per_structure(monkeypatch):
             assert homology(L) is summary
             for coords in ((1, 0), (0, 1), (2, -1), (-1, 3), (F(1, 2), 2)):
                 cls = HomologyClass(1, coords)
-                a, b = cut_pairing(K, summary.representative(K, cls))
+                # the cycle sum_j c_j g_j of the class, on the generators
+                cells = zip(*(g.coeffs for g in summary.generators[1]))
+                a, b = cut_pairing(K, Chain(1, tuple(sum(map(operator.mul, coords, c)) for c in cells)))
                 assert stable_norm(L, cls).value == abs(a) * lx + abs(b) * ly
     assert len(calls) == 1
 
