@@ -193,9 +193,18 @@ class WeightedCellComplex:
         vars(out).update(vars(self), weights=tuple(weights))
         return out
 
-    def boundary_of(self, chain: Chain) -> Chain:
-        if not 1 <= chain.degree <= self.top_dim:
+    def check_chain(self, chain: Chain) -> None:
+        """Raise ValueError unless chain has a degree of self and one coefficient per cell of it."""
+        if not 0 <= chain.degree <= self.top_dim:
             raise ValueError(f"degree {chain.degree} out of range")
+        if len(chain.coeffs) != len(self.cell_ids[chain.degree]):
+            raise ValueError(f"degree-{chain.degree} chain has {len(chain.coeffs)} coefficients "
+                             f"for {len(self.cell_ids[chain.degree])} cells")
+
+    def boundary_of(self, chain: Chain) -> Chain:
+        self.check_chain(chain)
+        if chain.degree == 0:
+            raise ValueError("degree 0 out of range")
         out = [Fraction(0)] * self.n_cells(chain.degree - 1)
         for j, c in enumerate(chain.coeffs):
             if c:
@@ -205,6 +214,7 @@ class WeightedCellComplex:
 
     def is_cycle(self, chain: Chain) -> bool:
         if chain.degree == 0:
+            self.check_chain(chain)
             return True
         return self.boundary_of(chain).is_zero()
 
@@ -218,8 +228,7 @@ class WeightedCellComplex:
 
     def mass(self, chain: Chain) -> Fraction:
         """Weighted L1 size: sum over cells of |coefficient| * weight."""
-        if not 0 <= chain.degree <= self.top_dim:
-            raise ValueError(f"degree {chain.degree} out of range")
+        self.check_chain(chain)
         ws = self.weights[chain.degree]
         return sum((abs(c) * w for c, w in zip(chain.coeffs, ws) if c), Fraction(0))
 

@@ -85,24 +85,17 @@ def parse_frac(s: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def complex_to_dict(K: WeightedCellComplex) -> dict:
-    out = {"kind": K.kind, "top_dim": K.top_dim, "cells": {}}
-    for q in range(K.top_dim + 1):
-        entries = []
-        for j, cid in enumerate(K.cell_ids[q]):
-            entry = {
-                "id": cid,
-                "weight": frac_str(K.weights[q][j]),
-                "boundary": [
-                    [K.cell_ids[q - 1][face], inc] for face, inc in K.boundary_cols[q][j]
-                ] if q else [],
-            }
-            if K.vertex_lists is not None:
-                entry["vertices"] = list(K.vertex_lists[q][j])
-            if K.factor_degrees is not None:
-                entry["factor_degrees"] = list(K.factor_degrees[q][j])
-            entries.append(entry)
-        out["cells"][str(q)] = entries
-    return out
+    cells = {}
+    for q, ids in enumerate(K.cell_ids):
+        faces = K.cell_ids[q - 1] if q else ()
+        entries = [{"id": cid, "weight": str(w), "boundary": [[faces[f], inc] for f, inc in col]}
+                   for cid, w, col in zip(ids, K.weights[q], K.boundary_cols[q])]
+        for key, table in (("vertices", K.vertex_lists), ("factor_degrees", K.factor_degrees)):
+            if table is not None:
+                for entry, value in zip(entries, table[q]):
+                    entry[key] = list(value)
+        cells[str(q)] = entries
+    return {"kind": K.kind, "top_dim": K.top_dim, "cells": cells}
 
 
 def complex_from_dict(data: dict) -> WeightedCellComplex:
@@ -150,8 +143,21 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
 
 
 def save_complex(K: WeightedCellComplex, path: str) -> None:
+    """Write ``complex_to_dict(K)`` as JSON text built by ``json.dumps``, in one write:
+    a header line with ``kind`` and ``top_dim``, one line opening each degree of
+    ``cells``, one line per cell and a closing line.  A cell has ``id``, ``weight``
+    as an exact fraction string, ``boundary`` as [face id, incidence] pairs, and
+    ``vertices`` and ``factor_degrees`` when the complex has them.  `load_complex`
+    reads any JSON layout."""
+    data = complex_to_dict(K)
+    lines = [f'{{"kind": {json.dumps(K.kind)}, "top_dim": {K.top_dim}, "cells": {{']
+    for q, cells in data["cells"].items():
+        lines.append(f'{"], " if q != "0" else ""}"{q}": [')
+        if cells:
+            lines.append(",\n".join(map(json.dumps, cells)))
+    lines.append("]}}\n")
     with open(path, "w") as fh:
-        json.dump(complex_to_dict(K), fh, indent=1)
+        fh.write("\n".join(lines))
 
 
 def load_json(path: str):

@@ -111,7 +111,7 @@ def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
         z, f, dual = _unique_cycle(summary, q, cls.coords, K.weights[q])
         z = Chain(q, tuple(z))
         return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
-    value, cycle, dual, f = minimum_mass_cycle(K, cls)
+    value, cycle, dual, f = _minimum_mass_cycle(K, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
 
 
@@ -151,6 +151,11 @@ def minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass
     off `_lookup`'s basis with the cycle's nonzeros (-v on an x- column).
     """
     _checked(K, cls)
+    return _minimum_mass_cycle(K, cls)
+
+
+def _minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass):
+    """`minimum_mass_cycle` of a class already checked against K."""
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
@@ -402,6 +407,7 @@ def simplicial_map(
 
 def push_chain(info: SimplicialMapInfo, chain: Chain) -> Chain:
     """Chain-level pushforward along the cell table."""
+    info.source.check_chain(chain)
     out = [Fraction(0)] * info.target.n_cells(chain.degree)
     for c, (target, sign) in zip(chain.coeffs, info.cells[chain.degree]):
         if c:

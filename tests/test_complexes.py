@@ -15,6 +15,7 @@ from stasys import (
     WeightedCellComplex,
     build_complex,
     circle,
+    class_coordinates,
     complex_to_dict,
     cubical_sphere,
     flat_torus,
@@ -23,9 +24,11 @@ from stasys import (
     load_complex,
     point,
     product_complex,
+    push_chain,
     rp2,
     save_complex,
     simplicial_from_top,
+    simplicial_map,
     sphere,
     stable_systole,
     torus_triangulated,
@@ -186,6 +189,15 @@ def _short_factor_tags(degrees=False):
      r"cell_ids has 3 degree\(s\) but factor_degrees has 2"),
     (lambda: DeformationFamily(_short_factor_tags(degrees=True)), ComplexInvariantError,
      "factor tag count mismatch in degree 2"),
+    (lambda: class_coordinates(flat_torus(3), Chain(1, ())), ValueError,
+     "degree-1 chain has 0 coefficients for 18 cells"),
+    (lambda: flat_torus(3).mass(Chain(1, (1,))), ValueError, "degree-1 chain has 1 coefficients for 18 cells"),
+    (lambda: flat_torus(3).is_cycle(Chain(2, (1,))), ValueError, "degree-2 chain has 1 coefficients for 9 cells"),
+    (lambda: flat_torus(3).boundary_of(Chain(1, (0,) * 18 + (1,))), ValueError,
+     "degree-1 chain has 19 coefficients for 18 cells"),
+    (lambda: flat_torus(3).is_cycle(Chain(0, (1,))), ValueError, "degree-0 chain has 1 coefficients for 9 cells"),
+    (lambda: push_chain(simplicial_map(circle(6), circle(3), {i: i % 3 for i in range(6)}), Chain(1, (1,) * 3)),
+     ValueError, "degree-1 chain has 3 coefficients for 6 cells"),
 ], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "factor-tags-validate",
         "cubical-lookup",
         "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
@@ -193,7 +205,8 @@ def _short_factor_tags(degrees=False):
         "boundary-of-vertices", "mass-out-of-range",
         "sphere-zero", "cubical-sphere-zero", "extra-vertex", "extra-vertex-degree",
         "short-factor-tags", "short-factor-tags-family", "missing-factor-tag-degree",
-        "missing-factor-tag-degree-family"])
+        "missing-factor-tag-degree-family", "short-chain-coordinates", "short-chain-mass",
+        "short-chain-cycle", "long-chain-boundary", "long-vertex-chain-cycle", "short-chain-push"])
 def test_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()

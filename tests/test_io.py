@@ -1,6 +1,7 @@
 """Round trips through the JSON and CSV serializers."""
 
 import copy
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 from stasys import (
     DeformationFamily,
     Partition,
+    build_complex,
     circle,
     complex_from_dict,
     complex_to_dict,
     csv_to_samples,
+    cubical_sphere,
     deformation_sweep,
     flat_torus,
     homology,
     load_complex,
     load_profile,
     parse_product_expression,
+    point,
+    product_complex,
     profile_from_dict,
     profile_to_dict,
     report_to_csv,
@@ -73,6 +78,51 @@ def test_rescaled_product_keeps_tags_through_json(tmp_path):
     K2 = load_complex(str(path))
     assert K2.factor_degrees == K.factor_degrees
     DeformationFamily(K2)  # must stay usable as a family seed
+
+
+WRITER_CASES = {
+    "point": point,
+    "circle": lambda: circle(4),
+    "cubical-circle": lambda: circle(5, kind="cubical"),
+    "sphere1": lambda: sphere(1),
+    "sphere2": lambda: sphere(2),
+    "sphere3": lambda: sphere(3),
+    "cubical-sphere2": lambda: cubical_sphere(2),
+    "T2_9": torus_triangulated,
+    "rp2": rp2,
+    "ft3": lambda: flat_torus(3),
+    "C3xC4": lambda: product_complex(circle(3), circle(4)),
+    "rescaled": lambda: torus_triangulated().rescale(F(7, 3)),
+    "deformed": lambda: DeformationFamily(product_complex(circle(3), circle(4))).at(F(3, 2)),
+    "integer-ids": lambda: build_complex("general", [[(0, F(1, 2), []), (1, 3, [])],
+                                                     [(2, 1, [(1, 1), (0, -1)]), (3, 2, [(0, 1), (1, -1)])]]),
+    # one vertex and a 2-cell on it: degree 1 holds no cell
+    "empty-degree": lambda: build_complex("general", [[("v", 1, [])], [], [("f", 1, [])]]),
+}
+
+
+@pytest.mark.parametrize("maker", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_complex_file_holds_one_cell_per_line(maker, tmp_path):
+    K = maker()
+    data = complex_to_dict(K)
+    save_complex(K, tmp_path / "k.json")
+    text = (tmp_path / "k.json").read_text()
+    with open(tmp_path / "k.json") as fh:
+        assert json.load(fh) == data
+    assert complex_to_dict(load_complex(tmp_path / "k.json")) == data
+    # a header line, one line opening each degree, one per cell and a closing line
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == K.total_cells + K.top_dim + 3
+    cells = [json.loads(line.removesuffix(",")) for line in lines if line.startswith('{"id": ')]
+    assert cells == [cell for q in range(K.top_dim + 1) for cell in data["cells"][str(q)]]
+    # a second save, and a save of what was loaded, write the same bytes
+    save_complex(K, tmp_path / "again.json")
+    save_complex(load_complex(tmp_path / "k.json"), tmp_path / "reloaded.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "reloaded.json").read_bytes() == text.encode()
+    # a file indented as earlier versions wrote it still loads
+    with open(tmp_path / "indented.json", "w") as fh:
+        json.dump(data, fh, indent=1)
+    assert complex_to_dict(load_complex(tmp_path / "indented.json")) == data
 
 
 def test_profile_round_trip(tmp_path):

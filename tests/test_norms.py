@@ -143,6 +143,24 @@ def test_a_class_is_checked_against_its_complex(solve, K, cls, message):
         solve(K, cls)
 
 
+def test_a_warm_norm_checks_its_class_once(monkeypatch):
+    # each norm that reaches the LP looks up homology(K) once, in its own
+    # class check; minimum_mass_cycle keeps its check for callers of its own
+    norms = importlib.import_module("stasys.norms")
+    K = flat_torus(4)
+    classes = [HomologyClass(1, c) for c in ((1, 0), (0, 1), (1, 1), (2, -1))]
+    warm = [stable_norm(K, cls) for cls in classes]
+    lookups = []
+    real = norms.homology
+    monkeypatch.setattr(norms, "homology", lambda L: lookups.append(L) or real(L))
+    assert [stable_norm(K, cls) for cls in classes] == warm
+    assert len(lookups) == 4 and all(L is K for L in lookups)
+    assert all(res.certificate == "optimal-LP" for res in warm)
+    lookups.clear()
+    assert minimum_mass_cycle(K, classes[0])[0] == warm[0].value
+    assert len(lookups) == 1
+
+
 def test_norm_can_beat_the_given_representative():
     # wedge of two circles: class (1, 1) costs the two loops, not more
     K = wedge_two_circles()
