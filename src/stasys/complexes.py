@@ -136,10 +136,19 @@ def _ratio(t: Rational) -> tuple[int, int]:
     return p, r
 
 
+def _integer_row(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))  # 1: Fractions read as ints, multiplying nothing
+    return tuple(v.numerator if d == 1 else v.numerator * (d // v.denominator) for v in values), d
+
+
 def _primitive_split(values) -> tuple[tuple[int, ...], Fraction]:
     """(ĉ, s) with values = s·ĉ, s > 0 and ĉ integers of gcd 1; s = 1 when all are 0."""
-    d = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (d // v.denominator) for v in values]
+    nums, d = _integer_row(values)
     g = gcd(*nums) or d
     return tuple(v // g for v in nums), Fraction(g, d)
 

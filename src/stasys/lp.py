@@ -21,23 +21,26 @@ y.b with the recorded dual y.  So a b inside the cone of a basis recorded
 for the same c is answered without copying the tableau or pivoting, by
 a cone test in integers and the record's y and A^T y; only a b outside
 every recorded cone runs the two phases, whose basis is then recorded
-too.  `_lookup` finds the basis and `solve_lp` builds its answer: a caller
-that reads only the value and y takes them from the record, as integers
-over one denominator, and builds no x.  A new cost vector adds a key and
-leaves the others' records, but for the oldest once COSTS_KEPT are kept.
-A solve in which phase 1 drops a dependent row records nothing, since
-B⁻¹b >= 0 would not check that row's consistency for a later b; its
-basis answers that b alone.  The value is the optimum whatever was solved
-before, but where the optimum is degenerate the x and y returned may
-depend on which right-hand sides the tableau has seen.
+too.  `solve_lp`, the one entry for outside input, checks b's and c's
+lengths and that b is 0 on the crashed rows, and builds its answer from
+`_lookup(t, b, c)`, which takes b on ``t.opened`` and checks only its
+length; the norm layer passes it a class's coordinates and reads the
+value and y off the record, in integers, with no x.  A new cost vector
+adds a key, dropping the oldest once COSTS_KEPT are kept.  A solve in
+which phase 1 drops a dependent row records nothing, since B⁻¹b >= 0
+would not check that row's consistency for a later b.  The value is the
+optimum whatever was solved before, but where the optimum is degenerate
+the x and y returned may depend on which right-hand sides the tableau
+has seen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
+from .complexes import _integer_row
 from .linalg import column_rows
 
 
@@ -69,7 +72,8 @@ class Tableau:
         self.opened = [bj - n for bj in basis if bj >= n]
         self.optima: dict[tuple, list[_Optimum]] = {}
 
-    def __len__(self) -> int:  # the row count of A, dropped rows included
+    # kept only for perfbench/tracing.py's _lp_count, which calls len() on solve_lp's first argument
+    def __len__(self) -> int:  # the row count of A, dropped rows included; the solver reads m
         return self.m
 
 
@@ -104,24 +108,30 @@ def solve_lp(a, b: list[Fraction],
     every result is a Fraction.  A tableau answers b from a basis it
     recorded for c when B⁻¹b >= 0.
     """
-    optimum, levels, bn, d = _lookup(a, b, c)
-    return optimum.answer(levels, bn, d)
-
-
-def _lookup(a, b, c) -> tuple[_Optimum, list[int], tuple[int, ...], int]:
-    """(optimum, levels, bn, d) for `solve_lp`'s (a, b, c): the first basis
-    recorded for c whose cone holds b = bn / d (on the open rows), else the
-    two phases' one, and its `levels`.  The value is optimum.ynum . bn over
-    optimum.yden·d, so a caller that reads only it and y builds no x."""
     t = a if isinstance(a, Tableau) else prepare(a, b)
     if len(b) != t.m:
         raise ValueError(f"right-hand side has length {len(b)}, but the constraint matrix has {t.m} rows")
     if len(c) != t.n:
         raise ValueError(f"cost vector has length {len(c)}, but the constraint matrix has {t.n} columns")
-    bn, d = _integer_row([b[i] for i in t.opened])
-    if sum(map(bool, b)) != sum(map(bool, bn)):  # b is not 0 off the open rows
+    b_open = [b[i] for i in t.opened]
+    if sum(map(bool, b)) != sum(map(bool, b_open)):  # b is not 0 off the open rows
         raise ValueError("right-hand side is nonzero on a row the tableau crashed")
-    c = tuple(c)
+    optimum, levels, bn, d = _lookup(t, b_open, tuple(c))
+    x = [_ZERO] * t.n
+    for (j, _, den), v in zip(optimum.rows, levels):
+        x[j] = Fraction(v, den * d)
+    value = Fraction(sum(map(mul, optimum.ynum, bn)), optimum.yden * d)
+    return value, x, list(optimum.y), list(optimum.load)
+
+
+def _lookup(t: Tableau, b, c: tuple) -> tuple[_Optimum, list[int], tuple[int, ...], int]:
+    """(optimum, levels, bn, d) for b on t.opened, in that order, and the cost
+    tuple c: the first basis recorded for c whose cone holds b = bn / d, else
+    the two phases' one, and its `levels`.  The value is optimum.ynum . bn
+    over optimum.yden·d, so a caller that reads only it and y builds no x."""
+    if len(b) != len(t.opened):  # levels would read a short b as zero-padded
+        raise ValueError(f"right-hand side has {len(b)} entries, but the tableau has {len(t.opened)} open rows")
+    bn, d = _integer_row(b)
     records = t.optima.get(c)
     if records is None:
         if len(t.optima) >= COSTS_KEPT:  # the oldest goes first
@@ -131,7 +141,7 @@ def _lookup(a, b, c) -> tuple[_Optimum, list[int], tuple[int, ...], int]:
         levels = optimum.levels(bn)
         if levels is not None:
             return optimum, levels, bn, d
-    optimum = _two_phase(t, b, c, records)
+    optimum = _two_phase(t, bn, d, c, records)
     return optimum, optimum.levels(bn), bn, d
 
 
@@ -155,29 +165,20 @@ class _Optimum:
             levels.append(v)
         return levels
 
-    def answer(self, levels: list[int], bn: tuple[int, ...], d: int):
-        """(value, x, y, load) for b = bn / d on the open rows, in the cone."""
-        x = [_ZERO] * len(self.load)
-        for (j, _, den), v in zip(self.rows, levels):
-            if v:
-                x[j] = Fraction(v) if den * d == 1 else Fraction(v, den * d)
-        value = Fraction(sum(map(mul, self.ynum, bn)), self.yden * d)
-        return value, x, list(self.y), list(self.load)
 
-
-def _two_phase(t: Tableau, b, c, records: list[_Optimum]) -> _Optimum:
-    """The two-phase solve on a copy of t; returns its optimal basis and
-    appends it to c's records unless phase 1 dropped a row."""
-    m, n, rhs, opened = len(t), t.n, len(t) + t.n, t.opened
+def _two_phase(t: Tableau, bn, d: int, c, records: list[_Optimum]) -> _Optimum:
+    """The two-phase solve on a copy of t for b = bn / d on the open rows: its
+    optimal basis, appended to c's records unless phase 1 dropped a row."""
+    m, n, rhs, opened = t.m, t.n, t.m + t.n, t.opened
     tab, den, basis = [row.copy() for row in t.rows], t.den[:], t.basis[:]
 
-    # phase 1 over the rows whose artificial is still basic, at level |b_i|:
-    # a row with b_i < 0 is negated but for its artificial entry (the
-    # prepared right-hand side is 0 on every row)
-    sign, cost = [1] * m, [0] * (n + m)
+    # phase 1 over the open rows, whose artificials are basic in that order, at
+    # level |b_i|: a row with b_i < 0 is negated but for its artificial entry
+    # (the prepared right-hand side is 0 on every row)
+    sign, cost, level = [1] * m, [0] * (n + m), iter(bn)
     for r, bj in enumerate(basis):
         if bj >= n:
-            v = Fraction(b[bj - n]) * den[r]
+            v = Fraction(next(level) * den[r], d)
             cost[bj], sign[bj - n] = 1, -1 if v < 0 else 1
             den[r] *= v.denominator
             tab[r] = {**{j: x * sign[bj - n] * v.denominator for j, x in tab[r].items()}, bj: den[r]}
@@ -200,19 +201,6 @@ def _two_phase(t: Tableau, b, c, records: list[_Optimum]) -> _Optimum:
     if len(tab) == len(t.rows):
         records.append(optimum)
     return optimum
-
-
-def _integer_row(values) -> tuple[tuple[int, ...], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators."""
-    values = tuple(values)
-    if set(map(type, values)) <= {int}:
-        return values, 1
-    values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    dens = [v.denominator for v in values]
-    if dens.count(1) == len(dens):  # Fractions of denominator 1 read as ints, with no lcm
-        return tuple(v.numerator for v in values), 1
-    d = lcm(*dens)
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def _optimize(tab, den, basis, cost, allowed: int) -> tuple[dict[int, int], int]:

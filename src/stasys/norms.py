@@ -147,8 +147,8 @@ def minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass
     scaled by s, so the weights times any t > 0 reuse the bases recorded
     for ĉ.  Its feasible set is exactly the cycles in the class, because a
     cycle with zero coordinates bounds rationally.  With ŷ its dual, λ =
-    s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns, read
-    off `_lookup`'s basis with the cycle's nonzeros (-v on an x- column).
+    s·ŷ on the coordinate rows and f = s·(A^T ŷ) on the x+ columns, read off
+    `_lookup`'s basis for cls.coords, with the cycle's nonzeros (-v on x-).
     """
     _checked(K, cls)
     return _minimum_mass_cycle(K, cls)
@@ -159,7 +159,8 @@ def _minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass):
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    optimum, levels, bn, d = _lookup(*_norm_lp(K, q, cls.coords, chat))
+    tab, c = _norm_lp(K, q, chat)
+    optimum, levels, bn, d = _lookup(tab, cls.coords, c)
     value = Fraction(sum(map(operator.mul, optimum.ynum, bn)), optimum.yden * d)
     dual, f = optimum.y[-len(cls.coords):], optimum.load[:nq]
     if s != 1:  # a warm norm on weights that are their own ĉ multiplies nothing
@@ -172,18 +173,18 @@ def _minimum_mass_cycle(K: WeightedCellComplex, cls: HomologyClass):
     return value, Chain._of_fractions(q, tuple(cycle)), dual, f
 
 
-def _norm_lp(K: WeightedCellComplex, q: int, coords, weights):
-    """The norm LP of K's degree-q class with these coordinates, costed by
-    these q-cell weights, as `solve_lp`'s (tableau, b, c): the tableau kept in
-    K._shared under ("norm tableau", q), prepared here on first use from
-    homology(K), whose open rows are the coordinate rows, so y on them is λ."""
+def _norm_lp(K: WeightedCellComplex, q: int, weights):
+    """(tableau, cost) of K's degree-q norm LP, costed by these q-cell weights:
+    the tableau kept in K._shared under ("norm tableau", q), prepared here on
+    first use from homology(K).  Its open rows are the coordinate rows, so a
+    class's coordinates are `_lookup`'s right-hand side and y on them is λ."""
     tab = K._shared.get(("norm tableau", q))
     if tab is None:
         nb, cmap = K.n_cells(q - 1), homology(K).coordinate_maps[q]
         cols = [[*col, *((nb + k, row[j]) for k, row in enumerate(cmap) if row[j])]
                 for j, col in enumerate(K.boundary_cols[q])]
         tab = K._shared[("norm tableau", q)] = prepare(_sign_split(cols), [0] * nb + [1] * len(cmap))
-    return tab, [0] * (len(tab) - len(coords)) + list(coords), (*weights, *weights)
+    return tab, (*weights, *weights)
 
 
 def _sign_split(cols):
@@ -195,15 +196,15 @@ def _class_norm(K: WeightedCellComplex, summary: HomologySummary, q: int,
                 coords: tuple[int, ...], chat, records) -> tuple[int, tuple[int, ...], int]:
     """(num, λ̂, d): the norm num / d and λ = λ̂ / d of the nonzero integral
     class with these coordinates in units of ĉ = chat; records are the bases
-    recorded for the norm LP's cost, or None with no (q+1)-cells.  The open
-    rows are the coordinate rows, so `_lookup` runs only if no recorded cone
-    holds the coordinates."""
+    recorded for the norm LP's cost, or None with no (q+1)-cells.  `_lookup`
+    runs only if no recorded cone holds the coordinates."""
     if records is None:
         z, f, dual = _unique_cycle(summary, q, coords, chat)
         return sum(map(operator.mul, f, z)), dual, 1
     optimum = next((optimum for optimum in records if optimum.levels(coords) is not None), None)
     if optimum is None:
-        optimum = _lookup(*_norm_lp(K, q, coords, chat))[0]
+        tab, c = _norm_lp(K, q, chat)
+        optimum = _lookup(tab, coords, c)[0]
     return sum(map(operator.mul, optimum.ynum, coords)), optimum.ynum, optimum.yden
 
 
@@ -226,7 +227,7 @@ def stable_systole(K: WeightedCellComplex, q: int, search_radius: int = 5) -> Sy
     sn, sd = s.numerator, s.denominator  # a norm num / d is num·sn / (d·sd), one Fraction
     records = None  # the bases recorded for the norm LP's cost, fetched once
     if K.n_cells(q + 1):
-        tab, _, c = _norm_lp(K, q, (), chat)
+        tab, c = _norm_lp(K, q, chat)
         records = tab.optima.get(c, ())
     if b == 1:
         num, _, d = _class_norm(K, summary, q, (1,), chat, records)

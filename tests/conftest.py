@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -154,16 +156,15 @@ def standard_connected():
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-def rational_rank(mat: list[list[int]]) -> int:
-    """Row-reduction rank, written without the library's linalg module."""
+def rational_rref(mat: list[list[int]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by rational row
+    reduction, written without the library's linalg module."""
     rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
@@ -172,9 +173,38 @@ def rational_rank(mat: list[list[int]]) -> int:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def rational_rank(mat: list[list[int]]) -> int:
+    """Row-reduction rank, written without the library's linalg module."""
+    return len(rational_rref(mat, len(mat[0]) if mat else 0)[1])
+
+
+def left_null_basis(K: WeightedCellComplex, q: int) -> list[tuple[int, ...]]:
+    """An integer basis of the left null space of the boundary map out of
+    the (q+1)-cells: the u on the q-cells with u.∂σ = 0 for every (q+1)-cell
+    σ.  A q-cycle bounds rationally exactly when every u pairs to 0 with it;
+    with no (q+1)-cells the basis is the unit vectors, so every nonzero
+    cycle has a nonzero class."""
+    n = K.n_cells(q)
+    rows = []
+    for col in (K.boundary_cols[q + 1] if q < K.top_dim else ()):
+        row = [0] * n
+        for face, inc in col:
+            row[face] += inc
+        rows.append(row)
+    rows, pivots = rational_rref(rows, n)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        u = [Fraction(0)] * n
+        u[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            u[col] = -row[free]
+        d = math.lcm(*(x.denominator for x in u))
+        basis.append(tuple(int(x * d) for x in u))
+    return basis
 
 
 def sparse_columns(m: list[list[int]]) -> list[list[tuple[int, int]]]:
@@ -226,7 +256,8 @@ def betti_oracle(K: WeightedCellComplex, q: int) -> int:
 
 
 def enumerate_integral_cycles(K: WeightedCellComplex, q: int, box: int = 3):
-    """Yield every nonzero integral q-cycle with coefficients in [-box, box].
+    """Yield every nonzero integral q-cycle with coefficients in [-box, box],
+    as its tuple of int coefficients.
 
     Depth-first over the q-cells in order, each coefficient from -box to box
     (so cycles come out in lexicographic order).  Once the last cell touching
@@ -246,7 +277,7 @@ def enumerate_integral_cycles(K: WeightedCellComplex, q: int, box: int = 3):
     def walk(j):
         if j == n:
             if any(coeffs):
-                yield Chain(q, tuple(Fraction(c) for c in coeffs))
+                yield tuple(coeffs)
             return
         for c in range(-box, box + 1):
             coeffs[j] = c
@@ -261,22 +292,30 @@ def enumerate_integral_cycles(K: WeightedCellComplex, q: int, box: int = 3):
 
 
 def brute_force_systole(K: WeightedCellComplex, q: int, box: int = 3) -> Fraction | None:
-    """Minimum mass over enumerated integral cycles with nonzero class."""
+    """Minimum mass over enumerated integral cycles with nonzero class.
+
+    Neither the class nor the mass is read through the library: a cycle's
+    class is nonzero when some `left_null_basis` vector pairs nonzero with
+    it, and its mass is summed from ``K.weights[q]``, in integers over the
+    weights' common denominator."""
+    basis, weights = left_null_basis(K, q), K.weights[q].values
+    den = math.lcm(*(w.denominator for w in weights))
+    weights = [int(w * den) for w in weights]
     best = None
-    for ch in enumerate_integral_cycles(K, q, box):
-        coords = class_coordinates(K, ch)
-        if all(c == 0 for c in coords):
+    for z in enumerate_integral_cycles(K, q, box):
+        if not any(sum(map(operator.mul, u, z)) for u in basis):
             continue
-        m = K.mass(ch)
+        m = sum(map(operator.mul, map(abs, z), weights))
         if best is None or m < best:
             best = m
-    return best
+    return None if best is None else Fraction(best, den)
 
 
 def brute_force_class_norms(K: WeightedCellComplex, q: int, box: int = 3):
     """Map from homology coordinates to the least enumerated cycle mass."""
     table: dict[tuple[Fraction, ...], Fraction] = {}
-    for ch in enumerate_integral_cycles(K, q, box):
+    for z in enumerate_integral_cycles(K, q, box):
+        ch = Chain(q, tuple(map(Fraction, z)))
         coords = tuple(class_coordinates(K, ch))
         m = K.mass(ch)
         if coords not in table or m < table[coords]:

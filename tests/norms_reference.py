@@ -14,6 +14,11 @@ cocycle f off ``solve_lp``'s full answer, as the library once did: x as one
 Fraction per column, the cycle as x+ - x-, λ and f sliced from lists of y
 and the loads, all scaled by s.  On the same tableau it must give
 ``minimum_mass_cycle``'s answer.
+
+Both hand ``solve_lp`` the full right-hand side: 0 on every row but the
+tableau's open rows, which hold the class's coordinates.  In a degree with
+no cells above it, the one cycle of a class, its cocycle and λ are summed
+here from ``homology(K).generators``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from stasys.complexes import Chain
 from stasys.homology import homology
 from stasys.lp import Infeasible, prepare, solve_lp
-from stasys.norms import SystoleResult, _norm_lp, _primitive_vectors, _sign_split, _unique_cycle
+from stasys.norms import SystoleResult, _norm_lp, _primitive_vectors, _sign_split
 
 
 def reference_stable_systole(K, q: int, search_radius: int = 5) -> SystoleResult:
@@ -59,17 +64,30 @@ def reference_minimum_mass_cycle(K, cls):
     q = cls.degree
     nq = K.n_cells(q)
     chat, s = K.weights[q].split
-    value, x, y, load = solve_lp(*_norm_lp(K, q, cls.coords, chat))
+    value, x, y, load = _solve_class(K, q, cls.coords, chat)
     cycle = [xp - xm for xp, xm in zip(x[:nq], x[nq:])]
     return (value * s, Chain(q, tuple(cycle)), tuple(v * s for v in y[-len(cls.coords):]),
             tuple(v * s for v in load[:nq]))
 
 
+def _solve_class(K, q: int, coords, weights):
+    """``solve_lp`` on K's degree-q norm tableau, costed by weights, for
+    the class with these coordinates."""
+    tab, c = _norm_lp(K, q, weights)
+    b = [0] * tab.m
+    for i, v in zip(tab.opened, coords, strict=True):
+        b[i] = v
+    return solve_lp(tab, b, c)
+
+
 def _class_norm(K, summary, q: int, coords, weights):
     if K.n_cells(q + 1) == 0:
-        z, f, dual = _unique_cycle(summary, q, coords, weights)
+        gens = summary.generators[q]
+        z = [sum(c * g.coeffs[j] for c, g in zip(coords, gens)) for j in range(K.n_cells(q))]
+        f = [w * ((x > 0) - (x < 0)) for x, w in zip(z, weights)]
+        dual = tuple(sum(map(operator.mul, f, g.coeffs)) for g in gens)
         return sum(map(operator.mul, f, z)), dual
-    value, _, y, _ = solve_lp(*_norm_lp(K, q, coords, weights))
+    value, _, y, _ = _solve_class(K, q, coords, weights)
     return value, tuple(y[-len(coords):])
 
 

@@ -1,11 +1,12 @@
 """Structural invariants of weighted cell complexes and the standard zoo."""
 
 import importlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasys import (
@@ -378,6 +379,32 @@ def test_rescale_shares_the_integer_direction(monkeypatch):
     # while a split read from values does go through it
     Weights(K.weights[1].values).split
     assert len(calls) == 1
+
+
+def split_by_lcm_then_gcd(values):
+    """(ĉ, s) as `_primitive_split` computed it before it read the lcm step
+    through `_integer_row`: numerators over the lcm, then divided by their gcd."""
+    d = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (d // v.denominator) for v in values]
+    g = math.gcd(*nums) or d
+    return tuple(v // g for v in nums), Fraction(g, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-60, 60), max_size=6),
+    st.lists(st.fractions(-20, 20, max_denominator=12), max_size=6),
+    st.lists(st.one_of(st.integers(-60, 60), st.fractions(-20, 20, max_denominator=12)), max_size=6),
+    st.lists(st.sampled_from([0, Fraction(0)]), max_size=6)))
+@example([])
+@example([0, Fraction(0), 0])
+def test_primitive_split_clears_denominators_through_integer_row(values):
+    # ints, Fractions, both mixed, all-zero tuples and the empty tuple split
+    # as the lcm-then-gcd computation did, into ints and one Fraction
+    complexes = importlib.import_module("stasys.complexes")
+    chat, s = complexes._primitive_split(tuple(values))
+    assert (chat, s) == split_by_lcm_then_gcd(values)
+    assert {type(c) for c in chat} <= {int} and type(s) is Fraction
 
 
 def test_product_complex_counts_and_weights():

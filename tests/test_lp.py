@@ -428,3 +428,15 @@ def test_crash_leaves_only_the_nonzero_rows_open():
     assert [bj - 6 for bj in THETA.basis if bj >= 6] == [2, 3]
     with pytest.raises(ValueError, match="crashed"):
         solve_lp(THETA, [1, 0, 1, 1], [1] * 6)
+
+
+def test_a_lookup_takes_the_right_hand_side_on_the_open_rows():
+    # `_lookup` reads b on THETA's two open rows, in order, as `solve_lp`
+    # hands them on; a b of any other length is refused, not zero-padded
+    b, c = [0, 0, 2, F(-1, 2)], (1, 2, 1, 1, 1, 3)
+    optimum, levels, bn, d = lp._lookup(THETA, b[2:], c)
+    assert (bn, d) == ((4, -1), 2)
+    assert Fraction(sum(map(operator.mul, optimum.ynum, bn)), optimum.yden * d) == solve_lp(THETA, b, c)[0]
+    for short_or_long in ([2], [0, 2, F(-1, 2)]):
+        with pytest.raises(ValueError, match=f"has {len(short_or_long)} entries, but the tableau has 2 open rows"):
+            lp._lookup(THETA, short_or_long, c)

@@ -792,6 +792,36 @@ def test_the_open_rows_of_a_norm_tableau_are_its_coordinate_rows(name):
             assert tab.opened == list(range(len(tab) - b, len(tab)))
 
 
+LOOKUP_GRID = (lambda: flat_torus(3), lambda: flat_torus(4), lambda: flat_torus(5),
+               lambda: product_complex(circle(3, kind="cubical"), cubical_sphere(2)),
+               torus_triangulated, lambda: product_complex(circle(3), circle(4)),
+               lambda: product_complex(torus_triangulated(), circle(3)))
+
+
+def test_a_norm_lookup_reads_one_entry_per_open_row(monkeypatch):
+    # the norm layer hands `_lookup` a class's coordinates, or a stop test's
+    # unit vector, as the right-hand side on the open rows alone: never a
+    # list sized by the tableau's rows.  Cold and warm, on the weights and
+    # rescaled, every degree at radius 1, 2 and 5 and every class in [-2, 2]^b
+    # ([-1, 1]^b for b = 3)
+    norms = importlib.import_module("stasys.norms")
+    real, sizes = norms._lookup, []
+    monkeypatch.setattr(norms, "_lookup", lambda t, b, c: sizes.append((len(b), len(t.opened)))
+                        or real(t, b, c))
+    for build in LOOKUP_GRID:
+        K = build()
+        betti = homology(K).betti
+        for L in (K, K.rescale(F(3, 2)), K.rescale(F(1, 2)), K.rescale(F(7, 3)), K):
+            for q, b in enumerate(betti):
+                for r in (1, 2, 5):
+                    stable_systole(L, q, r)
+                box = 1 if b == 3 else 2
+                for coords in itertools.product(range(-box, box + 1), repeat=b) if b else ():
+                    stable_norm(L, HomologyClass(q, coords))
+    assert sizes and all(n == opened for n, opened in sizes)
+    assert {n for n, _ in sizes} == {1, 2, 3}
+
+
 ORACLE = {"flat_torus(3)": flat_torus(3), "T2_9": torus_triangulated(),
           "C3xC4": product_complex(circle(3), circle(4)),
           "T2_9xC3": product_complex(torus_triangulated(), circle(3))}
