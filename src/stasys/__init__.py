@@ -10,10 +10,13 @@ module in ``sys.modules`` without running it; a module's body runs when one
 of its attributes is first read, and ``from stasys import X`` (or
 ``stasys.X``) loads X's home module and what that imports.  So a command of
 the CLI compiles only the layers it needs: ``lpd`` and ``catstsys`` on an
-expression run ``category`` alone, ``homology FILE`` runs ``io``,
-``complexes``, ``homology`` and ``linalg``, and ``systole`` adds ``norms``
-and ``lp``.  ``stasys.homology`` is the function; the module is
-``sys.modules["stasys.homology"]``.
+expression run ``category`` alone, and on a profile file ``category`` and
+``io``; ``homology FILE`` runs ``io``, ``complexes``, ``homology`` and
+``linalg``, and ``systole`` adds ``norms`` and ``lp``.  The category
+records are plain classes, so an expression command imports no
+``dataclasses``, ``typing`` or ``fractions``, and a profile file no
+``dataclasses`` or ``typing``.  ``stasys.homology`` is the function; the
+module is ``sys.modules["stasys.homology"]``.
 """
 
 import sys as _sys

@@ -9,26 +9,55 @@ Where no rule closes the gap the verdict stays honest: lower < upper.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """The value behaviour of a frozen dataclass, for a record whose
+    ``__init__`` stores the fields that ``_fields`` names: a repr of the
+    fields in order, ``==`` between records of one class only, a hash of the
+    field values, and no assignment or deletion (AttributeError).  Computed
+    attributes (a ``cached_property``) live in the instance dict beside the
+    fields and take no part in any of these."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Record):
     """Non-decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(p) for p in parts)
         if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
         if list(parts) != sorted(parts):
             raise ValueError("parts must be non-decreasing")
-        object.__setattr__(self, "parts", parts)
+        self.__dict__["parts"] = parts
 
     @property
     def n(self) -> int:
@@ -75,8 +104,7 @@ def mod_condition(m: int, lpd_m: int, n: int, lpd_n: int) -> bool:
     return m % lpd_m + n % lpd_n < max(lpd_m, lpd_n)
 
 
-@dataclass(frozen=True)
-class DimensionProfile:
+class DimensionProfile(_Record):
     """Symbolic descriptor: dimension, Betti numbers and a ring-level flag.
 
     ``max_cup_flag`` is three-valued: True/False when known, None when the
@@ -85,29 +113,27 @@ class DimensionProfile:
     numbers, and a real homology sphere's flag is True.
     """
 
-    n: int
-    betti: tuple[int, ...]
-    max_cup_flag: bool | None = None
-    factors: tuple["DimensionProfile", ...] = ()
-    name: str = ""
+    _fields = ("n", "betti", "max_cup_flag", "factors", "name")
 
-    def __post_init__(self):
-        betti = tuple(int(b) for b in self.betti)
-        if self.n < 0:
-            raise ValueError(f"dimension must be at least 0, not {self.n}")
-        if len(betti) != self.n + 1:
+    def __init__(self, n: int, betti: tuple[int, ...], max_cup_flag: bool | None = None,
+                 factors: tuple[DimensionProfile, ...] = (), name: str = ""):
+        betti = tuple(int(b) for b in betti)
+        if n < 0:
+            raise ValueError(f"dimension must be at least 0, not {n}")
+        if len(betti) != n + 1:
             raise ValueError("betti list must have n+1 entries")
         if min(betti) < 0:
             raise ValueError(f"Betti numbers must be at least 0, not {min(betti)}")
         if betti[0] != 1:
             raise ValueError("profiles describe connected spaces (betti_0 = 1)")
-        if betti[self.n] not in (0, 1):
+        if betti[n] not in (0, 1):
             raise ValueError("a closed connected manifold has betti_n = 0 or 1")
-        object.__setattr__(self, "betti", betti)
+        self.__dict__.update(n=n, betti=betti, max_cup_flag=max_cup_flag, factors=factors,
+                             name=name)
         if self.homology_sphere:
-            if self.max_cup_flag is False:
+            if max_cup_flag is False:
                 raise ValueError("a real homology sphere has maximal cup length")
-            object.__setattr__(self, "max_cup_flag", True)
+            self.__dict__["max_cup_flag"] = True
 
     @property
     def orientable(self) -> bool:
@@ -143,15 +169,11 @@ def profile_from_complex(K: WeightedCellComplex, name: str = "") -> DimensionPro
     return DimensionProfile(n=K.top_dim, betti=homology(K).betti, max_cup_flag=flag, name=name)
 
 
-class _Shape(NamedTuple):
-    """What the product rules read of a profile: its dimension, least
-    positive dimension and maximal-cup-length flag.  The product of two
-    connected factors has the sum of their dimensions and the least of
-    their lpds (Künneth, b_0 = 1)."""
-
-    n: int
-    lpd: int | None
-    max_cup_flag: bool | None
+# What the product rules read of a profile: its dimension, least positive
+# dimension and maximal-cup-length flag.  The product of two connected
+# factors has the sum of their dimensions and the least of their lpds
+# (Künneth, b_0 = 1).
+_Shape = namedtuple("_Shape", "n lpd max_cup_flag")
 
 
 def _product_max_cup(p: DimensionProfile | _Shape, q: DimensionProfile) -> bool | None:
@@ -187,12 +209,17 @@ MAX_EXPRESSION_FACTORS = 500
 
 
 def parse_product_expression(expr: str) -> DimensionProfile:
-    """Parse a sphere-product expression like ``S2 x S3`` or ``S1 * S2``."""
-    tokens = [t for t in expr.replace("*", " x ").split() if t.lower() != "x"]
+    """Parse a sphere-product expression like ``S2 x S3`` or ``S1 * S2``:
+    factors joined by exactly one ``x``, ``X`` or ``*`` each."""
+    tokens = expr.replace("*", " * ").split()
     if not tokens:
         raise ValueError("empty product expression")
+    # operators stand at the odd positions and only there, so none leads, trails or doubles
+    if not (len(tokens) % 2 and all((t in ("x", "X", "*")) == i % 2 for i, t in enumerate(tokens))):
+        raise ValueError(f"cannot parse product expression {expr!r}; "
+                         "expected factors joined by x or *, e.g. S1 x S3")
     dims = []
-    for tok in tokens:
+    for tok in tokens[::2]:
         if not (tok[0] in "Ss" and tok[1:].isascii() and tok[1:].isdigit()):
             raise ValueError(f"cannot parse factor {tok!r}; expected e.g. S3")
         dims.append(int(tok[1:]))
@@ -247,13 +274,15 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CategoryVerdict:
-    lower: int
-    upper: int
-    lower_rule: str
-    upper_rule: str
-    notes: tuple[str, ...] = ()
+class CategoryVerdict(_Record):
+    """Lower and upper bounds on catstsys, the rule that gave each, and notes."""
+
+    _fields = ("lower", "upper", "lower_rule", "upper_rule", "notes")
+
+    def __init__(self, lower: int, upper: int, lower_rule: str, upper_rule: str,
+                 notes: tuple[str, ...] = ()):
+        self.__dict__.update(lower=lower, upper=upper, lower_rule=lower_rule,
+                             upper_rule=upper_rule, notes=notes)
 
     @property
     def exact(self) -> bool:

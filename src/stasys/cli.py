@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 # The package holds `io` unloaded: its body runs on the first file access.
-# Each command imports the layers it uses, so a cold run compiles only those.
+# Each command imports the layers it uses, so a cold run compiles only those;
+# `fractions` is one of them, imported where a number is printed.
 from . import io as sio
 
 EXIT_OK = 0
@@ -23,6 +23,8 @@ EXIT_INPUT = 2
 
 
 def fmt(x: Fraction) -> str:
+    from fractions import Fraction
+
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -41,6 +43,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _print_report(report: VerificationReport) -> int:
+    from fractions import Fraction
+
     if report.status == "inapplicable":
         print(f"INAPPLICABLE {report.name}: {report.details.get('reason', '')}")
         return EXIT_OK

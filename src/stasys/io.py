@@ -1,9 +1,10 @@
 """File formats: JSON complexes and profiles, CSV deformation reports.
 
 Weights and all numeric report fields are serialized as exact fraction
-strings ("3/4"), so every round trip is lossless.  ``category``, ``deform``
-and ``csv`` are imported inside the functions that use them, so reading a
-complex loads neither.
+strings ("3/4"), so every round trip is lossless.  ``complexes``,
+``category``, ``deform`` and ``csv`` are imported inside the functions that
+use them, so reading a complex loads no ``category`` and reading a profile
+no ``complexes``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 import io as _io
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
-
-from .complexes import WeightedCellComplex, build_complex
 
 
 def _require(value, kind: type, what: str):
@@ -99,6 +97,8 @@ def complex_to_dict(K: WeightedCellComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> WeightedCellComplex:
+    from .complexes import build_complex
+
     _require(data, dict, "a complex")
     kind = _field(data, "kind", "complex JSON")
     if kind not in ("simplicial", "cubical", "general"):
@@ -238,8 +238,8 @@ def _profile_from_dict(data: dict) -> DimensionProfile:
             source = "the factors" if factors else "the Betti numbers"
             raise ValueError(f"{key} {json.dumps(data[key])} disagrees with "
                              f"{json.dumps(derived[key])} derived from {source}")
-    return replace(p, max_cup_flag=flag if p.max_cup_flag is None else p.max_cup_flag,
-                   name=name or p.name)
+    return DimensionProfile(n=p.n, betti=p.betti, factors=p.factors, name=name or p.name,
+                            max_cup_flag=flag if p.max_cup_flag is None else p.max_cup_flag)
 
 
 def save_profile(p: DimensionProfile, path: str) -> None:

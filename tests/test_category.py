@@ -1,6 +1,9 @@
 """Partition arithmetic and category bounds for dimension profiles."""
 
+import hashlib
 import importlib
+import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,8 @@ from stasys import (
     partition_verdicts,
     product_profile,
     profile_from_complex,
+    profile_from_dict,
+    profile_to_dict,
     sphere_profile,
     torus_triangulated,
 )
@@ -118,10 +123,114 @@ def test_parse_product_expression():
     p = parse_product_expression("S2 x S3")
     assert p.n == 5 and [f.name for f in p.factors] == ["S2", "S3"]
     assert parse_product_expression("s1 * s1").n == 2
-    for expr, factor in (("K3 x S1", "K3"), ("S\u00b2 x S3", "S\u00b2"), ("S\u0661 x S3", "S\u0661")):
+    for expr in ("S1 X S2", "S1*S2", " S1  x\tS2 "):
+        assert parse_product_expression(expr).name == "S1 x S2", expr
+    # an operator needs no space only when it is "*": "S1xS2" is one factor
+    for expr, factor in (("K3 x S1", "K3"), ("S\u00b2 x S3", "S\u00b2"), ("S\u0661 x S3", "S\u0661"),
+                         ("S1xS2", "S1xS2")):
         # a superscript two or an Arabic-Indic one is not an ASCII digit
         with pytest.raises(ValueError, match=f"cannot parse factor '{factor}'; expected e.g. S3"):
             parse_product_expression(expr)
+
+
+@pytest.mark.parametrize("expr", ["S1 x", "x S1", "S1 x x S2", "S1 * * S2", "S1**S2", "S1 S2",
+                                  "S1 x S2 *", "x"])
+def test_product_expression_needs_one_operator_between_factors(expr):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot parse product expression {expr!r}; "
+            "expected factors joined by x or *, e.g. S1 x S3")):
+        parse_product_expression(expr)
+
+
+# ---------------------------------------------------------------------------
+# The records: dataclass-style repr, equality, hash and immutability
+# ---------------------------------------------------------------------------
+
+VERDICT = CategoryVerdict(1, 2, "a", "b")
+
+
+def test_record_reprs():
+    assert repr(Partition((1, 2))) == "Partition(parts=(1, 2))"
+    assert repr(sphere_profile(2)) == ("DimensionProfile(n=2, betti=(1, 0, 1), max_cup_flag=True, "
+                                       "factors=(), name='S2')")
+    assert repr(parse_product_expression("S1 x S2")) == (
+        "DimensionProfile(n=3, betti=(1, 1, 1, 1), max_cup_flag=None, factors=("
+        "DimensionProfile(n=1, betti=(1, 1), max_cup_flag=True, factors=(), name='S1'), "
+        "DimensionProfile(n=2, betti=(1, 0, 1), max_cup_flag=True, factors=(), name='S2')), "
+        "name='S1 x S2')")
+    assert repr(VERDICT) == ("CategoryVerdict(lower=1, upper=2, lower_rule='a', upper_rule='b', "
+                             "notes=())")
+
+
+def test_records_are_equal_and_hash_alike_by_value_within_their_class():
+    for a, b in ((Partition((1, 2)), Partition([1, 2])),
+                 (sphere_profile(2), DimensionProfile(2, (1, 0, 1), name="S2")),
+                 (VERDICT, CategoryVerdict(lower=1, upper=2, lower_rule="a", upper_rule="b"))):
+        assert a == b and not a != b and hash(a) == hash(b)
+    # the hash of the field values, as a frozen dataclass's
+    assert hash(Partition((1, 2))) == hash(((1, 2),))
+    assert {Partition((1, 1)): "a"}[Partition([1, 1])] == "a"
+    for other in ((1, 2), ((1, 2),), [1, 2], Partition((1, 1))):
+        assert Partition((1, 2)) != other and other != Partition((1, 2))
+    assert sphere_profile(2) != DimensionProfile(2, (1, 0, 1), name="")
+    assert VERDICT != CategoryVerdict(1, 2, "a", "b", ("note",))
+    # a computed attribute takes no part
+    p = sphere_profile(3)
+    assert p.lpd == 3 and p.admissible_degrees == frozenset({3}) and "lpd" in vars(p)
+    assert p == sphere_profile(3) and hash(p) == hash(sphere_profile(3))
+    assert repr(p) == repr(sphere_profile(3))
+
+
+@pytest.mark.parametrize("record, field", [
+    (Partition((1, 2)), "parts"), (sphere_profile(2), "betti"), (sphere_profile(2), "name"),
+    (sphere_profile(2), "lpd"), (VERDICT, "notes"), (VERDICT, "other"),
+], ids=["parts", "betti", "name", "cached-lpd", "notes", "new-attribute"])
+def test_records_refuse_assignment_and_deletion(record, field):
+    before = repr(record)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    assert repr(record) == before
+
+
+def test_records_take_defaults_and_keywords():
+    p = DimensionProfile(4, (1, 0, 1, 0, 1))
+    assert (p.max_cup_flag, p.factors, p.name) == (None, (), "")
+    assert p == DimensionProfile(betti=(1, 0, 1, 0, 1), n=4, max_cup_flag=None, factors=(), name="")
+    assert VERDICT.notes == ()
+    assert CategoryVerdict(upper=2, lower=1, upper_rule="b", lower_rule="a", notes=("n",)) == (
+        CategoryVerdict(1, 2, "a", "b", ("n",)))
+    assert Partition(parts=[1, 1]).parts == (1, 1)
+    for make in (lambda: Partition(), lambda: CategoryVerdict(1, 2, "a"),
+                 lambda: DimensionProfile(2, (1, 0, 1), None, (), "", 1),
+                 lambda: Partition((1,), size=1)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def _sphere_products():
+    for k in (1, 2, 3):
+        for dims in itertools.product(range(1, 7), repeat=k):
+            yield parse_product_expression(" x ".join(f"S{m}" for m in dims))
+
+
+def test_bounds_and_profile_round_trips_are_pinned():
+    """sha256 over the reprs of the bounds and partition verdicts of every
+    product of 1-3 spheres of dimensions 1-6, and over profile dict round
+    trips, as the frozen dataclasses gave them."""
+    verdicts = hashlib.sha256()
+    for p in _sphere_products():
+        verdicts.update(repr((catstsys_bounds(p), partition_verdicts(p))).encode())
+    assert verdicts.hexdigest() == (
+        "2240b630bdae5b3a21a442cd44856f3137b0886f5a9cb1a2e14d64f3f044c595")
+    unflagged = DimensionProfile(n=3, betti=(1, 1, 1, 1))
+    trips = hashlib.sha256()
+    for p in (*_sphere_products(), T2, P, Q, unflagged, kunneth_product(T2, Q),
+              kunneth_product(P, unflagged)):
+        d = profile_to_dict(p)
+        trips.update(repr((p, d, profile_from_dict(d))).encode())
+    assert trips.hexdigest() == "174db5755b79b8603090879bbcf37d59fa620069116cf09776c9d3d0317cbb2b"
 
 
 # ---------------------------------------------------------------------------

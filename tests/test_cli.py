@@ -338,9 +338,18 @@ INPUT_FILES = {
     (["verify", "degree-sandwich", "two-circles.json", "c3.json", "--vertex-map", "0,1,2,0,1,2",
       "-q", "1"], "degree needs one-dimensional top homology on both sides"),
     (["catstsys", "S\u00b2 x S3"], "cannot parse factor 'S\u00b2'; expected e.g. S3"),
+    (["catstsys", "S1 x"], "cannot parse product expression 'S1 x'; "
+                           "expected factors joined by x or *, e.g. S1 x S3"),
+    (["lpd", "x S1"], "cannot parse product expression 'x S1'; "
+                      "expected factors joined by x or *, e.g. S1 x S3"),
+    (["catstsys", "S1 * * S2"], "cannot parse product expression 'S1 * * S2'; "
+                                "expected factors joined by x or *, e.g. S1 x S3"),
+    (["lpd", "S1 S2"], "cannot parse product expression 'S1 S2'; "
+                       "expected factors joined by x or *, e.g. S1 x S3"),
 ], ids=["sphere-zero", "empty-expression", "negative-dimension", "dimension-zero",
         "vertex-boundary", "vertex-boundary-systole", "trivial-part", "cubical-map", "dimension-mismatch",
-        "two-top-classes", "superscript-digit"])
+        "two-top-classes", "superscript-digit", "trailing-operator", "leading-operator",
+        "doubled-operator", "missing-operator"])
 def test_input_check_exits_two_with_its_message(argv, message, tmp_path, capsys):
     for name in set(argv) & set(INPUT_FILES):
         (tmp_path / name).write_text(json.dumps(INPUT_FILES[name]))

@@ -13,7 +13,7 @@ import types
 import pytest
 
 import stasys
-from stasys import circle, save_complex
+from stasys import circle, parse_product_expression, save_complex, save_profile
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stasys.__file__)))
 LAYERS = ("category", "cohomology", "complexes", "deform", "homology", "io", "linalg",
@@ -109,19 +109,57 @@ def test_import_registers_every_layer_without_running_it(tmp_path):
     assert loaded(proc) == []
 
 
+def with_files(tmp_path, argv: list[str]) -> list[str]:
+    """argv with FILE a saved circle(3) and PROFILE the saved profile of S1 x S3."""
+    files = {"FILE": tmp_path / "circle3.json", "PROFILE": tmp_path / "s1s3.json"}
+    save_complex(circle(3), str(files["FILE"]))
+    save_profile(parse_product_expression("S1 x S3"), str(files["PROFILE"]))
+    return [str(files.get(a, a)) for a in argv]
+
+
 @pytest.mark.parametrize("argv, out, layers", [
     (["lpd", "S1"], "lpd = 1", ["category"]),
     (["catstsys", "S1 x S2"], "catstsys(S1 x S2) = 2", ["category"]),
+    (["catstsys", "PROFILE"], "catstsys(S1 x S3) = 2", ["category", "io"]),
     (["homology", "FILE"], "H_0: betti = 1",
      ["complexes", "homology", "io", "linalg"]),
     (["systole", "FILE", "-q", "1"], "stsys_1 = 3",
      ["complexes", "homology", "io", "linalg", "lp", "norms"]),
-], ids=["lpd", "catstsys", "homology", "systole"])
+], ids=["lpd", "catstsys", "catstsys-profile", "homology", "systole"])
 def test_cold_command_runs_only_its_layers(tmp_path, argv, out, layers):
     """The CLI runs as __main__, so its own module is not in the list."""
-    path = tmp_path / "circle3.json"
-    save_complex(circle(3), str(path))
-    proc = cold(tmp_path, "-m", "stasys.cli", *(str(path) if a == "FILE" else a for a in argv))
+    proc = cold(tmp_path, "-m", "stasys.cli", *with_files(tmp_path, argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(out)
     assert loaded(proc) == layers
+
+
+# Runs the CLI, then prints every module whose body has run: the standard
+# library's and, of the lazy stasys layers, those that have loaded.
+RUN_AND_LIST = """\
+import sys, types
+import stasys.cli
+code = stasys.cli.main(sys.argv[1:])
+print("loaded:", *sorted(name for name, m in sys.modules.items()
+                         if object.__getattribute__(m, "__class__") is types.ModuleType))
+sys.exit(code)
+"""
+UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["lpd", "S1"], UNUSED),
+    (["catstsys", "S1 x S3"], UNUSED),
+    (["lpd", "PROFILE"], UNUSED[:3]),
+    (["catstsys", "PROFILE"], UNUSED[:3]),
+], ids=["lpd", "catstsys", "lpd-profile", "catstsys-profile"])
+def test_cold_sphere_product_command_imports_only_what_it_uses(tmp_path, argv, unused):
+    """Without `site` (`python -S`), which imports modules of its own, a
+    sphere-product command imports no record machinery, and no `fractions`
+    unless it reads a file; a profile file runs no `complexes`."""
+    proc = cold(tmp_path, "-S", "-c", RUN_AND_LIST, *with_files(tmp_path, argv))
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.splitlines()[-1].split()
+    assert modules[0] == "loaded:"
+    assert not set(unused) & set(modules)
+    assert "stasys.category" in modules and "stasys.complexes" not in modules
