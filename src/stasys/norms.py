@@ -17,7 +17,8 @@ multiple of them, such as a rescaled metric.  Norms and systoles do not
 depend on which classes or metrics were solved before; where the optimum
 is degenerate, the optimal cycle and λ returned may, and each is still a
 valid certificate.  In a degree with no (q+1)-cells a class holds exactly
-one cycle, whose mass is its norm without an LP.  Each norm carries a dual
+one cycle, whose mass is its norm without an LP, read in integers and in
+units of ĉ by `stable_norm` and the search alike.  Each norm carries a dual
 certificate (Federer's comass duality): a cocycle f with |f| <= w on every
 q-cell and f = λ on the generators, so ``‖h‖ >= |λ.h|`` for every class h.
 Stable systoles minimize the stable norm over nonzero integral classes:
@@ -46,7 +47,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .complexes import Chain, WeightedCellComplex, Weights, product_complex
+from .complexes import Chain, WeightedCellComplex, Weights, _integer_row, product_complex
 from .homology import HomologyClass, HomologySummary, class_coordinates, homology
 from .linalg import rank
 from .lp import _ZERO, Infeasible, _lookup, prepare
@@ -102,15 +103,17 @@ class VerificationReport:
 
 
 def stable_norm(K: WeightedCellComplex, cls: HomologyClass) -> StableNormResult:
-    """Minimum mass over rational cycles in the class (exact LP optimum)."""
+    """Minimum mass over rational cycles in the class: an exact LP optimum, or its one cycle's."""
     summary = _checked(K, cls)
     q = cls.degree
     if cls.is_zero():
         return StableNormResult(Fraction(0), K.zero_chain(q), "trivial-zero-class")
-    if K.n_cells(q + 1) == 0:
-        z, f, dual = _unique_cycle(summary, q, cls.coords, K.weights[q])
-        z = Chain(q, tuple(z))
-        return StableNormResult(K.mass(z), z, "unique-cycle", dual, f)
+    if K.n_cells(q + 1) == 0:  # as `_class_norm` reads it, over the coordinates' denominator d
+        (chat, s), (nums, d) = K.weights[q].split, _integer_row(cls.coords)
+        z, f, lam = _unique_cycle(summary, q, nums, chat)
+        cycle = Chain._of_fractions(q, tuple(Fraction(v, d) for v in z))
+        return StableNormResult(s * Fraction(sum(map(operator.mul, f, z)), d), cycle,
+                                "unique-cycle", tuple(s * v for v in lam), tuple(s * v for v in f))
     value, cycle, dual, f = _minimum_mass_cycle(K, cls)
     return StableNormResult(value, cycle, "optimal-LP", dual, f)
 
@@ -125,14 +128,14 @@ def _checked(K: WeightedCellComplex, cls: HomologyClass) -> HomologySummary:
     return summary
 
 
-def _unique_cycle(summary: HomologySummary, q: int, coords, weights):
-    """With no (q+1)-cells, the class with these coordinates holds one cycle
-    z = sum_k c_k g_k: z's coefficients, the cocycle f = w.sign(z) for the
-    q-cell weights w, and λ = f on the generators.  It reads the generators'
-    integer coefficients, so integral coordinates and weights give ints."""
+def _unique_cycle(summary: HomologySummary, q: int, coords, chat):
+    """With no (q+1)-cells, the class with integer coordinates c holds one
+    cycle z = sum_k c_k g_k: z, the cocycle f = ĉ.sign(z) for the weights'
+    integer direction ĉ, and λ̂ = f on the generators, all ints.  The class
+    c/d on weights s·ĉ has norm s·(f.z)/d, cycle z/d, λ = s·λ̂ and cocycle s·f."""
     gens = summary.integer_generators[q]
     z = [sum(map(operator.mul, coords, col)) for col in zip(*gens)]
-    f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z, weights))
+    f = tuple(w * ((c > 0) - (c < 0)) for c, w in zip(z, chat))
     return z, f, tuple(sum(map(operator.mul, f, g)) for g in gens)
 
 
@@ -345,11 +348,9 @@ def verify_product_inequality(
 def verify_projection_equality(
     K: WeightedCellComplex, L: WeightedCellComplex, q: int
 ) -> VerificationReport:
-    """Product with a homologically silent factor keeps the systole equal.
-
-    Applicable when degree-q homology of the product comes entirely from
-    (q, 0) tensor terms with L connected; otherwise reported inapplicable.
-    """
+    """stsys_q(K×L) = stsys_q(K)·stsys_0(L), as a q-cycle times a vertex v has
+    its mass times w(v): applicable when degree-q homology of the product comes
+    entirely from (q, 0) tensor terms with L connected, otherwise inapplicable."""
     if q < 0:
         raise ValueError(f"degree {q} out of range")
     bk, bl = homology(K).betti, homology(L).betti
@@ -359,9 +360,9 @@ def verify_projection_equality(
     if betti(bl, 0) != 1 or betti(bk, q) == 0 or cross_terms:
         return _inapplicable("projection-equality", "==",
                              f"Kunneth hypothesis violated in degree {q}")
-    searches = stable_systole(product_complex(K, L), q), stable_systole(K, q)
-    sp, sk = (systole_value(res, q) for res in searches)
-    return _report("projection-equality", sp, "==", sk, sp == sk, searches, {"q": q})
+    searches = stable_systole(product_complex(K, L), q), stable_systole(K, q), stable_systole(L, 0)
+    sp, sk, sl = (systole_value(res, d) for res, d in zip(searches, (q, q, 0)))
+    return _report("projection-equality", sp, "==", sk * sl, sp == sk * sl, searches, {"q": q})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from stasys import (
     rp2,
     save_complex,
     save_profile,
+    simplicial_from_top,
     sphere,
     torus_triangulated,
 )
@@ -470,6 +472,15 @@ def test_verify_projection_inapplicable_exits_zero(files, capsys):
                        files["circle3"], "-q", "1")
     assert code == 0
     assert out.startswith("INAPPLICABLE")
+
+
+def test_verify_projection_scales_by_the_lightest_vertex(files, tmp_path, capsys):
+    # every vertex of the sphere weighs 2, so stsys_1(C3 x S2) = stsys_1(C3)·2
+    path = str(tmp_path / "s2v2.json")
+    save_complex(simplicial_from_top(list(itertools.combinations(range(4), 3)),
+                                     weights={(v,): 2 for v in range(4)}), path)
+    code, out, _ = run(capsys, "verify", "projection", files["circle3"], path, "-q", "1")
+    assert (code, out) == (0, "PASS projection-equality: 6 == 6\n  q = 1\n")
 
 
 def test_upper_bound_systoles_print_inconclusive(files, capsys, monkeypatch):
