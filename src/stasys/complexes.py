@@ -326,22 +326,17 @@ class WeightedCellComplex:
                                 f"boundary of {self.cell_ids[q][j]} is not the alternating face sum")
 
 
-def build_complex(
-    kind: str,
-    cells: list[list[tuple]],
-    factor_degrees: list[list[tuple[int, int]]] | None = None,
-) -> WeightedCellComplex:
+def build_complex(kind: str, cells: list[list[tuple]]) -> WeightedCellComplex:
     """Assemble and validate a complex from per-degree cell specs.
 
-    Each cell spec is ``(cell_id, weight, boundary, vertices)`` where
-    ``boundary`` maps face ids to incidences (list of pairs) and
-    ``vertices`` may be None for non-simplicial cells.
+    Each cell spec is ``(cell_id, weight, boundary[, vertices[, factor_degrees]])``:
+    ``boundary`` lists (face id, incidence) pairs, and each optional entry, which
+    may be None, is given on every cell or on none (`_spec_field`).  Vertex
+    lists are kept for simplicial complexes only.
     """
     cell_ids = []
     weights = []
     boundary_cols: list[tuple[BoundaryColumn, ...]] = []
-    vertex_lists = []
-    has_vertices = True
     face_index: dict[str, int] = {}
     for q, specs in enumerate(cells):
         ids = tuple(spec[0] for spec in specs)
@@ -350,7 +345,6 @@ def build_complex(
         cell_ids.append(ids)
         weights.append(tuple(Fraction(spec[1]) for spec in specs))
         cols = []
-        verts = []
         for spec in specs:
             bdry = spec[2]
             if q == 0 and bdry:
@@ -358,26 +352,32 @@ def build_complex(
             for fid, _ in bdry:
                 if fid not in face_index:
                     raise ComplexInvariantError(f"boundary of {spec[0]} names unknown face {fid!r}")
-            col = tuple((face_index[fid], int(inc)) for fid, inc in bdry)
-            cols.append(col)
-            v = spec[3] if len(spec) > 3 else None
-            if v is None:
-                has_vertices = False
-            else:
-                verts.append(tuple(v))
+            cols.append(tuple((face_index[fid], int(inc)) for fid, inc in bdry))
         boundary_cols.append(tuple(cols))
-        vertex_lists.append(tuple(verts))
         face_index = {cid: i for i, cid in enumerate(ids)}
     out = WeightedCellComplex(
         kind=kind,
         cell_ids=tuple(cell_ids),
         weights=tuple(weights),
         boundary_cols=tuple(boundary_cols),
-        vertex_lists=tuple(vertex_lists) if (has_vertices and kind == "simplicial") else None,
-        factor_degrees=tuple(tuple(tags) for tags in factor_degrees) if factor_degrees else None,
+        vertex_lists=_spec_field(cells, 3, "vertices") if kind == "simplicial" else None,
+        factor_degrees=_spec_field(cells, 4, "factor_degrees"),
     )
     out.validate()
     return out
+
+
+def _spec_field(cells: list[list[tuple]], k: int, name: str) -> tuple | None:
+    """Entry k of every cell spec, as tuples per degree: None when no cell
+    gives it, and refused, naming the first cell without it, when some do."""
+    table = tuple(tuple(tuple(spec[k]) for spec in specs if len(spec) > k and spec[k] is not None)
+                  for specs in cells)
+    if any(len(given) < len(specs) for given, specs in zip(table, cells)):
+        if not any(table):
+            return None
+        cid = next(spec[0] for specs in cells for spec in specs if len(spec) <= k or spec[k] is None)
+        raise ComplexInvariantError(f"cell {cid} has no {name}, but other cells do")
+    return table
 
 
 def simplicial_from_top(

@@ -108,11 +108,8 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
         raise ValueError(f"top_dim must be at least 0, not {top}")
     cells_by_degree = _require(_field(data, "cells", "complex JSON"), dict, "cells")
     cells = []
-    tags = []
-    has_tags = True
     for q in range(top + 1):
         specs = []
-        qtags = []
         degree_cells = _field(cells_by_degree, str(q), 'complex JSON "cells"')
         for entry in _require(degree_cells, list, f'cells["{q}"]'):
             _require(entry, dict, f"a cell of degree {q}")
@@ -127,19 +124,16 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
                 vertices = tuple(_as_int(v, "a vertex")
                                  for v in _require(vertices, list, f"vertices of {cid}"))
             weight = parse_frac(_field(entry, "weight", f"complex JSON cell {cid!r}"))
-            specs.append((cid, weight, boundary, vertices))
             tag = entry.get("factor_degrees")
-            if tag is None:
-                has_tags = False
-            else:
+            if tag is not None:
                 if not isinstance(tag, list) or len(tag) != 2:
                     raise ValueError(f"factor_degrees of {cid} must be a pair of degrees")
-                qtags.append((_as_int(tag[0], "a factor degree"), _as_int(tag[1], "a factor degree")))
+                tag = (_as_int(tag[0], "a factor degree"), _as_int(tag[1], "a factor degree"))
+            specs.append((cid, weight, boundary, vertices, tag))
         cells.append(specs)
-        tags.append(qtags)
     if extra := [key for key in cells_by_degree if key not in {str(q) for q in range(top + 1)}]:
         raise ValueError(f"cells has degree {extra[0]!r} outside 0..{top}")
-    return build_complex(kind, cells, factor_degrees=tags if has_tags else None)
+    return build_complex(kind, cells)
 
 
 def save_complex(K: WeightedCellComplex, path: str) -> None:

@@ -72,7 +72,7 @@ class Tableau:
         self.opened = [bj - n for bj in basis if bj >= n]
         self.optima: dict[tuple, list[_Optimum]] = {}
 
-    # kept only for perfbench/tracing.py's _lp_count, which calls len() on solve_lp's first argument
+    # read by tests/test_norms.py and by perfbench/tracing.py's _lp_count, on solve_lp's first argument
     def __len__(self) -> int:  # the row count of A, dropped rows included; the solver reads m
         return self.m
 

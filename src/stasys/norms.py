@@ -36,7 +36,8 @@ per coordinate j, solved once per λ set on one throwaway tableau.
 The same slot keeps M per λ set (the newest STOP_TESTS_KEPT), so a kept
 stop test is one cross-multiplication.  A search repeated on the same
 complex, or on a reweighting of it (`rescale`, `DeformationFamily.at`,
-`pullback_weights`) in the same weight direction, so runs no LP lookup.
+`pullback_weights`) in the same weight direction, finds every class in a
+recorded cone and its stop test kept, and runs no LP lookup.
 """
 
 from __future__ import annotations

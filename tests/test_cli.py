@@ -14,6 +14,7 @@ from stasys import (
     complex_to_dict,
     cubical_sphere,
     flat_torus,
+    product_complex,
     rp2,
     save_complex,
     save_profile,
@@ -124,6 +125,17 @@ def test_top_level_json_list_exits_two(payload, tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error:" in err
+
+
+def test_a_partly_tagged_product_exits_two(tmp_path, capsys):
+    # C3 x C4 with the factor tag of its first edge deleted: the error names that edge
+    data = complex_to_dict(product_complex(circle(3), circle(4)))
+    del data["cells"]["1"][0]["factor_degrees"]
+    path = tmp_path / "c3c4.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert "cell (s0|s0.1) has no factor_degrees" in err
 
 
 def test_missing_field_is_named(files, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Round trips through the JSON and CSV serializers."""
 
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stasys import (
+    ComplexInvariantError,
     DeformationFamily,
     Partition,
     build_complex,
@@ -37,7 +39,7 @@ from stasys import (
 )
 from stasys.io import parse_frac
 
-from conftest import profile_products, weighted_circle
+from conftest import permuted, profile_products, weighted_circle
 
 F = Fraction
 
@@ -123,6 +125,90 @@ def test_complex_file_holds_one_cell_per_line(maker, tmp_path):
     with open(tmp_path / "indented.json", "w") as fh:
         json.dump(data, fh, indent=1)
     assert complex_to_dict(load_complex(tmp_path / "indented.json")) == data
+
+
+def test_loaded_complexes_are_pinned(tmp_path):
+    # sha256 over the reprs of what load_complex returns for every writer case
+    # and two seeded cell orders of it, as they were when the reader kept its
+    # own table of factor tags beside the cell specs
+    digest = hashlib.sha256()
+    for maker in WRITER_CASES.values():
+        K = maker()
+        for L in (K, permuted(K, 3), permuted(K, 17)):
+            save_complex(L, tmp_path / "k.json")
+            M = load_complex(tmp_path / "k.json")
+            for field in (M.kind, M.cell_ids, M.weights, M.boundary_cols, M.vertex_lists, M.factor_degrees):
+                digest.update(repr(field).encode())
+    assert digest.hexdigest() == (
+        "c6d9fe264f5a58eac08acf2bf1e06615c278038ae851840911b1dc1396d05b37")
+
+
+def _cell(data, cid):
+    """The cell named ``cid`` in the complex dict ``data``."""
+    return next(cell for cells in data["cells"].values() for cell in cells if cell["id"] == cid)
+
+
+@pytest.mark.parametrize("make, cid, field, message", [
+    (lambda: complex_to_dict(product_complex(circle(3), circle(4))), "(s0|s0.1)", "factor_degrees",
+     "cell (s0|s0.1) has no factor_degrees, but other cells do"),
+    (lambda: complex_to_dict(torus_triangulated()), "s0.1", "vertices",
+     "cell s0.1 has no vertices, but other cells do"),
+    (lambda: {**complex_to_dict(torus_triangulated()), "kind": "general"}, "s0.1", "vertices", None),
+], ids=["product-tag", "simplicial-vertices", "general-vertices"])
+def test_a_field_on_some_cells_only_is_refused(make, cid, field, message):
+    # factor tags, and a simplicial file's vertex lists, are given on every
+    # cell or on none; vertices count only in simplicial files
+    data = make()
+    del _cell(data, cid)[field]
+    if message is None:
+        assert complex_from_dict(data).vertex_lists is None
+        return
+    with pytest.raises(ComplexInvariantError) as refused:
+        complex_from_dict(data)
+    assert str(refused.value) == message
+
+
+def test_tags_in_the_cell_specs_rebuild_a_product():
+    P = product_complex(circle(3), circle(4))
+    cells = [[(cid, w, [(P.cell_ids[q - 1][f], inc) for f, inc in col], None, tag)
+              for cid, w, col, tag in zip(P.cell_ids[q], P.weights[q], P.boundary_cols[q], P.factor_degrees[q])]
+             for q in range(P.top_dim + 1)]
+    K = build_complex(P.kind, cells)
+    assert repr(K.factor_degrees) == repr(P.factor_degrees)
+    assert repr(K.weights) == repr(P.weights)
+    DeformationFamily(K)  # the tags seed a family
+
+
+STRIP_CASES = [("factor_degrees", complex_to_dict(product_complex(circle(3), circle(4)))),
+               ("vertices", complex_to_dict(torus_triangulated()))]
+STRIP_CELLS = max(sum(map(len, saved["cells"].values())) for _, saved in STRIP_CASES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STRIP_CASES), st.lists(st.booleans(), min_size=STRIP_CELLS, max_size=STRIP_CELLS))
+@example(STRIP_CASES[0], [False] * STRIP_CELLS)
+@example(STRIP_CASES[0], [True] * STRIP_CELLS)
+@example(STRIP_CASES[1], [False] * STRIP_CELLS)
+@example(STRIP_CASES[1], [True] * STRIP_CELLS)
+def test_a_field_is_read_from_every_cell_or_none(case, mask):
+    field, saved = case
+    data = copy.deepcopy(saved)
+    cells = [cell for q in range(data["top_dim"] + 1) for cell in data["cells"][str(q)]]
+    stripped = [cell["id"] for cell, strip in zip(cells, mask) if strip]
+    for cell, strip in zip(cells, mask):
+        if strip:
+            del cell[field]
+    if not stripped:
+        assert complex_to_dict(complex_from_dict(data)) == saved
+    elif len(stripped) < len(cells):
+        with pytest.raises(ComplexInvariantError) as refused:
+            complex_from_dict(data)
+        assert str(refused.value) == f"cell {stripped[0]} has no {field}, but other cells do"
+    elif field == "vertices":
+        with pytest.raises(ComplexInvariantError, match="^simplicial complex needs vertex lists$"):
+            complex_from_dict(data)
+    else:
+        assert complex_from_dict(data).factor_degrees is None
 
 
 def test_profile_round_trip(tmp_path):
