@@ -63,13 +63,6 @@ class Chain:
             raise ValueError("chain degree/length mismatch")
         return Chain(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Rational) -> "Chain":
-        s = Fraction(scalar)
-        return Chain(self.degree, tuple(s * c for c in self.coeffs))
-
 
 class Weights(Sequence):
     """One degree's cell weights: a tuple of Fractions, also carried as s·ĉ.
@@ -308,22 +301,23 @@ class WeightedCellComplex:
         if self.kind == "simplicial":
             if self.vertex_lists is None:
                 raise ComplexInvariantError("simplicial complex needs vertex lists")
-            index = self._vertex_index
+            index = {}  # {vertex tuple: index} of the degree below
             for q, per_deg in enumerate(self.vertex_lists):
                 for j, vs in enumerate(per_deg):
-                    if len(vs) != q + 1 or len(set(vs)) != q + 1:
+                    if type(vs) is not tuple or {*map(type, vs)} != {int} or {len(vs), len(set(vs))} != {q + 1}:
                         raise ComplexInvariantError(f"cell {self.cell_ids[q][j]} has bad vertex list")
                     if list(vs) != sorted(vs):
                         raise ComplexInvariantError(f"cell {self.cell_ids[q][j]} vertices not sorted")
                     if q >= 1:
                         try:
-                            expected = _alternating_faces(vs, index[q - 1])
+                            expected = _alternating_faces(vs, index)
                         except KeyError as missing:
                             raise ComplexInvariantError(f"missing face {missing.args[0]}") from None
                         # the vertices are distinct, so the faces are: no sign sums away
                         if dict(expected) != faces[q][j]:
                             raise ComplexInvariantError(
                                 f"boundary of {self.cell_ids[q][j]} is not the alternating face sum")
+                index = {vs: j for j, vs in enumerate(per_deg)}
 
 
 def build_complex(kind: str, cells: list[list[tuple]]) -> WeightedCellComplex:
@@ -331,8 +325,9 @@ def build_complex(kind: str, cells: list[list[tuple]]) -> WeightedCellComplex:
 
     Each cell spec is ``(cell_id, weight, boundary[, vertices[, factor_degrees]])``:
     ``boundary`` lists (face id, incidence) pairs, and each optional entry, which
-    may be None, is given on every cell or on none (`_spec_field`).  Vertex
-    lists are kept for simplicial complexes only.
+    may be None, is given on every cell or on none (`_spec_field`).  Vertex lists
+    are kept for simplicial complexes only.  `validate` checks what each entry
+    holds (a factor tag by `_check_factor_tags`) and names the cell of a bad one.
     """
     cell_ids = []
     weights = []
@@ -368,16 +363,15 @@ def build_complex(kind: str, cells: list[list[tuple]]) -> WeightedCellComplex:
 
 
 def _spec_field(cells: list[list[tuple]], k: int, name: str) -> tuple | None:
-    """Entry k of every cell spec, as tuples per degree: None when no cell
-    gives it, and refused, naming the first cell without it, when some do."""
-    table = tuple(tuple(tuple(spec[k]) for spec in specs if len(spec) > k and spec[k] is not None)
-                  for specs in cells)
-    if any(len(given) < len(specs) for given, specs in zip(table, cells)):
-        if not any(table):
+    """Entry k of every cell spec per degree, a list read as a tuple: None when
+    no cell gives it, and refused, naming the first cell without it, when some do."""
+    given = [[spec[k] for spec in specs if len(spec) > k and spec[k] is not None] for specs in cells]
+    if any(len(vs) < len(specs) for vs, specs in zip(given, cells)):
+        if not any(given):
             return None
         cid = next(spec[0] for specs in cells for spec in specs if len(spec) <= k or spec[k] is None)
         raise ComplexInvariantError(f"cell {cid} has no {name}, but other cells do")
-    return table
+    return tuple(tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in vs) for vs in given)
 
 
 def simplicial_from_top(
@@ -503,10 +497,15 @@ def _faces(columns, nrows: int) -> list[dict[int, int]]:
 
 
 def _check_factor_tags(K: WeightedCellComplex) -> None:
-    """One factor tag (a, b) per cell of K, with a, b >= 0 and a + b = q on a q-cell."""
+    """The one rule for a factor tag, which `validate` and `DeformationFamily` apply: one tag
+    per cell of K, a tuple (a, b) of two ints (bools refused) with a, b >= 0 and a + b = q."""
     for q, (ids, tags) in enumerate(itertools.zip_longest(K.cell_ids, K.factor_degrees, fillvalue=())):
         if len(tags) != len(ids):
             raise ComplexInvariantError(f"factor tag count mismatch in degree {q}")
+        if {*map(type, tags)} - {tuple} or {*map(len, tags)} - {2} or {*map(type, itertools.chain(*tags))} - {int}:
+            j = next(j for j, tag in enumerate(tags)  # only now look the bad tag up
+                     if type(tag) is not tuple or len(tag) != 2 or {*map(type, tag)} != {int})
+            raise ComplexInvariantError(f"factor_degrees of {ids[j]} must be a pair of degrees")
         if any(a < 0 or b < 0 or a + b != q for a, b in tags):
             raise ComplexInvariantError("factor tags must split the cell degree")
 

@@ -1,10 +1,11 @@
 """File formats: JSON complexes and profiles, CSV deformation reports.
 
 Weights and all numeric report fields are serialized as exact fraction
-strings ("3/4"), so every round trip is lossless.  ``complexes``,
-``category``, ``deform`` and ``csv`` are imported inside the functions that
-use them, so reading a complex loads no ``category`` and reading a profile
-no ``complexes``.
+strings ("3/4"), so every round trip is lossless.  A factor tag is read as
+a list of integers, and ``complexes._check_factor_tags`` checks it.
+``complexes``, ``category``, ``deform`` and ``csv`` are imported inside the
+functions that use them, so reading a complex loads no ``category`` and
+reading a profile no ``complexes``.
 """
 
 from __future__ import annotations
@@ -119,17 +120,14 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ValueError(f"boundary of {cid} must list [face id, incidence] pairs")
                 boundary.append((_cell_id(pair[0], "a face id"), _as_int(pair[1], "an incidence")))
-            vertices = entry.get("vertices")
-            if vertices is not None:
-                vertices = tuple(_as_int(v, "a vertex")
-                                 for v in _require(vertices, list, f"vertices of {cid}"))
             weight = parse_frac(_field(entry, "weight", f"complex JSON cell {cid!r}"))
-            tag = entry.get("factor_degrees")
-            if tag is not None:
-                if not isinstance(tag, list) or len(tag) != 2:
-                    raise ValueError(f"factor_degrees of {cid} must be a pair of degrees")
-                tag = (_as_int(tag[0], "a factor degree"), _as_int(tag[1], "a factor degree"))
-            specs.append((cid, weight, boundary, vertices, tag))
+            optional = []  # the vertices and the factor tag: each absent or a list of integers
+            for key, what in (("vertices", "a vertex"), ("factor_degrees", "a factor degree")):
+                value = entry.get(key)
+                if value is not None:
+                    value = tuple(_as_int(v, what) for v in _require(value, list, f"{key} of {cid}"))
+                optional.append(value)
+            specs.append((cid, weight, boundary, *optional))
         cells.append(specs)
     if extra := [key for key in cells_by_degree if key not in {str(q) for q in range(top + 1)}]:
         raise ValueError(f"cells has degree {extra[0]!r} outside 0..{top}")

@@ -37,6 +37,7 @@ from stasys import (
     stable_systole,
     torus_triangulated,
 )
+from stasys.cli import main
 from stasys.io import parse_frac
 
 from conftest import permuted, profile_products, weighted_circle
@@ -166,6 +167,20 @@ def test_a_field_on_some_cells_only_is_refused(make, cid, field, message):
     with pytest.raises(ComplexInvariantError) as refused:
         complex_from_dict(data)
     assert str(refused.value) == message
+
+
+def test_a_tag_that_is_not_a_pair_is_named(tmp_path, capsys):
+    # a tag is read as a list of integers, and its shape is checked with the
+    # rest of the complex: C3 x C4 with its first edge tagged [1, 0, 0]
+    data = complex_to_dict(product_complex(circle(3), circle(4)))
+    data["cells"]["1"][0]["factor_degrees"] = [1, 0, 0]
+    message = "factor_degrees of (s0|s0.1) must be a pair of degrees"
+    with pytest.raises(ValueError) as refused:
+        complex_from_dict(data)
+    assert str(refused.value) == message
+    (tmp_path / "c3c4.json").write_text(json.dumps(data))
+    assert main(["homology", str(tmp_path / "c3c4.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_tags_in_the_cell_specs_rebuild_a_product():
