@@ -259,7 +259,12 @@ class WeightedCellComplex:
         return idx[q].get(tuple(vertices))
 
     def validate(self) -> None:
-        """Check every structural invariant; raise ComplexInvariantError."""
+        """Check every structural invariant; raise ComplexInvariantError.  The rules: a known
+        kind; one entry per cell in each table; unique ids in each degree; positive int or
+        Fraction weights; boundary entries that are tuples of two ints (bools refused) naming
+        a face; ∂∂ = 0 and augmentation; factor tags; simplicial vertex lists that give ∂."""
+        if self.kind not in ("simplicial", "cubical", "general"):
+            raise ComplexInvariantError(f"kind must be simplicial, cubical or general, not {self.kind!r}")
         if not self.cell_ids:
             raise ComplexInvariantError("complex has no degree 0")
         for name, entry in (("weights", "weight"), ("boundary_cols", "boundary column"),
@@ -273,11 +278,19 @@ class WeightedCellComplex:
                     raise ComplexInvariantError(f"{entry} count mismatch in degree {q}")
         if self.factor_degrees is not None:
             _check_factor_tags(self)
-        for q, ws in enumerate(self.weights):
+        for q, (ids, ws, cols) in enumerate(zip(self.cell_ids, self.weights, self.boundary_cols)):
+            if len(set(ids)) != len(ids):
+                raise ComplexInvariantError(f"duplicate cell ids in degree {q}")
             if any(type(w) not in (int, Fraction) for w in ws):
                 raise ComplexInvariantError(f"weight in degree {q} is not an int or a Fraction")
             if min(ws, default=1) <= 0:
                 raise ComplexInvariantError(f"non-positive weight in degree {q}")
+            entries = [*itertools.chain(*cols)]
+            if ({*map(type, entries)} - {tuple} or {*map(len, entries)} - {2}
+                    or {*map(type, itertools.chain(*entries))} - {int}):
+                j = next(j for j, col in enumerate(cols)  # only now look the bad entry up
+                         if any(type(e) is not tuple or [*map(type, e)] != [int, int] for e in col))
+                raise ComplexInvariantError(f"boundary of {ids[j]} must list [face id, incidence] pairs of integers")
         if any(self.boundary_cols[0]):
             raise ComplexInvariantError("vertices cannot have boundary")
         faces = [()]  # {face: incidence} of each q-cell, for q >= 1
@@ -326,34 +339,29 @@ def build_complex(kind: str, cells: list[list[tuple]]) -> WeightedCellComplex:
     Each cell spec is ``(cell_id, weight, boundary[, vertices[, factor_degrees]])``:
     ``boundary`` lists (face id, incidence) pairs, and each optional entry, which
     may be None, is given on every cell or on none (`_spec_field`).  Vertex lists
-    are kept for simplicial complexes only.  `validate` checks what each entry
-    holds (a factor tag by `_check_factor_tags`) and names the cell of a bad one.
+    are kept for simplicial complexes only.  Face ids become indices and nothing is
+    converted: weights are ints or Fractions and incidences ints, as `validate` checks.
     """
-    cell_ids = []
-    weights = []
     boundary_cols: list[tuple[BoundaryColumn, ...]] = []
     face_index: dict[str, int] = {}
     for q, specs in enumerate(cells):
-        ids = tuple(spec[0] for spec in specs)
-        if len(set(ids)) != len(ids):
-            raise ComplexInvariantError(f"duplicate cell ids in degree {q}")
-        cell_ids.append(ids)
-        weights.append(tuple(Fraction(spec[1]) for spec in specs))
         cols = []
         for spec in specs:
             bdry = spec[2]
             if q == 0 and bdry:
                 raise ComplexInvariantError("vertices cannot have boundary")
-            for fid, _ in bdry:
-                if fid not in face_index:
-                    raise ComplexInvariantError(f"boundary of {spec[0]} names unknown face {fid!r}")
-            cols.append(tuple((face_index[fid], int(inc)) for fid, inc in bdry))
+            for entry in bdry:
+                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                    raise ComplexInvariantError(f"boundary of {spec[0]} must list [face id, incidence] pairs")
+                if entry[0] not in face_index:
+                    raise ComplexInvariantError(f"boundary of {spec[0]} names unknown face {entry[0]!r}")
+            cols.append(tuple((face_index[fid], inc) for fid, inc in bdry))
         boundary_cols.append(tuple(cols))
-        face_index = {cid: i for i, cid in enumerate(ids)}
+        face_index = {spec[0]: i for i, spec in enumerate(specs)}
     out = WeightedCellComplex(
         kind=kind,
-        cell_ids=tuple(cell_ids),
-        weights=tuple(weights),
+        cell_ids=tuple(tuple(spec[0] for spec in specs) for specs in cells),
+        weights=tuple(tuple(spec[1] for spec in specs) for specs in cells),
         boundary_cols=tuple(boundary_cols),
         vertex_lists=_spec_field(cells, 3, "vertices") if kind == "simplicial" else None,
         factor_degrees=_spec_field(cells, 4, "factor_degrees"),

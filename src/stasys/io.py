@@ -1,8 +1,8 @@
 """File formats: JSON complexes and profiles, CSV deformation reports.
 
 Weights and all numeric report fields are serialized as exact fraction
-strings ("3/4"), so every round trip is lossless.  A factor tag is read as
-a list of integers, and ``complexes._check_factor_tags`` checks it.
+strings ("3/4"), so every round trip is lossless.  The kind is read as it
+stands and a factor tag as a list of integers; `validate` checks both.
 ``complexes``, ``category``, ``deform`` and ``csv`` are imported inside the
 functions that use them, so reading a complex loads no ``category`` and
 reading a profile no ``complexes``.
@@ -102,8 +102,6 @@ def complex_from_dict(data: dict) -> WeightedCellComplex:
 
     _require(data, dict, "a complex")
     kind = _field(data, "kind", "complex JSON")
-    if kind not in ("simplicial", "cubical", "general"):
-        raise ValueError(f"kind must be simplicial, cubical or general, not {kind!r}")
     top = _as_int(_field(data, "top_dim", "complex JSON"), "top_dim")
     if top < 0:
         raise ValueError(f"top_dim must be at least 0, not {top}")

@@ -306,7 +306,13 @@ def test_product_expression_at_the_dimension_bound_is_answered(capsys):
     ({"boundary": [["s0", 1], ["s1", 1]]}, "boundary of s0.1 does not sum to zero"),
     ({"vertices": [1, 0]}, "cell s0.1 vertices not sorted"),
     ({"vertices": [0, 7]}, "missing face (7,)"),
-], ids=["weight-one", "unbalanced-edge", "unsorted-vertices", "missing-face"])
+    ({"boundary": [["s1", -1], ["s0", 1]]}, "boundary of s0.1 is not the alternating face sum"),
+    ({"boundary": [["s1", 1, 0], ["s0", -1]]}, "boundary of s0.1 must list [face id, incidence] pairs"),
+    ({"boundary": [["s1", True], ["s0", -1]]}, "an incidence must be an integer, not True"),
+    ({"boundary": [["s9", 1], ["s0", -1]]}, "boundary of s0.1 names unknown face 's9'"),
+    ({"id": "s1.2"}, "duplicate cell ids in degree 1"),
+], ids=["weight-one", "unbalanced-edge", "unsorted-vertices", "missing-face", "negated-edge", "three-entry-pair",
+        "bool-incidence", "unknown-face", "duplicate-ids"])
 def test_lpd_prints_the_complex_error(fields, message, tmp_path, capsys):
     # a file with "cells" is read as a complex only, never retried as a profile
     path = tmp_path / "bad.json"
@@ -333,6 +339,7 @@ INPUT_FILES = {
     "c3.json": complex_to_dict(circle(3)),
     "c3-cubical.json": complex_to_dict(circle(3, kind="cubical")),
     "two-circles.json": complex_to_dict(disjoint_two_circles()),
+    "kind-foo.json": {**complex_to_dict(circle(3)), "kind": "foo"},
 }
 
 
@@ -343,6 +350,7 @@ INPUT_FILES = {
     (["catstsys", "dimension-zero.json"], "n must be positive"),
     (["homology", "vertex-boundary.json"], "vertices cannot have boundary"),
     (["systole", "vertex-five.json", "-q", "0"], "vertices cannot have boundary"),
+    (["homology", "kind-foo.json"], "kind must be simplicial, cubical or general, not 'foo'"),
     (["deform", "s2.json", "s2.json", "--partition", "1,3"],
      "partition part 1 has trivial homology on the product"),
     (["verify", "degree-sandwich", "c3-cubical.json", "c3-cubical.json", "--vertex-map", "0,1,2",
@@ -361,7 +369,8 @@ INPUT_FILES = {
     (["lpd", "S1 S2"], "cannot parse product expression 'S1 S2'; "
                        "expected factors joined by x or *, e.g. S1 x S3"),
 ], ids=["sphere-zero", "empty-expression", "negative-dimension", "dimension-zero",
-        "vertex-boundary", "vertex-boundary-systole", "trivial-part", "cubical-map", "dimension-mismatch",
+        "vertex-boundary", "vertex-boundary-systole", "unknown-kind", "trivial-part", "cubical-map",
+        "dimension-mismatch",
         "two-top-classes", "superscript-digit", "trailing-operator", "leading-operator",
         "doubled-operator", "missing-operator"])
 def test_input_check_exits_two_with_its_message(argv, message, tmp_path, capsys):

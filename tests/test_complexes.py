@@ -36,7 +36,7 @@ from stasys import (
 )
 from stasys.complexes import Weights
 
-from conftest import weighted_circle
+from conftest import loop_with_faces, permuted, weighted_circle
 
 F = Fraction
 
@@ -145,10 +145,22 @@ def _short_factor_tags(degrees=False):
 
 
 def _with_entry(K, field, q, j, value):
-    """A copy of K, unchecked, with the ``field`` (vertex_lists or factor_degrees) of cell (q, j) set to value."""
+    """A copy of K, unchecked, with the per-cell ``field`` (cell_ids, weights, boundary_cols,
+    vertex_lists or factor_degrees) of cell (q, j) set to value."""
     table = [list(per_cell) for per_cell in getattr(K, field)]
     table[q][j] = value
     return replace(K, **{field: tuple(map(tuple, table))})
+
+
+def _edge(incidence=1, weight=1, entry=None, kind="general"):
+    """In-memory specs of vertices v, w and an edge e from v to w, with one value swapped in."""
+    head = ("w", incidence) if entry is None else entry
+    return kind, [[("v", 1, []), ("w", 1, [])], [("e", weight, [head, ("v", -1)])]]
+
+
+PAIRS_OF_INTS = r"must list \[face id, incidence\] pairs of integers$"
+C3_CUBICAL = circle(3, kind="cubical")
+RP2_CELLS = loop_with_faces([("e", 2)])  # one vertex, one loop e and a disc f0 on 2e
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -210,6 +222,29 @@ def _with_entry(K, field, q, j, value):
     (lambda: DeformationFamily(_with_entry(flat_torus(3), "factor_degrees", 1, 4, (1,))), ComplexInvariantError,
      r"^factor_degrees of \(s1\|s0\.2\) must be a pair of degrees$"),
     (lambda: build_complex("simplicial", [[("v", 1, [], 5)]]), ComplexInvariantError, "^cell v has bad vertex list$"),
+    # build_complex converts nothing, and validate is the one definition of a complex
+    (lambda: build_complex(*_edge(incidence=1.7)), ComplexInvariantError, "^boundary of e " + PAIRS_OF_INTS),
+    (lambda: build_complex(*_edge(incidence="1")), ComplexInvariantError, "^boundary of e " + PAIRS_OF_INTS),
+    (lambda: build_complex(*_edge(incidence=True)), ComplexInvariantError, "^boundary of e " + PAIRS_OF_INTS),
+    (lambda: build_complex(*_edge(weight=0.1)), ComplexInvariantError,
+     "^weight in degree 1 is not an int or a Fraction$"),
+    (lambda: build_complex(*_edge(kind="foo")), ComplexInvariantError,
+     "^kind must be simplicial, cubical or general, not 'foo'$"),
+    (lambda: build_complex(*_edge(entry=("v", 1, 0))), ComplexInvariantError,
+     r"^boundary of e must list \[face id, incidence\] pairs$"),
+    (lambda: build_complex(*_edge(entry=5)), ComplexInvariantError,
+     r"^boundary of e must list \[face id, incidence\] pairs$"),
+    (lambda: replace(C3_CUBICAL, cell_ids=(C3_CUBICAL.cell_ids[0], ("e", "e", "f"))).validate(),
+     ComplexInvariantError, "^duplicate cell ids in degree 1$"),
+    (lambda: _with_entry(RP2_CELLS, "boundary_cols", 2, 0, ((0, 2.5),)).validate(), ComplexInvariantError,
+     "^boundary of f0 " + PAIRS_OF_INTS),
+    (lambda: replace(C3_CUBICAL, kind="foo").validate(), ComplexInvariantError,
+     "^kind must be simplicial, cubical or general, not 'foo'$"),
+    (lambda: _with_entry(C3_CUBICAL, "boundary_cols", 1, 0, ((5,), (0, -1))).validate(), ComplexInvariantError,
+     r"^boundary of s0\.1 " + PAIRS_OF_INTS),
+    # circle(3)'s first edge with both incidences negated: it sums to zero, but is not ∂ of its vertices
+    (lambda: _with_entry(circle(3), "boundary_cols", 1, 0, ((1, -1), (0, 1))).validate(), ComplexInvariantError,
+     r"^boundary of s0\.1 is not the alternating face sum$"),
 ], ids=["no-degrees", "no-top-simplices", "degenerate-simplex", "factor-tags", "factor-tags-validate",
         "cubical-lookup",
         "weight-missing", "face-out-of-range", "extra-weight-degree", "missing-boundary-degree",
@@ -219,7 +254,10 @@ def _with_entry(K, field, q, j, value):
         "short-factor-tags", "short-factor-tags-family", "missing-factor-tag-degree",
         "missing-factor-tag-degree-family", "short-chain-coordinates", "short-chain-mass",
         "short-chain-cycle", "long-chain-boundary", "long-vertex-chain-cycle", "short-chain-push",
-        "three-entry-tag", "int-tag", "bool-tag", "one-entry-tag-family", "int-vertices"])
+        "three-entry-tag", "int-tag", "bool-tag", "one-entry-tag-family", "int-vertices",
+        "fractional-incidence", "string-incidence", "bool-incidence", "float-weight-build", "unknown-kind-build",
+        "three-entry-boundary", "int-boundary-entry", "duplicate-ids", "fractional-incidence-validate",
+        "unknown-kind-validate", "one-entry-boundary", "negated-edge"])
 def test_input_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -284,6 +322,68 @@ def test_a_malformed_entry_is_refused_naming_its_cell(case):
     _with_entry(K, field, q, j, own).validate()
     if field == "factor_degrees":
         DeformationFamily(_with_entry(K, field, q, j, own))
+
+
+ONE_DEFINITION_FIXTURES = [L for K in (sphere(2), cubical_sphere(2), product_complex(circle(3), circle(4)))
+                           for L in (K, permuted(K, 7))]
+MALFORMED = {
+    "incidence": [1.7, 2.5, True, "1", 1.0],
+    "weight": [0.1, "1/2", True],
+    "entry": [5, (1,), (1, 1, 1)],
+    "id": [None],
+    "kind": ["foo"],
+}
+
+
+@st.composite
+def _malformed_values(draw):
+    """A fixture, one of its cells (q, j), an entry k of its boundary, and a malformed value for one field."""
+    K = draw(st.sampled_from(ONE_DEFINITION_FIXTURES))
+    field = draw(st.sampled_from(sorted(MALFORMED)))
+    value = draw(st.sampled_from(MALFORMED[field]))
+    q = draw(st.integers(1 if field in ("incidence", "entry") else 0, K.top_dim))
+    j = draw(st.integers(0, K.n_cells(q) - 1))
+    k = draw(st.integers(0, len(K.boundary_cols[q][j]) - 1)) if q else 0
+    return K, field, value, q, j, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(_malformed_values())
+@example((C3_CUBICAL, "incidence", 1.0, 1, 0, 0))
+@example((C3_CUBICAL, "entry", (1,), 1, 2, 1))
+def test_a_complex_has_one_definition(tmp_path_factory, case):
+    # one malformed value makes build_complex and validate on a replaced copy
+    # raise ComplexInvariantError and nothing else; the unmutated fixture
+    # validates, and its file loads as it
+    K, field, value, q, j, k = case
+    cid, specs, kind, copy = K.cell_ids[q][j], _specs(K), K.kind, K
+    if field in ("incidence", "entry"):
+        col = list(K.boundary_cols[q][j])
+        col[k] = (col[k][0], value) if field == "incidence" else value
+        specs[q][j][2][k] = (specs[q][j][2][k][0], value) if field == "incidence" else value
+        copy = _with_entry(K, "boundary_cols", q, j, tuple(col))
+        message = f"boundary of {cid} must list [face id, incidence] pairs"
+    elif field == "weight":
+        specs[q][j][1] = value
+        copy = _with_entry(K, "weights", q, j, value)
+        message = f"weight in degree {q} is not an int or a Fraction"
+    elif field == "id":
+        twin = K.cell_ids[q][(j + 1) % K.n_cells(q)]
+        specs[q][j][0] = twin
+        copy = _with_entry(K, "cell_ids", q, j, twin)
+        message = None  # a face renamed away is unknown to the degree above, a top cell a duplicate
+    else:
+        kind, copy = value, replace(K, kind=value)
+        message = "kind must be simplicial, cubical or general, not 'foo'"
+    for call in (lambda: build_complex(kind, specs), copy.validate):
+        with pytest.raises(ComplexInvariantError) as refused:
+            call()
+        assert message is None or str(refused.value).startswith(message)
+    K.validate()
+    assert build_complex(K.kind, _specs(K)) == K
+    path = tmp_path_factory.mktemp("one-definition") / "k.json"
+    save_complex(K, path)
+    assert load_complex(path) == K
 
 
 def test_validate_runs_where_a_complex_comes_in(monkeypatch, tmp_path):

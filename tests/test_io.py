@@ -374,6 +374,19 @@ def test_complex_reader_rejects_booleans_and_strings(edit, message):
         complex_from_dict(data)
 
 
+@pytest.mark.parametrize("maker", [lambda: circle(3), rp2, lambda: flat_torus(3)], ids=["circle", "rp2", "ft3"])
+def test_a_file_incidence_may_be_written_as_an_integral_float(maker):
+    # a JSON number is converted where it is read, so 1.0 is the incidence 1
+    # (build_complex in memory converts nothing and refuses it)
+    K = maker()
+    data = complex_to_dict(K)
+    for cells in data["cells"].values():
+        for cell in cells:
+            cell["boundary"] = [[face, float(inc)] for face, inc in cell["boundary"]]
+    L = complex_from_dict(data)
+    assert L == K and repr(L.boundary_cols) == repr(K.boundary_cols)
+
+
 def test_profile_reader_rejects_a_boolean_betti_number():
     # int(True) is 1: read as a number this would load as a 1-dimensional profile
     with pytest.raises(ValueError, match="dimension must be an integer, not True"):
